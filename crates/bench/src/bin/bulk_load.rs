@@ -1,23 +1,13 @@
 //! Bulk-load throughput and memory benchmark (DESIGN.md §4.11).
 //!
-//! Measures the streaming parallel bulk loader against the legacy
-//! materialized `RdfStore::load` path on LUBM data and writes
-//! `BENCH_load.json`:
+//! Loads `BULK_LOAD_TRIPLES` (default 10M) LUBM triples through
+//! `bulk_load_triples` fed straight from `datagen::lubm::stream` (no
+//! materialized triple vector) and writes `BENCH_load.json`: triples/s,
+//! per-phase times, dictionary size, peak RSS (`VmHWM` from
+//! `/proc/self/status`), and post-load latency for a subset of the LUBM
+//! query mix.
 //!
-//! 1. **Scale run** — loads `BULK_LOAD_TRIPLES` (default 10M) LUBM triples
-//!    through `bulk_load_triples` fed straight from `datagen::lubm::stream`
-//!    (no materialized triple vector), recording triples/s, per-phase
-//!    times, peak RSS (`VmHWM` from `/proc/self/status`), and post-load
-//!    latency for a subset of the LUBM query mix.
-//! 2. **1M comparison** — loads the same 1M-triple dataset once through
-//!    the legacy `load()` path and once through the bulk path and reports
-//!    the throughput ratio. The full profile *gates* on bulk ≥ 2x legacy:
-//!    the sort-based pipeline must beat the per-triple hash-map path or
-//!    the run exits non-zero.
-//!
-//! `BULK_LOAD_SMOKE=1` switches to the CI profile: ~100k triples in the
-//! scale run, a 50k-triple comparison (same ≥2x gate — the measured
-//! margin is ~3.6x, far above ratio noise even on one core), and a hard
+//! `BULK_LOAD_SMOKE=1` switches to the CI profile: ~100k triples and a hard
 //! peak-RSS ceiling (`BULK_LOAD_RSS_CEILING_MB`, default 1024) that fails
 //! the run if the streaming pipeline ever buffers the dataset wholesale.
 //!
@@ -30,8 +20,7 @@ use datagen::lubm;
 use db2rdf::{BulkLoadOptions, RdfStore};
 
 /// Peak resident-set size of this process in bytes (`VmHWM`, Linux
-/// best-effort — `None` elsewhere). Monotonic for the process lifetime, so
-/// the scale run executes *first* and owns the high-water mark.
+/// best-effort — `None` elsewhere).
 fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -85,9 +74,9 @@ fn main() {
         env_u64("BULK_LOAD_TRIPLES", if smoke { 100_000 } else { 10_000_000 });
     let seed = 42u64;
 
-    // --- Scale run: stream → bulk loader, no materialized triple vector.
+    // Stream → bulk loader, no materialized triple vector.
     println!(
-        "bulk_load: scale run, {} triples ({})",
+        "bulk_load: {} triples ({})",
         scale_triples,
         if smoke { "smoke profile" } else { "full profile" }
     );
@@ -110,7 +99,7 @@ fn main() {
         stats.insert_secs
     );
     println!(
-        "  dict: {} entries, {:.1} MB raw -> {:.1} MB front-coded; peak RSS {}",
+        "  dict: {} entries, {:.1} MB of terms, {:.1} MB held; peak RSS {}",
         stats.dict.entries,
         stats.dict.raw_bytes as f64 / 1e6,
         stats.dict.compressed_bytes as f64 / 1e6,
@@ -123,54 +112,6 @@ fn main() {
     }
     drop(store);
 
-    // --- 1M comparison: legacy materialized load vs the bulk pipeline on
-    // the identical dataset (materialized once, outside both timings).
-    let cmp_triples = if smoke { 50_000usize } else { 1_000_000 };
-    println!("bulk_load: legacy-vs-bulk comparison at {cmp_triples} triples");
-    // Deduplicate up front: the bulk loader reports *distinct* triples
-    // while the legacy report counts its input, so both paths must be fed
-    // an exact-duplicate-free dataset for the counts (and the work) to be
-    // comparable.
-    let mut seen = std::collections::HashSet::new();
-    let dataset: Vec<rdf::Triple> = lubm::stream(u32::MAX as usize, seed)
-        .take(cmp_triples)
-        .filter(|t| {
-            seen.insert(format!(
-                "{} {} {}",
-                t.subject.encode(),
-                t.predicate.encode(),
-                t.object.encode()
-            ))
-        })
-        .collect();
-
-    let mut legacy_store = RdfStore::entity();
-    let t = Instant::now();
-    legacy_store.load(&dataset).expect("legacy load");
-    let legacy_secs = t.elapsed().as_secs_f64();
-    let legacy_triples = legacy_store.load_report().triples;
-    drop(legacy_store);
-
-    let mut bulk_store = RdfStore::entity();
-    let t = Instant::now();
-    let cmp_stats =
-        bulk_store.bulk_load_triples(dataset.iter().cloned(), &opts).expect("bulk load");
-    let bulk_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        cmp_stats.triples, legacy_triples,
-        "bulk and legacy load disagree on the triple count"
-    );
-    drop(bulk_store);
-
-    let legacy_rate = legacy_triples as f64 / legacy_secs;
-    let bulk_rate = cmp_stats.triples as f64 / bulk_secs;
-    let speedup = bulk_rate / legacy_rate;
-    println!(
-        "  legacy {legacy_secs:.1}s ({legacy_rate:.0}/s), bulk {bulk_secs:.1}s \
-         ({bulk_rate:.0}/s): {speedup:.2}x"
-    );
-
-    // --- Gates.
     let rss_ceiling_mb = env_u64("BULK_LOAD_RSS_CEILING_MB", 1024);
     if smoke {
         if let Some(b) = peak_rss {
@@ -183,22 +124,13 @@ fn main() {
             );
         }
     }
-    assert!(
-        speedup >= 2.0,
-        "bulk load is only {speedup:.2}x the legacy path at {cmp_triples} \
-         triples; the acceptance gate is 2x"
-    );
-
     let json = format!(
         "{{\"smoke\":{smoke},\"seed\":{seed},\
          \"scale\":{{\"triples\":{},\"raw_triples\":{},\"secs\":{scale_secs:.3},\
          \"triples_per_sec\":{scale_rate:.0},\"parse_secs\":{:.3},\"sort_secs\":{:.3},\
          \"insert_secs\":{:.3},\"segments\":{},\"checkpoints\":{},\
          \"dict\":{{\"entries\":{},\"raw_bytes\":{},\"compressed_bytes\":{}}},\
-         \"peak_rss_bytes\":{},\"queries\":{}}},\
-         \"compare_1m\":{{\"triples\":{},\"legacy_secs\":{legacy_secs:.3},\
-         \"bulk_secs\":{bulk_secs:.3},\"legacy_triples_per_sec\":{legacy_rate:.0},\
-         \"bulk_triples_per_sec\":{bulk_rate:.0},\"speedup\":{speedup:.3}}}}}\n",
+         \"peak_rss_bytes\":{},\"queries\":{}}}}}\n",
         stats.triples,
         stats.raw_triples,
         stats.parse_secs,
@@ -211,7 +143,6 @@ fn main() {
         stats.dict.compressed_bytes,
         peak_rss.map_or("null".into(), |b| b.to_string()),
         latency_json(&queries),
-        cmp_stats.triples,
     );
     std::fs::write("BENCH_load.json", &json).expect("write BENCH_load.json");
     println!("wrote BENCH_load.json");

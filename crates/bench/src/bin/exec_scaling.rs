@@ -1,21 +1,15 @@
-//! Thread-scaling and dictionary-encoding benchmark for the executor.
+//! Thread-scaling benchmark for the executor.
 //!
 //! Loads ≥100k LUBM-style triples into a single `spo(s,p,o)` relation (the
 //! triple-store layout, scan- and hash-join-heavy by construction: no
 //! indexes, so every FROM item is a full parallel scan and every join is a
-//! build-once/probe-parallel hash join), then:
-//!
-//! 1. times the suite against a dictionary-encoded `spo_enc(s,p,o)`
-//!    BIGINT relation (constants become interned IDs; the LIKE filter
-//!    materializes strings through `RDF_STR`), asserts the decoded results
-//!    are identical to the string run, and writes the per-query
-//!    string-vs-encoded comparison to `BENCH_dict.json`;
-//! 2. *calibrates* the dataset — doubling the university count until every
-//!    query takes ≥1s single-threaded, so per-point noise cannot manufacture
-//!    a scaling story — then times the suite at 1/2/4/8 worker threads,
-//!    asserting the result rows (including order) are identical at every
-//!    width, and writes wall-clock plus per-phase (scan/build/probe/agg)
-//!    timings to `BENCH_exec.json`.
+//! build-once/probe-parallel hash join), *calibrates* the dataset —
+//! doubling the university count until every query takes ≥1s
+//! single-threaded, so per-point noise cannot manufacture a scaling story —
+//! then times the suite at 1/2/4/8 worker threads, asserting the result
+//! rows (including order) are identical at every width, and writes
+//! wall-clock plus per-phase (scan/build/probe/agg) timings to
+//! `BENCH_exec.json`.
 //!
 //! Dependency-free by design: `std::time::Instant` timing, hand-rolled
 //! JSON. Run with `cargo run --release -p bench --bin exec_scaling`; the
@@ -35,87 +29,64 @@ use std::time::Instant;
 
 use bench::scale_from_env;
 use datagen::lubm::{self, NS, RDF_TYPE};
-use db2rdf::translate::functions::register_rdf_functions;
-use db2rdf::{Dict, SharedDict};
 use relstore::{quote_str, Database, PhaseTimings, Rel, Value};
 
 fn iri(local: &str) -> String {
     rdf::Term::iri(format!("{NS}{local}")).encode()
 }
 
-/// One benchmark query in both dialects. `term_cols` lists the output
-/// columns that hold RDF terms (IDs in the encoded run); the rest are plain
-/// values (e.g. COUNT results) that must match bit-for-bit.
+/// One benchmark query over the `spo` relation.
 struct BenchQuery {
     name: &'static str,
-    string_sql: String,
-    encoded_sql: String,
-    term_cols: Vec<usize>,
+    sql: String,
 }
 
-fn queries(dict: &Dict) -> Vec<BenchQuery> {
-    let typ_t = rdf::Term::iri(RDF_TYPE).encode();
-    let sq = |enc: &str| quote_str(enc);
-    let id = |enc: &str| dict.lookup(enc).expect("benchmark constant interned").to_string();
-    let triangle = |typ: &str, grad: &str, advisor: &str, teacher: &str, takes: &str| {
-        format!(
-            "SELECT t1.s, t2.o AS prof, t3.o AS course \
-             FROM {{T}} AS t1, {{T}} AS t2, {{T}} AS t3, {{T}} AS t4 \
-             WHERE t1.p = {typ} AND t1.o = {grad} \
-             AND t2.s = t1.s AND t2.p = {advisor} \
-             AND t3.s = t2.o AND t3.p = {teacher} \
-             AND t4.s = t1.s AND t4.p = {takes} AND t4.o = t3.o"
-        )
-    };
-    let star = |typ: &str, grad: &str, name: &str, member: &str, o_expr: &str| {
-        format!(
-            "SELECT t1.s, t2.o AS name, t3.o AS dept \
-             FROM {{T}} AS t1, {{T}} AS t2, {{T}} AS t3 \
-             WHERE t1.p = {typ} AND t1.o = {grad} \
-             AND t2.s = t1.s AND t2.p = {name} AND {o_expr} LIKE '%Grad 1%' \
-             AND t3.s = t1.s AND t3.p = {member}"
-        )
-    };
-    let chain = |advisor: &str, member: &str| {
-        format!(
-            "SELECT t2.o AS dept, COUNT(*) AS n \
-             FROM {{T}} AS t1, {{T}} AS t2 \
-             WHERE t1.p = {advisor} AND t2.s = t1.s AND t2.p = {member} \
-             GROUP BY t2.o ORDER BY 2 DESC, 1"
-        )
-    };
-    let consts: Vec<String> =
-        ["GraduateStudent", "advisor", "teacherOf", "takesCourse", "name", "memberOf"]
-            .iter()
-            .map(|l| iri(l))
-            .collect();
-    let [grad, advisor, teacher, takes, name, member] = &consts[..] else { unreachable!() };
+fn queries() -> Vec<BenchQuery> {
+    let c = |local: &str| quote_str(&iri(local));
+    let typ = quote_str(&rdf::Term::iri(RDF_TYPE).encode());
+    let grad = c("GraduateStudent");
     vec![
         BenchQuery {
             // LUBM Q9-style triangle: student → advisor → course the
             // advisor teaches and the student takes. Three hash joins, the
             // last on a composite (s, o) key.
             name: "triangle",
-            string_sql: triangle(&sq(&typ_t), &sq(grad), &sq(advisor), &sq(teacher), &sq(takes)),
-            encoded_sql: triangle(&id(&typ_t), &id(grad), &id(advisor), &id(teacher), &id(takes)),
-            term_cols: vec![0, 1, 2],
+            sql: format!(
+                "SELECT t1.s, t2.o AS prof, t3.o AS course \
+                 FROM spo AS t1, spo AS t2, spo AS t3, spo AS t4 \
+                 WHERE t1.p = {typ} AND t1.o = {grad} \
+                 AND t2.s = t1.s AND t2.p = {} \
+                 AND t3.s = t2.o AND t3.p = {} \
+                 AND t4.s = t1.s AND t4.p = {} AND t4.o = t3.o",
+                c("advisor"),
+                c("teacherOf"),
+                c("takesCourse")
+            ),
         },
         BenchQuery {
-            // Star with a LIKE filter: expression-heavy parallel scans. The
-            // encoded run must materialize the name through the dictionary
-            // (`RDF_STR`) before the substring match — the one place where
-            // late materialization pays its cost inside the engine.
+            // Star with a LIKE filter: expression-heavy parallel scans.
             name: "star_like",
-            string_sql: star(&sq(&typ_t), &sq(grad), &sq(name), &sq(member), "t2.o"),
-            encoded_sql: star(&id(&typ_t), &id(grad), &id(name), &id(member), "RDF_STR(t2.o)"),
-            term_cols: vec![0, 1, 2],
+            sql: format!(
+                "SELECT t1.s, t2.o AS name, t3.o AS dept \
+                 FROM spo AS t1, spo AS t2, spo AS t3 \
+                 WHERE t1.p = {typ} AND t1.o = {grad} \
+                 AND t2.s = t1.s AND t2.p = {} AND t2.o LIKE '%Grad 1%' \
+                 AND t3.s = t1.s AND t3.p = {}",
+                c("name"),
+                c("memberOf")
+            ),
         },
         BenchQuery {
             // Chain ending in an aggregation over a parallel scan.
             name: "chain_agg",
-            string_sql: chain(&sq(advisor), &sq(member)),
-            encoded_sql: chain(&id(advisor), &id(member)),
-            term_cols: vec![0],
+            sql: format!(
+                "SELECT t2.o AS dept, COUNT(*) AS n \
+                 FROM spo AS t1, spo AS t2 \
+                 WHERE t1.p = {} AND t2.s = t1.s AND t2.p = {} \
+                 GROUP BY t2.o ORDER BY 2 DESC, 1",
+                c("advisor"),
+                c("memberOf")
+            ),
         },
     ]
 }
@@ -157,168 +128,13 @@ fn string_db(universities: usize) -> (Database, usize) {
     (db, triples.len())
 }
 
-/// Time the two dialects of one query *interleaved*: each repetition runs
-/// the string query then the encoded query, and each side keeps its minimum.
-/// The minimum is the noise-free estimator for a deterministic computation
-/// (every slowdown source is additive), and interleaving makes both sides
-/// sample the same window of machine conditions, so a load spike or
-/// frequency shift cannot land entirely on one dialect.
-fn minned_pair(db: &Database, str_sql: &str, enc_sql: &str, runs: usize) -> (f64, f64, Rel, Rel) {
-    let str_warm = db.query(str_sql).expect("query");
-    let enc_warm = db.query(enc_sql).expect("query");
-    let (mut str_secs, mut enc_secs) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        db.query(str_sql).expect("query");
-        str_secs = str_secs.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        db.query(enc_sql).expect("query");
-        enc_secs = enc_secs.min(t0.elapsed().as_secs_f64());
-    }
-    (str_secs, enc_secs, str_warm, enc_warm)
-}
-
-/// Canonical string form of a result set: term columns resolved through the
-/// dictionary when one is given, rows sorted (the two dialects order
-/// differently where ties break on term columns).
-fn canon(rel: &Rel, term_cols: &[usize], dict: Option<&Dict>) -> Vec<Vec<String>> {
-    let cell = |i: usize, v: &Value| -> String {
-        if let (Value::Int(id), Some(d)) = (v, dict) {
-            if term_cols.contains(&i) {
-                return d.resolve(*id).expect("result ID resolves").to_string();
-            }
-        }
-        match v {
-            Value::Null => "∅".into(),
-            Value::Str(s) => s.to_string(),
-            Value::Int(n) => n.to_string(),
-            Value::Double(x) => x.to_string(),
-            Value::Bool(b) => b.to_string(),
-        }
-    };
-    let mut rows: Vec<Vec<String>> = rel
-        .rows
-        .iter()
-        .map(|r| r.iter().enumerate().map(|(i, v)| cell(i, v)).collect())
-        .collect();
-    rows.sort();
-    rows
-}
-
 fn main() {
     let smoke = std::env::var("EXEC_SCALING_SMOKE").map(|v| v == "1").unwrap_or(false);
     let universities = scale_from_env("EXEC_SCALING_UNIV", if smoke { 2 } else { 24 });
     let runs = if smoke { 1 } else { 3 };
     let thread_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let triples = lubm::generate(universities, 42);
-    if !smoke {
-        assert!(triples.len() >= 100_000, "need ≥100k triples, got {}", triples.len());
-    }
     let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    eprintln!(
-        "loaded {} LUBM triples ({universities} universities); {cores} core(s) available{}",
-        triples.len(),
-        if smoke { "; SMOKE mode" } else { "" }
-    );
-
-    let mut db = Database::new();
-    db.execute("CREATE TABLE spo (s TEXT, p TEXT, o TEXT)").unwrap();
-    db.insert_rows(
-        "spo",
-        triples.iter().map(|t| {
-            vec![
-                Value::str(t.subject.encode()),
-                Value::str(t.predicate.encode()),
-                Value::str(t.object.encode()),
-            ]
-        }),
-    )
-    .unwrap();
-
-    // Dictionary-encoded copy: every term interned to a dense BIGINT.
-    let shared = SharedDict::new();
-    let enc_rows: Vec<Vec<Value>> = {
-        let mut d = shared.write();
-        triples
-            .iter()
-            .map(|t| {
-                vec![
-                    Value::Int(d.intern(&t.subject.encode())),
-                    Value::Int(d.intern(&t.predicate.encode())),
-                    Value::Int(d.intern(&t.object.encode())),
-                ]
-            })
-            .collect()
-    };
-    register_rdf_functions(&mut db, &shared);
-    db.execute("CREATE TABLE spo_enc (s BIGINT, p BIGINT, o BIGINT)").unwrap();
-    db.insert_rows("spo_enc", enc_rows).unwrap();
-
-    let dict_guard = shared.read();
-    let suite = queries(&dict_guard);
-
-    // ---- Phase A: string vs dictionary-encoded → BENCH_dict.json
-    // Runs first: the thread-scaling phase oversubscribes small machines for
-    // minutes, and the comparison is fairest on a quiet core.
-    let dict_threads = if smoke { 1 } else { 4.min(cores) };
-    let dict_runs = if smoke { 1 } else { 9 };
-    db.set_threads(Some(dict_threads));
-    println!(
-        "{:<10} {:>10} {:>12} {:>13} {:>9}  ({dict_threads} thread(s))",
-        "query", "rows", "string_secs", "encoded_secs", "speedup"
-    );
-    let mut dict_json = Vec::new();
-    let mut log_sum = 0.0f64;
-    for q in &suite {
-        let (str_secs, enc_secs, str_rel, enc_rel) = minned_pair(
-            &db,
-            &q.string_sql.replace("{T}", "spo"),
-            &q.encoded_sql.replace("{T}", "spo_enc"),
-            dict_runs,
-        );
-        assert_eq!(
-            canon(&str_rel, &q.term_cols, None),
-            canon(&enc_rel, &q.term_cols, Some(&dict_guard)),
-            "{}: encoded run decoded to different solutions",
-            q.name
-        );
-        let speedup = str_secs / enc_secs;
-        log_sum += speedup.ln();
-        println!(
-            "{:<10} {:>10} {:>12.4} {:>13.4} {:>8.2}x",
-            q.name,
-            str_rel.rows.len(),
-            str_secs,
-            enc_secs,
-            speedup
-        );
-        dict_json.push(format!(
-            "{{\"name\": \"{}\", \"rows\": {}, \"string_secs\": {str_secs:.6}, \
-             \"encoded_secs\": {enc_secs:.6}, \"speedup\": {speedup:.3}}}",
-            q.name,
-            str_rel.rows.len()
-        ));
-    }
-    let geomean = (log_sum / suite.len() as f64).exp();
-    let json = format!(
-        "{{\n  \"bench\": \"exec_scaling_dict\",\n  \"triples\": {},\n  \"universities\": {},\n  \
-         \"cores\": {cores},\n  \"threads\": {dict_threads},\n  \"runs_per_point\": {},\n  \
-         \"smoke\": {},\n  \"geomean_speedup\": {:.3},\n  \"queries\": [\n    {}\n  ]\n}}\n",
-        triples.len(),
-        universities,
-        dict_runs,
-        smoke,
-        geomean,
-        dict_json.join(",\n    ")
-    );
-    std::fs::write("BENCH_dict.json", &json).expect("write BENCH_dict.json");
-    eprintln!("dictionary-encoding geometric-mean speedup: {geomean:.2}x (wrote BENCH_dict.json)");
-
-    // ---- Phase B: thread scaling at a calibrated size → BENCH_exec.json
-    // Free the comparison tables first: the calibrated dataset can be two
-    // orders of magnitude larger than the Phase A one.
-    drop(dict_guard);
-    drop(db);
+    let suite = queries();
 
     // Calibrate: double the dataset until every query takes ≥1s on one
     // thread. Sub-second points measure scheduler jitter, not scaling — a
@@ -327,14 +143,21 @@ fn main() {
     let max_univ = scale_from_env("EXEC_SCALING_MAX_UNIV", 1536);
     let mut bench_univ = universities;
     let (mut scale_db, mut bench_triples) = string_db(bench_univ);
+    if !smoke {
+        assert!(bench_triples >= 100_000, "need ≥100k triples, got {bench_triples}");
+    }
+    eprintln!(
+        "loaded {bench_triples} LUBM triples ({universities} universities); {cores} core(s) \
+         available{}",
+        if smoke { "; SMOKE mode" } else { "" }
+    );
     let mut single_min;
     loop {
         scale_db.set_threads(Some(1));
         single_min = f64::INFINITY;
         for q in &suite {
-            let sql = q.string_sql.replace("{T}", "spo");
             let t0 = Instant::now();
-            scale_db.query(&sql).expect("query");
+            scale_db.query(&q.sql).expect("query");
             single_min = single_min.min(t0.elapsed().as_secs_f64());
         }
         if smoke || single_min >= 1.0 || bench_univ * 2 > max_univ {
@@ -363,13 +186,12 @@ fn main() {
         "query", "threads", "rows", "secs", "speedup", "scan", "build", "probe", "agg"
     );
     for q in &suite {
-        let sql = q.string_sql.replace("{T}", "spo");
         let mut base_secs = 0.0;
         let mut reference: Option<Rel> = None;
         let mut runs_json = Vec::new();
         for &threads in thread_counts {
             scale_db.set_threads(Some(threads));
-            let (secs, ph, rel) = traced_median(&scale_db, &sql, runs);
+            let (secs, ph, rel) = traced_median(&scale_db, &q.sql, runs);
             match &reference {
                 None => {
                     base_secs = secs;

@@ -325,18 +325,30 @@ fn gen_oracle_queries(seed: u64) -> Vec<String> {
     (0..6).map(|_| queryfuzz::gen_query(&mut rng)).collect()
 }
 
-/// Run the workload, recording `(wal_len, shadow)` after every acked op.
-/// Returns the boundaries and the directory (caller removes it).
-fn record_history(
-    dir: &Path,
-    ops: &[Op],
-    checkpoints: usize,
-) -> Result<Vec<(u64, Shadow)>, String> {
+/// An acked-op boundary: the WAL generation it was recorded in, that WAL's
+/// length, and the state the store held.
+struct Boundary {
+    gen: u64,
+    wal_len: u64,
+    state: Shadow,
+}
+
+fn boundary(store: &RdfStore, shadow: &Shadow) -> Result<Boundary, String> {
+    Ok(Boundary {
+        gen: store.database().generation().ok_or("store not durable")?,
+        wal_len: store.wal_len().ok_or("store not durable")?,
+        state: shadow.clone(),
+    })
+}
+
+/// Run the workload, recording a [`Boundary`] after every acked op (the
+/// caller removes the directory). The initial `Load` ends in a checkpoint,
+/// so everything after it lives in a later WAL generation than the load.
+fn record_history(dir: &Path, ops: &[Op], checkpoints: usize) -> Result<Vec<Boundary>, String> {
     let mut store =
         RdfStore::open(dir, entity()).map_err(|e| format!("open: {e}"))?;
     let mut shadow = Shadow::default();
-    let mut boundaries =
-        vec![(store.wal_len().ok_or("store not durable")?, shadow.clone())];
+    let mut boundaries = vec![boundary(&store, &shadow)?];
     let ckpt_every = if checkpoints > 0 { ops.len() / (checkpoints + 1) } else { usize::MAX };
     for (i, op) in ops.iter().enumerate() {
         apply_op(&mut store, &shadow, op).map_err(|e| format!("op {i}: {e}"))?;
@@ -344,28 +356,37 @@ fn record_history(
         if checkpoints > 0 && i > 0 && i % ckpt_every == 0 {
             store.checkpoint().map_err(|e| format!("checkpoint at op {i}: {e}"))?;
         }
-        boundaries.push((store.wal_len().ok_or("store not durable")?, shadow.clone()));
+        boundaries.push(boundary(&store, &shadow)?);
     }
     drop(store); // crash: no close/checkpoint
     Ok(boundaries)
 }
 
-fn wal_file(dir: &Path) -> Option<PathBuf> {
-    let mut wals: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
+/// Every file of a store directory, by name.
+fn read_store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    std::fs::read_dir(dir)
+        .expect("read store dir")
         .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("wal."))
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read store file"))
         })
-        .collect();
-    wals.sort();
-    wals.pop()
+        .collect()
 }
 
-/// Sweep WAL truncation points, asserting exact-prefix recovery at each.
+/// Evenly spaced cut offsets over `total` bytes, plus `extra`.
+fn cut_points(total: u64, max_cuts: usize, extra: impl Iterator<Item = u64>) -> Vec<u64> {
+    let step = (total.max(1) / max_cuts.max(1) as u64).max(1);
+    let mut cuts: Vec<u64> = extra.chain((0..=total).step_by(step as usize)).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts
+}
+
+/// Sweep WAL truncation points. The live generation — the snapshot the
+/// load ended in plus the WAL of every later op — must recover to the exact
+/// acked prefix at each cut; the load's own generation, cut anywhere, must
+/// reopen empty, refuse explicitly, or hold the complete load.
 fn truncation_sweep(
     profile: &Profile,
     seed: u64,
@@ -381,30 +402,33 @@ fn truncation_sweep(
             return 1;
         }
     };
-    let wal = wal_file(&dir).expect("durable store has a WAL");
-    let bytes = std::fs::read(&wal).expect("read WAL");
+    let files = read_store_files(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = |name: &str| -> &[u8] {
+        &files.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no {name}")).1
+    };
+    // No mid-workload checkpoints here, so every boundary after the load
+    // is in the last generation, and the first of them is the state its
+    // snapshot holds.
+    let load_gen = boundaries[0].gen;
+    let live_gen = boundaries.last().expect("boundaries").gen;
+    let live: Vec<&Boundary> = boundaries.iter().filter(|b| b.gen == live_gen).collect();
+    let loaded = &live[0].state;
+    let wal_name = format!("wal.{live_gen}");
+    let bytes = file(&wal_name);
     let total = bytes.len() as u64;
-
-    // Every acked-op boundary, plus evenly spaced mid-record cuts.
-    let mut cuts: Vec<u64> = boundaries.iter().map(|(len, _)| *len).collect();
-    let step = (total.max(1) / profile.max_cuts.max(1) as u64).max(1);
-    cuts.extend((0..=total).step_by(step as usize));
-    cuts.sort_unstable();
-    cuts.dedup();
+    let cuts = cut_points(total, profile.max_cuts, live.iter().map(|b| b.wal_len));
 
     let mut failures = 0;
     let work = fresh_dir(&format!("trunc-work-{seed}"));
     for &cut in &cuts {
         let _ = std::fs::remove_dir_all(&work);
         std::fs::create_dir_all(&work).expect("mkdir");
-        std::fs::write(work.join(wal.file_name().unwrap()), &bytes[..cut as usize])
-            .expect("write truncated WAL");
-        let expected = boundaries
-            .iter()
-            .rev()
-            .find(|(len, _)| *len <= cut)
-            .map(|(_, s)| s.clone())
-            .unwrap_or_default();
+        for (name, content) in &files {
+            let content = if *name == wal_name { &bytes[..cut as usize] } else { &content[..] };
+            std::fs::write(work.join(name), content).expect("write store file");
+        }
+        let expected = live.iter().rev().find(|b| b.wal_len <= cut).map_or(loaded, |b| &b.state);
         match RdfStore::open(&work, entity()) {
             Err(e) => {
                 // Truncation must look like a torn tail, which recovery heals.
@@ -429,7 +453,7 @@ fn truncation_sweep(
                     Ok(_) => {
                         // Exact prefix recovered; at acked boundaries also
                         // re-run the differential oracle on the store.
-                        let at_boundary = boundaries.iter().any(|(len, _)| *len == cut);
+                        let at_boundary = live.iter().any(|b| b.wal_len == cut);
                         if at_boundary && !expected.0.is_empty() {
                             if let Err(div) =
                                 oracle::check_store_against(&store, &expected.0, queries)
@@ -446,12 +470,43 @@ fn truncation_sweep(
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+
+    // The load's own WAL, alone (its closing checkpoint never happened).
+    let load_wal = format!("wal.{load_gen}");
+    let load_bytes = file(&load_wal);
+    let load_total = load_bytes.len() as u64;
+    let load_cuts = cut_points(load_total, profile.max_cuts, std::iter::empty());
+    for &cut in &load_cuts {
+        let _ = std::fs::remove_dir_all(&work);
+        std::fs::create_dir_all(&work).expect("mkdir");
+        std::fs::write(work.join(&load_wal), &load_bytes[..cut as usize]).expect("write WAL");
+        let verdict = match RdfStore::open(&work, entity()) {
+            Err(e) if e.to_string().contains("bulk load interrupted") => Ok(()),
+            Err(e) => Err(format!("open errored: {e}")),
+            Ok(store) => match dump(&store) {
+                Err(e) => Err(e),
+                Ok(got) if got == loaded.canon() => Ok(()),
+                Ok(got) if got.is_empty() && cut < load_total => Ok(()),
+                Ok(got) => Err(format!(
+                    "recovered {} of the load's {} triples",
+                    got.len(),
+                    loaded.0.len()
+                )),
+            },
+        };
+        if let Err(msg) = verdict {
+            println!("  FAIL [truncation seed {seed} load cut {cut}/{load_total}]: {msg}");
+            failures += 1;
+        }
+    }
     let _ = std::fs::remove_dir_all(&work);
     println!(
-        "  truncation seed {seed}: {} cuts over {} WAL bytes, {} failure(s)",
+        "  truncation seed {seed}: {} cuts over {} WAL bytes + {} over the load's {}, \
+         {} failure(s)",
         cuts.len(),
         total,
+        load_cuts.len(),
+        load_total,
         failures
     );
     failures
@@ -501,6 +556,9 @@ fn write_fault_sweep(
         // written, fsync-refused record that still replays).
         let mut acceptable: Vec<Shadow> = vec![shadow.clone()];
         let mut faulted = false;
+        // A fault inside the load may leave its in-progress marker behind:
+        // reopening may then refuse explicitly instead of recovering.
+        let mut faulted_in_load = false;
         for op in ops {
             match apply_op(&mut store, &shadow, op) {
                 Ok(changed) => {
@@ -520,11 +578,23 @@ fn write_fault_sweep(
                 }
                 Err(e) => {
                     if !faulted {
+                        let mut with_op = shadow.clone();
+                        with_op.apply(op);
+                        // The one failure a healthy store may report: the
+                        // load committed and only its closing checkpoint
+                        // failed. The op counts as acked.
+                        if matches!(op, Op::Load(_))
+                            && !store.is_read_only()
+                            && dump(&store).is_ok_and(|got| got == with_op.canon())
+                        {
+                            shadow = with_op;
+                            acceptable = vec![shadow.clone()];
+                            continue;
+                        }
                         // First failure: must be the injected fault, and the
                         // store must degrade explicitly, not limp along.
                         faulted = true;
-                        let mut with_op = shadow.clone();
-                        with_op.apply(op);
+                        faulted_in_load = matches!(op, Op::Load(_));
                         acceptable = vec![shadow.clone(), with_op];
                         if !store.is_read_only() {
                             fail(format!(
@@ -550,6 +620,7 @@ fn write_fault_sweep(
 
         // Clean reopen: acked-ops durability.
         match RdfStore::open(&dir, entity()) {
+            Err(e) if faulted_in_load && e.to_string().contains("bulk load interrupted") => {}
             Err(e) => {
                 fail(format!("clean reopen failed: {e}"));
                 failures += 1;
@@ -614,12 +685,8 @@ fn read_fault_sweep(
         }
     };
     let states: Vec<Vec<Vec<String>>> =
-        boundaries.iter().map(|(_, s)| s.canon()).collect();
-    let pristine: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
-        .expect("read store dir")
-        .flatten()
-        .map(|e| (e.path(), std::fs::read(e.path()).expect("read store file")))
-        .collect();
+        boundaries.iter().map(|b| b.state.canon()).collect();
+    let pristine = read_store_files(&dir);
 
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0x05EE_FAD5);
     let mut failures = 0;
@@ -628,8 +695,8 @@ fn read_fault_sweep(
         // Restore the pristine on-disk state (recovery may rewrite files).
         let _ = std::fs::remove_dir_all(&work);
         std::fs::create_dir_all(&work).expect("mkdir");
-        for (path, bytes) in &pristine {
-            std::fs::write(work.join(path.file_name().unwrap()), bytes).expect("copy");
+        for (name, bytes) in &pristine {
+            std::fs::write(work.join(name), bytes).expect("copy");
         }
         let read_idx = n / 2;
         let (name, faults) = if n % 2 == 0 {
@@ -658,7 +725,7 @@ fn read_fault_sweep(
                         failures += 1;
                         continue;
                     };
-                    let state = &boundaries[pos].1;
+                    let state = &boundaries[pos].state;
                     if !state.0.is_empty() {
                         if let Err(div) = oracle::check_store_against(&store, &state.0, queries)
                         {

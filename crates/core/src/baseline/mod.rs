@@ -19,7 +19,7 @@ use crate::translate::{GenState, StarGen};
 
 /// Load the single three-column TRIPLES relation (indexes on subject and
 /// object; no predicate index, matching the paper's setup).
-pub fn load_triple_store(db: &mut Database, triples: &[Triple]) -> relstore::Result<()> {
+pub fn load_triple_store(db: &mut Database, triples: &[&Triple]) -> relstore::Result<()> {
     db.create_table(TableSchema::new(
         "triples",
         vec![
@@ -164,7 +164,7 @@ pub struct VerticalLayout {
 /// column-store emulation of Abadi et al. that the paper compares against).
 pub fn load_vertical(
     db: &mut Database,
-    triples: &[Triple],
+    triples: &[&Triple],
 ) -> relstore::Result<VerticalLayout> {
     let mut layout = VerticalLayout::default();
     let mut grouped: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();

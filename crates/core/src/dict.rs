@@ -7,20 +7,14 @@
 //! store only those IDs; lexical forms are materialized in
 //! `results::decode_value` when rows become `Solutions`.
 //!
-//! ## Front-coded storage
+//! ## Storage
 //!
-//! Canonical encodings share long prefixes — IRIs repeat namespaces
-//! (`http://www.Department3.University0.edu/...`), typed literals repeat
-//! datatype suffix-free prefixes — so storing every term verbatim (as two
-//! `Arc<str>` copies, pre-PR 8) wastes most of the dictionary's footprint at
-//! paper scale. Terms are now stored **front-coded** in insertion order:
-//! each entry records the byte length of the prefix it shares with the
-//! previous entry plus its fresh suffix, and every [`PAGE`]-th entry is a
-//! full restart so resolving an ID decodes at most one page. Prefix lengths
-//! are clamped to UTF-8 character boundaries, so every stored suffix is
-//! itself valid UTF-8. The term → ID index keeps only a 64-bit hash per
-//! entry (collisions are verified by decoding), so no second copy of the
-//! lexical space exists.
+//! Terms live verbatim in one append-only string arena, with one `u64`
+//! start offset per entry; resolving an ID is a single slice read. The
+//! term → ID index keeps only a 64-bit hash per entry (collisions are
+//! verified against the arena), so no second copy of the lexical space
+//! exists. Nothing is compressed in memory: front-coding measured larger
+//! than the strings on this repo's data (DESIGN.md §4.7 has the numbers).
 //!
 //! ## ID space
 //!
@@ -45,18 +39,15 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Entries per front-coding restart: entry `i` stores a full term whenever
-/// `i % PAGE == 0`, so resolving an ID decodes at most `PAGE` suffixes.
-pub const PAGE: usize = 8;
-
 /// Memory accounting for `/stats` and `BENCH_load.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DictMemStats {
     /// Interned terms (highest assigned ID).
     pub entries: usize,
-    /// Total bytes of all term encodings, uncompressed.
+    /// Total bytes of all term encodings.
     pub raw_bytes: u64,
-    /// Bytes actually held: front-coded suffix bytes + per-entry offsets.
+    /// Bytes held: arena + 8 per entry (the name predates the plain arena;
+    /// the e2e benchmark reads this field).
     pub compressed_bytes: u64,
 }
 
@@ -95,21 +86,15 @@ type HashIndex = HashMap<u64, i64, BuildHasherDefault<IdentityHasher>>;
 /// An append-only intern table: canonical term encoding ↔ dense positive ID.
 #[derive(Debug, Default)]
 pub struct Dict {
-    /// Concatenated front-coded suffix bytes, in insertion order.
-    data: Vec<u8>,
-    /// `offs[i]` is where entry `i`'s suffix starts in `data`; its end is
-    /// the next entry's start (or `data.len()` for the last entry).
+    /// Concatenated term encodings, in insertion order.
+    data: String,
+    /// `offs[i]` is where entry `i` starts in `data`; its end is the next
+    /// entry's start (or `data.len()` for the last entry).
     offs: Vec<u64>,
-    /// Shared-prefix length with the previous entry (0 at page restarts).
-    lcps: Vec<u32>,
     /// term-hash → ID for the first entry with that hash; the rare extra
     /// IDs whose terms collide on the hash live in `collisions`.
     index: HashIndex,
     collisions: Vec<(u64, i64)>,
-    /// The most recently appended term, cached so the next append can
-    /// compute its shared prefix without decoding.
-    last: String,
-    raw_bytes: u64,
 }
 
 impl Dict {
@@ -126,12 +111,12 @@ impl Dict {
         self.offs.is_empty()
     }
 
-    /// Memory accounting: entries, raw vs front-coded bytes.
+    /// Memory accounting: entries, term bytes, bytes held.
     pub fn mem_stats(&self) -> DictMemStats {
         DictMemStats {
             entries: self.len(),
-            raw_bytes: self.raw_bytes,
-            compressed_bytes: self.data.len() as u64 + (self.len() * 12) as u64,
+            raw_bytes: self.data.len() as u64,
+            compressed_bytes: self.data.len() as u64 + (self.len() * 8) as u64,
         }
     }
 
@@ -172,11 +157,7 @@ impl Dict {
     }
 
     fn entry_eq(&self, id: i64, term: &str) -> bool {
-        // Cheap length gate before decoding: suffix lengths alone bound the
-        // decoded length from below only, so compare decoded bytes.
-        let mut buf = String::new();
-        self.decode_into(id as usize - 1, &mut buf);
-        buf == term
+        self.term(id as usize - 1) == term
     }
 
     /// Resolve an ID back to its encoding. Negative and zero IDs (lids,
@@ -193,55 +174,28 @@ impl Dict {
         if id < 1 || id as usize > self.len() {
             return false;
         }
-        self.decode_into(id as usize - 1, out);
+        out.push_str(self.term(id as usize - 1));
         true
     }
 
-    /// Decode entry `i` (0-based) by replaying its page from the restart.
-    fn decode_into(&self, i: usize, out: &mut String) {
-        let start = i - i % PAGE;
-        out.push_str(self.suffix(start));
-        for k in start + 1..=i {
-            out.truncate(self.lcps[k] as usize);
-            out.push_str(self.suffix(k));
-        }
-    }
-
-    fn suffix(&self, i: usize) -> &str {
+    /// Entry `i` (0-based) as stored in the arena.
+    fn term(&self, i: usize) -> &str {
         let lo = self.offs[i] as usize;
         let hi = self.offs.get(i + 1).map(|&o| o as usize).unwrap_or(self.data.len());
-        std::str::from_utf8(&self.data[lo..hi]).expect("front-coded suffix is valid UTF-8")
+        &self.data[lo..hi]
     }
 
     /// Append a new entry, returning its ID. Does not touch the hash index.
     fn append(&mut self, term: &str) -> i64 {
-        let i = self.len();
-        let lcp = if i.is_multiple_of(PAGE) { 0 } else { char_lcp(&self.last, term) };
         self.offs.push(self.data.len() as u64);
-        self.lcps.push(lcp as u32);
-        self.data.extend_from_slice(&term.as_bytes()[lcp..]);
-        self.raw_bytes += term.len() as u64;
-        self.last.clear();
-        self.last.push_str(term);
-        (i + 1) as i64
+        self.data.push_str(term);
+        self.len() as i64
     }
 
     /// Entries with IDs above `watermark`, in ID order — the tail that a
     /// persistence pass has not yet written out.
     pub fn entries_from(&self, watermark: usize) -> impl Iterator<Item = (i64, String)> + '_ {
-        let mut buf = String::new();
-        (watermark..self.len()).map(move |i| {
-            // Sequential decode: each entry extends the previous one, so
-            // replay the front-coding incrementally instead of per-page.
-            if i % PAGE == 0 || buf.is_empty() {
-                buf.clear();
-                self.decode_into(i, &mut buf);
-            } else {
-                buf.truncate(self.lcps[i] as usize);
-                buf.push_str(self.suffix(i));
-            }
-            (i as i64 + 1, buf.clone())
-        })
+        (watermark..self.len()).map(move |i| (i as i64 + 1, self.term(i).to_string()))
     }
 
     /// Restore one entry from storage. Entries must arrive in ID order with
@@ -265,17 +219,6 @@ impl Dict {
         }
         Ok(())
     }
-}
-
-/// Byte length of the longest common prefix of `a` and `b` that ends on a
-/// character boundary of both (equal bytes ⇒ a boundary of one is a boundary
-/// of the other). Shared with the `sys_dict` page codec in `persist`.
-pub(crate) fn char_lcp(a: &str, b: &str) -> usize {
-    let mut n = a.as_bytes().iter().zip(b.as_bytes()).take_while(|(x, y)| x == y).count();
-    while !b.is_char_boundary(n) {
-        n -= 1;
-    }
-    n
 }
 
 /// A dictionary shared between the store (which interns during load/insert)
@@ -330,22 +273,6 @@ mod tests {
         assert_eq!(d.resolve(2).as_deref(), Some("<b>"));
     }
 
-    #[test]
-    fn front_coding_actually_shares_prefixes() {
-        let mut d = Dict::new();
-        for i in 0..1000 {
-            d.intern(&format!("<http://www.Department3.University0.edu/Student{i}>"));
-        }
-        let stats = d.mem_stats();
-        assert_eq!(stats.entries, 1000);
-        assert!(
-            stats.compressed_bytes < stats.raw_bytes / 2,
-            "front-coding saved too little: {} vs {} raw",
-            stats.compressed_bytes,
-            stats.raw_bytes
-        );
-    }
-
     /// Deterministic PRNG (SplitMix64) — the workspace builds offline, so no
     /// external property-testing crate; this generates the term corpus.
     struct Rng(u64);
@@ -383,8 +310,8 @@ mod tests {
 
     /// Round-trip property: for generated terms — IRIs, plain/lang/typed
     /// literals with multi-byte UTF-8, escapes and blanks — interning the
-    /// canonical encoding and resolving the ID back through the front-coded
-    /// pages yields a string that decodes to the original term.
+    /// canonical encoding and resolving the ID back yields a string that
+    /// decodes to the original term.
     #[test]
     fn round_trip_property_over_generated_terms() {
         let mut dict = Dict::new();
@@ -431,8 +358,8 @@ mod tests {
         }
     }
 
-    /// Multi-byte characters straddling a shared prefix must clamp the
-    /// prefix length to a character boundary.
+    /// Adjacent entries whose bytes diverge in the middle of a multi-byte
+    /// character resolve intact: arena slices fall on entry boundaries.
     #[test]
     fn lcp_respects_char_boundaries() {
         let mut d = Dict::new();

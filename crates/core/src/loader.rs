@@ -1,12 +1,11 @@
-//! Bulk loading and incremental insertion into the DB2RDF schema (§2.1):
-//! the DPH/DS (direct) and RPH/RS (reverse) relations, predicate-to-column
-//! assignment, spill rows, and multi-valued lids.
-
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+//! Incremental insertion into and deletion from a loaded DB2RDF schema
+//! (§2.1) — the DPH/DS (direct) and RPH/RS (reverse) relations, spill rows
+//! and multi-valued lids — plus the load configuration, the load report and
+//! the schema/predicate-mapping helpers the one table builder
+//! (`store::bulk`) uses. Nothing here creates a table.
 
 use rdf::Triple;
-use relstore::{Database, IndexKind, SqlType, TableSchema, Value};
+use relstore::{Database, SqlType, TableSchema, Value};
 
 use crate::dict::Dict;
 use crate::layout::{HashComposition, InterferenceGraph, PredMapping, SideLayout};
@@ -63,64 +62,10 @@ pub struct LoadReport {
     pub storage_bytes: u64,
 }
 
-/// One packed hash-table cell: the predicate that landed in the column and
-/// its value (`None` for an empty column). The build state keeps canonical
-/// strings — the layout (candidates, multivalued, spill_preds) is keyed on
-/// them — and `insert_side` interns them to dictionary IDs at table-write
-/// time; a `Value::Int` here is already a (negative) lid.
-type Cell = Option<(Arc<str>, Value)>;
-
-/// One side's in-memory build state before table insertion.
-struct SideBuild {
-    layout: SideLayout,
-    /// Rows: entry, spill flag, and one cell per column.
-    rows: Vec<(Arc<str>, bool, Vec<Cell>)>,
-    secondary: Vec<(i64, Arc<str>)>,
-    spill_rows: u64,
-    covered_triples: u64,
-    total_triples: u64,
-}
-
-/// (pred, value) pairs attached to one entity.
-type PredVals = Vec<(Arc<str>, Arc<str>)>;
-
-/// Encode and group triples by entity for one side.
-/// Returns entities in first-appearance order with their (pred, value) lists.
-type Grouped = Vec<(Arc<str>, PredVals)>;
-
-fn group_by<'a>(
-    triples: impl Iterator<Item = &'a Triple>,
-    direct: bool,
-) -> Grouped {
-    let mut order: Vec<Arc<str>> = Vec::new();
-    let mut map: HashMap<Arc<str>, PredVals> = HashMap::new();
-    for t in triples {
-        let (entity, value) = if direct {
-            (t.subject.encode(), t.object.encode())
-        } else {
-            (t.object.encode(), t.subject.encode())
-        };
-        let entity: Arc<str> = entity.into();
-        let pred: Arc<str> = t.predicate.encode().into();
-        let value: Arc<str> = value.into();
-        match map.get_mut(&entity) {
-            Some(v) => v.push((pred, value)),
-            None => {
-                order.push(entity.clone());
-                map.insert(entity, vec![(pred, value)]);
-            }
-        }
-    }
-    order.into_iter().map(|e| {
-        let v = map.remove(&e).unwrap();
-        (e, v)
-    }).collect()
-}
-
 /// Composed-hashing-only mapping (no data sample assumed).
-pub(crate) fn hash_only_mapping(cfg: &EntityConfig) -> (PredMapping, usize, f64) {
+pub(crate) fn hash_only_mapping(cfg: &EntityConfig) -> (PredMapping, usize) {
     let comp = HashComposition::new(cfg.hash_fns, cfg.max_cols);
-    (PredMapping::Hashed(comp), cfg.max_cols, 1.0)
+    (PredMapping::Hashed(comp), cfg.max_cols)
 }
 
 /// Deterministic entity-sampling stride for a coloring mode, or `None` when
@@ -136,133 +81,17 @@ pub(crate) fn coloring_stride(mode: ColoringMode) -> Option<usize> {
     }
 }
 
-/// Color a populated interference graph into a bounded predicate mapping —
-/// shared by the materialized loader below and the streaming bulk loader
-/// (`store::bulk`).
+/// Color a populated interference graph into a bounded predicate mapping
+/// and its column count.
 pub(crate) fn mapping_from_graph(
     graph: &InterferenceGraph,
     cfg: &EntityConfig,
-) -> (PredMapping, usize, f64) {
+) -> (PredMapping, usize) {
     let bounded = graph.color_bounded(cfg.max_cols.max(2));
     let ncols =
         if bounded.uncolored.is_empty() { bounded.colors_used.max(1) } else { cfg.max_cols };
     let tail = HashComposition::new(cfg.hash_fns, ncols);
-    // Coverage over the *loaded* data is recomputed by the caller;
-    // here we report the sample-based estimate.
-    let coverage = bounded.coverage();
-    (PredMapping::Colored { colors: bounded.assignment, tail }, ncols, coverage)
-}
-
-fn build_mapping(grouped: &Grouped, cfg: &EntityConfig) -> (PredMapping, usize, f64) {
-    let Some(stride) = coloring_stride(cfg.coloring) else {
-        return hash_only_mapping(cfg);
-    };
-    let mut graph = InterferenceGraph::new();
-    for (i, (_entity, pvs)) in grouped.iter().enumerate() {
-        // Deterministic sampling: every stride-th entity.
-        if i % stride != 0 {
-            continue;
-        }
-        let mut counts: HashMap<&str, u64> = HashMap::new();
-        for (p, _) in pvs {
-            *counts.entry(p.as_ref()).or_default() += 1;
-        }
-        graph.add_entity(counts);
-    }
-    mapping_from_graph(&graph, cfg)
-}
-
-fn build_side(grouped: &Grouped, cfg: &EntityConfig) -> SideBuild {
-    let (mapping, ncols, _est_cov) = build_mapping(grouped, cfg);
-    let mut layout = SideLayout {
-        mapping,
-        ncols,
-        multivalued: HashSet::new(),
-        spill_preds: HashSet::new(),
-    };
-    let mut rows = Vec::with_capacity(grouped.len());
-    let mut secondary = Vec::new();
-    // Lids are negative (term IDs are positive): the two can never collide
-    // in a value cell, so the DS/RS COALESCE fall-through stays unambiguous.
-    let mut next_lid: i64 = -1;
-    let mut spill_rows = 0u64;
-    let mut covered = 0u64;
-    let mut total = 0u64;
-
-    for (entity, pvs) in grouped {
-        // Gather distinct predicates in first appearance order with values.
-        let mut pred_order: Vec<&Arc<str>> = Vec::new();
-        let mut values: HashMap<&str, Vec<&Arc<str>>> = HashMap::new();
-        for (p, v) in pvs {
-            match values.get_mut(p.as_ref()) {
-                Some(list) => list.push(v),
-                None => {
-                    pred_order.push(p);
-                    values.insert(p.as_ref(), vec![v]);
-                }
-            }
-        }
-        total += pvs.len() as u64;
-        if let PredMapping::Colored { colors, .. } = &layout.mapping {
-            covered += pvs.iter().filter(|(p, _)| colors.contains_key(p.as_ref())).count() as u64;
-        } else {
-            covered += pvs.len() as u64;
-        }
-
-        // Pack predicates into rows.
-        let mut entity_rows: Vec<Vec<Cell>> = vec![vec![None; ncols]];
-        for p in pred_order {
-            let vals = &values[p.as_ref()];
-            let cell = if vals.len() == 1 {
-                Value::str(vals[0].clone())
-            } else {
-                layout.multivalued.insert(p.to_string());
-                let lid = next_lid;
-                next_lid -= 1;
-                for v in vals {
-                    secondary.push((lid, (*v).clone()));
-                }
-                Value::Int(lid)
-            };
-            let candidates = layout.candidates(p);
-            let mut placed = false;
-            'rows: for row in entity_rows.iter_mut() {
-                for &c in &candidates {
-                    if row[c].is_none() {
-                        row[c] = Some((p.clone(), cell.clone()));
-                        placed = true;
-                        break 'rows;
-                    }
-                }
-            }
-            if !placed {
-                // Spill: open a new row for this entity.
-                let mut row = vec![None; ncols];
-                let c = candidates.first().copied().unwrap_or(0);
-                row[c] = Some((p.clone(), cell.clone()));
-                entity_rows.push(row);
-            }
-        }
-        let spilled = entity_rows.len() > 1;
-        if spilled {
-            spill_rows += (entity_rows.len() - 1) as u64;
-            for (p, _) in pvs {
-                layout.spill_preds.insert(p.to_string());
-            }
-        }
-        for row in entity_rows {
-            rows.push((entity.clone(), spilled, row));
-        }
-    }
-
-    SideBuild {
-        layout,
-        rows,
-        secondary,
-        spill_rows,
-        covered_triples: covered,
-        total_triples: total,
-    }
+    (PredMapping::Colored { colors: bounded.assignment, tail }, ncols)
 }
 
 /// All term-bearing columns are BIGINT dictionary IDs (positive), with
@@ -275,95 +104,6 @@ pub(crate) fn phys_schema(table: &str, ncols: usize) -> TableSchema {
         cols.push((format!("val{i}"), SqlType::Int));
     }
     TableSchema::new(table, cols)
-}
-
-fn insert_side(
-    db: &mut Database,
-    build: &SideBuild,
-    primary: &str,
-    secondary: &str,
-    dict: &mut Dict,
-) -> relstore::Result<()> {
-    db.create_table(phys_schema(primary, build.layout.ncols))?;
-    db.create_table(TableSchema::new(
-        secondary,
-        vec![("l_id".into(), SqlType::Int), ("elm".into(), SqlType::Int)],
-    ))?;
-    let ncols = build.layout.ncols;
-    let rows: Vec<Vec<Value>> = build
-        .rows
-        .iter()
-        .map(|(entity, spilled, cells)| {
-            let mut row: Vec<Value> = Vec::with_capacity(2 + 2 * ncols);
-            row.push(Value::Int(dict.intern(entity)));
-            row.push(Value::Int(*spilled as i64));
-            for cell in cells {
-                match cell {
-                    Some((p, v)) => {
-                        row.push(Value::Int(dict.intern(p)));
-                        row.push(match v {
-                            Value::Str(s) => Value::Int(dict.intern(s)),
-                            lid => lid.clone(),
-                        });
-                    }
-                    None => {
-                        row.push(Value::Null);
-                        row.push(Value::Null);
-                    }
-                }
-            }
-            row
-        })
-        .collect();
-    db.insert_rows(primary, rows)?;
-    let sec_rows: Vec<Vec<Value>> = build
-        .secondary
-        .iter()
-        .map(|(lid, v)| vec![Value::Int(*lid), Value::Int(dict.intern(v))])
-        .collect();
-    db.insert_rows(secondary, sec_rows)?;
-    db.create_index(primary, "entry", IndexKind::Hash)?;
-    db.create_index(secondary, "l_id", IndexKind::Hash)?;
-    Ok(())
-}
-
-/// Bulk-load triples into a fresh database using the entity layout.
-/// Returns the per-side layouts and the load report.
-pub fn bulk_load_entity(
-    db: &mut Database,
-    triples: &[Triple],
-    cfg: &EntityConfig,
-    dict: &mut Dict,
-) -> relstore::Result<(SideLayout, SideLayout, LoadReport)> {
-    let direct = group_by(triples.iter(), true);
-    let reverse = group_by(triples.iter(), false);
-    let dbuild = build_side(&direct, cfg);
-    let rbuild = build_side(&reverse, cfg);
-    insert_side(db, &dbuild, "dph", "ds", dict)?;
-    insert_side(db, &rbuild, "rph", "rs", dict)?;
-
-    let preds: HashSet<&str> = triples.iter().map(|t| t.predicate.lexical()).collect();
-    let storage: usize = ["dph", "ds", "rph", "rs"]
-        .iter()
-        .map(|t| db.table(t).map(|t| t.storage_bytes()).unwrap_or(0))
-        .sum();
-    let nulls = |t: &str| db.table(t).map(|t| t.null_fraction()).unwrap_or(0.0);
-    let report = LoadReport {
-        triples: triples.len() as u64,
-        dph_rows: dbuild.rows.len() as u64,
-        rph_rows: rbuild.rows.len() as u64,
-        dph_spill_rows: dbuild.spill_rows,
-        rph_spill_rows: rbuild.spill_rows,
-        dph_cols: dbuild.layout.ncols,
-        rph_cols: rbuild.layout.ncols,
-        predicates: preds.len(),
-        dph_coverage: ratio(dbuild.covered_triples, dbuild.total_triples),
-        rph_coverage: ratio(rbuild.covered_triples, rbuild.total_triples),
-        dph_null_fraction: nulls("dph"),
-        rph_null_fraction: nulls("rph"),
-        storage_bytes: storage as u64,
-    };
-    Ok((dbuild.layout, rbuild.layout, report))
 }
 
 pub(crate) fn ratio(a: u64, b: u64) -> f64 {
@@ -707,6 +447,7 @@ fn next_lid(db: &Database, secondary: &str) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{RdfStore, StoreConfig};
     use rdf::Term;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
@@ -740,13 +481,26 @@ mod tests {
         ]
     }
 
+    /// An entity store loaded through the one load path.
+    fn loaded(triples: &[Triple], entity: EntityConfig) -> RdfStore {
+        let mut store = RdfStore::new(StoreConfig { entity, ..StoreConfig::default() });
+        store.load(triples).unwrap();
+        store
+    }
+
+    fn sample_store() -> RdfStore {
+        loaded(&dbpedia_sample(), EntityConfig::default())
+    }
+
+    fn rows(store: &RdfStore, table: &str) -> usize {
+        store.database().table(table).unwrap().row_count()
+    }
+
     #[test]
     fn bulk_load_fig1_sample() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (direct, _reverse, report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
+        let store = sample_store();
+        let report = store.load_report();
+        let (direct, _reverse) = store.side_layouts().unwrap();
         assert_eq!(report.triples, 21);
         // 5 subjects, colored with no spills → 5 DPH rows.
         assert_eq!(report.dph_rows, 5);
@@ -756,7 +510,7 @@ mod tests {
         assert!(!direct.is_multivalued("<born>"));
         // DS has 5 rows: lid1 → {Software, Internet}, lid2 → {Software,
         // Hardware, Services}.
-        assert_eq!(db.table("ds").unwrap().row_count(), 5);
+        assert_eq!(rows(&store, "ds"), 5);
         // Coloring covers everything on this tiny sample.
         assert!((report.dph_coverage - 1.0).abs() < 1e-12);
         // 13 distinct predicates, at most 5 columns needed (Fig. 4).
@@ -770,14 +524,12 @@ mod tests {
         // are inevitable.
         let triples: Vec<Triple> =
             (0..8).map(|i| t("s", &format!("p{i}"), &format!("v{i}"))).collect();
-        let mut db = Database::new();
         let cfg = EntityConfig { max_cols: 2, hash_fns: 1, coloring: ColoringMode::HashOnly };
-        let (direct, _, report) =
-            bulk_load_entity(&mut db, &triples, &cfg, &mut Dict::new()).unwrap();
-        assert!(report.dph_spill_rows > 0);
-        assert!(!direct.spill_preds.is_empty());
+        let store = loaded(&triples, cfg);
+        assert!(store.load_report().dph_spill_rows > 0);
+        assert!(!store.side_layouts().unwrap().0.spill_preds.is_empty());
         // All rows of the spilled entity are flagged.
-        let dph = db.table("dph").unwrap();
+        let dph = store.database().table("dph").unwrap();
         for r in 0..dph.row_count() {
             assert_eq!(dph.row_values(r as u32)[1], Value::Int(1));
         }
@@ -787,66 +539,44 @@ mod tests {
     fn reverse_side_multivalued_objects() {
         // Software ← {Google, IBM}: on the reverse side 'industry' is
         // multi-valued for entry Software.
-        let mut db = Database::new();
-        let (_, reverse, _) = bulk_load_entity(
-            &mut db,
-            &dbpedia_sample(),
-            &EntityConfig::default(),
-            &mut Dict::new(),
-        )
-        .unwrap();
-        assert!(reverse.is_multivalued("<industry>"));
-        let rs = db.table("rs").unwrap();
-        assert!(rs.row_count() >= 2);
+        let store = sample_store();
+        assert!(store.side_layouts().unwrap().1.is_multivalued("<industry>"));
+        assert!(rows(&store, "rs") >= 2);
     }
 
     #[test]
     fn incremental_insert_new_subject_and_duplicate() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (mut d, mut r, mut report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
+        let mut store = sample_store();
         let nt = t("Bell", "founder", "AT&T");
-        assert!(insert_entity(&mut db, &mut d, &mut r, &nt, &mut report, &mut dict).unwrap());
-        assert!(!insert_entity(&mut db, &mut d, &mut r, &nt, &mut report, &mut dict).unwrap());
-        assert_eq!(report.triples, 22);
-        assert_eq!(db.table("dph").unwrap().row_count(), 6);
+        assert!(store.insert(&nt).unwrap());
+        assert!(!store.insert(&nt).unwrap());
+        assert_eq!(store.load_report().triples, 22);
+        assert_eq!(rows(&store, "dph"), 6);
     }
 
     #[test]
     fn incremental_insert_promotes_to_multivalued() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (mut d, mut r, mut report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
-        assert!(!d.is_multivalued("<founder>"));
+        let mut store = sample_store();
+        assert!(!store.side_layouts().unwrap().0.is_multivalued("<founder>"));
         // Page founds a second company.
-        let nt = t("Page", "founder", "Alphabet");
-        assert!(insert_entity(&mut db, &mut d, &mut r, &nt, &mut report, &mut dict).unwrap());
-        assert!(d.is_multivalued("<founder>"));
+        assert!(store.insert(&t("Page", "founder", "Alphabet")).unwrap());
+        assert!(store.side_layouts().unwrap().0.is_multivalued("<founder>"));
         // DS gained two rows (Google + Alphabet under a fresh lid).
-        assert_eq!(db.table("ds").unwrap().row_count(), 7);
+        assert_eq!(rows(&store, "ds"), 7);
         // Appending a third value extends the same lid.
-        let nt2 = t("Page", "founder", "OtherCo");
-        assert!(insert_entity(&mut db, &mut d, &mut r, &nt2, &mut report, &mut dict).unwrap());
-        assert_eq!(db.table("ds").unwrap().row_count(), 8);
+        assert!(store.insert(&t("Page", "founder", "OtherCo")).unwrap());
+        assert_eq!(rows(&store, "ds"), 8);
     }
 
     #[test]
     fn incremental_insert_unknown_predicate_uses_hash_tail() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (mut d, mut r, mut report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
-        let nt = t("Page", "brandNewPredicate", "value");
-        assert!(insert_entity(&mut db, &mut d, &mut r, &nt, &mut report, &mut dict).unwrap());
+        let mut store = sample_store();
+        assert!(store.insert(&t("Page", "brandNewPredicate", "value")).unwrap());
         // Find it back on Page's row(s), by dictionary ID.
+        let dict = store.dictionary().read();
         let page = dict.lookup("<Page>").unwrap();
         let pid = dict.lookup("<brandNewPredicate>").unwrap();
-        let dph = db.table("dph").unwrap();
+        let dph = store.database().table("dph").unwrap();
         let ids = dph.index_on("entry").unwrap().lookup(&Value::Int(page)).to_vec();
         let found = ids.iter().any(|&rid| {
             let row = dph.row_values(rid);
@@ -857,16 +587,12 @@ mod tests {
 
     #[test]
     fn lids_stay_negative_and_disjoint_from_term_ids() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (mut d, mut r, mut report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
+        let mut store = sample_store();
         // Bulk-load lids (industry on Google/IBM) and insert-time lids
         // (promotion) are all negative; every elm is a positive term ID.
-        let nt = t("Page", "founder", "Alphabet");
-        assert!(insert_entity(&mut db, &mut d, &mut r, &nt, &mut report, &mut dict).unwrap());
-        let ds = db.table("ds").unwrap();
+        assert!(store.insert(&t("Page", "founder", "Alphabet")).unwrap());
+        let dict = store.dictionary().read();
+        let ds = store.database().table("ds").unwrap();
         for rid in 0..ds.row_count() {
             let row = ds.row_values(rid as u32);
             match (&row[0], &row[1]) {
@@ -881,30 +607,27 @@ mod tests {
 
     #[test]
     fn delete_demotes_multivalued_back_to_direct() {
-        let mut db = Database::new();
-        let mut dict = Dict::new();
-        let (d, r, mut report) =
-            bulk_load_entity(&mut db, &dbpedia_sample(), &EntityConfig::default(), &mut dict)
-                .unwrap();
+        let mut store = sample_store();
         // Google's industry list {Software, Internet} shrinks to a direct
         // value, then disappears.
-        let before = dict.len();
-        let t1 = t("Google", "industry", "Internet");
-        assert!(delete_entity(&mut db, &d, &r, &t1, &mut report, &dict).unwrap());
+        let before = store.dictionary().read().len();
+        assert!(store.delete(&t("Google", "industry", "Internet")).unwrap());
+        let dict = store.dictionary().read();
         assert_eq!(dict.len(), before, "delete must not grow the dictionary");
         let google = dict.lookup("<Google>").unwrap();
         let industry = dict.lookup("<industry>").unwrap();
         let software = dict.lookup("\"Software\"").unwrap();
-        let dph = db.table("dph").unwrap();
+        drop(dict);
+        let dph = store.database().table("dph").unwrap();
         let rid = dph.index_on("entry").unwrap().lookup(&Value::Int(google))[0];
         let row = dph.row_values(rid);
-        let c = (0..d.ncols)
+        let ncols = store.side_layouts().unwrap().0.ncols;
+        let c = (0..ncols)
             .find(|c| row[2 + 2 * c] == Value::Int(industry))
             .expect("industry cell");
         assert_eq!(row[2 + 2 * c + 1], Value::Int(software));
         // Deleting a never-present triple is a no-op.
-        let missing = t("Google", "industry", "Farming");
-        assert!(!delete_entity(&mut db, &d, &r, &missing, &mut report, &dict).unwrap());
+        assert!(!store.delete(&t("Google", "industry", "Farming")).unwrap());
     }
 
     #[test]
@@ -915,30 +638,23 @@ mod tests {
             triples.push(t(&s, "type", "T"));
             triples.push(t(&s, &format!("attr{}", i % 7), "v"));
         }
-        let mut db = Database::new();
         let cfg = EntityConfig {
             max_cols: 50,
             hash_fns: 2,
             coloring: ColoringMode::Sample(0.1),
         };
-        let (_, _, report) =
-            bulk_load_entity(&mut db, &triples, &cfg, &mut Dict::new()).unwrap();
+        let store = loaded(&triples, cfg);
+        let report = store.load_report();
         assert_eq!(report.triples, 400);
-        assert_eq!(db.table("dph").unwrap().row_count() as u64, report.dph_rows);
+        assert_eq!(rows(&store, "dph") as u64, report.dph_rows);
         // Unsampled entities still load (possibly via the hash tail).
         assert!(report.dph_rows >= 200);
     }
 
     #[test]
     fn storage_accounts_nulls_cheaply() {
-        let mut db = Database::new();
-        let (_, _, report) = bulk_load_entity(
-            &mut db,
-            &dbpedia_sample(),
-            &EntityConfig::default(),
-            &mut Dict::new(),
-        )
-        .unwrap();
+        let store = sample_store();
+        let report = store.load_report();
         assert!(report.storage_bytes > 0);
         assert!(report.dph_null_fraction > 0.0 && report.dph_null_fraction < 1.0);
     }

@@ -28,18 +28,22 @@ use crate::results::Solutions;
 
 type Binding = BTreeMap<String, Term>;
 
-/// Triples grouped by predicate — a pure lookup accelerator; constant-
-/// predicate patterns scan only their predicate's triples.
+/// The graph the triple list denotes — a set, so exact duplicates count
+/// once, in first-appearance order — grouped by predicate as a pure lookup
+/// accelerator: constant-predicate patterns scan only their predicate's
+/// triples.
 struct Indexed<'a> {
-    all: &'a [Triple],
+    all: Vec<&'a Triple>,
     by_pred: std::collections::HashMap<&'a Term, Vec<&'a Triple>>,
 }
 
 impl<'a> Indexed<'a> {
-    fn new(all: &'a [Triple]) -> Indexed<'a> {
+    fn new(triples: &'a [Triple]) -> Indexed<'a> {
+        let mut seen = HashSet::with_capacity(triples.len());
+        let all: Vec<&Triple> = triples.iter().filter(|t| seen.insert(*t)).collect();
         let mut by_pred: std::collections::HashMap<&Term, Vec<&Triple>> =
             std::collections::HashMap::new();
-        for t in all {
+        for &t in &all {
             by_pred.entry(&t.predicate).or_default().push(t);
         }
         Indexed { all, by_pred }
@@ -48,12 +52,13 @@ impl<'a> Indexed<'a> {
     fn candidates(&self, tp: &sparql::TriplePattern) -> Vec<&'a Triple> {
         match &tp.predicate {
             TermPattern::Term(p) => self.by_pred.get(p).cloned().unwrap_or_default(),
-            TermPattern::Var(_) => self.all.iter().collect(),
+            TermPattern::Var(_) => self.all.clone(),
         }
     }
 }
 
-/// Evaluate a parsed query over the triples.
+/// Evaluate a parsed query over the graph the triples denote (an RDF graph
+/// is a set: a repeated triple is one triple).
 pub fn evaluate(triples: &[Triple], query: &Query) -> Solutions {
     let data = Indexed::new(triples);
     let (bindings, plain) = eval_level(&data, query);

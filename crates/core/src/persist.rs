@@ -94,12 +94,23 @@ pub fn encode_dict_page(terms: &[String]) -> String {
     let mut out = String::new();
     let mut prev = "";
     for t in terms {
-        let lcp = crate::dict::char_lcp(prev, t);
+        let lcp = char_lcp(prev, t);
         let suffix = &t[lcp..];
         let _ = write!(out, "{lcp}:{}:{suffix}", suffix.len());
         prev = t;
     }
     out
+}
+
+/// Byte length of the longest common prefix of `a` and `b` that ends on a
+/// character boundary of both (equal bytes ⇒ a boundary of one is a boundary
+/// of the other).
+fn char_lcp(a: &str, b: &str) -> usize {
+    let mut n = a.as_bytes().iter().zip(b.as_bytes()).take_while(|(x, y)| x == y).count();
+    while !b.is_char_boundary(n) {
+        n -= 1;
+    }
+    n
 }
 
 /// Decode one `sys_dict` page back into its `n` terms. Any structural

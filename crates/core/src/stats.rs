@@ -70,19 +70,11 @@ impl PredStat {
 impl Stats {
     /// Collect statistics with the `top_k` most frequent subject/object
     /// constants kept exactly, keyed by a throwaway dictionary. Baseline
-    /// layouts (and tests) use this; the entity layout collects through the
-    /// store's shared dictionary so IDs match the loaded data.
+    /// layouts (and tests) use this; the entity layout's bulk loader derives
+    /// the same quantities from its sorted passes, keyed by the store's
+    /// dictionary IDs.
     pub fn collect<'a>(triples: impl IntoIterator<Item = &'a Triple>, top_k: usize) -> Stats {
-        Stats::collect_with_dict(triples, top_k, &mut Dict::new())
-    }
-
-    /// Collect statistics, interning the surviving top-k constants through
-    /// `dict` so their IDs agree with the dictionary-encoded tables.
-    pub fn collect_with_dict<'a>(
-        triples: impl IntoIterator<Item = &'a Triple>,
-        top_k: usize,
-        dict: &mut Dict,
-    ) -> Stats {
+        let mut dict = Dict::new();
         let mut subj: HashMap<String, u64> = HashMap::new();
         let mut obj: HashMap<String, u64> = HashMap::new();
         let mut pred: HashMap<String, u64> = HashMap::new();
@@ -241,11 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_with_dict_keys_top_constants_by_id() {
-        let mut dict = Dict::new();
-        let triples = vec![t("a", "p", "x"), t("a", "q", "x")];
-        let s = Stats::collect_with_dict(&triples, 10, &mut dict);
-        let id = dict.lookup("<a>").expect("top subject interned");
+    fn entity_load_keys_top_constants_by_dictionary_id() {
+        let mut store = crate::store::RdfStore::entity();
+        store.load(&[t("a", "p", "x"), t("a", "q", "x")]).unwrap();
+        let s = store.statistics();
+        let id = store.dictionary().read().lookup("<a>").expect("top subject interned");
         assert_eq!(s.top_subjects.get(&id), Some(&2));
         assert_eq!(s.top_forms.get(&id).map(String::as_str), Some("<a>"));
         assert_eq!(s.top_ids.get("<a>"), Some(&id));

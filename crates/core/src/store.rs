@@ -15,7 +15,7 @@ use crate::baseline::{
 use crate::dict::{Dict, SharedDict};
 use crate::error::{Result, StoreError};
 use crate::layout::SideLayout;
-use crate::loader::{bulk_load_entity, insert_entity, EntityConfig, LoadReport};
+use crate::loader::{insert_entity, EntityConfig, LoadReport};
 use crate::optimizer::{
     merge_exec_tree, optimize, ExecNode, MergeInfo, OptimizerMode, PTree,
 };
@@ -155,11 +155,12 @@ pub(crate) struct MutationCheckpoint {
 /// statistics, and the load report.
 const META_TABLE: &str = "sys_meta";
 
-/// The term-dictionary table: `(id BIGINT, term TEXT)`, strictly append-only
-/// with dense IDs `1..=n`. New entries are written inside the same WAL batch
-/// as the data rows that reference them (see `persist_dict`), so after any
-/// crash + replay an ID stored in a data table always resolves to the string
-/// it was assigned — never to a different one, never to nothing.
+/// The term-dictionary table: `(first_id BIGINT, n BIGINT, page TEXT)`, one
+/// row per page of up to `DICT_PAGE` consecutive entries, covering dense
+/// IDs `1..=n` append-only. New entries are written inside the same WAL
+/// batch as the data rows that reference them (see `persist_dict`), so
+/// after any crash + replay an ID stored in a data table always resolves to
+/// the string it was assigned — never to a different one, never to nothing.
 const DICT_TABLE: &str = "sys_dict";
 /// Dictionary entries per persisted `sys_dict` page row.
 const DICT_PAGE: usize = 64;
@@ -280,26 +281,19 @@ impl RdfStore {
         Ok(())
     }
 
-    /// Persist the dictionary entries not yet on disk to `sys_dict` as
-    /// front-coded pages: rows of `(first_id, n, page)` where row `k` covers
-    /// IDs `k*DICT_PAGE + 1 ..= min((k+1)*DICT_PAGE, len)` — only the last
-    /// row may be partial. A partial tail row is rewritten in place (via
+    /// Persist the dictionary entries not yet on disk to `sys_dict` as pages
+    /// (`persist::encode_dict_page`): rows of `(first_id, n, page)` where
+    /// row `k` covers IDs `k*DICT_PAGE + 1 ..= min((k+1)*DICT_PAGE, len)` —
+    /// only the last row may be partial. A partial tail row is rewritten in place (via
     /// WAL-logged cell updates, so the rewrite commits atomically with the
     /// data batch) and full pages are appended after it. Interned-but-
     /// rolled-back entries from a failed earlier batch are re-covered
     /// automatically because the on-disk watermark never advanced for them.
-    ///
-    /// Stores created before the page codec keep their 2-column
-    /// `(id, term)` format; both are readable (see `restore_meta`).
     fn persist_dict(&mut self, dict: &Dict) -> Result<()> {
         if dict.is_empty() && self.db.table(DICT_TABLE).is_none() {
             return Ok(());
         }
-        if let Some(t) = self.db.table(DICT_TABLE) {
-            if t.width() == 2 {
-                return self.persist_dict_legacy(dict);
-            }
-        } else {
+        if self.db.table(DICT_TABLE).is_none() {
             self.db.create_table(relstore::TableSchema::new(
                 DICT_TABLE,
                 vec![
@@ -351,20 +345,6 @@ impl RdfStore {
         }
         if !appended.is_empty() {
             self.db.insert_rows(DICT_TABLE, appended)?;
-        }
-        Ok(())
-    }
-
-    /// Append-only `(id, term)` persistence for stores created before the
-    /// front-coded page codec: the watermark is simply the row count.
-    fn persist_dict_legacy(&mut self, dict: &Dict) -> Result<()> {
-        let watermark = self.db.table(DICT_TABLE).map(|t| t.row_count()).unwrap_or(0);
-        let rows: Vec<Vec<relstore::Value>> = dict
-            .entries_from(watermark)
-            .map(|(id, term)| vec![relstore::Value::Int(id), relstore::Value::str(term)])
-            .collect();
-        if !rows.is_empty() {
-            self.db.insert_rows(DICT_TABLE, rows)?;
         }
         Ok(())
     }
@@ -454,53 +434,39 @@ impl RdfStore {
         let corrupt = |key: &str, e: String| {
             StoreError::Sql(relstore::Error::Corrupt(format!("sys_meta {key:?}: {e}")))
         };
-        // Rebuild the in-memory dictionary from sys_dict. Entries were
-        // written append-only with dense IDs (front-coded pages since PR 8,
-        // one `(id, term)` row per entry before); gaps or duplicates after
-        // WAL replay mean corruption.
+        // Rebuild the in-memory dictionary from sys_dict's pages. Entries
+        // were written append-only with dense IDs; a row of any other shape
+        // (the pre-PR 8 two-column format included), gaps or duplicates
+        // after WAL replay mean corruption.
         if let Some(t) = self.db.table(DICT_TABLE) {
-            let legacy = t.width() == 2;
-            let mut entries: Vec<(i64, String)> = Vec::with_capacity(t.row_count());
-            if legacy {
-                for r in 0..t.row_count() as u32 {
-                    let row = t.row_values(r);
-                    match (&row[0], &row[1]) {
-                        (relstore::Value::Int(id), relstore::Value::Str(term)) => {
-                            entries.push((*id, term.to_string()));
-                        }
-                        other => {
-                            return Err(corrupt("sys_dict", format!("malformed row {other:?}")));
-                        }
-                    }
-                }
-            } else {
-                let mut pages: Vec<(i64, i64, String)> = Vec::with_capacity(t.row_count());
-                for r in 0..t.row_count() as u32 {
-                    let row = t.row_values(r);
-                    match (&row[0], &row[1], &row[2]) {
-                        (
-                            relstore::Value::Int(first),
-                            relstore::Value::Int(n),
-                            relstore::Value::Str(page),
-                        ) => pages.push((*first, *n, page.to_string())),
-                        other => {
-                            return Err(corrupt("sys_dict", format!("malformed row {other:?}")));
-                        }
-                    }
-                }
-                pages.sort_by_key(|p| p.0);
-                for (first, n, page) in pages {
-                    let terms = crate::persist::decode_dict_page(&page, n as usize)
-                        .map_err(|e| corrupt("sys_dict", e))?;
-                    for (k, term) in terms.into_iter().enumerate() {
-                        entries.push((first + k as i64, term));
+            if t.width() != 3 {
+                return Err(corrupt(
+                    "sys_dict",
+                    format!("expected 3 columns (first_id, n, page), found {}", t.width()),
+                ));
+            }
+            let mut pages: Vec<(i64, i64, String)> = Vec::with_capacity(t.row_count());
+            for r in 0..t.row_count() as u32 {
+                let row = t.row_values(r);
+                match (&row[0], &row[1], &row[2]) {
+                    (
+                        relstore::Value::Int(first),
+                        relstore::Value::Int(n),
+                        relstore::Value::Str(page),
+                    ) => pages.push((*first, *n, page.to_string())),
+                    other => {
+                        return Err(corrupt("sys_dict", format!("malformed row {other:?}")));
                     }
                 }
             }
-            entries.sort_by_key(|e| e.0);
+            pages.sort_by_key(|p| p.0);
             let mut dict = self.dict.write();
-            for (id, term) in entries {
-                dict.restore(id, &term).map_err(|e| corrupt("sys_dict", e))?;
+            for (first, n, page) in pages {
+                let terms = crate::persist::decode_dict_page(&page, n as usize)
+                    .map_err(|e| corrupt("sys_dict", e))?;
+                for (k, term) in terms.into_iter().enumerate() {
+                    dict.restore(first + k as i64, &term).map_err(|e| corrupt("sys_dict", e))?;
+                }
             }
         }
         if let Some(text) = self.get_meta("stats") {
@@ -530,50 +496,43 @@ impl RdfStore {
     }
 
     /// Bulk load a dataset (must be called exactly once, before queries).
-    /// On a durable store the whole load — tables, indexes, rows, and the
-    /// `sys_meta` metadata — commits as one WAL transaction: a crash during
-    /// load recovers to the pre-load (empty) state, never to half a dataset.
+    /// Exact duplicate triples are dropped first — a graph is a set, as
+    /// `insert` and the bulk loaders already have it — so every layout
+    /// reports and stores the same triples.
+    ///
+    /// The entity layout is built by the one bulk pipeline (`store::bulk`,
+    /// default [`BulkLoadOptions`]). On a durable store that makes its
+    /// crash contract the bulk one: after a crash mid-load, reopening finds
+    /// the store empty, or refuses explicitly ("bulk load interrupted"), or
+    /// finds the complete dataset — never part of it — and a completed
+    /// load ends in a checkpoint. The baseline layouts commit their load as
+    /// one WAL transaction (crash ⇒ empty or complete).
     pub fn load(&mut self, triples: &[Triple]) -> Result<&LoadReport> {
         if self.loaded {
             return Err(StoreError::Unsupported(
                 "load() may only be called once; use insert() afterwards".into(),
             ));
         }
-        // Bumped unconditionally (even on a later error): a failed batch
-        // rolls the relational state back but may leave freshly interned
-        // dictionary entries in memory, so the conservative move is to
-        // invalidate every cached plan whenever a mutation was attempted.
+        let mut seen = HashSet::with_capacity(triples.len());
+        let triples: Vec<&Triple> = triples.iter().filter(|t| seen.insert(*t)).collect();
+        if self.cfg.layout == Layout::Entity {
+            self.bulk_load_triples(triples, &BulkLoadOptions::default())?;
+            return Ok(&self.report);
+        }
+        // Bumped unconditionally (even on a later error): the conservative
+        // move is to invalidate every cached plan whenever a mutation was
+        // attempted.
         self.epoch += 1;
-        // One write guard covers stats interning, loading, and persistence;
-        // query-side readers (the RDF_* functions) only run between batches.
+        self.stats = Stats::collect(triples.iter().copied(), self.cfg.top_k);
+        self.report = LoadReport { triples: triples.len() as u64, ..Default::default() };
         let dict_arc = self.dict.clone();
-        let mut dict = dict_arc.write();
-        self.stats = match self.cfg.layout {
-            Layout::Entity => {
-                Stats::collect_with_dict(triples.iter(), self.cfg.top_k, &mut dict)
-            }
-            _ => Stats::collect(triples.iter(), self.cfg.top_k),
-        };
+        let dict = dict_arc.read();
         self.db.begin_batch();
         let res = (|| -> Result<()> {
-            match self.cfg.layout {
-                Layout::Entity => {
-                    let (d, r, report) =
-                        bulk_load_entity(&mut self.db, triples, &self.cfg.entity, &mut dict)?;
-                    self.direct = Some(d);
-                    self.reverse = Some(r);
-                    self.report = report;
-                }
-                Layout::TripleStore => {
-                    load_triple_store(&mut self.db, triples)?;
-                    self.report =
-                        LoadReport { triples: triples.len() as u64, ..Default::default() };
-                }
-                Layout::Vertical => {
-                    self.vertical = Some(load_vertical(&mut self.db, triples)?);
-                    self.report =
-                        LoadReport { triples: triples.len() as u64, ..Default::default() };
-                }
+            if self.cfg.layout == Layout::TripleStore {
+                load_triple_store(&mut self.db, &triples)?;
+            } else {
+                self.vertical = Some(load_vertical(&mut self.db, &triples)?);
             }
             self.persist_meta(&dict)
         })();
@@ -1028,6 +987,12 @@ impl RdfStore {
         &self.report
     }
 
+    /// The entity layout's (direct, reverse) side layouts, once loaded.
+    #[cfg(test)]
+    pub(crate) fn side_layouts(&self) -> Option<(&SideLayout, &SideLayout)> {
+        self.direct.as_ref().zip(self.reverse.as_ref())
+    }
+
     /// Direct access to the relational back-end (read-only).
     pub fn database(&self) -> &Database {
         &self.db
@@ -1038,8 +1003,8 @@ impl RdfStore {
         &self.dict
     }
 
-    /// In-memory size accounting of the term dictionary (entry count, raw
-    /// vs front-coded bytes) — surfaced by the server's `/stats`.
+    /// In-memory size accounting of the term dictionary (entry count, term
+    /// bytes, bytes held) — surfaced by the server's `/stats`.
     pub fn dict_stats(&self) -> crate::dict::DictMemStats {
         self.dict.read().mem_stats()
     }

@@ -1,10 +1,8 @@
-//! Streaming, parallel bulk load of the entity layout (PR 8; ROADMAP item
-//! 5 "paper-scale data on a memory budget").
-//!
-//! The materialized path (`RdfStore::load`) holds the whole document, a
-//! `Vec<Quad>` of decoded terms, per-side `Arc<str>` grouping maps, and one
-//! monolithic WAL batch — five copies of the dataset at peak. This pipeline
-//! replaces all of that for large loads:
+//! The one builder of the entity layout (DPH/DS/RPH/RS, §2.1–2.2): a
+//! streaming, parallel bulk load. [`RdfStore::load`], `load_ntriples`, the
+//! first `insert` into an empty store, `db2rdf-serve --load` and the
+//! benchmarks all end in `bulk_load_encoded` below; no other code creates
+//! the four tables.
 //!
 //! 1. **Chunked read** — the input is consumed as line-aligned chunks
 //!    ([`rdf::ChunkReader`]); the document is never resident.
@@ -17,12 +15,16 @@
 //!    therefore every ID, row, and persisted byte downstream — is identical
 //!    at any thread count (the PR 6 determinism contract, property-tested
 //!    in `tests/bulk_load.rs`). After this stage triples are three `i64`s;
-//!    all strings are gone.
+//!    all strings are gone. (`bulk_load_triples`, which `load()` uses,
+//!    interns an in-memory triple iterator sequentially instead of 1–3.)
 //! 4. **Sorted append** — encoded triples are sorted by (entity, pred,
-//!    value) per side and packed entity-run by entity-run into DPH/DS rows,
-//!    inserted in bounded **segments**, each its own WAL batch. When the
-//!    WAL grows past a threshold the store checkpoints between segments, so
-//!    the WAL never holds the full dataset.
+//!    value) per side, exact duplicates dropped (a graph is a set, as
+//!    `insert` already has it), and packed entity-run by entity-run into
+//!    DPH/DS rows, inserted in bounded **segments**, each its own WAL
+//!    batch. When the WAL grows past a threshold the store checkpoints
+//!    between segments, so the WAL never holds the full dataset. Within an
+//!    entity, predicates are placed in ascending dictionary-ID order;
+//!    top-k statistics tie-break by ID.
 //!
 //! ## Crash protocol
 //!
@@ -34,15 +36,13 @@
 //! landed between the first and last commit — refuses explicitly with a
 //! corruption error rather than serving a partial dataset; a crash before
 //! the first commit recovers to an empty store. Within any single batch the
-//! relstore WAL framing already guarantees all-or-nothing replay.
-//!
-//! Differences from the materialized path, by design: exact duplicate
-//! triples are deduplicated (matching `insert`'s semantics), per-entity
-//! predicate order is ascending dictionary ID rather than first-appearance,
-//! and top-k statistics tie-break by ID rather than lexical form. Both
-//! paths answer queries identically; byte layouts differ between them (not
-//! across thread counts).
+//! relstore WAL framing already guarantees all-or-nothing replay. When the
+//! caller already holds a batch open (a SPARQL Update request whose first
+//! insert lands in an empty store), every step above buffers into that
+//! batch, no checkpoint is taken, and the whole load commits or vanishes
+//! with the caller's frame.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::sync::Mutex;
@@ -128,13 +128,14 @@ impl RdfStore {
         Ok(bstats)
     }
 
-    /// Bulk-load from a triple iterator (e.g. a streaming generator)
-    /// without materializing a `Vec<Triple>`. Terms are interned as they
-    /// arrive; the sorted-append and checkpointing machinery is shared with
+    /// Bulk-load from a triple iterator (owned or borrowed items, e.g. a
+    /// streaming generator or a slice) without materializing a
+    /// `Vec<Triple>`. Terms are interned as they arrive; the sorted-append
+    /// and checkpointing machinery is shared with
     /// [`RdfStore::bulk_load_ntriples`].
     pub fn bulk_load_triples(
         &mut self,
-        triples: impl IntoIterator<Item = Triple>,
+        triples: impl IntoIterator<Item = impl Borrow<Triple>>,
         opts: &BulkLoadOptions,
     ) -> Result<BulkLoadStats> {
         self.bulk_check()?;
@@ -144,6 +145,7 @@ impl RdfStore {
         let mut enc: Vec<[i64; 3]> = Vec::new();
         let mut buf = String::new();
         for t in triples {
+            let t = t.borrow();
             let id_of = |term: &rdf::Term, buf: &mut String, dict: &mut Dict| {
                 buf.clear();
                 term.encode_into(buf);
@@ -186,10 +188,13 @@ impl RdfStore {
         opts: &BulkLoadOptions,
         bstats: &mut BulkLoadStats,
     ) -> Result<()> {
-        // See load(): bump even if the load later fails — interned entries
-        // may remain in memory, so cached plans must die either way.
+        // Bumped even if the load later fails — interned entries may remain
+        // in memory, so cached plans must die either way.
         self.epoch += 1;
         let durable = self.db.is_durable() && !self.db.is_read_only();
+        // Inside a caller's open batch everything below buffers into the
+        // caller's frame; a checkpoint there is impossible and unneeded.
+        let checkpoints = durable && !self.db.in_batch();
 
         let t_sort = Instant::now();
         enc.sort_unstable();
@@ -207,7 +212,7 @@ impl RdfStore {
                 (p, form)
             })
             .collect();
-        let (dmap, dncols, _) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
+        let (dmap, dncols) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
         bstats.sort_secs += t_sort.elapsed().as_secs_f64();
 
         // Setup batch: schema + indexes for the direct side, the complete
@@ -217,13 +222,7 @@ impl RdfStore {
         let t_insert = Instant::now();
         self.db.begin_batch();
         let res = (|| -> Result<()> {
-            self.db.create_table(loader::phys_schema("dph", dncols))?;
-            self.db.create_table(TableSchema::new(
-                "ds",
-                vec![("l_id".into(), SqlType::Int), ("elm".into(), SqlType::Int)],
-            ))?;
-            self.db.create_index("dph", "entry", IndexKind::Hash)?;
-            self.db.create_index("ds", "l_id", IndexKind::Hash)?;
+            create_side_tables(&mut self.db, "dph", "ds", dncols)?;
             if durable {
                 self.persist_dict(dict)?;
                 self.ensure_meta_table()?;
@@ -246,7 +245,7 @@ impl RdfStore {
             "ds",
             &mut next_lid,
             opts,
-            durable,
+            checkpoints,
             bstats,
         )?;
         bstats.insert_secs += t_insert.elapsed().as_secs_f64();
@@ -258,21 +257,12 @@ impl RdfStore {
         }
         enc.sort_unstable();
         sb.reverse_pass(&enc);
-        let (rmap, rncols, _) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
+        let (rmap, rncols) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
         bstats.sort_secs += t_sort.elapsed().as_secs_f64();
 
         let t_insert = Instant::now();
         self.db.begin_batch();
-        let res = (|| -> Result<()> {
-            self.db.create_table(loader::phys_schema("rph", rncols))?;
-            self.db.create_table(TableSchema::new(
-                "rs",
-                vec![("l_id".into(), SqlType::Int), ("elm".into(), SqlType::Int)],
-            ))?;
-            self.db.create_index("rph", "entry", IndexKind::Hash)?;
-            self.db.create_index("rs", "l_id", IndexKind::Hash)?;
-            Ok(())
-        })();
+        let res = create_side_tables(&mut self.db, "rph", "rs", rncols);
         let committed = self.db.commit_batch();
         res?;
         committed?;
@@ -287,7 +277,7 @@ impl RdfStore {
             "rs",
             &mut next_lid,
             opts,
-            durable,
+            checkpoints,
             bstats,
         )?;
         bstats.insert_secs += t_insert.elapsed().as_secs_f64();
@@ -330,14 +320,34 @@ impl RdfStore {
         let committed = self.db.commit_batch();
         res?;
         committed?;
-        if durable {
+        // The dataset is committed: the store is loaded even if the
+        // closing checkpoint below fails (its error is still returned).
+        self.loaded = true;
+        bstats.dict = dict.mem_stats();
+        if checkpoints {
             self.db.checkpoint()?;
             bstats.checkpoints += 1;
         }
-        self.loaded = true;
-        bstats.dict = dict.mem_stats();
         Ok(())
     }
+}
+
+/// Create one side's primary hash table and secondary multi-value table
+/// with their lookup indexes — the only place `dph`/`ds`/`rph`/`rs` are
+/// created.
+fn create_side_tables(
+    db: &mut Database,
+    primary: &str,
+    secondary: &str,
+    ncols: usize,
+) -> relstore::Result<()> {
+    db.create_table(loader::phys_schema(primary, ncols))?;
+    db.create_table(TableSchema::new(
+        secondary,
+        vec![("l_id".into(), SqlType::Int), ("elm".into(), SqlType::Int)],
+    ))?;
+    db.create_index(primary, "entry", IndexKind::Hash)?;
+    db.create_index(secondary, "l_id", IndexKind::Hash)
 }
 
 /// A chunk parsed on a worker: distinct canonical terms in first-appearance
@@ -436,7 +446,7 @@ fn side_mapping(
     enc: &[[i64; 3]],
     pred_forms: &HashMap<i64, String>,
     cfg: &EntityConfig,
-) -> (PredMapping, usize, f64) {
+) -> (PredMapping, usize) {
     let Some(stride) = loader::coloring_stride(cfg.coloring) else {
         return loader::hash_only_mapping(cfg);
     };
@@ -495,13 +505,14 @@ fn insert_side_encoded(
     secondary: &str,
     next_lid: &mut i64,
     opts: &BulkLoadOptions,
-    durable: bool,
+    checkpoints: bool,
     bstats: &mut BulkLoadStats,
 ) -> Result<SideResult> {
-    let mut layout =
+    let layout =
         SideLayout { mapping, ncols, multivalued: HashSet::new(), spill_preds: HashSet::new() };
+    let mut result = SideResult { layout, rows: 0, spill_rows: 0, covered: 0, total: 0 };
     // Predicate IDs covered by the coloring, for exact coverage accounting.
-    let colored_ids: Option<HashSet<i64>> = match &layout.mapping {
+    let colored_ids: Option<HashSet<i64>> = match &result.layout.mapping {
         PredMapping::Colored { colors, .. } => Some(
             pred_forms
                 .iter()
@@ -515,8 +526,6 @@ fn insert_side_encoded(
     let mut prim_rows: Vec<Vec<Value>> = Vec::new();
     let mut sec_rows: Vec<Vec<Value>> = Vec::new();
     let mut seg_triples = 0usize;
-    let mut result =
-        SideResult { layout: SideLayout::default_like(), rows: 0, spill_rows: 0, covered: 0, total: 0 };
     let mut groups: Vec<(i64, usize, usize)> = Vec::new();
 
     let mut i = 0;
@@ -549,7 +558,7 @@ fn insert_side_encoded(
             let cell = if nvals == 1 {
                 Value::Int(enc[lo][2])
             } else {
-                layout.multivalued.insert(pred_forms[&p].clone());
+                result.layout.multivalued.insert(pred_forms[&p].clone());
                 let lid = *next_lid;
                 *next_lid -= 1;
                 for t in &enc[lo..hi] {
@@ -557,7 +566,7 @@ fn insert_side_encoded(
                 }
                 Value::Int(lid)
             };
-            let candidates = layout.candidates(&pred_forms[&p]);
+            let candidates = result.layout.candidates(&pred_forms[&p]);
             let mut placed = false;
             'rows: for row in entity_rows.iter_mut() {
                 for &c in &candidates {
@@ -582,7 +591,7 @@ fn insert_side_encoded(
         if spilled {
             result.spill_rows += (entity_rows.len() - 1) as u64;
             for &(p, _, _) in &groups {
-                layout.spill_preds.insert(pred_forms[&p].clone());
+                result.layout.spill_preds.insert(pred_forms[&p].clone());
             }
         }
         for mut row in entity_rows {
@@ -594,26 +603,13 @@ fn insert_side_encoded(
 
         seg_triples += j - i;
         if seg_triples >= opts.segment_triples {
-            flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, durable, opts, bstats)?;
+            flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, checkpoints, opts, bstats)?;
             seg_triples = 0;
         }
         i = j;
     }
-    flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, durable, opts, bstats)?;
-    result.layout = layout;
+    flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, checkpoints, opts, bstats)?;
     Ok(result)
-}
-
-impl SideLayout {
-    /// Placeholder for two-phase initialization in `insert_side_encoded`.
-    fn default_like() -> SideLayout {
-        SideLayout {
-            mapping: PredMapping::Hashed(crate::layout::HashComposition::new(1, 1)),
-            ncols: 0,
-            multivalued: HashSet::new(),
-            spill_preds: HashSet::new(),
-        }
-    }
 }
 
 /// Commit one segment as its own WAL batch, checkpointing afterwards if the
@@ -625,7 +621,7 @@ fn flush_segment(
     secondary: &str,
     prim_rows: &mut Vec<Vec<Value>>,
     sec_rows: &mut Vec<Vec<Value>>,
-    durable: bool,
+    checkpoints: bool,
     opts: &BulkLoadOptions,
     bstats: &mut BulkLoadStats,
 ) -> Result<()> {
@@ -646,7 +642,7 @@ fn flush_segment(
     res?;
     committed?;
     bstats.segments += 1;
-    if durable {
+    if checkpoints {
         if let Some(wal) = db.wal_len() {
             if wal >= opts.checkpoint_wal_bytes {
                 db.checkpoint()?;
@@ -745,10 +741,8 @@ impl StatsBuilder {
                 PredStat { count, distinct_subjects: ds, distinct_objects: dobj },
             );
         }
-        // Top-k selection: count-descending, ID-ascending. Terms are
-        // already interned, so unlike `Stats::collect_with_dict` this
-        // assigns no IDs — ID order is a deterministic tie-break that needs
-        // no lexical resolution of every candidate.
+        // Top-k selection: count-descending, ID-ascending — a deterministic
+        // tie-break that needs no lexical resolution of every candidate.
         let take_top = |v: &mut Vec<(u64, i64)>| {
             v.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             v.truncate(top_k);

@@ -198,72 +198,28 @@ fn layout_mismatch_is_rejected() {
     assert!(err.to_string().contains("layout"), "got: {err}");
 }
 
-/// Dictionary/data atomicity: truncate the WAL at *every* byte offset and
-/// reopen. Whatever prefix survives, the store must recover to exactly one
-/// committed state (empty, loaded, or loaded+insert), and every positive
-/// integer ID stored in the entity tables must resolve through the restored
-/// dictionary to the same string it meant before the crash. This is the
-/// recovery invariant of the dictionary encoding: because `sys_dict` rows
-/// commit in the same WAL batch as the data that references them, no
-/// truncation point can yield an ID that is unresolvable or remapped.
-#[test]
-fn dictionary_and_data_commit_atomically_under_wal_truncation() {
-    let dir = fresh_dir("dict-torn");
-    let after_load;
-    let after_insert;
-    let reference: std::collections::HashMap<i64, String>;
-    {
-        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
-        store.load(&sample()).unwrap();
-        after_load = answers(&store, Q_FOUNDER);
-        // The insert interns a brand-new entity, predicate target and value
-        // in a second WAL batch, so truncation points fall both between and
-        // inside dictionary-extending batches.
-        assert!(store.insert(&t("Bell", "founder", "AT&T")).unwrap());
-        after_insert = answers(&store, Q_FOUNDER);
-        let dict = store.dictionary().read();
-        reference = dict.entries_from(0).map(|(id, term)| (id, term.to_string())).collect();
-        drop(dict);
-        drop(store); // crash: no close()
-    }
-    let wal = std::fs::read(dir.join("wal.0")).unwrap();
-    assert!(wal.len() > 100, "WAL unexpectedly small: {} bytes", wal.len());
-
-    let scratch = fresh_dir("dict-torn-scratch");
-    for cut in 0..=wal.len() {
-        let _ = std::fs::remove_dir_all(&scratch);
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join("wal.0"), &wal[..cut]).unwrap();
-        let store = RdfStore::open(&scratch, StoreConfig::default())
-            .unwrap_or_else(|e| panic!("open failed at cut {cut}/{}: {e}", wal.len()));
-
-        // 1. The store is in exactly one committed prefix state.
-        if store.query(Q_FOUNDER).is_ok() {
-            let got = answers(&store, Q_FOUNDER);
-            assert!(
-                got == after_load || got == after_insert,
-                "cut {cut}: recovered to an uncommitted state {got:?}"
-            );
-        }
-
-        // 2. Every positive ID in the entity tables resolves through the
-        //    restored dictionary to its pre-crash string.
-        let dict = store.dictionary().read();
-        for table in ["dph", "ds", "rph", "rs"] {
-            let Some(tbl) = store.database().table(table) else { continue };
-            for rid in 0..tbl.row_count() as u32 {
-                for v in tbl.row_values(rid) {
-                    if let relstore::Value::Int(id) = v {
-                        if id > 0 {
-                            let resolved = dict.resolve(id).unwrap_or_else(|| {
-                                panic!("cut {cut}: {table} holds unresolvable id {id}")
-                            });
-                            assert_eq!(
-                                Some(resolved.as_str()),
-                                reference.get(&id).map(String::as_str),
-                                "cut {cut}: id {id} remapped after recovery"
-                            );
-                        }
+/// Every positive ID in the entity tables resolves through the restored
+/// dictionary to the string it meant before the crash.
+fn assert_ids_resolve(
+    store: &RdfStore,
+    reference: &std::collections::HashMap<i64, String>,
+    cut: usize,
+) {
+    let dict = store.dictionary().read();
+    for table in ["dph", "ds", "rph", "rs"] {
+        let Some(tbl) = store.database().table(table) else { continue };
+        for rid in 0..tbl.row_count() as u32 {
+            for v in tbl.row_values(rid) {
+                if let relstore::Value::Int(id) = v {
+                    if id > 0 {
+                        let resolved = dict.resolve(id).unwrap_or_else(|| {
+                            panic!("cut {cut}: {table} holds unresolvable id {id}")
+                        });
+                        assert_eq!(
+                            Some(resolved.as_str()),
+                            reference.get(&id).map(String::as_str),
+                            "cut {cut}: id {id} remapped after recovery"
+                        );
                     }
                 }
             }
@@ -271,20 +227,115 @@ fn dictionary_and_data_commit_atomically_under_wal_truncation() {
     }
 }
 
+/// Dictionary/data atomicity: `load()` ends in a checkpoint, so the crash
+/// image is the post-load snapshot plus the current WAL generation, which
+/// carries the insert. Truncate that WAL at *every* byte offset and reopen.
+/// Whatever prefix survives, the store must recover to exactly one
+/// committed state (loaded, or loaded+insert), and every positive integer
+/// ID stored in the entity tables must resolve through the restored
+/// dictionary to the same string it meant before the crash. This is the
+/// recovery invariant of the dictionary encoding: because `sys_dict` rows
+/// commit in the same WAL batch as the data that references them, no
+/// truncation point can yield an ID that is unresolvable or remapped.
+/// (Truncation inside the load's own WAL is swept by the next test.)
 #[test]
-fn crash_mid_load_recovers_to_empty() {
-    // The bulk load commits as one WAL transaction; a WAL that only carries
-    // part of it (torn tail) must recover to the pre-load state.
-    let dir = fresh_dir("torn-load");
+fn dictionary_and_data_commit_atomically_under_wal_truncation() {
+    let dir = fresh_dir("dict-torn");
+    let after_load;
+    let after_insert;
+    let gen;
+    let reference: std::collections::HashMap<i64, String>;
     {
         let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
         store.load(&sample()).unwrap();
+        after_load = answers(&store, Q_FOUNDER);
+        // The insert interns a brand-new entity, predicate target and value
+        // in its own WAL batch, which also rewrites the dictionary's
+        // partial tail page.
+        assert!(store.insert(&t("Bell", "founder", "AT&T")).unwrap());
+        after_insert = answers(&store, Q_FOUNDER);
+        let dict = store.dictionary().read();
+        reference = dict.entries_from(0).map(|(id, term)| (id, term.to_string())).collect();
+        drop(dict);
+        gen = store.database().generation().unwrap();
+        drop(store); // crash: no close()
+    }
+    let snapshot = std::fs::read(dir.join(format!("snapshot.{gen}"))).unwrap();
+    let wal = std::fs::read(dir.join(format!("wal.{gen}"))).unwrap();
+    assert!(wal.len() > 100, "WAL unexpectedly small: {} bytes", wal.len());
+
+    let scratch = fresh_dir("dict-torn-scratch");
+    for cut in 0..=wal.len() {
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::fs::write(scratch.join(format!("snapshot.{gen}")), &snapshot).unwrap();
+        std::fs::write(scratch.join(format!("wal.{gen}")), &wal[..cut]).unwrap();
+        let store = RdfStore::open(&scratch, StoreConfig::default())
+            .unwrap_or_else(|e| panic!("open failed at cut {cut}/{}: {e}", wal.len()));
+
+        // 1. The store is in exactly one committed prefix state.
+        let got = answers(&store, Q_FOUNDER);
+        assert!(
+            got == after_load || got == after_insert,
+            "cut {cut}: recovered to an uncommitted state {got:?}"
+        );
+
+        // 2. Every positive ID in the entity tables resolves through the
+        //    restored dictionary to its pre-crash string.
+        assert_ids_resolve(&store, &reference, cut);
+    }
+}
+
+/// `load()` builds the entity layout through the bulk pipeline, so its
+/// crash contract is the bulk one. The generation the load wrote its WAL
+/// into survives the final checkpoint; cut that WAL at *every* byte offset
+/// and reopen from it alone. Each prefix must land in exactly one of three
+/// states — empty (the marker never committed), an explicit "bulk load
+/// interrupted" refusal, or the complete dataset — and must never serve
+/// part of it. Whenever the store opens, its IDs resolve.
+#[test]
+fn crash_mid_load_is_empty_refused_or_complete() {
+    let dir = fresh_dir("torn-load");
+    let full;
+    let load_gen;
+    let reference: std::collections::HashMap<i64, String>;
+    {
+        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+        load_gen = store.database().generation().unwrap();
+        store.load(&sample()).unwrap();
+        full = answers(&store, Q_FOUNDER);
+        reference = store.dictionary().read().entries_from(0).collect();
         drop(store);
     }
-    // Tear the tail of the load's single frame.
-    let wal = dir.join("wal.0");
-    let bytes = std::fs::read(&wal).unwrap();
-    std::fs::write(&wal, &bytes[..bytes.len() - 7]).unwrap();
-    let store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
-    assert!(store.query(Q_FOUNDER).is_err(), "half-loaded store must read as empty");
+    let wal = std::fs::read(dir.join(format!("wal.{load_gen}"))).unwrap();
+
+    let scratch = fresh_dir("torn-load-scratch");
+    let (mut empty, mut refused, mut complete) = (0, 0, 0);
+    for cut in 0..=wal.len() {
+        let _ = std::fs::remove_dir_all(&scratch);
+        std::fs::create_dir_all(&scratch).unwrap();
+        std::fs::write(scratch.join(format!("wal.{load_gen}")), &wal[..cut]).unwrap();
+        match RdfStore::open(&scratch, StoreConfig::default()) {
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("bulk load interrupted"),
+                    "cut {cut}: unexpected reopen error: {msg}"
+                );
+                refused += 1;
+            }
+            Ok(store) => {
+                assert_ids_resolve(&store, &reference, cut);
+                if store.query(Q_FOUNDER).is_ok() {
+                    assert_eq!(answers(&store, Q_FOUNDER), full, "cut {cut}: partial data");
+                    complete += 1;
+                } else {
+                    empty += 1;
+                }
+            }
+        }
+    }
+    assert!(empty > 0, "no cut recovered to the empty store");
+    assert!(refused > 0, "no cut exercised the in-progress refusal");
+    assert_eq!(complete, 1, "only the untruncated WAL holds the completion marker");
 }

@@ -228,10 +228,16 @@ impl Database {
         let writer = match WalWriter::open(&wal_path, 0, d.faults.clone()) {
             Ok(w) => w,
             Err(e) => {
-                // The new snapshot must not become the recovery base while
-                // commits keep landing in the old WAL: undo it, or degrade.
-                let _ = std::fs::remove_file(&snap_path);
-                if snap_path.exists() {
+                // Neither half of the new generation may become the
+                // recovery base while commits keep landing in the old WAL
+                // (a stray `wal.<new>` alone is one when no snapshot
+                // exists yet): undo both, or degrade. The snapshot goes
+                // only once the WAL is gone — the pair is a valid base.
+                let _ = std::fs::remove_file(&wal_path);
+                if !wal_path.exists() {
+                    let _ = std::fs::remove_file(&snap_path);
+                }
+                if wal_path.exists() || snap_path.exists() {
                     self.durability.as_mut().unwrap().read_only = true;
                 }
                 return Err(Error::Io(e.to_string()));
@@ -264,6 +270,12 @@ impl Database {
             }
             d.batch_depth += 1;
         }
+    }
+
+    /// Whether a batch is open: mutations are being buffered, and
+    /// [`Database::checkpoint`] would refuse.
+    pub fn in_batch(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| d.batch_depth > 0)
     }
 
     /// Commit the current batch level; at the outermost level the buffered

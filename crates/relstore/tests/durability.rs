@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use relstore::{
-    table_schema, Database, Error, FaultHandle, IoFault, SqlType, Value, WriteOutcome,
+    table_schema, Database, Error, FaultHandle, IoFault, ScriptedFaults, SqlType, Value,
+    WriteOutcome,
 };
 
 // ---------------------------------------------------------------------------
@@ -439,6 +440,48 @@ fn fsync_failure_degrades_to_read_only_with_committed_prefix() {
         }
     }
     assert!(saw_failure);
+}
+
+/// A checkpoint that fails partway — in the snapshot write or in the new
+/// WAL's header — must leave neither half of the new generation behind as a
+/// recovery base: everything acked before it, and after it on the old WAL,
+/// survives a reopen.
+#[test]
+fn failed_checkpoint_never_strands_acked_commits() {
+    let mut failed_checkpoints = 0;
+    for n in 0..10 {
+        for (kind, faults) in [
+            ("fail", ScriptedFaults::new().fail_write(n)),
+            ("short", ScriptedFaults::new().short_write(n, 8)),
+        ] {
+            let dir = fresh_dir(&format!("ckpt-{kind}-{n}"));
+            let Ok(mut db) = Database::open_with_faults(&dir, faults.into_handle()) else {
+                continue; // the WAL magic itself failed: nothing was acked
+            };
+            let mut acked = dump(&db);
+            let insert = |db: &mut Database, k: i64| {
+                db.insert_rows("t", [vec![Value::Int(k), Value::str("v")]]).map(|_| ())
+            };
+            let steps: Vec<(bool, Step)> = vec![
+                (false, Box::new(|db| db.create_table(table_schema("t", &[("k", SqlType::Int), ("v", SqlType::Text)])))),
+                (false, Box::new(move |db| insert(db, 1))),
+                (true, Box::new(|db| db.checkpoint())),
+                (false, Box::new(move |db| insert(db, 2))),
+                (false, Box::new(move |db| insert(db, 3))),
+            ];
+            for (is_checkpoint, step) in steps {
+                match step(&mut db) {
+                    Ok(()) => acked = dump(&db),
+                    Err(_) if is_checkpoint => failed_checkpoints += 1,
+                    Err(_) => {}
+                }
+            }
+            drop(db);
+            let got = dump(&Database::open(&dir).unwrap());
+            assert_eq!(got, acked, "{kind}_write({n}): acked commits lost after reopen");
+        }
+    }
+    assert!(failed_checkpoints >= 2, "no fault landed inside a checkpoint");
 }
 
 #[test]

@@ -6,69 +6,40 @@
 #   scripts/verify.sh            # tier-1: release build + root-package tests
 #   scripts/verify.sh --all      # additionally test every workspace crate
 #   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
-#   scripts/verify.sh --server   # additionally boot the SPARQL endpoint on
-#                                # an ephemeral port and run its smoke suite
-#                                # (curl-equivalent queries + /healthz check)
-#   scripts/verify.sh --plan-cache
-#                                # additionally run the plan_cache bench in
-#                                # its PLAN_CACHE_SMOKE=1 profile (asserts
-#                                # the >=2x warm-plan speedup bar)
-#   scripts/verify.sh --exec-scaling
-#                                # additionally run the exec_scaling bench in
-#                                # its EXEC_SCALING_SMOKE=1 profile; on a
-#                                # >=4-core host this FAILS if the minimum
-#                                # 4-thread speedup is < 1.5x (on fewer
-#                                # cores the gate reports itself skipped)
-#   scripts/verify.sh --fuzz     # additionally run the adversarial harness
-#                                # in its FUZZ_SMOKE=1 profile: ~200 seeded
-#                                # grammar-fuzzed queries through the
-#                                # differential oracle plus a bounded
-#                                # crash-point sweep (truncations, write and
-#                                # read faults) — fixed seeds, <2 min
-#   scripts/verify.sh --bulk-load
-#                                # additionally run the bulk_load bench in
-#                                # its BULK_LOAD_SMOKE=1 profile: ~100k LUBM
-#                                # triples through the streaming parallel
-#                                # loader under a fixed peak-RSS ceiling
-#   scripts/verify.sh --update   # additionally run the update_throughput
-#                                # bench in its UPDATE_SMOKE=1 profile:
-#                                # mixed read/write over a durable store
-#                                # through the group-commit path, asserting
-#                                # every update acks and the batch histogram
-#                                # balances
-#   scripts/verify.sh --analytics
-#                                # additionally run the analytics bench in
-#                                # its ANALYTICS_SMOKE=1 profile: the AQ1-8
-#                                # aggregate/BIND/VALUES/subquery workload
-#                                # over SP²Bench data, every answer checked
-#                                # against the naive reference on all three
-#                                # layouts before timing
+#   scripts/verify.sh --smoke    # additionally run every bounded smoke
+#                                # profile; each asserts its own invariants
+#                                # and exits non-zero on a violation:
+#       db2rdf-serve --smoke     endpoint on an ephemeral port: JSON/TSV/
+#                                400/healthz/stats
+#       server_throughput        result cardinality under light concurrency
+#       plan_cache               >=2x warm-plan speedup, zero warm misses
+#       exec_scaling             thread-count determinism; >=1.5x minimum
+#                                4-thread speedup on a >=4-core host (on
+#                                fewer cores the gate reports itself skipped)
+#       fuzz_differential        ~200 seeded fuzzed queries + ~150 updates
+#                                through the differential oracle, bounded
+#                                crash-point sweep — fixed seeds
+#       bulk_load                ~100k streamed LUBM triples under a fixed
+#                                peak-RSS ceiling
+#       update_throughput        group-committed mixed read/write: every
+#                                update acks, the batch histogram balances
+#       analytics                AQ1-8 on all three layouts, every answer
+#                                checked against the naive reference
+#       e2e --smoke              the BENCHMARK.json harness: all four
+#                                workloads over HTTP, traced and untraced
 #
-# Flags combine: `scripts/verify.sh --all --clippy --server --plan-cache
-# --exec-scaling --fuzz --bulk-load --update --analytics` is what CI runs.
+# Flags combine: `scripts/verify.sh --all --clippy --smoke` is what CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_all=false
 run_clippy=false
-run_server=false
-run_plan_cache=false
-run_exec_scaling=false
-run_fuzz=false
-run_bulk_load=false
-run_update=false
-run_analytics=false
+run_smoke=false
 for arg in "$@"; do
     case "$arg" in
         --all) run_all=true ;;
         --clippy) run_clippy=true ;;
-        --server) run_server=true ;;
-        --plan-cache) run_plan_cache=true ;;
-        --exec-scaling) run_exec_scaling=true ;;
-        --fuzz) run_fuzz=true ;;
-        --bulk-load) run_bulk_load=true ;;
-        --update) run_update=true ;;
-        --analytics) run_analytics=true ;;
+        --smoke) run_smoke=true ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
 done
@@ -89,40 +60,19 @@ if $run_clippy; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
 fi
 
-if $run_server; then
-    echo "== db2rdf-serve --smoke (ephemeral port, JSON/TSV/400/healthz/stats)"
+if $run_smoke; then
+    echo "== db2rdf-serve --smoke"
     cargo run --release --offline -p server --bin db2rdf-serve -- --smoke
-fi
-
-if $run_plan_cache; then
-    echo "== plan_cache bench smoke (cold vs warm planning, >=2x bar)"
-    PLAN_CACHE_SMOKE=1 cargo run --release --offline -p bench --bin plan_cache
-fi
-
-if $run_exec_scaling; then
-    echo "== exec_scaling bench smoke (thread-count determinism; >=1.5x min"
-    echo "   4-thread speedup when the host has >=4 cores)"
-    EXEC_SCALING_SMOKE=1 cargo run --release --offline -p bench --bin exec_scaling
-fi
-
-if $run_fuzz; then
-    echo "== fuzz_differential smoke (seeded differential oracle + crash sweep)"
-    FUZZ_SMOKE=1 cargo run --release --offline -p bench --bin fuzz_differential
-fi
-
-if $run_bulk_load; then
-    echo "== bulk_load bench smoke (~100k streamed LUBM triples, RSS ceiling)"
-    BULK_LOAD_SMOKE=1 cargo run --release --offline -p bench --bin bulk_load
-fi
-
-if $run_update; then
-    echo "== update_throughput bench smoke (group-committed mixed read/write)"
-    UPDATE_SMOKE=1 cargo run --release --offline -p bench --bin update_throughput
-fi
-
-if $run_analytics; then
-    echo "== analytics bench smoke (aggregates/BIND/VALUES/subqueries vs naive)"
-    ANALYTICS_SMOKE=1 cargo run --release --offline -p bench --bin analytics
+    # <bench bin>:<the env var that selects its bounded profile>
+    for pair in server_throughput:SERVER_THROUGHPUT_SMOKE plan_cache:PLAN_CACHE_SMOKE \
+        exec_scaling:EXEC_SCALING_SMOKE fuzz_differential:FUZZ_SMOKE \
+        bulk_load:BULK_LOAD_SMOKE update_throughput:UPDATE_SMOKE \
+        analytics:ANALYTICS_SMOKE; do
+        echo "== ${pair%%:*} (${pair##*:}=1)"
+        env "${pair##*:}=1" cargo run --release --offline -p bench --bin "${pair%%:*}"
+    done
+    echo "== e2e --smoke"
+    cargo run --release --offline --manifest-path e2e/Cargo.toml -- --smoke
 fi
 
 echo "verify: OK"

@@ -132,3 +132,35 @@ fn entity_layout_with_tiny_columns_still_correct() {
         assert_eq!(canon(&got), canon(&expected), "case {case}");
     }
 }
+
+/// A graph is a set: `load()` of an input with an exact duplicate stores
+/// and reports the same triples on every layout, and agrees with a store
+/// built one `insert()` at a time.
+#[test]
+fn duplicated_input_loads_as_a_set_on_every_layout() {
+    let iri = |s: &str| Term::iri(s);
+    let input = vec![
+        Triple::new(iri("a"), iri("p"), iri("b")),
+        Triple::new(iri("a"), iri("p"), iri("b")),
+        Triple::new(iri("a"), iri("p"), iri("c")),
+    ];
+    let query_text = "SELECT ?o WHERE { <a> <p> ?o }";
+    let mut answers = Vec::new();
+    for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
+        let mut loaded = RdfStore::new(StoreConfig::with_layout(layout));
+        loaded.load(&input).unwrap();
+        assert_eq!(loaded.load_report().triples, 2, "{layout:?}: report counts duplicates");
+
+        let mut inserted = RdfStore::new(StoreConfig::with_layout(layout));
+        for t in &input {
+            inserted.insert(t).unwrap();
+        }
+        assert_eq!(inserted.load_report().triples, 2, "{layout:?}: insert is not set-semantic");
+
+        let got = canon(&loaded.query(query_text).unwrap());
+        assert_eq!(got.len(), 2, "{layout:?}: load() kept the duplicate");
+        assert_eq!(got, canon(&inserted.query(query_text).unwrap()), "{layout:?}: load != inserts");
+        answers.push(got);
+    }
+    assert!(answers.windows(2).all(|w| w[0] == w[1]), "layouts disagree: {answers:?}");
+}
