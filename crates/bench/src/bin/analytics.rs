@@ -13,9 +13,10 @@
 //! aborts on the first disagreement.
 //!
 //! Writes `BENCH_analytics.json`. Knobs: `ANALYTICS_SMOKE=1` (CI profile:
-//! small dataset, single timed run), `ANALYTICS_DOCS` (document count).
+//! small dataset, single timed run, JSON printed instead of written),
+//! `ANALYTICS_DOCS` (document count).
 
-use bench::{fmt_time, run_workload, scale_from_env, Outcome, System};
+use bench::{emit_report, fmt_time, run_workload, scale_from_env, Outcome, System};
 use datagen::BenchQuery;
 use db2rdf::{naive, oracle};
 use sparql::parse_sparql;
@@ -211,6 +212,5 @@ fn main() {
         triples.len(),
         query_json.join(", ")
     );
-    std::fs::write("BENCH_analytics.json", &json).expect("write BENCH_analytics.json");
-    println!("\nwrote BENCH_analytics.json");
+    emit_report("BENCH_analytics.json", &json, smoke);
 }

@@ -9,7 +9,8 @@
 //!
 //! `BULK_LOAD_SMOKE=1` switches to the CI profile: ~100k triples and a hard
 //! peak-RSS ceiling (`BULK_LOAD_RSS_CEILING_MB`, default 1024) that fails
-//! the run if the streaming pipeline ever buffers the dataset wholesale.
+//! the run if the streaming pipeline ever buffers the dataset wholesale;
+//! the JSON is printed, not written.
 //!
 //! Dependency-free: `std::time::Instant` timing, hand-rolled JSON. Run
 //! with `cargo run --release -p bench --bin bulk_load`.
@@ -144,6 +145,5 @@ fn main() {
         peak_rss.map_or("null".into(), |b| b.to_string()),
         latency_json(&queries),
     );
-    std::fs::write("BENCH_load.json", &json).expect("write BENCH_load.json");
-    println!("wrote BENCH_load.json");
+    bench::emit_report("BENCH_load.json", &json, smoke);
 }

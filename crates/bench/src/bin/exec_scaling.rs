@@ -9,7 +9,7 @@
 //! then times the suite at 1/2/4/8 worker threads, asserting the result
 //! rows (including order) are identical at every width, and writes
 //! wall-clock plus per-phase (scan/build/probe/agg) timings to
-//! `BENCH_exec.json`.
+//! `BENCH_exec.json` (the smoke profile prints them instead).
 //!
 //! Dependency-free by design: `std::time::Instant` timing, hand-rolled
 //! JSON. Run with `cargo run --release -p bench --bin exec_scaling`; the
@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use bench::scale_from_env;
+use bench::{emit_report, scale_from_env};
 use datagen::lubm::{self, NS, RDF_TYPE};
 use relstore::{quote_str, Database, PhaseTimings, Rel, Value};
 
@@ -247,13 +247,11 @@ fn main() {
         opt_json(geo_at_4),
         json_queries.join(",\n    ")
     );
-    std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
+    emit_report("BENCH_exec.json", &json, smoke);
     if min_at_4.is_finite() {
-        eprintln!(
-            "speedup at 4 threads: min {min_at_4:.2}x, geomean {geo_at_4:.2}x (wrote BENCH_exec.json)"
-        );
+        eprintln!("speedup at 4 threads: min {min_at_4:.2}x, geomean {geo_at_4:.2}x");
     } else {
-        eprintln!("no 4-thread point in this profile (wrote BENCH_exec.json)");
+        eprintln!("no 4-thread point in this profile");
     }
 
     // The scaling gates. Armed only when ≥4 physical cores exist: with

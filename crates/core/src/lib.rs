@@ -24,6 +24,8 @@
 //! assert_eq!(sols.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod dict;
 mod error;

@@ -9,17 +9,23 @@
 //!
 //! ## Epoch invalidation
 //!
-//! [`RdfStore`](crate::RdfStore) keeps a **mutation epoch**, bumped by every
-//! `load`/`insert`/`delete` call. A cache entry records the epoch it was
-//! planned under; a lookup under any other epoch treats the entry as stale,
-//! removes it, and counts an invalidation. This is deliberately coarse: any
-//! mutation can move the statistics (changing the chosen flow), the
-//! predicate layouts (changing column assignments after a spill), or the
-//! term dictionary (a constant that translated to `NULL` because it was
-//! unknown may now have an ID) — so no cached plan survives any of them.
-//! Under [`SharedStore`](crate::SharedStore) mutations hold the store's
-//! write lock while they bump the epoch, and planning reads it under the
-//! read lock, so a reader can never observe a torn epoch/plan pair.
+//! [`RdfStore`](crate::RdfStore) keeps a **mutation epoch**. A cache entry
+//! records the epoch it was planned under; a lookup under any other epoch
+//! treats the entry as stale, removes it, and counts an invalidation. The
+//! epoch moves only when a mutation changed something a plan can depend on:
+//! a bulk `load`, a failed or rolled-back mutation, or an `insert` after
+//! which the store's planning fingerprint differs — the term dictionary
+//! grew (a constant that translated to "provably empty" because it was
+//! unknown may now have an ID) or a predicate layout moved (a spill, a
+//! multi-valued flip, a widened column set, a new vertical table).
+//! Generated SQL never depends on row data, so every other mutation — any
+//! successful `delete`, an insert of known terms into settled layouts —
+//! leaves the epoch and every warm plan alone and is counted as an avoided
+//! invalidation; stale statistics can at worst pick a slower join order.
+//! Under [`SharedStore`](crate::SharedStore) the epoch is a plain field of
+//! the store value: the writer bumps it on its private master and readers
+//! see it only through the immutable snapshot published afterwards, so a
+//! reader can never observe a torn epoch/plan pair.
 //!
 //! ## Concurrency & eviction
 //!
@@ -27,7 +33,7 @@
 //! `&self` query path): entries live in [`SHARD_COUNT`] shards, each behind
 //! its own mutex, keyed by the hash of the normalized query text — readers
 //! planning different queries contend only within a shard, and no lookup
-//! ever touches the store's write lock. Each shard evicts least-recently-
+//! ever touches the store's writer mutex. Each shard evicts least-recently-
 //! used entries past its share of the configured capacity (small caches
 //! collapse to one shard so eviction order is exact and testable).
 

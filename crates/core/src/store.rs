@@ -780,9 +780,9 @@ impl RdfStore {
     /// Plan a query, going through the epoch-guarded cache when enabled:
     /// a hit skips parsing, optimization, star merging, and SQL generation
     /// entirely. Entries are keyed on the trimmed query text and tagged
-    /// with the mutation epoch they were planned under; `load`/`insert`/
-    /// `delete` bump the epoch, so a stale plan can never be replayed
-    /// against a store whose dictionary, statistics, or layouts have moved.
+    /// with the mutation epoch they were planned under; a mutation that
+    /// moves the dictionary or a layout bumps the epoch, so a stale plan
+    /// can never be replayed against a store whose planning inputs moved.
     fn plan(&self, sparql_text: &str) -> Result<Arc<CachedPlan>> {
         if !self.loaded {
             return Err(StoreError::Unsupported("store is empty; load data first".into()));
@@ -1043,8 +1043,9 @@ impl RdfStore {
         self.db.threads()
     }
 
-    /// The current mutation epoch (bumped by every `load`/`insert`/
-    /// `delete`); cached plans from older epochs are never replayed.
+    /// The current mutation epoch (bumped when a mutation moves a planning
+    /// input, see the field's doc); cached plans from older epochs are
+    /// never replayed.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

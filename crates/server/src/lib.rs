@@ -31,6 +31,8 @@
 //! closed at the next read-timeout tick, and the call returns when every
 //! worker has exited.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod metrics;
 
@@ -870,8 +872,8 @@ fn stats_json(inner: &Inner) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal HTTP client — used by the integration tests, the loopback
-// throughput bench, and `db2rdf-serve --smoke` (the curl stand-in).
+// Minimal HTTP client — used by the integration tests and
+// `db2rdf-serve --smoke` (the curl stand-in).
 // ---------------------------------------------------------------------------
 
 pub mod client {

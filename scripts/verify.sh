@@ -6,13 +6,12 @@
 #   scripts/verify.sh            # tier-1: release build + root-package tests
 #   scripts/verify.sh --all      # additionally test every workspace crate
 #   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
-#   scripts/verify.sh --smoke    # additionally run every bounded smoke
-#                                # profile; each asserts its own invariants
-#                                # and exits non-zero on a violation:
+#   scripts/verify.sh --smoke    # additionally run the six bounded smoke
+#                                # profiles; each asserts its own invariants,
+#                                # exits non-zero on a violation and writes
+#                                # no BENCH_*.json:
 #       db2rdf-serve --smoke     endpoint on an ephemeral port: JSON/TSV/
 #                                400/healthz/stats
-#       server_throughput        result cardinality under light concurrency
-#       plan_cache               >=2x warm-plan speedup, zero warm misses
 #       exec_scaling             thread-count determinism; >=1.5x minimum
 #                                4-thread speedup on a >=4-core host (on
 #                                fewer cores the gate reports itself skipped)
@@ -21,12 +20,13 @@
 #                                crash-point sweep — fixed seeds
 #       bulk_load                ~100k streamed LUBM triples under a fixed
 #                                peak-RSS ceiling
-#       update_throughput        group-committed mixed read/write: every
-#                                update acks, the batch histogram balances
 #       analytics                AQ1-8 on all three layouts, every answer
 #                                checked against the naive reference
 #       e2e --smoke              the BENCHMARK.json harness: all four
-#                                workloads over HTTP, traced and untraced
+#                                workloads over HTTP, traced and untraced;
+#                                every reply checksummed, a warm mix never
+#                                misses the plan cache, every update acks
+#                                and the group-commit histogram balances
 #
 # Flags combine: `scripts/verify.sh --all --clippy --smoke` is what CI runs.
 set -euo pipefail
@@ -64,10 +64,8 @@ if $run_smoke; then
     echo "== db2rdf-serve --smoke"
     cargo run --release --offline -p server --bin db2rdf-serve -- --smoke
     # <bench bin>:<the env var that selects its bounded profile>
-    for pair in server_throughput:SERVER_THROUGHPUT_SMOKE plan_cache:PLAN_CACHE_SMOKE \
-        exec_scaling:EXEC_SCALING_SMOKE fuzz_differential:FUZZ_SMOKE \
-        bulk_load:BULK_LOAD_SMOKE update_throughput:UPDATE_SMOKE \
-        analytics:ANALYTICS_SMOKE; do
+    for pair in exec_scaling:EXEC_SCALING_SMOKE fuzz_differential:FUZZ_SMOKE \
+        bulk_load:BULK_LOAD_SMOKE analytics:ANALYTICS_SMOKE; do
         echo "== ${pair%%:*} (${pair##*:}=1)"
         env "${pair##*:}=1" cargo run --release --offline -p bench --bin "${pair%%:*}"
     done
