@@ -55,3 +55,6 @@ pub use store::{
     layout_name, BulkLoadOptions, BulkLoadStats, Explanation, Layout, RdfStore, StoreConfig,
 };
 pub use update::UpdateOutcome;
+/// The SPARQL front end, re-exported because its AST is part of this crate's
+/// API (`SharedStore::apply_parsed_update` takes a parsed [`sparql::Update`]).
+pub use sparql;

@@ -2,7 +2,10 @@
 //! (§2.1) — the DPH/DS (direct) and RPH/RS (reverse) relations, spill rows
 //! and multi-valued lids — plus the load configuration, the load report and
 //! the schema/predicate-mapping helpers the one table builder
-//! (`store::bulk`) uses. Nothing here creates a table.
+//! (`store::bulk`) uses. Nothing here creates a table, and nothing here
+//! opens a WAL batch, persists metadata or counts triples: `insert_entity`
+//! and `delete_entity` are the per-triple bodies of a mutation request,
+//! and everything around them belongs to `RdfStore::request`.
 
 use rdf::Triple;
 use relstore::{Database, SqlType, TableSchema, Value};
@@ -132,7 +135,6 @@ pub fn insert_entity(
     let added_d = insert_one_side(db, direct, "dph", "ds", &s, &p, &o, &mut report.dph_spill_rows, &mut report.dph_rows, dict)?;
     if added_d {
         insert_one_side(db, reverse, "rph", "rs", &o, &p, &s, &mut report.rph_spill_rows, &mut report.rph_rows, dict)?;
-        report.triples += 1;
     }
     Ok(added_d)
 }
@@ -299,7 +301,6 @@ pub fn delete_entity(
     direct: &SideLayout,
     reverse: &SideLayout,
     triple: &Triple,
-    report: &mut LoadReport,
     dict: &Dict,
 ) -> relstore::Result<bool> {
     let s = triple.subject.encode();
@@ -308,7 +309,6 @@ pub fn delete_entity(
     let removed = delete_one_side(db, direct, "dph", "ds", &s, &p, &o, dict)?;
     if removed {
         delete_one_side(db, reverse, "rph", "rs", &o, &p, &s, dict)?;
-        report.triples = report.triples.saturating_sub(1);
     }
     Ok(removed)
 }

@@ -22,12 +22,14 @@
 //!
 //! ## Group commit
 //!
-//! Writers serialize behind a single mutex. An update request is parsed
-//! outside the lock, queued, and then either (a) discovers a concurrent
-//! leader already applied it and returns, or (b) acquires the writer lock,
-//! drains the whole queue, applies every queued request — each as its own
-//! WAL frame via [`crate::update::apply_update`] — and pays **one** fsync
-//! for the group. Under write pressure the fsync amortizes across every
+//! Writers serialize behind a single mutex, and the queue is the one way in
+//! for a shared store: `/update` requests and `/insert` chunks alike (there
+//! is no per-triple side door). An update request is parsed outside the
+//! lock, queued, and then either (a) discovers a concurrent leader already
+//! applied it and returns, or (b) acquires the writer lock, drains the
+//! whole queue, applies every queued request — each as its own WAL frame
+//! via [`crate::update::apply_update`] — and pays **one** fsync for the
+//! group. Under write pressure the fsync amortizes across every
 //! request that arrived while the previous group was committing; the
 //! batch-size histogram in [`UpdateStats`] makes the coalescing observable.
 //!
@@ -42,8 +44,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-use rdf::Triple;
 
 use crate::error::{Result, StoreError};
 use crate::loader::LoadReport;
@@ -139,9 +139,11 @@ pub struct SharedStore {
 }
 
 /// Exclusive access to the master store, published as the new reader
-/// snapshot when dropped. Used by bulk paths (initial load, checkpointing,
-/// streaming inserts); fine-grained mutation should go through
-/// [`SharedStore::update`] to benefit from group commit.
+/// snapshot when dropped. For what is not an update request: the initial
+/// bulk load, checkpointing, reconfiguration. A mutation made through it
+/// (`RdfStore::insert`) is a request of its own — one frame, one fsync,
+/// outside the group-commit counters; graph changes should go through
+/// [`SharedStore::update`].
 pub struct WriteGuard<'a> {
     guard: MutexGuard<'a, RdfStore>,
     inner: &'a SharedInner,
@@ -296,29 +298,6 @@ impl SharedStore {
         result
     }
 
-    /// Insert one triple under the write lock.
-    pub fn insert(&self, triple: &Triple) -> Result<bool> {
-        self.write().insert(triple)
-    }
-
-    /// Insert a batch of triples under one write lock / one snapshot
-    /// publication; returns how many were actually new.
-    pub fn insert_many(&self, triples: &[Triple]) -> Result<u64> {
-        let mut guard = self.write();
-        let mut inserted = 0;
-        for t in triples {
-            if guard.insert(t)? {
-                inserted += 1;
-            }
-        }
-        Ok(inserted)
-    }
-
-    /// Delete one triple under the write lock.
-    pub fn delete(&self, triple: &Triple) -> Result<bool> {
-        self.write().delete(triple)
-    }
-
     /// Snapshot of the load report (cloned out so nothing is held).
     pub fn load_report(&self) -> LoadReport {
         self.snapshot().load_report().clone()
@@ -380,7 +359,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::store::{RdfStore, StoreConfig};
-    use rdf::Term;
+    use rdf::{Term, Triple};
 
     fn triple(i: usize) -> Triple {
         Triple::new(
@@ -403,7 +382,7 @@ mod tests {
             let writer = shared.clone();
             s.spawn(move || {
                 for i in 100..120 {
-                    writer.insert(&triple(i)).unwrap();
+                    writer.write().insert(&triple(i)).unwrap();
                 }
             });
             for _ in 0..4 {
@@ -516,10 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_reports_only_new_triples() {
+    fn insert_data_reports_only_new_triples() {
         let shared = loaded_shared(3);
-        let batch: Vec<Triple> = (0..6).map(triple).collect(); // 3 dupes, 3 new
-        assert_eq!(shared.insert_many(&batch).unwrap(), 3);
+        // 0..3 are stored already, 3..6 are new, and 5 comes twice.
+        let data: String = (0..6)
+            .chain([5])
+            .map(|i| format!("<http://s/{i}> <http://p> <http://o/{i}> . "))
+            .collect();
+        let out = shared.update(&format!("INSERT DATA {{ {data} }}")).unwrap();
+        assert_eq!(out, UpdateOutcome { inserted: 3, deleted: 0 });
         assert_eq!(shared.query("SELECT ?s WHERE { ?s <http://p> ?o }").unwrap().len(), 6);
     }
 

@@ -1,8 +1,17 @@
 //! The public RDF store API: load triples, run SPARQL, inspect plans.
-
-use std::sync::Arc;
+//!
+//! There is one way to change the graph: a *request* — one or many triple
+//! insertions and deletions — runs through [`RdfStore::request`], which
+//! takes the copy-on-write checkpoint, opens the one WAL batch, lets the
+//! layout-specific per-triple bodies run, flushes `sys_dict`/`sys_meta`
+//! once, compares the plan fingerprint once, commits one frame, and rolls
+//! memory back to the checkpoint on any error. [`RdfStore::insert`] and
+//! [`RdfStore::delete`] are one-op requests that fsync their frame; a
+//! SPARQL Update request ([`crate::update`]) is the same skeleton with an
+//! append-only commit, fsynced per group by [`crate::shared`].
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use rdf::Triple;
 use relstore::{quote_str, Database};
@@ -15,7 +24,7 @@ use crate::baseline::{
 use crate::dict::{Dict, SharedDict};
 use crate::error::{Result, StoreError};
 use crate::layout::SideLayout;
-use crate::loader::{insert_entity, EntityConfig, LoadReport};
+use crate::loader::{delete_entity, insert_entity, EntityConfig, LoadReport};
 use crate::optimizer::{
     merge_exec_tree, optimize, ExecNode, MergeInfo, OptimizerMode, PTree,
 };
@@ -26,7 +35,7 @@ use crate::translate::entity::EntityGen;
 use crate::translate::functions::register_rdf_functions;
 use crate::translate::{
     apply_filter, finish, gen_aggregate, gen_bind, gen_pattern, gen_select_exprs,
-    gen_subquery_join, gen_values, GenState, StarGen,
+    gen_subquery_join, gen_values, GenState,
 };
 
 /// Which relational layout backs the store (paper §2).
@@ -105,16 +114,11 @@ pub use bulk::{BulkLoadOptions, BulkLoadStats};
 pub struct RdfStore {
     cfg: StoreConfig,
     db: Database,
-    stats: Stats,
     /// Term dictionary shared with the registered `RDF_*` scalar functions.
     /// Populated by entity-layout loads/inserts; empty for the baseline
     /// layouts (whose tables keep canonical term strings).
     dict: SharedDict,
-    direct: Option<SideLayout>,
-    reverse: Option<SideLayout>,
-    vertical: Option<VerticalLayout>,
-    report: LoadReport,
-    loaded: bool,
+    meta: Meta,
     /// Mutation epoch: bumped whenever a mutation may have changed planning
     /// inputs — the term dictionary grew, a predicate layout moved (spill,
     /// multi-valued flip, widening), or a bulk `load`/schema experiment ran
@@ -133,21 +137,51 @@ pub struct RdfStore {
     plan_cache: Option<Arc<PlanCache>>,
 }
 
+/// What the store has built in the relational back-end, carrying the
+/// metadata only that layout has. `Empty` until the first load or insert;
+/// afterwards always the variant of the configured [`Layout`].
+#[allow(clippy::large_enum_variant)] // one value per store, never a collection
+#[derive(Debug, Clone, Default)]
+enum Schema {
+    #[default]
+    Empty,
+    Entity {
+        direct: SideLayout,
+        reverse: SideLayout,
+    },
+    TripleStore,
+    Vertical(VerticalLayout),
+}
+
+/// Everything the store knows about its dataset besides the rows — what
+/// `sys_meta` persists, a reader snapshot copies and a rollback restores,
+/// each as one value.
+#[derive(Debug, Clone, Default)]
+struct Meta {
+    schema: Schema,
+    stats: Stats,
+    report: LoadReport,
+}
+
 /// Copy-on-write backup of everything a mutation can touch, taken before a
-/// multi-op update request and restored if the request fails midway — the
-/// request-level all-or-nothing guarantee of the SPARQL Update applier.
-/// Cheap: tables are `Arc` bumps, side metadata is small. The term
-/// dictionary is deliberately *not* rolled back (it is append-only and
+/// request and restored if it fails — the request-level all-or-nothing
+/// guarantee. Cheap: tables are `Arc` bumps, side metadata is small. The
+/// term dictionary is deliberately *not* rolled back (it is append-only and
 /// interned-but-unreferenced entries are harmless); the epoch is bumped on
 /// rollback instead so no cached plan survives the partial intern.
 pub(crate) struct MutationCheckpoint {
     tables: std::collections::HashMap<String, Arc<relstore::Table>>,
-    direct: Option<SideLayout>,
-    reverse: Option<SideLayout>,
-    vertical: Option<VerticalLayout>,
-    report: LoadReport,
-    stats: Stats,
-    loaded: bool,
+    meta: Meta,
+}
+
+/// A request in flight: the only handle through which triples enter or
+/// leave the graph, so the per-triple bodies cannot run outside
+/// [`RdfStore::request`]'s batch, flush and rollback.
+pub(crate) struct Request<'a> {
+    store: &'a mut RdfStore,
+    /// Whether any op changed the graph — only then is there metadata to
+    /// flush.
+    changed: bool,
 }
 
 /// The metadata table (see the `persist` module): two TEXT columns `k` and
@@ -212,13 +246,8 @@ impl RdfStore {
         RdfStore {
             cfg,
             db,
-            stats: Stats::default(),
             dict,
-            direct: None,
-            reverse: None,
-            vertical: None,
-            report: LoadReport::default(),
-            loaded: false,
+            meta: Meta::default(),
             epoch: 0,
             plan_cache,
         }
@@ -247,33 +276,28 @@ impl RdfStore {
     // -- sys_meta persistence ------------------------------------------------
 
     /// Persist the store's side metadata into `sys_meta` and the term
-    /// dictionary's new entries into `sys_dict`. Called inside the mutation
-    /// batches so the metadata commits atomically with the data it
-    /// describes. No-op for in-memory stores.
+    /// dictionary's new entries into `sys_dict`. Called inside the request
+    /// (or bulk-load) batch so the metadata commits atomically with the
+    /// data it describes. No-op for in-memory stores.
     fn persist_meta(&mut self, dict: &Dict) -> Result<()> {
         if !self.db.is_durable() || self.db.is_read_only() {
             return Ok(());
         }
         self.persist_dict(dict)?;
         self.ensure_meta_table()?;
-        let layout = match self.cfg.layout {
-            Layout::Entity => "entity",
-            Layout::TripleStore => "triple-store",
-            Layout::Vertical => "vertical",
-        };
+        let Meta { schema, stats, report } = &self.meta;
         let mut blobs: Vec<(&str, String)> = vec![
-            ("layout", layout.to_string()),
-            ("stats", crate::persist::encode_stats(&self.stats)),
-            ("report", crate::persist::encode_report(&self.report)),
+            ("layout", meta_layout_name(self.cfg.layout).to_string()),
+            ("stats", crate::persist::encode_stats(stats)),
+            ("report", crate::persist::encode_report(report)),
         ];
-        if let Some(d) = &self.direct {
-            blobs.push(("direct", crate::persist::encode_side(d)));
-        }
-        if let Some(r) = &self.reverse {
-            blobs.push(("reverse", crate::persist::encode_side(r)));
-        }
-        if let Some(v) = &self.vertical {
-            blobs.push(("vertical", crate::persist::encode_vertical(v)));
+        match schema {
+            Schema::Entity { direct, reverse } => {
+                blobs.push(("direct", crate::persist::encode_side(direct)));
+                blobs.push(("reverse", crate::persist::encode_side(reverse)));
+            }
+            Schema::Vertical(v) => blobs.push(("vertical", crate::persist::encode_vertical(v))),
+            Schema::Empty | Schema::TripleStore => {}
         }
         for (key, value) in blobs {
             self.set_meta(key, value)?;
@@ -421,11 +445,7 @@ impl RdfStore {
         let Some(layout) = self.get_meta("layout") else {
             return Ok(());
         };
-        let expect = match self.cfg.layout {
-            Layout::Entity => "entity",
-            Layout::TripleStore => "triple-store",
-            Layout::Vertical => "vertical",
-        };
+        let expect = meta_layout_name(self.cfg.layout);
         if layout != expect {
             return Err(StoreError::Unsupported(format!(
                 "store was created with the {layout} layout but opened as {expect}"
@@ -469,29 +489,34 @@ impl RdfStore {
                 }
             }
         }
-        if let Some(text) = self.get_meta("stats") {
-            self.stats = crate::persist::decode_stats(&text).map_err(|e| corrupt("stats", e))?;
-        }
-        if let Some(text) = self.get_meta("report") {
-            self.report = crate::persist::decode_report(&text).map_err(|e| corrupt("report", e))?;
-        }
-        if let Some(text) = self.get_meta("direct") {
-            self.direct = Some(crate::persist::decode_side(&text).map_err(|e| corrupt("direct", e))?);
-        }
-        if let Some(text) = self.get_meta("reverse") {
-            self.reverse =
-                Some(crate::persist::decode_side(&text).map_err(|e| corrupt("reverse", e))?);
-        }
-        if let Some(text) = self.get_meta("vertical") {
-            self.vertical =
-                Some(crate::persist::decode_vertical(&text).map_err(|e| corrupt("vertical", e))?);
-        }
+        let side = |key: &str| {
+            self.get_meta(key)
+                .map(|text| crate::persist::decode_side(&text).map_err(|e| corrupt(key, e)))
+                .transpose()
+        };
+        let stats = match self.get_meta("stats") {
+            Some(text) => crate::persist::decode_stats(&text).map_err(|e| corrupt("stats", e))?,
+            None => Stats::default(),
+        };
+        let report = match self.get_meta("report") {
+            Some(text) => crate::persist::decode_report(&text).map_err(|e| corrupt("report", e))?,
+            None => LoadReport::default(),
+        };
         // A layout record is only ever written by a completed load.
-        match self.cfg.layout {
-            Layout::Entity => self.loaded = self.direct.is_some() && self.reverse.is_some(),
-            Layout::TripleStore => self.loaded = true,
-            Layout::Vertical => self.loaded = self.vertical.is_some(),
-        }
+        let schema = match self.cfg.layout {
+            Layout::Entity => match (side("direct")?, side("reverse")?) {
+                (Some(direct), Some(reverse)) => Schema::Entity { direct, reverse },
+                _ => Schema::Empty,
+            },
+            Layout::TripleStore => Schema::TripleStore,
+            Layout::Vertical => match self.get_meta("vertical") {
+                Some(text) => Schema::Vertical(
+                    crate::persist::decode_vertical(&text).map_err(|e| corrupt("vertical", e))?,
+                ),
+                None => Schema::Empty,
+            },
+        };
+        self.meta = Meta { schema, stats, report };
         Ok(())
     }
 
@@ -508,7 +533,7 @@ impl RdfStore {
     /// load ends in a checkpoint. The baseline layouts commit their load as
     /// one WAL transaction (crash ⇒ empty or complete).
     pub fn load(&mut self, triples: &[Triple]) -> Result<&LoadReport> {
-        if self.loaded {
+        if self.is_loaded() {
             return Err(StoreError::Unsupported(
                 "load() may only be called once; use insert() afterwards".into(),
             ));
@@ -517,30 +542,25 @@ impl RdfStore {
         let triples: Vec<&Triple> = triples.iter().filter(|t| seen.insert(*t)).collect();
         if self.cfg.layout == Layout::Entity {
             self.bulk_load_triples(triples, &BulkLoadOptions::default())?;
-            return Ok(&self.report);
+        } else {
+            self.request(true, |req| {
+                let store = &mut *req.store;
+                let schema = if store.cfg.layout == Layout::TripleStore {
+                    load_triple_store(&mut store.db, &triples)?;
+                    Schema::TripleStore
+                } else {
+                    Schema::Vertical(load_vertical(&mut store.db, &triples)?)
+                };
+                store.meta = Meta {
+                    schema,
+                    stats: Stats::collect(triples.iter().copied(), store.cfg.top_k),
+                    report: LoadReport { triples: triples.len() as u64, ..Default::default() },
+                };
+                req.changed = true;
+                Ok(())
+            })?;
         }
-        // Bumped unconditionally (even on a later error): the conservative
-        // move is to invalidate every cached plan whenever a mutation was
-        // attempted.
-        self.epoch += 1;
-        self.stats = Stats::collect(triples.iter().copied(), self.cfg.top_k);
-        self.report = LoadReport { triples: triples.len() as u64, ..Default::default() };
-        let dict_arc = self.dict.clone();
-        let dict = dict_arc.read();
-        self.db.begin_batch();
-        let res = (|| -> Result<()> {
-            if self.cfg.layout == Layout::TripleStore {
-                load_triple_store(&mut self.db, &triples)?;
-            } else {
-                self.vertical = Some(load_vertical(&mut self.db, &triples)?);
-            }
-            self.persist_meta(&dict)
-        })();
-        let committed = self.db.commit_batch();
-        res?;
-        committed?;
-        self.loaded = true;
-        Ok(&self.report)
+        Ok(&self.meta.report)
     }
 
     /// Bulk load from N-Triples/N-Quads text (named graphs are accepted and
@@ -552,9 +572,13 @@ impl RdfStore {
         self.load(&triples)
     }
 
-    /// Incrementally insert one triple after the bulk load. On a durable
-    /// store the data mutation and the `sys_meta` refresh commit as one WAL
-    /// transaction.
+    /// Incrementally insert one triple: a one-op request. On a durable
+    /// store the row changes and the `sys_dict`/`sys_meta` refresh commit
+    /// as one fsynced WAL frame; if anything fails — the commit included —
+    /// memory is rolled back, so a refused triple is never served. The
+    /// rollback is the request's copy-on-write checkpoint, so the call pays
+    /// a clone of each table it touches: build a large store with `load`
+    /// or the bulk loader, not an `insert` loop.
     ///
     /// Cached plans are invalidated only when the insert changed a planning
     /// input — it interned a new dictionary ID or moved a predicate layout
@@ -563,149 +587,79 @@ impl RdfStore {
     /// untouched: generated SQL is data-independent, so stale statistics
     /// can at worst pick a slower join order, never a wrong answer.
     pub fn insert(&mut self, triple: &Triple) -> Result<bool> {
-        if !self.loaded {
-            self.load(std::slice::from_ref(triple))?;
-            return Ok(true);
-        }
-        let fp_before = self.plan_fingerprint();
-        let dict_arc = self.dict.clone();
-        let mut dict = dict_arc.write();
-        self.db.begin_batch();
-        let res = (|| -> Result<bool> {
-            let added = match self.cfg.layout {
-                Layout::Entity => {
-                    let mut d = self.direct.take().expect("loaded entity layout");
-                    let mut r = self.reverse.take().expect("loaded entity layout");
-                    let added = insert_entity(
-                        &mut self.db,
-                        &mut d,
-                        &mut r,
-                        triple,
-                        &mut self.report,
-                        &mut dict,
-                    );
-                    self.direct = Some(d);
-                    self.reverse = Some(r);
-                    added?
-                }
-                Layout::TripleStore => {
-                    let added = insert_triple_store(&mut self.db, triple)?;
-                    if added {
-                        self.report.triples += 1;
-                    }
-                    added
-                }
-                Layout::Vertical => {
-                    let mut v = self.vertical.take().expect("loaded vertical layout");
-                    let res = insert_vertical(&mut self.db, &mut v, triple);
-                    self.vertical = Some(v);
-                    let added = res?;
-                    if added {
-                        self.report.triples += 1;
-                    }
-                    added
-                }
-            };
-            if added {
-                self.persist_meta(&dict)?;
-            }
-            Ok(added)
-        })();
-        drop(dict);
-        let committed = self.db.commit_batch();
-        // An error may have left freshly interned dictionary entries in
-        // memory, so the conservative move is to invalidate on any failure;
-        // on success the fingerprint decides (see the method doc).
-        if res.is_err() || committed.is_err() || self.plan_fingerprint() != fp_before {
-            self.epoch += 1;
-        } else if let Some(cache) = &self.plan_cache {
-            cache.note_invalidation_avoided();
-        }
-        let added = res?;
-        committed?;
-        Ok(added)
+        self.request(true, |req| req.insert(triple))
     }
 
-    /// Delete one triple from any layout. Returns true if the triple
-    /// existed.
+    /// Delete one triple from any layout: a one-op request with the same
+    /// frame, fsync and rollback contract as [`RdfStore::insert`]. Returns
+    /// true if the triple existed.
     ///
     /// Deletes never invalidate cached plans: the dictionary is append-only,
     /// predicate layouts never shrink, and generated SQL is data-independent
     /// — a stale plan replayed after a delete returns exactly the surviving
     /// rows. Each successful call counts as an avoided invalidation.
     pub fn delete(&mut self, triple: &Triple) -> Result<bool> {
-        if !self.loaded {
-            return Ok(false);
-        }
-        let dict_arc = self.dict.clone();
-        // Deletion never interns: a read guard suffices.
-        let dict = dict_arc.read();
+        self.request(true, |req| req.delete(triple))
+    }
+
+    /// The one skeleton every mutation runs through. `ops` adds and removes
+    /// triples through the [`Request`] it is handed (and may read the store
+    /// in between); everything around that is owned here: the checkpoint,
+    /// the WAL batch, one `sys_dict`/`sys_meta` flush, one plan-fingerprint
+    /// comparison, the commit — an fsynced frame when `sync`, an appended
+    /// one otherwise (the group-commit leader syncs) — and, on *any* error,
+    /// logical, append or fsync, the rollback to the checkpoint.
+    pub(crate) fn request<T>(
+        &mut self,
+        sync: bool,
+        ops: impl FnOnce(&mut Request<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let checkpoint = self.mutation_checkpoint();
+        let fingerprint = self.plan_fingerprint();
         self.db.begin_batch();
-        let res = (|| -> Result<bool> {
-            let removed = match self.cfg.layout {
-                Layout::Entity => {
-                    let d = self.direct.as_ref().expect("loaded entity layout").clone();
-                    let r = self.reverse.as_ref().expect("loaded entity layout").clone();
-                    crate::loader::delete_entity(
-                        &mut self.db,
-                        &d,
-                        &r,
-                        triple,
-                        &mut self.report,
-                        &dict,
-                    )?
-                }
-                Layout::TripleStore => {
-                    let removed = delete_triple_store(&mut self.db, triple)?;
-                    if removed {
-                        self.report.triples = self.report.triples.saturating_sub(1);
-                    }
-                    removed
-                }
-                Layout::Vertical => {
-                    let v = self.vertical.as_ref().expect("loaded vertical layout");
-                    let removed = delete_vertical(&mut self.db, v, triple)?;
-                    if removed {
-                        self.report.triples = self.report.triples.saturating_sub(1);
-                    }
-                    removed
-                }
-            };
-            if removed {
-                self.persist_meta(&dict)?;
+        let mut req = Request { store: self, changed: false };
+        let res = ops(&mut req);
+        let changed = req.changed;
+        let res = res.and_then(|out| {
+            if changed {
+                let dict = self.dict.clone();
+                self.persist_meta(&dict.read())?;
             }
-            Ok(removed)
-        })();
-        drop(dict);
-        let committed = self.db.commit_batch();
-        if res.is_err() || committed.is_err() {
-            self.epoch += 1; // conservative, mirroring insert()
-        } else if let Some(cache) = &self.plan_cache {
-            cache.note_invalidation_avoided();
+            self.db.finish_batch(sync)?;
+            Ok(out)
+        });
+        match res {
+            Ok(out) => {
+                if self.plan_fingerprint() != fingerprint {
+                    self.epoch += 1;
+                } else if let Some(cache) = &self.plan_cache {
+                    cache.note_invalidation_avoided();
+                }
+                Ok(out)
+            }
+            Err(e) => {
+                self.rollback_mutation(checkpoint);
+                Err(e)
+            }
         }
-        let removed = res?;
-        committed?;
-        Ok(removed)
     }
 
     /// The planning inputs a mutation can move, condensed to a comparable
     /// fingerprint: dictionary size (a new ID can turn a provably-empty
-    /// constant into a live one) and per-side layout shape (column count,
-    /// spill set, multi-valued set — each changes generated column probes),
-    /// plus the vertical layout's table count (a new predicate table
+    /// constant into a live one) and the schema's shape — per-side column
+    /// count, spill set and multi-valued set (each changes generated column
+    /// probes), or the vertical layout's table count (a new predicate table
     /// changes variable-predicate unions and un-empties lookups). Row data
     /// is deliberately absent: SQL generation never depends on it.
-    fn plan_fingerprint(&self) -> (usize, [usize; 3], [usize; 3], usize) {
-        let side = |s: &Option<SideLayout>| match s {
-            Some(s) => [s.ncols, s.spill_preds.len(), s.multivalued.len()],
-            None => [0; 3],
+    fn plan_fingerprint(&self) -> (usize, u8, [usize; 3], [usize; 3]) {
+        let side = |s: &SideLayout| [s.ncols, s.spill_preds.len(), s.multivalued.len()];
+        let (kind, a, b) = match &self.meta.schema {
+            Schema::Empty => (0, [0; 3], [0; 3]),
+            Schema::Entity { direct, reverse } => (1, side(direct), side(reverse)),
+            Schema::TripleStore => (2, [0; 3], [0; 3]),
+            Schema::Vertical(v) => (3, [v.tables.len(), 0, 0], [0; 3]),
         };
-        (
-            self.dict.read().len(),
-            side(&self.direct),
-            side(&self.reverse),
-            self.vertical.as_ref().map(|v| v.tables.len()).unwrap_or(0),
-        )
+        (self.dict.read().len(), kind, a, b)
     }
 
     /// Translate a SPARQL query to SQL without executing it.
@@ -744,9 +698,6 @@ impl RdfStore {
     /// — the SPARQL Update applier evaluates WHERE clauses through this (the
     /// AST came out of a parsed update request, not off the wire).
     pub(crate) fn query_parsed(&self, query: sparql::Query) -> Result<Solutions> {
-        if !self.loaded {
-            return Err(StoreError::Unsupported("store is empty; load data first".into()));
-        }
         let plan = self.plan_parsed(query)?;
         self.run_plan(&plan)
     }
@@ -784,9 +735,6 @@ impl RdfStore {
     /// moves the dictionary or a layout bumps the epoch, so a stale plan
     /// can never be replayed against a store whose planning inputs moved.
     fn plan(&self, sparql_text: &str) -> Result<Arc<CachedPlan>> {
-        if !self.loaded {
-            return Err(StoreError::Unsupported("store is empty; load data first".into()));
-        }
         let key = plancache::normalize(sparql_text);
         if let Some(cache) = &self.plan_cache {
             if let Some(plan) = cache.get(key, self.epoch) {
@@ -808,6 +756,9 @@ impl RdfStore {
     /// The §3 pipeline from an already-parsed query: optimize → merge →
     /// generate SQL.
     fn plan_parsed(&self, query: sparql::Query) -> Result<CachedPlan> {
+        if !self.is_loaded() {
+            return Err(StoreError::Unsupported("store is empty; load data first".into()));
+        }
         let projected = query.projected_variables();
         if query.is_fixed_answer() {
             // Valid SPARQL (`ASK {}`, `SELECT * WHERE {}`): nothing to
@@ -898,11 +849,9 @@ impl RdfStore {
                 offset: None,
             };
             let tree = PTree::build(&core_query);
-            let (flow, exec) = optimize(&tree, &self.stats, self.cfg.optimizer);
-            let exec = match self.cfg.layout {
-                Layout::Entity => {
-                    let direct = self.direct.as_ref().expect("loaded");
-                    let reverse = self.reverse.as_ref().expect("loaded");
+            let (flow, exec) = optimize(&tree, &self.meta.stats, self.cfg.optimizer);
+            let exec = match &self.meta.schema {
+                Schema::Entity { direct, reverse } => {
                     let info = MergeInfo {
                         spill_direct: &direct.spill_preds,
                         spill_reverse: &reverse.spill_preds,
@@ -914,17 +863,17 @@ impl RdfStore {
                     gen_pattern(&backend, &exec, state)?;
                     exec
                 }
-                Layout::TripleStore => {
+                Schema::TripleStore => {
                     let backend = TripleGen { tree: &tree };
                     gen_pattern(&backend, &exec, state)?;
                     exec
                 }
-                Layout::Vertical => {
-                    let layout = self.vertical.as_ref().expect("loaded");
+                Schema::Vertical(layout) => {
                     let backend = VerticalGen { tree: &tree, layout, max_union_tables: 500 };
                     gen_pattern(&backend, &exec, state)?;
                     exec
                 }
+                Schema::Empty => unreachable!("plan_parsed refuses an empty store"),
             };
             let flow = flow.order.iter().map(|n| (n.triple + 1, n.method.name())).collect();
             (flow, Some(exec))
@@ -980,17 +929,20 @@ impl RdfStore {
     }
 
     pub fn statistics(&self) -> &Stats {
-        &self.stats
+        &self.meta.stats
     }
 
     pub fn load_report(&self) -> &LoadReport {
-        &self.report
+        &self.meta.report
     }
 
     /// The entity layout's (direct, reverse) side layouts, once loaded.
     #[cfg(test)]
     pub(crate) fn side_layouts(&self) -> Option<(&SideLayout, &SideLayout)> {
-        self.direct.as_ref().zip(self.reverse.as_ref())
+        match &self.meta.schema {
+            Schema::Entity { direct, reverse } => Some((direct, reverse)),
+            _ => None,
+        }
     }
 
     /// Direct access to the relational back-end (read-only).
@@ -1064,7 +1016,7 @@ impl RdfStore {
 
     /// Whether a dataset has been loaded (or built up by inserts).
     pub fn is_loaded(&self) -> bool {
-        self.loaded
+        !matches!(self.meta.schema, Schema::Empty)
     }
 
     /// A snapshot-isolated read-only clone: tables are shared copy-on-write
@@ -1078,33 +1030,14 @@ impl RdfStore {
         RdfStore {
             cfg: self.cfg.clone(),
             db: self.db.snapshot_clone(),
-            stats: self.stats.clone(),
             dict: self.dict.clone(),
-            direct: self.direct.clone(),
-            reverse: self.reverse.clone(),
-            vertical: self.vertical.clone(),
-            report: self.report.clone(),
-            loaded: self.loaded,
+            meta: self.meta.clone(),
             epoch: self.epoch,
             plan_cache: self.plan_cache.clone(),
         }
     }
 
-    // -- SPARQL Update applier plumbing (crate-internal) --------------------
-
-    /// Open a nested WAL batch around a multi-op update request; see
-    /// [`crate::update`].
-    pub(crate) fn db_begin_batch(&mut self) {
-        self.db.begin_batch();
-    }
-
-    /// Close the request batch by *appending* its frame without fsync — the
-    /// group-commit leader pays one [`RdfStore::db_sync_wal`] for the whole
-    /// group afterwards.
-    pub(crate) fn db_commit_batch_nosync(&mut self) -> Result<()> {
-        self.db.commit_batch_nosync()?;
-        Ok(())
-    }
+    // -- request plumbing (crate-internal) ----------------------------------
 
     /// The group-commit barrier: fsync every frame appended since the last
     /// sync. On failure the store degrades to read-only and the unsynced
@@ -1117,15 +1050,7 @@ impl RdfStore {
     /// Take a copy-on-write backup of everything a mutation can touch; see
     /// [`MutationCheckpoint`].
     pub(crate) fn mutation_checkpoint(&self) -> MutationCheckpoint {
-        MutationCheckpoint {
-            tables: self.db.save_tables(),
-            direct: self.direct.clone(),
-            reverse: self.reverse.clone(),
-            vertical: self.vertical.clone(),
-            report: self.report.clone(),
-            stats: self.stats.clone(),
-            loaded: self.loaded,
-        }
+        MutationCheckpoint { tables: self.db.save_tables(), meta: self.meta.clone() }
     }
 
     /// Roll the store back to a [`MutationCheckpoint`], aborting any open
@@ -1136,12 +1061,7 @@ impl RdfStore {
     pub(crate) fn rollback_mutation(&mut self, cp: MutationCheckpoint) {
         self.db.abort_batch();
         self.db.restore_tables(cp.tables);
-        self.direct = cp.direct;
-        self.reverse = cp.reverse;
-        self.vertical = cp.vertical;
-        self.report = cp.report;
-        self.stats = cp.stats;
-        self.loaded = cp.loaded;
+        self.meta = cp.meta;
         self.epoch += 1;
     }
 
@@ -1163,6 +1083,57 @@ impl RdfStore {
                 .collect();
             table.widen_rewritten(cols);
         }
+    }
+}
+
+impl Request<'_> {
+    /// The store as the request's earlier ops left it (a `DELETE/INSERT`
+    /// evaluates its WHERE clause against this).
+    pub(crate) fn store(&self) -> &RdfStore {
+        self.store
+    }
+
+    /// Add one triple; true if it was new. The first insert into an empty
+    /// store builds the layout from that triple via [`RdfStore::load`],
+    /// nested in this request's batch.
+    pub(crate) fn insert(&mut self, triple: &Triple) -> Result<bool> {
+        let RdfStore { db, dict, meta, .. } = &mut *self.store;
+        let added = match &mut meta.schema {
+            Schema::Empty => {
+                self.store.load(std::slice::from_ref(triple))?;
+                self.changed = true;
+                return Ok(true);
+            }
+            Schema::Entity { direct, reverse } => {
+                insert_entity(db, direct, reverse, triple, &mut meta.report, &mut dict.write())?
+            }
+            Schema::TripleStore => insert_triple_store(db, triple)?,
+            Schema::Vertical(v) => insert_vertical(db, v, triple)?,
+        };
+        if added {
+            meta.report.triples += 1;
+            self.changed = true;
+        }
+        Ok(added)
+    }
+
+    /// Remove one triple; true if it existed. Deletion never interns, so a
+    /// read guard on the dictionary suffices.
+    pub(crate) fn delete(&mut self, triple: &Triple) -> Result<bool> {
+        let RdfStore { db, dict, meta, .. } = &mut *self.store;
+        let removed = match &meta.schema {
+            Schema::Empty => false,
+            Schema::Entity { direct, reverse } => {
+                delete_entity(db, direct, reverse, triple, &dict.read())?
+            }
+            Schema::TripleStore => delete_triple_store(db, triple)?,
+            Schema::Vertical(v) => delete_vertical(db, v, triple)?,
+        };
+        if removed {
+            meta.report.triples = meta.report.triples.saturating_sub(1);
+            self.changed = true;
+        }
+        Ok(removed)
     }
 }
 
@@ -1213,6 +1184,15 @@ fn trivial_solutions(plan: &CachedPlan) -> Solutions {
     }
 }
 
+/// The `sys_meta` "layout" record for a configured layout.
+fn meta_layout_name(layout: Layout) -> &'static str {
+    match layout {
+        Layout::Entity => "entity",
+        Layout::TripleStore => "triple-store",
+        Layout::Vertical => "vertical",
+    }
+}
+
 /// Convenience: which generator a layout uses (exposed for tests/benches
 /// that drive translation directly).
 pub fn layout_name(layout: Layout) -> &'static str {
@@ -1222,7 +1202,3 @@ pub fn layout_name(layout: Layout) -> &'static str {
         Layout::Vertical => "predicate-oriented (vertical)",
     }
 }
-
-// Silence an unused-import warning when compiled without tests referencing
-// the trait directly.
-const _: Option<&dyn StarGen> = None;

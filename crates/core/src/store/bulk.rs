@@ -7,7 +7,7 @@
 //! 1. **Chunked read** — the input is consumed as line-aligned chunks
 //!    ([`rdf::ChunkReader`]); the document is never resident.
 //! 2. **Morsel-parallel parse** — each round hands one chunk per worker to
-//!    the PR 6 [`WorkerPool`]; workers parse privately into a local
+//!    relstore's [`WorkerPool`]; workers parse privately into a local
 //!    distinct-term list (first-appearance order) plus term-index triples.
 //! 3. **Deterministic parallel intern** — worker results are merged *in
 //!    chunk order*, interning each chunk's term list sequentially. Chunk
@@ -37,10 +37,10 @@
 //! corruption error rather than serving a partial dataset; a crash before
 //! the first commit recovers to an empty store. Within any single batch the
 //! relstore WAL framing already guarantees all-or-nothing replay. When the
-//! caller already holds a batch open (a SPARQL Update request whose first
-//! insert lands in an empty store), every step above buffers into that
-//! batch, no checkpoint is taken, and the whole load commits or vanishes
-//! with the caller's frame.
+//! caller already holds a batch open (a request — a SPARQL Update or a
+//! stand-alone `insert` — whose first insert lands in an empty store),
+//! every step above buffers into that batch, no checkpoint is taken, and
+//! the whole load commits or vanishes with the request's frame.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -57,11 +57,12 @@ use crate::layout::{InterferenceGraph, PredMapping, SideLayout};
 use crate::loader::{self, EntityConfig, LoadReport};
 use crate::stats::{PredStat, Stats};
 
-use super::{Layout, RdfStore, BULK_MARKER};
+use super::{Layout, Meta, RdfStore, Schema, BULK_MARKER};
 
-/// Tuning for the streaming bulk loader. Defaults suit a 1-core box with a
-/// few GB of memory headroom; only `threads` changes results-invisible
-/// behavior (and, per the determinism contract, not even stored bytes).
+/// Tuning for the streaming bulk loader. The defaults bound memory to a few
+/// GB of headroom at any core count (`threads: None` follows the store's
+/// executor width); no field changes query results, and per the determinism
+/// contract not even `threads` changes a stored byte.
 #[derive(Debug, Clone)]
 pub struct BulkLoadOptions {
     /// Target bytes per line-aligned read chunk (the parse morsel).
@@ -171,7 +172,7 @@ impl RdfStore {
                 "bulk load supports the entity layout only".into(),
             ));
         }
-        if self.loaded {
+        if self.is_loaded() {
             return Err(StoreError::Unsupported(
                 "bulk load requires an empty store; it has already been loaded".into(),
             ));
@@ -285,13 +286,13 @@ impl RdfStore {
 
         // Finalize: stats, report, layouts, and the completion marker — one
         // atomic commit, then a checkpoint so reopen needs no WAL replay.
-        self.stats = sb.finish(self.cfg.top_k, dict, &pred_forms);
+        let stats = sb.finish(self.cfg.top_k, dict, &pred_forms);
         let storage: usize = ["dph", "ds", "rph", "rs"]
             .iter()
             .map(|t| self.db.table(t).map(|t| t.storage_bytes()).unwrap_or(0))
             .sum();
         let nulls = |db: &Database, t: &str| db.table(t).map(|t| t.null_fraction()).unwrap_or(0.0);
-        self.report = LoadReport {
+        let report = LoadReport {
             triples: bstats.triples,
             dph_rows: dside.rows,
             rph_rows: rside.rows,
@@ -306,8 +307,11 @@ impl RdfStore {
             rph_null_fraction: nulls(&self.db, "rph"),
             storage_bytes: storage as u64,
         };
-        self.direct = Some(dside.layout);
-        self.reverse = Some(rside.layout);
+        self.meta = Meta {
+            schema: Schema::Entity { direct: dside.layout, reverse: rside.layout },
+            stats,
+            report,
+        };
         self.db.begin_batch();
         let res = (|| -> Result<()> {
             let dict_ref: &Dict = dict;
@@ -318,11 +322,13 @@ impl RdfStore {
             Ok(())
         })();
         let committed = self.db.commit_batch();
-        res?;
-        committed?;
+        if let Err(e) = res.and(committed.map_err(StoreError::from)) {
+            // Not committed, so not loaded: queries keep refusing.
+            self.meta = Meta::default();
+            return Err(e);
+        }
         // The dataset is committed: the store is loaded even if the
         // closing checkpoint below fails (its error is still returned).
-        self.loaded = true;
         bstats.dict = dict.mem_stats();
         if checkpoints {
             self.db.checkpoint()?;

@@ -1,12 +1,14 @@
 //! SPARQL 1.1 Update applier.
 //!
 //! An update request (`INSERT DATA` / `DELETE DATA` / `DELETE/INSERT ...
-//! WHERE`, `;`-separated) is applied to the store as **one WAL frame**:
-//! every operation's row mutations batch into a single frame appended via
-//! `commit_batch_nosync`, so crash recovery replays requests all-or-nothing
-//! — a half-applied `DELETE/INSERT` can never become visible. The fsync for
-//! the frame is *not* paid here: the group-commit leader in
-//! [`crate::shared`] syncs once per group of concurrent requests.
+//! WHERE`, `;`-separated) is one mutation request in the sense of
+//! [`RdfStore::request`] — the same skeleton a stand-alone
+//! `RdfStore::insert` runs through — so it is applied as **one WAL frame**:
+//! every operation's row mutations and the request's single
+//! `sys_dict`/`sys_meta` flush batch into a frame that crash recovery
+//! replays all-or-nothing — a half-applied `DELETE/INSERT` can never become
+//! visible. The frame is *appended*, not fsynced: the group-commit leader
+//! in [`crate::shared`] syncs once per group of concurrent requests.
 //!
 //! Request semantics follow the W3C Update spec for the supported subset:
 //!
@@ -24,10 +26,10 @@
 //!   existing triple or deleting an absent one moves nothing).
 //!
 //! A request that fails midway (an unsupported WHERE shape, a budget
-//! error) is rolled back wholesale via [`RdfStore`]'s copy-on-write
-//! mutation checkpoint: the store's tables, side metadata, and the open
-//! batch are restored, so the failed request mutates nothing — in memory
-//! or on disk.
+//! error, a failed append) is rolled back wholesale by the skeleton: the
+//! store's tables, side metadata, and the open batch are restored, so the
+//! failed request mutates nothing — in memory or on disk. This module only
+//! says *which* triples a request adds and removes.
 
 use std::collections::HashMap;
 
@@ -35,7 +37,7 @@ use rdf::{Term, Triple};
 use sparql::{GroupPattern, Pattern, Query, QueryForm, SelectVars, TriplePattern, Update, UpdateOp};
 
 use crate::error::Result;
-use crate::store::RdfStore;
+use crate::store::{RdfStore, Request};
 
 /// Effect summary of one applied update request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,54 +52,36 @@ pub struct UpdateOutcome {
 /// synced — the caller owns the group-commit barrier). On error the store
 /// is rolled back to its state before the request.
 pub fn apply_update(store: &mut RdfStore, update: &Update) -> Result<UpdateOutcome> {
-    let checkpoint = store.mutation_checkpoint();
-    store.db_begin_batch();
-    match apply_ops(store, update).and_then(|out| {
-        store.db_commit_batch_nosync()?;
-        Ok(out)
-    }) {
-        Ok(out) => Ok(out),
-        Err(e) => {
-            store.rollback_mutation(checkpoint);
-            Err(e)
+    store.request(false, |req| {
+        let mut out = UpdateOutcome::default();
+        for op in &update.ops {
+            match op {
+                UpdateOp::InsertData(triples) => apply_triples(req, &[], triples, &mut out)?,
+                UpdateOp::DeleteData(triples) => apply_triples(req, triples, &[], &mut out)?,
+                UpdateOp::DeleteInsert { delete, insert, pattern } => {
+                    let (deletions, insertions) = ground(req.store(), delete, insert, pattern)?;
+                    apply_triples(req, &deletions, &insertions, &mut out)?;
+                }
+            }
         }
-    }
+        Ok(out)
+    })
 }
 
-fn apply_ops(store: &mut RdfStore, update: &Update) -> Result<UpdateOutcome> {
-    let mut out = UpdateOutcome::default();
-    for op in &update.ops {
-        match op {
-            UpdateOp::InsertData(triples) => {
-                for t in triples {
-                    if store.insert(t)? {
-                        out.inserted += 1;
-                    }
-                }
-            }
-            UpdateOp::DeleteData(triples) => {
-                for t in triples {
-                    if store.delete(t)? {
-                        out.deleted += 1;
-                    }
-                }
-            }
-            UpdateOp::DeleteInsert { delete, insert, pattern } => {
-                let (deletions, insertions) = ground(store, delete, insert, pattern)?;
-                for t in &deletions {
-                    if store.delete(t)? {
-                        out.deleted += 1;
-                    }
-                }
-                for t in &insertions {
-                    if store.insert(t)? {
-                        out.inserted += 1;
-                    }
-                }
-            }
-        }
+/// Deletes before inserts, counting only triples that changed the graph.
+fn apply_triples(
+    req: &mut Request<'_>,
+    deletions: &[Triple],
+    insertions: &[Triple],
+    out: &mut UpdateOutcome,
+) -> Result<()> {
+    for t in deletions {
+        out.deleted += req.delete(t)? as u64;
     }
-    Ok(out)
+    for t in insertions {
+        out.inserted += req.insert(t)? as u64;
+    }
+    Ok(())
 }
 
 /// Evaluate a `DELETE/INSERT` operation's WHERE clause against the current

@@ -136,6 +136,75 @@ fn incremental_inserts_and_deletes_survive_crash() {
     assert_eq!(sols.len(), 3);
 }
 
+/// A stand-alone `insert`/`delete` whose commit fails must not serve what
+/// it refused: the store degrades to read-only *and* rolls memory back, so
+/// what it answers before the restart is what it answers after.
+#[test]
+fn failed_commit_on_the_stand_alone_path_rolls_back() {
+    let cfg = StoreConfig::default();
+    for delete in [false, true] {
+        let dir = fresh_dir("failed-commit");
+        {
+            let mut store = RdfStore::open(&dir, cfg.clone()).unwrap();
+            store.load(&sample()).unwrap();
+            store.close().unwrap();
+        }
+        // The first fsync of this store's life is the mutation's commit.
+        let faults = relstore::ScriptedFaults::new().fail_sync(0).into_handle();
+        let mut store = RdfStore::open_with_faults(&dir, cfg.clone(), faults).unwrap();
+        let (victim, query, rows) = if delete {
+            (t("Flint", "founder", "IBM"), "SELECT ?x WHERE { <Flint> <founder> ?x }", 1)
+        } else {
+            (t("Eve", "founder", "Evil"), "SELECT ?x WHERE { <Eve> <founder> ?x }", 0)
+        };
+        let refused = if delete { store.delete(&victim) } else { store.insert(&victim) };
+        assert!(refused.is_err(), "delete={delete}: the sync failure must surface");
+        assert!(store.is_read_only(), "delete={delete}: a failed commit degrades the store");
+        assert_eq!(store.query(query).unwrap().len(), rows, "delete={delete}: before reopen");
+        assert_eq!(store.load_report().triples, sample().len() as u64, "delete={delete}");
+        drop(store);
+        let store = RdfStore::open(&dir, cfg.clone()).unwrap();
+        assert_eq!(store.query(query).unwrap().len(), rows, "delete={delete}: after reopen");
+        assert_eq!(store.load_report().triples, sample().len() as u64, "delete={delete}");
+    }
+}
+
+/// WAL economy: a request flushes its metadata once. The one frame of a
+/// 5-triple `INSERT DATA` — new subjects, so the dictionary's tail page and
+/// the report both move with every triple — writes each `sys_meta` cell and
+/// each `sys_dict` page at most once, not once per triple.
+#[test]
+fn a_request_writes_each_metadata_row_once() {
+    use relstore::WalOp;
+    let dir = fresh_dir("wal-economy");
+    let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+    store.load(&sample()).unwrap();
+    let wal = dir.join(format!("wal.{}", store.database().generation().unwrap()));
+    let shared = db2rdf::SharedStore::new(store);
+    let data: String =
+        (0..5).map(|i| format!("<Founder{i}> <founder> <Startup{i}> . ")).collect();
+    let out = shared.update(&format!("INSERT DATA {{ {data} }}")).unwrap();
+    assert_eq!(out.inserted, 5);
+
+    let log = relstore::wal::recover(&wal, &relstore::no_faults()).unwrap();
+    let frame = log.txns.last().expect("the request's frame");
+    let mut cell_writes = std::collections::HashMap::new();
+    let mut dict_appends = 0;
+    for op in frame {
+        match op {
+            WalOp::UpdateCell { table, row_id, col, .. } if table.starts_with("sys_") => {
+                *cell_writes.entry((table.as_str(), *row_id, *col)).or_insert(0) += 1;
+            }
+            WalOp::InsertRows { table, .. } if table == "sys_dict" => dict_appends += 1,
+            _ => {}
+        }
+    }
+    assert!(cell_writes.keys().any(|(t, ..)| *t == "sys_meta"), "the report row moved");
+    assert!(cell_writes.keys().any(|(t, ..)| *t == "sys_dict"), "the tail page grew");
+    assert!(cell_writes.values().all(|&n| n == 1), "a cell written twice: {cell_writes:?}");
+    assert!(dict_appends <= 1, "sys_dict pages appended in {dict_appends} ops");
+}
+
 #[test]
 fn triple_store_layout_survives_crash() {
     let dir = fresh_dir("triples-crash");

@@ -316,6 +316,7 @@ fn shared_store_writer_races_cached_readers() {
         scope.spawn(move || {
             for i in 0..TARGETS {
                 writer
+                    .write()
                     .insert(&triple(
                         &format!("http://writer/{i}"),
                         "http://p/knows",

@@ -53,6 +53,21 @@ struct Durability {
     read_only: bool,
 }
 
+impl Durability {
+    /// Run one write against the WAL. Any failure — or a WAL that never
+    /// opened for append — degrades the database to read-only.
+    fn wal_io(&mut self, io: impl FnOnce(&mut WalWriter) -> std::io::Result<()>) -> Result<()> {
+        let res = match &mut self.wal {
+            Some(w) => io(w).map_err(|e| Error::Io(e.to_string())),
+            None => Err(Error::ReadOnly),
+        };
+        if res.is_err() {
+            self.read_only = true;
+        }
+        res
+    }
+}
+
 /// An in-memory relational database with a SQL interface and optional
 /// write-ahead-logged persistence.
 ///
@@ -282,29 +297,7 @@ impl Database {
     /// ops are written and fsynced as one WAL frame. A write failure
     /// degrades the database to read-only and surfaces as an error.
     pub fn commit_batch(&mut self) -> Result<()> {
-        let Some(d) = &mut self.durability else {
-            return Ok(());
-        };
-        if d.batch_depth == 0 {
-            return Ok(());
-        }
-        d.batch_depth -= 1;
-        if d.batch_depth > 0 {
-            return Ok(());
-        }
-        let (ops, nops) = d.batch.take().unwrap_or_default();
-        if nops == 0 {
-            return Ok(());
-        }
-        let payload = wal::frame_payload(nops, &ops);
-        let res = match &mut d.wal {
-            Some(w) => w.commit(&payload).map_err(|e| Error::Io(e.to_string())),
-            None => Err(Error::ReadOnly),
-        };
-        if res.is_err() {
-            d.read_only = true;
-        }
-        res
+        self.finish_batch(true)
     }
 
     /// Like [`Database::commit_batch`], but the frame is only *appended* to
@@ -314,6 +307,13 @@ impl Database {
     /// degrades to read-only (and the unsynced tail is discarded by the
     /// writer, so nothing half-appended can be replayed).
     pub fn commit_batch_nosync(&mut self) -> Result<()> {
+        self.finish_batch(false)
+    }
+
+    /// The one body behind both commits: close a batch level and, at the
+    /// outermost one, write the buffered ops as a single frame — fsynced
+    /// when `sync`, appended otherwise.
+    pub fn finish_batch(&mut self, sync: bool) -> Result<()> {
         let Some(d) = &mut self.durability else {
             return Ok(());
         };
@@ -329,14 +329,7 @@ impl Database {
             return Ok(());
         }
         let payload = wal::frame_payload(nops, &ops);
-        let res = match &mut d.wal {
-            Some(w) => w.append(&payload).map_err(|e| Error::Io(e.to_string())),
-            None => Err(Error::ReadOnly),
-        };
-        if res.is_err() {
-            d.read_only = true;
-        }
-        res
+        d.wal_io(|w| if sync { w.commit(&payload) } else { w.append(&payload) })
     }
 
     /// Fsync every frame appended by [`Database::commit_batch_nosync`]
@@ -345,17 +338,10 @@ impl Database {
     /// read-only: the group's updates were never acknowledged and must not
     /// survive a restart. No-op for in-memory databases.
     pub fn sync_wal(&mut self) -> Result<()> {
-        let Some(d) = &mut self.durability else {
-            return Ok(());
-        };
-        let res = match &mut d.wal {
-            Some(w) => w.sync().map_err(|e| Error::Io(e.to_string())),
-            None => Err(Error::ReadOnly),
-        };
-        if res.is_err() {
-            d.read_only = true;
+        match &mut self.durability {
+            Some(d) => d.wal_io(WalWriter::sync),
+            None => Ok(()),
         }
-        res
     }
 
     /// Copy-on-write backup of the current table set (`Arc` bumps only).
@@ -419,14 +405,7 @@ impl Database {
             return Ok(());
         }
         let payload = wal::frame_payload(1, &ops);
-        let res = match &mut d.wal {
-            Some(w) => w.commit(&payload).map_err(|e| Error::Io(e.to_string())),
-            None => Err(Error::ReadOnly),
-        };
-        if res.is_err() {
-            d.read_only = true;
-        }
-        res
+        d.wal_io(|w| w.commit(&payload))
     }
 
     /// Apply a recovered WAL op to the in-memory state (no re-logging).

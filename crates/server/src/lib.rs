@@ -13,17 +13,19 @@
 //!   SPARQL 1.1 Update requests, group-committed with whatever concurrent
 //!   updates are in flight (one fsync per group; see DESIGN.md §4.12). A
 //!   store degraded to read-only refuses them with 503 + `Retry-After`;
+//! * `POST /insert` — an N-Triples body, parsed as it streams in; every 512
+//!   triples go through the same queue as one `INSERT DATA` request;
 //! * `GET /healthz` — liveness probe;
 //! * `GET /stats` — load report plus per-endpoint counters, update/group-
 //!   commit counters, and latency quantiles from the in-repo histogram.
 //!
 //! Admission control is layered (DESIGN.md §4.8): a global in-flight cap
-//! sheds excess queries with 503 + `Retry-After` *before* they touch the
-//! store, and every admitted query runs under the store's existing
-//! row-budget and wall-clock-deadline knobs, whose trips also surface as
-//! 503 — so one pathological query can burn at most
-//! `row_budget`/`deadline`, and at most `max_in_flight` of them can burn
-//! it concurrently. Service errors never tear down a worker: store
+//! sheds excess requests — queries, updates and inserts alike — with 503 +
+//! `Retry-After` *before* they touch the store, and every admitted query
+//! runs under the store's existing row-budget and wall-clock-deadline
+//! knobs, whose trips also surface as 503 — so one pathological query can
+//! burn at most `row_budget`/`deadline`, and at most `max_in_flight` of
+//! them can burn it concurrently. Service errors never tear down a worker: store
 //! panics are caught at the boundary and become 500s.
 //!
 //! [`Server::shutdown`] is graceful: the listener stops accepting, workers
@@ -44,6 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use db2rdf::sparql::{Update, UpdateOp};
 use db2rdf::{SharedStore, StoreError};
 
 use http::{parse_urlencoded, Conn, ReadError, Request, Response};
@@ -577,6 +580,31 @@ impl Drop for Admission<'_> {
     }
 }
 
+/// The one way a handler touches the store: take an in-flight slot or shed
+/// with 503 + `Retry-After` *before* any store work, run `work` behind a
+/// panic boundary (the audit in DESIGN.md §4.8 found no reachable panic in
+/// the translate/query/update paths, but the server must not bet its
+/// workers on that invariant holding forever), release the slot on every
+/// exit. `Err` is the response to send instead of `work`'s result.
+fn admitted<T>(inner: &Inner, what: &str, work: impl FnOnce() -> T) -> Result<T, Response> {
+    let prev = inner.in_flight.fetch_add(1, Ordering::SeqCst);
+    let _slot = Admission(&inner.in_flight);
+    if prev >= inner.cfg.max_in_flight {
+        inner.shed.fetch_add(1, Ordering::Relaxed);
+        return Err(Response::text(
+            503,
+            format!(
+                "server overloaded: {} requests in flight (cap {})",
+                prev + 1,
+                inner.cfg.max_in_flight
+            ),
+        )
+        .with_header("Retry-After", "1"));
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+        .map_err(|_| Response::text(500, format!("internal error: {what} evaluation panicked")))
+}
+
 fn handle_sparql(inner: &Inner, req: &Request) -> Response {
     let negotiated = match negotiate_format(req) {
         Ok(n) => n,
@@ -587,33 +615,9 @@ fn handle_sparql(inner: &Inner, req: &Request) -> Response {
         Err(resp) => return resp,
     };
 
-    // Admission control: bounded concurrent evaluation, shed the rest.
-    let prev = inner.in_flight.fetch_add(1, Ordering::SeqCst);
-    let slot = Admission(&inner.in_flight);
-    if prev >= inner.cfg.max_in_flight {
-        drop(slot);
-        inner.shed.fetch_add(1, Ordering::Relaxed);
-        return Response::text(
-            503,
-            format!(
-                "server overloaded: {} queries in flight (cap {})",
-                prev + 1,
-                inner.cfg.max_in_flight
-            ),
-        )
-        .with_header("Retry-After", "1");
-    }
-
-    // The store boundary: catch panics so one bad query cannot take down a
-    // worker (the audit in DESIGN.md §4.8 found no reachable panic in the
-    // translate/query paths, but the server must not bet its workers on
-    // that invariant holding forever).
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        inner.store.query(&sparql)
-    }));
-    drop(slot);
-
-    match result {
+    match admitted(inner, "query", || inner.store.query(&sparql)) {
+        Err(resp) => resp,
+        Ok(Err(e)) => store_error_response(&e),
         Ok(Ok(solutions)) => {
             // The W3C TSV format defines no boolean form: an ASK result
             // negotiated to TSV steers to JSON when the client also
@@ -636,8 +640,6 @@ fn handle_sparql(inner: &Inner, req: &Request) -> Response {
                 Format::Tsv => Response::new(200, TSV_MEDIA, solutions.to_tsv().into_bytes()),
             }
         }
-        Ok(Err(e)) => store_error_response(&e),
-        Err(_) => Response::text(500, "internal error: query evaluation panicked"),
     }
 }
 
@@ -656,28 +658,9 @@ fn handle_update(inner: &Inner, req: &Request) -> Response {
         return degraded_response();
     }
 
-    let prev = inner.in_flight.fetch_add(1, Ordering::SeqCst);
-    let slot = Admission(&inner.in_flight);
-    if prev >= inner.cfg.max_in_flight {
-        drop(slot);
-        inner.shed.fetch_add(1, Ordering::Relaxed);
-        return Response::text(
-            503,
-            format!(
-                "server overloaded: {} requests in flight (cap {})",
-                prev + 1,
-                inner.cfg.max_in_flight
-            ),
-        )
-        .with_header("Retry-After", "1");
-    }
-
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        inner.store.update(&text)
-    }));
-    drop(slot);
-
-    match result {
+    match admitted(inner, "update", || inner.store.update(&text)) {
+        Err(resp) => resp,
+        Ok(Err(e)) => store_error_response(&e),
         Ok(Ok(outcome)) => Response::new(
             200,
             "application/json",
@@ -687,23 +670,23 @@ fn handle_update(inner: &Inner, req: &Request) -> Response {
             )
             .into_bytes(),
         ),
-        Ok(Err(e)) => store_error_response(&e),
-        Err(_) => Response::text(500, "internal error: update evaluation panicked"),
     }
 }
 
-/// Handle `POST /insert`: an N-Triples body, one triple per line, loaded
-/// under the store's write lock. The body is *streamed* — parsed in
-/// line-aligned chunks as it arrives off the socket (`rdf::NtStream`), so
-/// an upload near the size cap costs chunk-sized memory, not the body; the
-/// cap itself was enforced from `Content-Length` before any body byte was
-/// read. A store that degraded to read-only after a durability fault
-/// refuses the mutation with 503 + `Retry-After` (an operator restoring
-/// the volume fixes it; silently dropping writes never does) — checked up
-/// front so a doomed upload is rejected before parsing, and enforced again
-/// per-triple in case degradation races the check. Triples already
-/// inserted when a later line fails stay inserted, exactly as the buffered
-/// handler behaved on a mid-batch store error.
+/// Handle `POST /insert`: an N-Triples body, one triple per line. The body
+/// is *streamed* — parsed in line-aligned chunks as it arrives off the
+/// socket (`rdf::NtStream`), so an upload near the size cap costs
+/// chunk-sized memory, not the body; the cap itself was enforced from
+/// `Content-Length` before any body byte was read. Every `INSERT_CHUNK`
+/// triples go to the store as one `INSERT DATA` request through the same
+/// group-commit queue as `/update`: one WAL frame, one group fsync,
+/// all-or-nothing per chunk, counted in `/stats`' update counters. The
+/// whole upload holds one admission slot and runs behind the panic
+/// boundary, like every other store-touching handler. A store that
+/// degraded to read-only refuses with 503 + `Retry-After` — checked up
+/// front so a doomed upload is rejected before parsing, and again by the
+/// queue per chunk in case degradation races the check. Chunks committed
+/// before a later line (or chunk) fails stay committed.
 fn handle_insert(inner: &Inner, req: &Request, body: &mut http::BodyReader<'_>) -> Response {
     match req.media_type().as_deref() {
         None | Some("application/n-triples" | "text/plain") => {}
@@ -717,20 +700,23 @@ fn handle_insert(inner: &Inner, req: &Request, body: &mut http::BodyReader<'_>) 
     if inner.store.is_read_only() {
         return degraded_response();
     }
-    // Chunked: each flush takes the write lock and publishes a reader
-    // snapshot once per INSERT_CHUNK triples instead of once per triple.
+    admitted(inner, "insert", || stream_insert(inner, body)).unwrap_or_else(|resp| resp)
+}
+
+fn stream_insert(inner: &Inner, body: &mut http::BodyReader<'_>) -> Response {
     const INSERT_CHUNK: usize = 512;
     let mut received = 0usize;
     let mut inserted = 0u64;
     let mut chunk: Vec<rdf::Triple> = Vec::with_capacity(INSERT_CHUNK);
     let flush = |chunk: &mut Vec<rdf::Triple>| -> Result<u64, Response> {
-        let n = match inner.store.insert_many(chunk) {
-            Ok(n) => n,
-            Err(e) if e.is_read_only() => return Err(degraded_response()),
-            Err(e) => return Err(store_error_response(&e)),
-        };
-        chunk.clear();
-        Ok(n)
+        if chunk.is_empty() {
+            return Ok(0);
+        }
+        let ops = vec![UpdateOp::InsertData(std::mem::take(chunk))];
+        match inner.store.apply_parsed_update(Update { ops }) {
+            Ok(outcome) => Ok(outcome.inserted),
+            Err(e) => Err(store_error_response(&e)),
+        }
     };
     for quad in rdf::NtStream::new(&mut *body) {
         let quad = match quad {

@@ -348,12 +348,25 @@ fn zero_capacity_sheds_everything_with_503() {
     assert_eq!(r.status, 503);
     assert_eq!(r.header("retry-after"), Some("1"));
     assert!(r.text().contains("overloaded"), "{}", r.text());
+    // The two mutation endpoints shed through the same gate.
+    let addr = server.local_addr();
+    let update = b"INSERT DATA { <http://ex/z> <http://ex/knows> <http://ex/carol> }";
+    let insert = b"<http://ex/z> <http://ex/knows> <http://ex/carol> .\n";
+    for (path, media, body) in [
+        ("/update", "application/sparql-update", &update[..]),
+        ("/insert", "application/n-triples", &insert[..]),
+    ] {
+        let r = client::request(addr, "POST", path, &[("Content-Type", media)], body).unwrap();
+        assert_eq!(r.status, 503, "{path}: {}", r.text());
+        assert_eq!(r.header("retry-after"), Some("1"), "{path}");
+        assert!(r.text().contains("overloaded"), "{path}: {}", r.text());
+    }
     // Health stays green while queries shed: the probe is not admission-
     // controlled.
     let r = client::request(server.local_addr(), "GET", "/healthz", &[], b"").unwrap();
     assert_eq!(r.status, 200);
     let r = client::request(server.local_addr(), "GET", "/stats", &[], b"").unwrap();
-    assert!(r.text().contains("\"shed\":1"), "{}", r.text());
+    assert!(r.text().contains("\"shed\":3"), "{}", r.text());
     server.shutdown();
 }
 
@@ -528,11 +541,20 @@ fn stats_expose_update_and_group_commit_counters() {
         .unwrap();
         assert_eq!(r.status, 200, "{}", r.text());
     }
+    // An /insert body is an update request too: it moves the same counters.
+    let r = client::request(
+        addr,
+        "POST",
+        "/insert",
+        &[("Content-Type", "application/n-triples")],
+        b"<http://ex/u9> <http://ex/knows> <http://ex/carol> .\n",
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
     let r = client::request(addr, "GET", "/stats", &[], b"").unwrap();
     assert_eq!(r.status, 200);
     let body = r.text();
-    assert!(body.contains("\"updates\":{\"groups\":"), "{body}");
-    assert!(body.contains("\"applied\":3"), "{body}");
+    assert!(body.contains("\"updates\":{\"groups\":4,\"applied\":4,"), "{body}");
     assert!(body.contains("\"batch_sizes\":{\"1\":"), "{body}");
     assert!(body.contains("\"invalidations_avoided\":"), "{body}");
     assert!(body.contains("\"update\":{"), "{body}");

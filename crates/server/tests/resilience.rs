@@ -182,6 +182,9 @@ fn degraded_store_surfaces_in_healthz_stats_and_insert() {
     let r = c.sparql_get(Q_KNOWS, None).unwrap();
     assert_eq!(r.status, 200);
     assert!(r.text().contains("http://ex/alice"), "{}", r.text());
+    // ...and only that: the triple whose commit failed was rolled back, so
+    // the refused write is not served either.
+    assert!(!r.text().contains("http://ex/eve"), "{}", r.text());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,6 +5,7 @@
 #
 #   scripts/verify.sh            # tier-1: release build + root-package tests
 #   scripts/verify.sh --all      # additionally test every workspace crate
+#                                # and the e2e harness's own unit tests
 #   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
 #   scripts/verify.sh --smoke    # additionally run the six bounded smoke
 #                                # profiles; each asserts its own invariants,
@@ -53,6 +54,9 @@ cargo test -q --offline
 if $run_all; then
     echo "== cargo test -q --workspace --offline"
     cargo test -q --workspace --offline
+    # The benchmark harness is a package of its own, outside the workspace.
+    echo "== cargo test -q --offline --manifest-path e2e/Cargo.toml"
+    cargo test -q --offline --manifest-path e2e/Cargo.toml
 fi
 
 if $run_clippy; then
