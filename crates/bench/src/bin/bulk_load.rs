@@ -4,13 +4,15 @@
 //! `bulk_load_triples` fed straight from `datagen::lubm::stream` (no
 //! materialized triple vector) and writes `BENCH_load.json`: triples/s,
 //! per-phase times, dictionary size, peak RSS (`VmHWM` from
-//! `/proc/self/status`), and post-load latency for a subset of the LUBM
-//! query mix.
+//! `/proc/self/status`), post-load latency for a subset of the LUBM query
+//! mix, and the p50 of 200 stand-alone `RdfStore::insert`s into the loaded
+//! store (`insert_p50_us`).
 //!
 //! `BULK_LOAD_SMOKE=1` switches to the CI profile: ~100k triples and a hard
 //! peak-RSS ceiling (`BULK_LOAD_RSS_CEILING_MB`, default 1024) that fails
-//! the run if the streaming pipeline ever buffers the dataset wholesale;
-//! the JSON is printed, not written.
+//! the run if the streaming pipeline ever buffers the dataset wholesale,
+//! plus a 2 ms ceiling on the insert p50 that fails it if a commit copies
+//! whole tables again; the JSON is printed, not written.
 //!
 //! Dependency-free: `std::time::Instant` timing, hand-rolled JSON. Run
 //! with `cargo run --release -p bench --bin bulk_load`.
@@ -52,6 +54,35 @@ fn query_latencies(store: &RdfStore, names: &[&str]) -> Vec<QueryLatency> {
             QueryLatency { name: q.name, rows: sols.len(), secs: t.elapsed().as_secs_f64() }
         })
         .collect()
+}
+
+/// Stand-alone inserts timed after the load.
+const INSERTS: usize = 200;
+
+/// The smoke profile's ceiling on their p50: a commit copies the row
+/// chunks and index shards it touches, tens of µs; ~10x headroom keeps a
+/// shared 2-core host from flaking while a whole-table copy (~20 ms at
+/// 100k triples) still fails loudly.
+const INSERT_P50_CEILING_US: f64 = 2000.0;
+
+/// Median latency of [`INSERTS`] stand-alone `RdfStore::insert`s of new
+/// triples (new subject, new object) into the loaded store, in µs — each a
+/// request of its own with its copy-on-write checkpoint.
+fn insert_p50_us(store: &mut RdfStore) -> f64 {
+    let mut us: Vec<f64> = (0..INSERTS)
+        .map(|i| {
+            let triple = rdf::Triple::new(
+                rdf::Term::iri(format!("http://bench.example/insert/s{i}")),
+                rdf::Term::iri("http://bench.example/insert/p"),
+                rdf::Term::lit(format!("o{i}")),
+            );
+            let t = Instant::now();
+            assert!(store.insert(&triple).expect("insert"), "triple {i} was not new");
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[INSERTS / 2]
 }
 
 fn latency_json(lat: &[QueryLatency]) -> String {
@@ -111,6 +142,8 @@ fn main() {
     for l in &queries {
         println!("  {}: {} rows in {:.1} ms", l.name, l.rows, l.secs * 1e3);
     }
+    let insert_p50_us = insert_p50_us(&mut store);
+    println!("  stand-alone insert: p50 {insert_p50_us:.1} µs over {INSERTS} new triples");
     drop(store);
 
     let rss_ceiling_mb = env_u64("BULK_LOAD_RSS_CEILING_MB", 1024);
@@ -124,6 +157,11 @@ fn main() {
                 rss_ceiling_mb
             );
         }
+        assert!(
+            insert_p50_us <= INSERT_P50_CEILING_US,
+            "stand-alone insert p50 {insert_p50_us:.0} µs exceeds the {INSERT_P50_CEILING_US} µs \
+             smoke ceiling — a commit is copying whole tables again"
+        );
     }
     let json = format!(
         "{{\"smoke\":{smoke},\"seed\":{seed},\
@@ -131,7 +169,7 @@ fn main() {
          \"triples_per_sec\":{scale_rate:.0},\"parse_secs\":{:.3},\"sort_secs\":{:.3},\
          \"insert_secs\":{:.3},\"segments\":{},\"checkpoints\":{},\
          \"dict\":{{\"entries\":{},\"raw_bytes\":{},\"compressed_bytes\":{}}},\
-         \"peak_rss_bytes\":{},\"queries\":{}}}}}\n",
+         \"peak_rss_bytes\":{},\"queries\":{},\"insert_p50_us\":{insert_p50_us:.1}}}}}\n",
         stats.triples,
         stats.raw_triples,
         stats.parse_secs,

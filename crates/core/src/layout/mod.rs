@@ -58,6 +58,11 @@ pub struct SideLayout {
     pub multivalued: HashSet<String>,
     /// Predicates involved in spills on this side (veto star merging).
     pub spill_preds: HashSet<String>,
+    /// The lid the next single→multi-valued promotion on this side takes:
+    /// lids are negative and decrease. Kept in memory only (never
+    /// persisted): seeded from the secondary table when a load finishes or
+    /// the layout is restored, and rolled back with the rest of the layout.
+    pub next_lid: i64,
 }
 
 impl SideLayout {
@@ -107,6 +112,7 @@ mod tests {
             ncols: 4,
             multivalued: HashSet::new(),
             spill_preds: HashSet::new(),
+            next_lid: -1,
         };
         assert!(layout.candidates("<p>").is_empty());
         assert!(layout.candidates("<q>").iter().all(|&c| c < 4));

@@ -213,7 +213,8 @@ fn insert_one_side(
                 return Ok(false); // duplicate triple
             }
             // Promote to multi-valued: allocate a fresh lid.
-            let lid = next_lid(db, secondary);
+            let lid = layout.next_lid;
+            layout.next_lid -= 1;
             db.insert_rows(
                 secondary,
                 [
@@ -426,13 +427,14 @@ fn delete_one_side(
     }
 }
 
-/// Next multi-valued list ID: lids are negative and decrease, disjoint from
-/// the positive term-ID space.
-fn next_lid(db: &Database, secondary: &str) -> i64 {
+/// Next multi-valued list ID for a side, by a scan of its secondary table:
+/// lids are negative and decrease, disjoint from the positive term-ID
+/// space. Seeds [`SideLayout::next_lid`] when a layout is restored; every
+/// promotion after that takes the counter, not a scan.
+pub(crate) fn scan_next_lid(db: &Database, secondary: &str) -> i64 {
     db.table(secondary)
         .map(|t| {
-            t.rows()
-                .iter()
+            t.iter_rows()
                 .filter_map(|r| match r.get(0) {
                     Value::Int(i) if i < 0 => Some(i),
                     _ => None,
@@ -603,6 +605,92 @@ mod tests {
                 other => panic!("unexpected ds row {other:?}"),
             }
         }
+    }
+
+    /// The distinct lids of `secondary`, descending, after checking that
+    /// each is referenced by exactly one value cell of `primary`.
+    fn unique_lids(store: &RdfStore, primary: &str, secondary: &str) -> Vec<i64> {
+        let db = store.database();
+        let mut lids: Vec<i64> = db
+            .table(secondary)
+            .unwrap()
+            .iter_rows()
+            .filter_map(|r| match r.get(0) {
+                Value::Int(lid) => Some(lid),
+                _ => None,
+            })
+            .collect();
+        lids.sort_unstable_by(|a, b| b.cmp(a));
+        lids.dedup();
+        let prim = db.table(primary).unwrap();
+        for &lid in &lids {
+            assert!(lid < 0, "{secondary}: lid {lid} not negative");
+            let refs = (0..prim.row_count() as u32)
+                .flat_map(|r| prim.row_values(r))
+                .filter(|v| *v == Value::Int(lid))
+                .count();
+            assert_eq!(refs, 1, "{secondary}: lid {lid} has {refs} owning cells");
+        }
+        lids
+    }
+
+    /// The next-lid counter lives in memory beside each side's layout: it
+    /// continues densely after inserts, is rolled back with a failed
+    /// request, and is re-seeded from the secondary table on reopen.
+    #[test]
+    fn next_lid_survives_inserts_rollback_and_reopen() {
+        let dir = std::env::temp_dir().join(format!("db2rdf-next-lid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut triples = dbpedia_sample();
+        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+        store.load(&triples).unwrap();
+        // Load: DS holds Google's and IBM's industry lists; RS continues
+        // the same sequence with Software's.
+        assert_eq!(unique_lids(&store, "dph", "ds"), vec![-1, -2]);
+        assert_eq!(unique_lids(&store, "rph", "rs"), vec![-3]);
+
+        // Promotions on both sides take the next lid of their side.
+        for tr in [t("Page", "founder", "Alphabet"), t("Bell", "founder", "IBM")] {
+            assert!(store.insert(&tr).unwrap());
+            triples.push(tr);
+        }
+        assert_eq!(unique_lids(&store, "rph", "rs"), vec![-3, -4]);
+        let direct_before = store.side_layouts().unwrap().0.next_lid;
+
+        // A failed request that promoted rolls the counter back with it.
+        let err = store.request(true, |req| {
+            req.insert(&t("Flint", "born", "1851"))?;
+            Err::<(), _>(crate::error::StoreError::Unsupported("abort".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(store.side_layouts().unwrap().0.next_lid, direct_before);
+        let tr = t("Flint", "died", "1935");
+        assert!(store.insert(&tr).unwrap());
+        triples.push(tr);
+        assert_eq!(unique_lids(&store, "dph", "ds"), vec![-1, -2, -3, -4]);
+        drop(store);
+
+        // Reopen (WAL replay, no checkpoint): the counter is re-seeded.
+        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+        let tr = t("Android", "version", "4.2");
+        assert!(store.insert(&tr).unwrap());
+        triples.push(tr);
+        assert_eq!(unique_lids(&store, "dph", "ds"), vec![-1, -2, -3, -4, -5]);
+        let rs = unique_lids(&store, "rph", "rs");
+        assert!(rs.windows(2).all(|w| w[1] == w[0] - 1), "rs lids not dense: {rs:?}");
+
+        let queries: Vec<String> = [
+            "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+            "SELECT ?o WHERE { <Flint> <died> ?o }",
+            "SELECT ?s WHERE { ?s <founder> \"IBM\" }",
+            "SELECT ?v WHERE { <Android> <version> ?v }",
+        ]
+        .iter()
+        .map(|q| q.to_string())
+        .collect();
+        crate::oracle::check_store_against(&store, &triples, &queries).unwrap();
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -221,6 +221,8 @@ pub fn decode_side(text: &str) -> DecodeResult<SideLayout> {
         ncols: ncols.ok_or("missing ncols")?,
         multivalued,
         spill_preds,
+        // Not persisted: the caller seeds it from the secondary table.
+        next_lid: -1,
     })
 }
 
@@ -392,6 +394,7 @@ mod tests {
             ncols: 37,
             multivalued: ["<a>".to_string(), "<with\ttab>".to_string()].into(),
             spill_preds: ["<s>".to_string()].into(),
+            next_lid: -1,
         };
         let back = decode_side(&encode_side(&side)).unwrap();
         assert_eq!(back.ncols, 37);
@@ -413,6 +416,7 @@ mod tests {
             ncols: 8,
             multivalued: HashSet::new(),
             spill_preds: HashSet::new(),
+            next_lid: -1,
         };
         let back = decode_side(&encode_side(&side)).unwrap();
         match back.mapping {

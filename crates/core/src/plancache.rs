@@ -12,15 +12,18 @@
 //! [`RdfStore`](crate::RdfStore) keeps a **mutation epoch**. A cache entry
 //! records the epoch it was planned under; a lookup under any other epoch
 //! treats the entry as stale, removes it, and counts an invalidation. The
-//! epoch moves only when a mutation changed something a plan can depend on:
-//! a bulk `load`, a failed or rolled-back mutation, or an `insert` after
-//! which the store's planning fingerprint differs — the term dictionary
-//! grew (a constant that translated to "provably empty" because it was
-//! unknown may now have an ID) or a predicate layout moved (a spill, a
-//! multi-valued flip, a widened column set, a new vertical table).
-//! Generated SQL never depends on row data, so every other mutation — any
-//! successful `delete`, an insert of known terms into settled layouts —
-//! leaves the epoch and every warm plan alone and is counted as an avoided
+//! epoch moves only when a mutation changed something every plan can
+//! depend on: a bulk `load`, a failed or rolled-back mutation, or an
+//! `insert` after which the store's planning fingerprint differs — a
+//! predicate layout moved (a spill, a multi-valued flip, a widened column
+//! set, a new vertical table). Dictionary growth is not in it: only a plan
+//! that translated an *unknown* constant to "provably empty" can change
+//! when a term is interned, so such a plan records the dictionary length
+//! it was made at ([`CachedPlan::planned_dict_len`]) and a lookup treats it
+//! as stale once the dictionary has grown. Generated SQL never depends on
+//! row data, so every other mutation — any successful `delete`, an insert
+//! into settled layouts, new terms included — leaves the epoch and every
+//! plan naming known terms alone and is counted as an avoided
 //! invalidation; stale statistics can at worst pick a slower join order.
 //! Under [`SharedStore`](crate::SharedStore) the epoch is a plain field of
 //! the store value: the writer bumps it on its private master and readers
@@ -69,6 +72,12 @@ pub struct CachedPlan {
     /// columns resolve through the dictionary, value-domain columns
     /// (aggregates, BIND arithmetic) decode as plain numbers.
     pub projected_modes: Vec<crate::results::DecodeMode>,
+    /// The dictionary length the plan was made at, if translation folded a
+    /// constant the dictionary did not hold (an entity-layout `NULL`, a
+    /// VALUES string no id equals): once the dictionary has grown, that
+    /// term may have an id, so the plan is stale. `None` when every
+    /// constant resolved — dictionary growth cannot change such a plan.
+    pub planned_dict_len: Option<usize>,
 }
 
 /// Counter snapshot for `/stats` and tests.
@@ -171,14 +180,24 @@ impl PlanCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Look up `key` (pre-normalized) under the store's current `epoch`.
-    /// A stale-epoch entry is removed and counted as both an invalidation
-    /// and a miss.
-    pub fn get(&self, key: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
+    /// Look up `key` (pre-normalized) under the store's current `epoch`. A
+    /// stale entry — another epoch, or a plan that folded an unknown
+    /// constant while the dictionary has since grown past the length it
+    /// was planned at (`dict_len` is asked only for such a plan) — is
+    /// removed and counted as both an invalidation and a miss.
+    pub fn get(
+        &self,
+        key: &str,
+        epoch: u64,
+        dict_len: impl FnOnce() -> usize,
+    ) -> Option<Arc<CachedPlan>> {
         let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
         let shard = &mut *shard; // split field borrows (entries vs. tick)
         match shard.entries.get_mut(key) {
-            Some(entry) if entry.epoch == epoch => {
+            Some(entry)
+                if entry.epoch == epoch
+                    && entry.plan.planned_dict_len.is_none_or(|n| n >= dict_len()) =>
+            {
                 shard.tick += 1;
                 entry.last_used = shard.tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -246,6 +265,10 @@ mod tests {
     use sparql::parse_sparql;
 
     fn plan_for(text: &str) -> Arc<CachedPlan> {
+        plan_at(text, None)
+    }
+
+    fn plan_at(text: &str, planned_dict_len: Option<usize>) -> Arc<CachedPlan> {
         let query = parse_sparql(text).unwrap();
         let projected = query.projected_variables();
         let projected_modes = vec![crate::results::DecodeMode::Term; projected.len()];
@@ -256,8 +279,13 @@ mod tests {
             sql: Some(format!("-- {text}")),
             projected,
             projected_modes,
+            planned_dict_len,
         })
     }
+
+    /// The dictionary length never matters for a plan with no unknown
+    /// constant.
+    const ANY_LEN: fn() -> usize = || usize::MAX;
 
     const Q1: &str = "SELECT ?s WHERE { ?s <http://p> ?o }";
     const Q2: &str = "SELECT ?o WHERE { ?s <http://p> ?o }";
@@ -266,16 +294,32 @@ mod tests {
     #[test]
     fn hit_miss_and_epoch_invalidation() {
         let cache = PlanCache::new(16);
-        assert!(cache.get(Q1, 0).is_none());
+        assert!(cache.get(Q1, 0, ANY_LEN).is_none());
         cache.insert(Q1, 0, plan_for(Q1));
-        assert!(cache.get(Q1, 0).is_some());
+        assert!(cache.get(Q1, 0, ANY_LEN).is_some());
         // Epoch moved: the entry is stale, removed, and counted.
-        assert!(cache.get(Q1, 1).is_none());
-        assert!(cache.get(Q1, 1).is_none(), "stale entry was removed");
+        assert!(cache.get(Q1, 1, ANY_LEN).is_none());
+        assert!(cache.get(Q1, 1, ANY_LEN).is_none(), "stale entry was removed");
         let s = cache.stats();
         assert_eq!((s.hits, s.invalidations), (1, 1));
         assert_eq!(s.misses, 3);
         assert_eq!(s.entries, 0);
+    }
+
+    /// A plan that folded an unknown constant is stale once the dictionary
+    /// has grown past its planning length; the length is asked for such a
+    /// plan only.
+    #[test]
+    fn dictionary_growth_invalidates_only_plans_with_unknown_constants() {
+        let cache = PlanCache::new(16);
+        cache.insert(Q1, 0, plan_at(Q1, Some(10)));
+        cache.insert(Q2, 0, plan_for(Q2));
+        assert!(cache.get(Q1, 0, || 10).is_some(), "same length: fresh");
+        assert!(cache.get(Q2, 0, || panic!("asked for a plan without misses")).is_some());
+        assert!(cache.get(Q1, 0, || 11).is_none(), "grown: stale");
+        assert!(cache.get(Q2, 0, ANY_LEN).is_some(), "known constants survive growth");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.invalidations, s.entries), (3, 1, 1));
     }
 
     #[test]
@@ -283,11 +327,11 @@ mod tests {
         let cache = PlanCache::new(2); // single shard: exact LRU
         cache.insert(Q1, 0, plan_for(Q1));
         cache.insert(Q2, 0, plan_for(Q2));
-        assert!(cache.get(Q1, 0).is_some()); // Q1 now most recent
+        assert!(cache.get(Q1, 0, ANY_LEN).is_some()); // Q1 now most recent
         cache.insert(Q3, 0, plan_for(Q3)); // evicts Q2
-        assert!(cache.get(Q2, 0).is_none(), "LRU entry evicted");
-        assert!(cache.get(Q1, 0).is_some());
-        assert!(cache.get(Q3, 0).is_some());
+        assert!(cache.get(Q2, 0, ANY_LEN).is_none(), "LRU entry evicted");
+        assert!(cache.get(Q1, 0, ANY_LEN).is_some());
+        assert!(cache.get(Q3, 0, ANY_LEN).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
     }
@@ -305,11 +349,11 @@ mod tests {
         cache.insert(Q1, 0, plan_for(Q1));
         cache.insert(Q1, 1, plan_for(Q1));
         assert_eq!(cache.stats().entries, 1);
-        assert!(cache.get(Q1, 1).is_some(), "replacement carries the new epoch");
+        assert!(cache.get(Q1, 1, ANY_LEN).is_some(), "replacement carries the new epoch");
         // A lookup under any *other* epoch treats the entry as stale and
         // removes it — even an older epoch (epochs only move forward in
         // practice, but the guard is equality, not ordering).
-        assert!(cache.get(Q1, 0).is_none());
+        assert!(cache.get(Q1, 0, ANY_LEN).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

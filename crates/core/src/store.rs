@@ -35,7 +35,7 @@ use crate::translate::entity::EntityGen;
 use crate::translate::functions::register_rdf_functions;
 use crate::translate::{
     apply_filter, finish, gen_aggregate, gen_bind, gen_pattern, gen_select_exprs,
-    gen_subquery_join, gen_values, GenState,
+    gen_subquery_join, gen_values, GenState, PlanDict,
 };
 
 /// Which relational layout backs the store (paper §2).
@@ -119,16 +119,18 @@ pub struct RdfStore {
     /// layouts (whose tables keep canonical term strings).
     dict: SharedDict,
     meta: Meta,
-    /// Mutation epoch: bumped whenever a mutation may have changed planning
-    /// inputs — the term dictionary grew, a predicate layout moved (spill,
+    /// Mutation epoch: bumped whenever a mutation may have changed the
+    /// planning inputs of every plan — a predicate layout moved (spill,
     /// multi-valued flip, widening), or a bulk `load`/schema experiment ran
     /// — so cached plans can never be replayed against a store whose
-    /// planning inputs have moved since they were computed. Mutations that
-    /// provably change none of those (deletes, duplicate inserts, inserts
-    /// of already-interned terms into settled layouts) leave the epoch
-    /// alone: generated SQL is data-independent, so every cached plan stays
-    /// correct and the skip is counted as an avoided invalidation. A plain
-    /// `u64` is enough: every mutation path takes `&mut self`, and
+    /// layout has moved since they were computed. Mutations that change
+    /// no layout (deletes, duplicate inserts, inserts into settled
+    /// layouts, new terms included) leave the epoch alone: generated SQL is
+    /// data-independent, so every cached plan stays correct and the skip is
+    /// counted as an avoided invalidation. The one plan a new term can
+    /// change — one that folded that term as unknown — goes stale on
+    /// dictionary growth instead ([`CachedPlan::planned_dict_len`]). A
+    /// plain `u64` is enough: every mutation path takes `&mut self`, and
     /// `SharedStore` serializes mutations behind its writer lock.
     epoch: u64,
     /// Sharded LRU plan cache (interior mutability: the `&self` query path
@@ -155,20 +157,24 @@ enum Schema {
 
 /// Everything the store knows about its dataset besides the rows — what
 /// `sys_meta` persists, a reader snapshot copies and a rollback restores,
-/// each as one value.
+/// each as one value. Every request checkpoints it, so the statistics —
+/// top-k maps of term strings, written only by a load — are shared rather
+/// than copied.
 #[derive(Debug, Clone, Default)]
 struct Meta {
     schema: Schema,
-    stats: Stats,
+    stats: Arc<Stats>,
     report: LoadReport,
 }
 
 /// Copy-on-write backup of everything a mutation can touch, taken before a
 /// request and restored if it fails — the request-level all-or-nothing
-/// guarantee. Cheap: tables are `Arc` bumps, side metadata is small. The
-/// term dictionary is deliberately *not* rolled back (it is append-only and
-/// interned-but-unreferenced entries are harmless); the epoch is bumped on
-/// rollback instead so no cached plan survives the partial intern.
+/// guarantee. Cheap: tables are `Arc` bumps, side metadata (layouts with
+/// their next-lid counters, stats, report) is small. The term dictionary is
+/// deliberately *not* rolled back (it is append-only and
+/// interned-but-unreferenced entries are harmless; a plan that folded such
+/// a term as unknown goes stale on the growth); the epoch is bumped on
+/// rollback so no plan made against the abandoned layout survives.
 pub(crate) struct MutationCheckpoint {
     tables: std::collections::HashMap<String, Arc<relstore::Table>>,
     meta: Meta,
@@ -505,7 +511,11 @@ impl RdfStore {
         // A layout record is only ever written by a completed load.
         let schema = match self.cfg.layout {
             Layout::Entity => match (side("direct")?, side("reverse")?) {
-                (Some(direct), Some(reverse)) => Schema::Entity { direct, reverse },
+                (Some(mut direct), Some(mut reverse)) => {
+                    direct.next_lid = crate::loader::scan_next_lid(&self.db, "ds");
+                    reverse.next_lid = crate::loader::scan_next_lid(&self.db, "rs");
+                    Schema::Entity { direct, reverse }
+                }
                 _ => Schema::Empty,
             },
             Layout::TripleStore => Schema::TripleStore,
@@ -516,7 +526,7 @@ impl RdfStore {
                 None => Schema::Empty,
             },
         };
-        self.meta = Meta { schema, stats, report };
+        self.meta = Meta { schema, stats: Arc::new(stats), report };
         Ok(())
     }
 
@@ -553,7 +563,7 @@ impl RdfStore {
                 };
                 store.meta = Meta {
                     schema,
-                    stats: Stats::collect(triples.iter().copied(), store.cfg.top_k),
+                    stats: Arc::new(Stats::collect(triples.iter().copied(), store.cfg.top_k)),
                     report: LoadReport { triples: triples.len() as u64, ..Default::default() },
                 };
                 req.changed = true;
@@ -576,16 +586,19 @@ impl RdfStore {
     /// store the row changes and the `sys_dict`/`sys_meta` refresh commit
     /// as one fsynced WAL frame; if anything fails — the commit included —
     /// memory is rolled back, so a refused triple is never served. The
-    /// rollback is the request's copy-on-write checkpoint, so the call pays
-    /// a clone of each table it touches: build a large store with `load`
-    /// or the bulk loader, not an `insert` loop.
+    /// rollback is the request's copy-on-write checkpoint, which copies
+    /// only the row chunks and index shards the insert touches, so the call
+    /// costs what it changes, not what the store holds (plus the fsync on
+    /// a durable store). A large initial dataset still loads faster through
+    /// `load` or the bulk loader, which sort and pack rows per entity.
     ///
     /// Cached plans are invalidated only when the insert changed a planning
-    /// input — it interned a new dictionary ID or moved a predicate layout
-    /// (spill, multi-valued flip, widening). An insert of already-known
-    /// terms into settled layouts leaves the epoch (and every warm plan)
-    /// untouched: generated SQL is data-independent, so stale statistics
-    /// can at worst pick a slower join order, never a wrong answer.
+    /// input: it moved a predicate layout (spill, multi-valued flip,
+    /// widening), which invalidates every plan, or it grew the dictionary,
+    /// which invalidates the plans that folded some constant as unknown. An
+    /// insert into settled layouts leaves every other warm plan untouched:
+    /// generated SQL is data-independent, so stale statistics can at worst
+    /// pick a slower join order, never a wrong answer.
     pub fn insert(&mut self, triple: &Triple) -> Result<bool> {
         self.request(true, |req| req.insert(triple))
     }
@@ -644,22 +657,23 @@ impl RdfStore {
         }
     }
 
-    /// The planning inputs a mutation can move, condensed to a comparable
-    /// fingerprint: dictionary size (a new ID can turn a provably-empty
-    /// constant into a live one) and the schema's shape — per-side column
+    /// The planning inputs a mutation can move for every plan, condensed to
+    /// a comparable fingerprint: the schema's shape — per-side column
     /// count, spill set and multi-valued set (each changes generated column
     /// probes), or the vertical layout's table count (a new predicate table
     /// changes variable-predicate unions and un-empties lookups). Row data
-    /// is deliberately absent: SQL generation never depends on it.
-    fn plan_fingerprint(&self) -> (usize, u8, [usize; 3], [usize; 3]) {
+    /// is deliberately absent: SQL generation never depends on it. So is
+    /// the dictionary: a new ID matters only to a plan that folded that
+    /// term as unknown, and such a plan carries its own staleness check
+    /// ([`CachedPlan::planned_dict_len`]).
+    fn plan_fingerprint(&self) -> (u8, [usize; 3], [usize; 3]) {
         let side = |s: &SideLayout| [s.ncols, s.spill_preds.len(), s.multivalued.len()];
-        let (kind, a, b) = match &self.meta.schema {
+        match &self.meta.schema {
             Schema::Empty => (0, [0; 3], [0; 3]),
             Schema::Entity { direct, reverse } => (1, side(direct), side(reverse)),
             Schema::TripleStore => (2, [0; 3], [0; 3]),
             Schema::Vertical(v) => (3, [v.tables.len(), 0, 0], [0; 3]),
-        };
-        (self.dict.read().len(), kind, a, b)
+        }
     }
 
     /// Translate a SPARQL query to SQL without executing it.
@@ -732,12 +746,14 @@ impl RdfStore {
     /// a hit skips parsing, optimization, star merging, and SQL generation
     /// entirely. Entries are keyed on the trimmed query text and tagged
     /// with the mutation epoch they were planned under; a mutation that
-    /// moves the dictionary or a layout bumps the epoch, so a stale plan
-    /// can never be replayed against a store whose planning inputs moved.
+    /// moves a layout bumps the epoch, and a plan that folded an unknown
+    /// constant is also stale once the dictionary has grown — so a stale
+    /// plan can never be replayed against a store whose planning inputs
+    /// moved.
     fn plan(&self, sparql_text: &str) -> Result<Arc<CachedPlan>> {
         let key = plancache::normalize(sparql_text);
         if let Some(cache) = &self.plan_cache {
-            if let Some(plan) = cache.get(key, self.epoch) {
+            if let Some(plan) = cache.get(key, self.epoch, || self.dict.read().len()) {
                 return Ok(plan);
             }
         }
@@ -771,11 +787,14 @@ impl RdfStore {
                 sql: None,
                 projected,
                 projected_modes,
+                planned_dict_len: None,
             });
         }
         let mut state = GenState::new();
         let dict = self.dict.read();
-        let (flow, exec) = self.gen_level(&query, &mut state, &dict)?;
+        let plan_dict = PlanDict::new(&dict);
+        let (flow, exec) = self.gen_level(&query, &mut state, &plan_dict)?;
+        let planned_dict_len = plan_dict.missed().then(|| dict.len());
         drop(dict);
         let sql = finish(&query, &mut state)?;
         let projected_modes = projected
@@ -784,7 +803,15 @@ impl RdfStore {
                 if state.plain.contains(v) { DecodeMode::Plain } else { DecodeMode::Term }
             })
             .collect();
-        Ok(CachedPlan { flow, exec, sql: Some(sql), projected, projected_modes, query })
+        Ok(CachedPlan {
+            flow,
+            exec,
+            sql: Some(sql),
+            projected,
+            projected_modes,
+            query,
+            planned_dict_len,
+        })
     }
 
     /// Generate the CTE chain for one SELECT level — the outer query or one
@@ -801,7 +828,7 @@ impl RdfStore {
         &self,
         query: &Query,
         state: &mut GenState,
-        dict: &Dict,
+        dict: &PlanDict<'_>,
     ) -> Result<(Vec<(usize, &'static str)>, Option<ExecNode>)> {
         reject_nested_extensions(&query.pattern)?;
         let mut core_children = Vec::new();
@@ -1021,11 +1048,13 @@ impl RdfStore {
 
     /// A snapshot-isolated read-only clone: tables are shared copy-on-write
     /// with the master (`Arc` bumps; the writer's next mutation of a table
-    /// clones just that table), the term dictionary and plan cache are the
-    /// *same* shared objects (both are append-only/epoch-guarded, so old
-    /// snapshots read them safely), and the clone carries no durability
-    /// state — it can serve queries but never log or sync. The building
-    /// block of `SharedStore`'s snapshot-per-reader concurrency.
+    /// copies just the row chunks and index shards it touches), the term
+    /// dictionary and plan cache are the *same* shared objects (both are
+    /// append-only/epoch-guarded, so old snapshots read them safely), and
+    /// the clone carries no durability state — it can serve queries but
+    /// never log or sync. The building block of `SharedStore`'s
+    /// snapshot-per-reader concurrency; dropping a superseded snapshot
+    /// frees only the chunks and shards a later write replaced.
     pub(crate) fn snapshot_clone(&self) -> RdfStore {
         RdfStore {
             cfg: self.cfg.clone(),

@@ -309,7 +309,7 @@ impl RdfStore {
         };
         self.meta = Meta {
             schema: Schema::Entity { direct: dside.layout, reverse: rside.layout },
-            stats,
+            stats: std::sync::Arc::new(stats),
             report,
         };
         self.db.begin_batch();
@@ -514,8 +514,14 @@ fn insert_side_encoded(
     checkpoints: bool,
     bstats: &mut BulkLoadStats,
 ) -> Result<SideResult> {
-    let layout =
-        SideLayout { mapping, ncols, multivalued: HashSet::new(), spill_preds: HashSet::new() };
+    let first_lid = *next_lid;
+    let layout = SideLayout {
+        mapping,
+        ncols,
+        multivalued: HashSet::new(),
+        spill_preds: HashSet::new(),
+        next_lid: -1,
+    };
     let mut result = SideResult { layout, rows: 0, spill_rows: 0, covered: 0, total: 0 };
     // Predicate IDs covered by the coloring, for exact coverage accounting.
     let colored_ids: Option<HashSet<i64>> = match &result.layout.mapping {
@@ -615,6 +621,11 @@ fn insert_side_encoded(
         i = j;
     }
     flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, checkpoints, opts, bstats)?;
+    // Lids were handed out in decreasing order, so this is what a scan of
+    // the secondary table would seed: one below its smallest lid, or -1.
+    if *next_lid != first_lid {
+        result.layout.next_lid = *next_lid;
+    }
     Ok(result)
 }
 

@@ -9,11 +9,10 @@ use std::collections::BTreeMap;
 use rdf::Term;
 use sparql::TermPattern;
 
-use crate::dict::Dict;
 use crate::error::{Result, StoreError};
 use crate::layout::SideLayout;
 use crate::optimizer::{Method, PTree, StarNode, StarSem};
-use crate::translate::{GenState, StarGen};
+use crate::translate::{GenState, PlanDict, StarGen};
 
 pub struct EntityGen<'a> {
     pub tree: &'a PTree,
@@ -21,8 +20,8 @@ pub struct EntityGen<'a> {
     pub reverse: &'a SideLayout,
     /// Constants in the query become dictionary IDs in the emitted SQL; a
     /// term absent from the dictionary is absent from the data, so its
-    /// equality condition degenerates to `FALSE`.
-    pub dict: &'a Dict,
+    /// equality condition degenerates to `FALSE` (and the miss is recorded).
+    pub dict: &'a PlanDict<'a>,
 }
 
 impl EntityGen<'_> {

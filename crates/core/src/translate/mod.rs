@@ -11,13 +11,44 @@ pub mod entity;
 pub mod filters;
 pub mod functions;
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 
 use rdf::Term;
 use sparql::{Expression, Query, QueryForm, SelectItem, ValuesBlock};
 
+use crate::dict::Dict;
 use crate::error::{Result, StoreError};
 use crate::optimizer::ExecNode;
+
+/// The term dictionary as translation sees it. A lookup that misses is
+/// recorded: a plan that folded an unknown constant (to `NULL`, or to a
+/// string no stored id equals) holds only until the dictionary grows, while
+/// a plan naming known terms only holds for as long as the layout does —
+/// the plan cache keeps the two apart.
+pub struct PlanDict<'a> {
+    dict: &'a Dict,
+    missed: Cell<bool>,
+}
+
+impl<'a> PlanDict<'a> {
+    pub fn new(dict: &'a Dict) -> Self {
+        PlanDict { dict, missed: Cell::new(false) }
+    }
+
+    pub fn lookup(&self, term: &str) -> Option<i64> {
+        let id = self.dict.lookup(term);
+        if id.is_none() {
+            self.missed.set(true);
+        }
+        id
+    }
+
+    /// Whether any lookup so far missed.
+    pub fn missed(&self) -> bool {
+        self.missed.get()
+    }
+}
 
 /// Generation state: accumulated CTEs plus the variable → column map of the
 /// chain head.

@@ -49,8 +49,8 @@ fn warm_queries_hit_the_cache() {
 }
 
 /// Scoped invalidation: the epoch — and with it every cached plan — moves
-/// only when a mutation could actually change a plan. Loads and inserts
-/// that mint dictionary IDs bump it; duplicate inserts and deletes (dict is
+/// only when a mutation could change every plan. Loads and inserts that
+/// move a layout bump it; duplicate inserts and deletes (dict is
 /// append-only, layouts never shrink, generated SQL is data-independent)
 /// must not.
 #[test]
@@ -61,11 +61,11 @@ fn epoch_moves_only_when_plans_could_change() {
     let e1 = store.epoch();
     assert!(e1 > e0, "load always invalidates");
 
-    // New term: the constant <http://fresh/x> gets a dictionary ID a stale
-    // plan would still translate to NULL.
+    // A second `knows` value for s/0 flips the predicate to multi-valued —
+    // a layout move, which changes generated SQL for every plan.
     store.insert(&triple("http://s/0", "http://p/knows", "http://fresh/x")).unwrap();
     let e2 = store.epoch();
-    assert!(e2 > e1, "dictionary growth invalidates");
+    assert!(e2 > e1, "a multi-valued flip invalidates");
 
     // Duplicate insert: nothing changes anywhere.
     assert!(!store.insert(&triple("http://s/0", "http://p/knows", "http://fresh/x")).unwrap());
@@ -133,6 +133,41 @@ fn warm_hits_survive_deletes_and_noop_inserts() {
     assert_eq!(after.invalidations, 0, "{after:?}");
     assert_eq!(after.invalidations_avoided, 2, "{after:?}");
     assert_eq!(after.entries, before.entries, "{after:?}");
+}
+
+/// Writes stop flushing the cache: an `INSERT DATA` that interns new terms
+/// into settled layouts leaves a warm plan naming only known constants a
+/// hit, with the invalidation count unchanged. Only the warm plan that
+/// folded the newly interned term as unknown misses — and, re-planned,
+/// returns the new row.
+#[test]
+fn new_terms_invalidate_only_plans_that_named_them_unknown() {
+    let shared = SharedStore::new(loaded_store(StoreConfig::default()));
+    let known = "SELECT ?o WHERE { <http://s/0> <http://p/knows> ?o }";
+    let unknown = "SELECT ?s WHERE { ?s <http://p/knows> <http://new/b> }";
+    for q in [known, unknown, known, unknown] {
+        shared.query(q).unwrap();
+    }
+    let epoch = shared.epoch();
+    let before = shared.plan_cache_stats().unwrap();
+    assert_eq!((before.hits, before.invalidations), (2, 0), "{before:?}");
+
+    // A new subject and a new object: fresh DPH and RPH rows, no layout
+    // moves, two new dictionary entries.
+    shared.update("INSERT DATA { <http://new/a> <http://p/knows> <http://new/b> }").unwrap();
+    assert_eq!(shared.epoch(), epoch, "a layout-neutral insert must not move the epoch");
+
+    assert_eq!(shared.query(known).unwrap().len(), 1);
+    let after_known = shared.plan_cache_stats().unwrap();
+    assert_eq!(after_known.hits, before.hits + 1, "{after_known:?}");
+    assert_eq!(after_known.invalidations, before.invalidations, "{after_known:?}");
+
+    let sols = shared.query(unknown).unwrap();
+    assert_eq!(sols.len(), 1, "a stale plan would still fold <http://new/b> to NULL");
+    assert_eq!(sols.get(0, "s"), Some(&Term::iri("http://new/a")));
+    let after_unknown = shared.plan_cache_stats().unwrap();
+    assert_eq!(after_unknown.invalidations, before.invalidations + 1, "{after_unknown:?}");
+    assert_eq!(after_unknown.hits, after_known.hits, "{after_unknown:?}");
 }
 
 #[test]

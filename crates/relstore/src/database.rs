@@ -79,8 +79,11 @@ impl Durability {
 pub struct Database {
     /// Tables are held behind `Arc` for copy-on-write snapshots
     /// ([`Database::snapshot_clone`]): a snapshot shares every table, and
-    /// the writer's next mutation of a table clones just that table via
-    /// `Arc::make_mut` — readers of old snapshots are never disturbed.
+    /// the writer's next mutation of a table clones it via `Arc::make_mut`.
+    /// That clone is shallow — a table is `Arc`'d row chunks and index
+    /// shards (see the `table` module) — so the write then copies only the
+    /// chunks and shards it touches, and readers of old snapshots are never
+    /// disturbed.
     tables: HashMap<String, Arc<Table>>,
     functions: HashMap<String, ScalarFn>,
     row_budget: Option<u64>,
@@ -371,9 +374,10 @@ impl Database {
 
     /// A cheap immutable clone for snapshot-isolated readers: every table
     /// is shared copy-on-write (an `Arc` bump here; the writer's next
-    /// mutation of a table clones just that table via `Arc::make_mut`),
-    /// scalar functions are shared, and the clone carries no durability
-    /// state — it can serve queries but never log, sync, or checkpoint.
+    /// mutation of a table copies its chunk and shard pointers, then only
+    /// the row chunks and index shards that mutation touches), scalar
+    /// functions are shared, and the clone carries no durability state — it
+    /// can serve queries but never log, sync, or checkpoint.
     pub fn snapshot_clone(&self) -> Database {
         Database {
             tables: self.tables.clone(),
@@ -963,7 +967,45 @@ pub fn resolve_threads(
 
 #[cfg(test)]
 mod tests {
-    use super::resolve_threads;
+    use super::*;
+
+    /// One row op after a reader snapshot copies at most two row chunks and
+    /// two shards per index of the table it touches — not the table — and
+    /// the snapshot still reads back its own rows and lookups.
+    #[test]
+    fn a_write_after_a_snapshot_copies_only_what_it_touches() {
+        let mut db = Database::new();
+        db.create_table(table_schema("t", &[("k", SqlType::Int), ("v", SqlType::Int)])).unwrap();
+        db.create_index("t", "k", IndexKind::Hash).unwrap();
+        db.create_index("t", "v", IndexKind::Hash).unwrap();
+        db.insert_rows("t", (0..5000).map(|i| vec![Value::Int(i % 997), Value::Int(i)])).unwrap();
+        let rows = |db: &Database| {
+            let t = db.table("t").unwrap();
+            (0..t.row_count() as u32).map(|r| t.row_values(r)).collect::<Vec<_>>()
+        };
+        let probe = |db: &Database| {
+            db.table("t").unwrap().index_on("k").unwrap().lookup(&Value::Int(10)).to_vec()
+        };
+        type Op = fn(&mut Database);
+        let ops: [Op; 3] = [
+            |db| {
+                assert_eq!(db.insert_rows("t", [vec![Value::Int(10), Value::Int(-1)]]).unwrap(), 1)
+            },
+            |db| db.update_cell("t", 300, 0, Value::Int(10)).unwrap(),
+            |db| db.delete_row("t", 10).unwrap(),
+        ];
+        for op in ops {
+            let snap = db.snapshot_clone();
+            let (frozen_rows, frozen_probe) = (rows(&snap), probe(&snap));
+            op(&mut db);
+            let (chunks, shards) = db.table("t").unwrap().unshared_with(snap.table("t").unwrap());
+            assert!(chunks <= 2, "{chunks} row chunks copied");
+            assert!(shards <= 2, "{shards} shards of one index copied");
+            assert_eq!(rows(&snap), frozen_rows, "the snapshot's rows moved");
+            assert_eq!(probe(&snap), frozen_probe, "the snapshot's lookup moved");
+            assert_ne!(probe(&db), frozen_probe, "the writer sees its own op");
+        }
+    }
 
     #[test]
     fn explicit_setting_wins_over_env_and_detection() {

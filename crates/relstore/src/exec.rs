@@ -1403,19 +1403,22 @@ fn scan_relation(
                     // freelist for its whole run — rejected rows (the common
                     // case on a filtered scan) never pay a heap allocation,
                     // and the buffers carry over to later scans in the query.
-                    let stored = table.rows();
+                    // A morsel is a run of whole row chunks, each walked as
+                    // one contiguous slice.
                     let conds = &conds;
                     parallel_morsels_scratch(
                         ctx.pool(),
-                        stored.len(),
+                        table.row_count(),
                         &|| ctx.scratch_take(),
                         &|buf| ctx.scratch_put(buf),
                         |range, buf| {
                             let mut out = Vec::new();
-                            for r in &stored[range] {
-                                r.decompress_into(width, buf);
-                                if eval_all(conds, buf)? {
-                                    out.push(std::mem::take(buf));
+                            for rows in table.row_slices(range) {
+                                for r in rows {
+                                    r.decompress_into(width, buf);
+                                    if eval_all(conds, buf)? {
+                                        out.push(std::mem::take(buf));
+                                    }
                                 }
                             }
                             ctx.charge(out.len())?;
@@ -1486,7 +1489,7 @@ fn index_nested_loop(
         ctx.charge(rids.len().max(1))?;
         let mut matched = false;
         for &rid in rids {
-            let vals = table.rows()[rid as usize].decompress(width);
+            let vals = table.row(rid).decompress(width);
             if !eval_all(&push_conds, &vals)? {
                 continue;
             }

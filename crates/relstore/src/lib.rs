@@ -2,7 +2,8 @@
 //!
 //! This crate is the substrate standing in for IBM DB2 in the SIGMOD'13
 //! DB2RDF architecture: typed tables with null-suppressing ("value
-//! compressed") wide rows, hash and B-tree secondary indexes, and a SQL
+//! compressed") wide rows, copy-on-write per row chunk and index shard so a
+//! commit copies what it touches, equality secondary indexes, and a SQL
 //! dialect covering the constructs the paper's SPARQL→SQL translation emits —
 //! CTEs (`WITH`), inner and left-outer joins, `UNION [ALL]`, `CASE`,
 //! `COALESCE`, `IS [NOT] NULL`, `DISTINCT`, `ORDER BY`, `LIMIT`/`OFFSET`,
@@ -63,6 +64,6 @@ pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFau
 pub use row::CompressedRow;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotTable};
 pub use sql::lexer::{quote_str, value_to_sql};
-pub use table::{ColumnDef, Index, IndexKind, Table, TableSchema};
+pub use table::{ColumnDef, Index, IndexKind, Table, TableSchema, CHUNK_ROWS};
 pub use value::{SqlType, Value};
 pub use wal::{WalOp, WalWriter};

@@ -50,13 +50,13 @@ pub fn write_snapshot(tables: &[&Table], path: &Path, faults: &FaultHandle) -> R
             put_index_kind(&mut payload, *kind);
         }
         put_u64(&mut payload, t.row_count() as u64);
-        let width = t.width();
-        for rid in 0..t.row_count() {
-            for v in t.row_values(rid as u32) {
-                put_value(&mut payload, &v);
+        let mut row = Vec::new();
+        for r in t.iter_rows() {
+            r.decompress_into(t.width(), &mut row);
+            for v in &row {
+                put_value(&mut payload, v);
             }
         }
-        let _ = width;
     }
 
     let mut file = Vec::with_capacity(SNAPSHOT_MAGIC.len() + payload.len() + 4);
