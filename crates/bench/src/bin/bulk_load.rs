@@ -5,14 +5,18 @@
 //! materialized triple vector) and writes `BENCH_load.json`: triples/s,
 //! per-phase times, dictionary size, peak RSS (`VmHWM` from
 //! `/proc/self/status`), post-load latency for a subset of the LUBM query
-//! mix, and the p50 of 200 stand-alone `RdfStore::insert`s into the loaded
-//! store (`insert_p50_us`).
+//! mix, the p50 of 200 stand-alone `RdfStore::insert`s into the loaded
+//! store (`insert_p50_us`), and the p50s of 200 warm `RdfStore::query` calls
+//! of one `<s> ?p ?o` text (`warm_query_p50_us`) and of 200
+//! `Database::query` calls of that text's SQL (`db_query_p50_us`).
 //!
 //! `BULK_LOAD_SMOKE=1` switches to the CI profile: ~100k triples and a hard
 //! peak-RSS ceiling (`BULK_LOAD_RSS_CEILING_MB`, default 1024) that fails
 //! the run if the streaming pipeline ever buffers the dataset wholesale,
-//! plus a 2 ms ceiling on the insert p50 that fails it if a commit copies
-//! whole tables again; the JSON is printed, not written.
+//! a 2 ms ceiling on the insert p50 that fails it if a commit copies whole
+//! tables again, and a ceiling on the warm-to-SQL p50 ratio that fails it
+//! if a warm request parses and compiles its SQL again; the JSON is
+//! printed, not written.
 //!
 //! Dependency-free: `std::time::Instant` timing, hand-rolled JSON. Run
 //! with `cargo run --release -p bench --bin bulk_load`.
@@ -85,6 +89,44 @@ fn insert_p50_us(store: &mut RdfStore) -> f64 {
     us[INSERTS / 2]
 }
 
+/// Warm queries timed against their own SQL text.
+const WARM_QUERIES: usize = 200;
+
+/// The smoke profile's ceiling on `warm_query_p50_us / db_query_p50_us`. A
+/// warm plan runs its SQL compiled once, so it skips the SQL parse and
+/// compile that `Database::query` pays every call: on the smoke profile the
+/// ratio reads ~0.1 with prepared plans and ~1.0 when a warm request
+/// compiles its SQL again. A ratio of two latencies taken in one process
+/// does not depend on the host's speed.
+const WARM_RATIO_CEILING: f64 = 0.6;
+
+/// p50 of [`WARM_QUERIES`] calls of `f`, in µs.
+fn p50_us(mut f: impl FnMut()) -> f64 {
+    let mut us: Vec<f64> = (0..WARM_QUERIES)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[WARM_QUERIES / 2]
+}
+
+/// p50s, in µs, of a warm `RdfStore::query` of `SELECT ?p ?o WHERE { <s>
+/// ?p ?o }` — a plan-cache hit — and of `Database::query` on that text's
+/// generated SQL, on the same store.
+fn warm_query_p50s(store: &RdfStore, subject: &rdf::Term) -> (f64, f64) {
+    let text = format!("SELECT ?p ?o WHERE {{ {} ?p ?o }}", subject.encode());
+    let sql = store.translate(&text).expect("translate");
+    let rows = store.query(&text).expect("warm-up query").len();
+    assert!(rows > 0, "{text} matched nothing");
+    assert_eq!(store.database().query(&sql).expect("warm-up SQL").rows.len(), rows);
+    let warm = p50_us(|| drop(store.query(&text).expect("warm query")));
+    let db = p50_us(|| drop(store.database().query(&sql).expect("SQL query")));
+    (warm, db)
+}
+
 fn latency_json(lat: &[QueryLatency]) -> String {
     let items: Vec<String> = lat
         .iter()
@@ -144,6 +186,13 @@ fn main() {
     }
     let insert_p50_us = insert_p50_us(&mut store);
     println!("  stand-alone insert: p50 {insert_p50_us:.1} µs over {INSERTS} new triples");
+    let subject = lubm::stream(u32::MAX as usize, seed).next().expect("a triple").subject;
+    let (warm_query_p50_us, db_query_p50_us) = warm_query_p50s(&store, &subject);
+    let warm_ratio = warm_query_p50_us / db_query_p50_us;
+    println!(
+        "  <s> ?p ?o: warm query p50 {warm_query_p50_us:.1} µs, its SQL through \
+         Database::query p50 {db_query_p50_us:.1} µs (ratio {warm_ratio:.2})"
+    );
     drop(store);
 
     let rss_ceiling_mb = env_u64("BULK_LOAD_RSS_CEILING_MB", 1024);
@@ -162,6 +211,11 @@ fn main() {
             "stand-alone insert p50 {insert_p50_us:.0} µs exceeds the {INSERT_P50_CEILING_US} µs \
              smoke ceiling — a commit is copying whole tables again"
         );
+        assert!(
+            warm_ratio <= WARM_RATIO_CEILING,
+            "warm query p50 is {warm_ratio:.2} of its SQL's Database::query p50, above the \
+             {WARM_RATIO_CEILING} smoke ceiling — a warm request is compiling its SQL again"
+        );
     }
     let json = format!(
         "{{\"smoke\":{smoke},\"seed\":{seed},\
@@ -169,7 +223,9 @@ fn main() {
          \"triples_per_sec\":{scale_rate:.0},\"parse_secs\":{:.3},\"sort_secs\":{:.3},\
          \"insert_secs\":{:.3},\"segments\":{},\"checkpoints\":{},\
          \"dict\":{{\"entries\":{},\"raw_bytes\":{},\"compressed_bytes\":{}}},\
-         \"peak_rss_bytes\":{},\"queries\":{},\"insert_p50_us\":{insert_p50_us:.1}}}}}\n",
+         \"peak_rss_bytes\":{},\"queries\":{},\"insert_p50_us\":{insert_p50_us:.1},\
+         \"warm_query_p50_us\":{warm_query_p50_us:.1},\
+         \"db_query_p50_us\":{db_query_p50_us:.1}}}}}\n",
         stats.triples,
         stats.raw_triples,
         stats.parse_secs,

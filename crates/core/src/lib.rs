@@ -47,7 +47,7 @@ pub use dict::{Dict, DictMemStats, SharedDict};
 pub use error::{Result, StoreError};
 pub use loader::{ColoringMode, EntityConfig, LoadReport};
 pub use optimizer::OptimizerMode;
-pub use plancache::{CachedPlan, PlanCache, PlanCacheStats};
+pub use plancache::{CachedPlan, PlanCache, PlanCacheStats, PlanSql};
 pub use results::Solutions;
 pub use shared::{SharedStore, UpdateStats, WriteGuard, BATCH_BUCKETS, BATCH_BUCKET_LABELS};
 pub use stats::Stats;

@@ -46,12 +46,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use relstore::Prepared;
 use sparql::Query;
 
 use crate::optimizer::ExecNode;
 
 /// Everything `plan()` produces for one query text: reusing this object
-/// skips parsing, optimization, star merging, and SQL generation.
+/// skips parsing, optimization, star merging, SQL generation, and SQL
+/// parsing and compilation.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed query (form, pattern, modifiers).
@@ -63,9 +65,10 @@ pub struct CachedPlan {
     /// plan); rendered lazily by `explain` so the query path never pays
     /// for the debug formatting.
     pub exec: Option<ExecNode>,
-    /// The generated SQL; `None` for the trivial zero-pattern plan, which
-    /// has a fixed answer and never touches the relational engine.
-    pub sql: Option<String>,
+    /// The generated SQL and its compiled form; `None` for the trivial
+    /// zero-pattern plan, which has a fixed answer and never touches the
+    /// relational engine.
+    pub sql: Option<PlanSql>,
     /// Projected variable names, in SELECT order.
     pub projected: Vec<String>,
     /// Per-column decode mode, positional with `projected`: term-domain
@@ -78,6 +81,21 @@ pub struct CachedPlan {
     /// term may have an id, so the plan is stale. `None` when every
     /// constant resolved — dictionary growth cannot change such a plan.
     pub planned_dict_len: Option<usize>,
+}
+
+/// A plan's SQL in both forms: the generated text — the inspectable plan
+/// that `translate`, `explain` and `show_sql` print — and the `relstore`
+/// statement compiled from it, which is what a query executes. The
+/// compiled form holds column positions, not rows, so it serves every
+/// snapshot whose tables have the shape it was compiled against; running
+/// it elsewhere fails before reading a row ([`relstore::Error::Stale`]).
+#[derive(Debug)]
+pub struct PlanSql {
+    pub text: String,
+    /// `text` compiled against the store's database when the plan was
+    /// made. A compile error is kept and reported when the plan is run, as
+    /// executing the text would have reported it.
+    pub prepared: Result<Prepared, relstore::Error>,
 }
 
 /// Counter snapshot for `/stats` and tests.
@@ -276,7 +294,7 @@ mod tests {
             query,
             flow: Vec::new(),
             exec: None,
-            sql: Some(format!("-- {text}")),
+            sql: None,
             projected,
             projected_modes,
             planned_dict_len,

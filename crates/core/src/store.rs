@@ -28,7 +28,7 @@ use crate::loader::{delete_entity, insert_entity, EntityConfig, LoadReport};
 use crate::optimizer::{
     merge_exec_tree, optimize, ExecNode, MergeInfo, OptimizerMode, PTree,
 };
-use crate::plancache::{self, CachedPlan, PlanCache, PlanCacheStats};
+use crate::plancache::{self, CachedPlan, PlanCache, PlanCacheStats, PlanSql};
 use crate::results::{DecodeMode, Solutions};
 use crate::stats::Stats;
 use crate::translate::entity::EntityGen;
@@ -679,7 +679,7 @@ impl RdfStore {
     /// Translate a SPARQL query to SQL without executing it.
     pub fn translate(&self, sparql_text: &str) -> Result<String> {
         let plan = self.plan(sparql_text)?;
-        plan.sql.clone().ok_or_else(|| {
+        plan.sql.as_ref().map(|sql| sql.text.clone()).ok_or_else(|| {
             StoreError::Unsupported(
                 "query's answer is fixed by the algebra alone, so no SQL is generated".into(),
             )
@@ -695,10 +695,10 @@ impl RdfStore {
                 Some(exec) => format!("{exec:#?}"),
                 None => "Trivial (no triple patterns)".into(),
             },
-            sql: plan
-                .sql
-                .clone()
-                .unwrap_or_else(|| "-- no SQL: query has no triple patterns".into()),
+            sql: plan.sql.as_ref().map_or_else(
+                || "-- no SQL: query has no triple patterns".into(),
+                |sql| sql.text.clone(),
+            ),
         })
     }
 
@@ -716,9 +716,10 @@ impl RdfStore {
         self.run_plan(&plan)
     }
 
-    /// Run a planned query against the relational engine and materialize
-    /// solutions (the single late-materialization point: dictionary IDs
-    /// become terms only here).
+    /// Run a planned query's compiled SQL against the relational engine
+    /// and materialize solutions (the single late-materialization point:
+    /// dictionary IDs become terms only here). A warm plan neither parses
+    /// its SQL again nor resolves a name.
     fn run_plan(&self, plan: &CachedPlan) -> Result<Solutions> {
         let Some(sql) = &plan.sql else {
             // Zero triple patterns: the answer is fixed by SPARQL algebra —
@@ -727,7 +728,11 @@ impl RdfStore {
             // query's LIMIT/OFFSET still applied.
             return Ok(trivial_solutions(plan));
         };
-        let rel = self.db.query(sql)?;
+        let prepared = sql.prepared.as_ref().map_err(|e| StoreError::Sql(e.clone()))?;
+        // Every change to a table's shape moves the epoch, so a cached plan
+        // only meets the shapes it was compiled against; `run` checks that
+        // anyway and fails rather than read old column positions.
+        let rel = prepared.run(&self.db)?;
         match plan.query.form {
             QueryForm::Ask => Ok(Solutions::from_ask(!rel.rows.is_empty())),
             QueryForm::Select { .. } => {
@@ -796,7 +801,8 @@ impl RdfStore {
         let (flow, exec) = self.gen_level(&query, &mut state, &plan_dict)?;
         let planned_dict_len = plan_dict.missed().then(|| dict.len());
         drop(dict);
-        let sql = finish(&query, &mut state)?;
+        let text = finish(&query, &mut state)?;
+        let prepared = self.db.prepare(&text);
         let projected_modes = projected
             .iter()
             .map(|v| {
@@ -806,7 +812,7 @@ impl RdfStore {
         Ok(CachedPlan {
             flow,
             exec,
-            sql: Some(sql),
+            sql: Some(PlanSql { text, prepared }),
             projected,
             projected_modes,
             query,

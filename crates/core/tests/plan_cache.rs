@@ -170,6 +170,44 @@ fn new_terms_invalidate_only_plans_that_named_them_unknown() {
     assert_eq!(after_unknown.hits, after_known.hits, "{after_unknown:?}");
 }
 
+/// A warm plan carries its SQL compiled once, against the snapshot it was
+/// planned on, and runs it on whichever snapshot serves the request: the
+/// rows an `INSERT DATA` adds are in its next answer, served as a cache
+/// hit. After `widen_dph_for_experiment` changes DPH's shape, the same
+/// texts still answer exactly as before.
+#[test]
+fn warm_plans_answer_from_the_current_snapshot() {
+    let shared = SharedStore::new(loaded_store(StoreConfig::default()));
+    let star = "SELECT ?p ?o WHERE { <http://s/4> ?p ?o }";
+    for q in [Q_KNOWS, star, Q_KNOWS, star] {
+        shared.query(q).unwrap();
+    }
+    let before = shared.plan_cache_stats().unwrap();
+
+    // Two new subjects with new objects: no layout moves, so the warm plans
+    // survive the request and meet the rows it added.
+    shared
+        .update(
+            "INSERT DATA { <http://new/a> <http://p/knows> <http://new/b> . \
+             <http://new/c> <http://p/knows> <http://new/d> }",
+        )
+        .unwrap();
+    let knows = shared.query(Q_KNOWS).unwrap();
+    assert_eq!(knows.len(), 12, "the warm plan missed the inserted rows");
+    assert!(knows.rows.iter().any(|r| r[0] == Some(Term::iri("http://new/c"))));
+    let after = shared.plan_cache_stats().unwrap();
+    assert_eq!(after.hits, before.hits + 1, "{after:?}");
+    assert_eq!(after.invalidations, before.invalidations, "{after:?}");
+
+    let star_rows = shared.query(star).unwrap().rows;
+    let knows_rows = shared.query(Q_KNOWS).unwrap().rows;
+    shared.write().widen_dph_for_experiment(3);
+    for (q, rows) in [(star, star_rows), (Q_KNOWS, knows_rows)] {
+        assert_eq!(shared.query(q).unwrap().rows, rows, "after widening: {q}");
+        assert_eq!(shared.query(q).unwrap().rows, rows, "warm after widening: {q}");
+    }
+}
+
 #[test]
 fn disabling_and_resizing_the_cache() {
     let mut store = loaded_store(StoreConfig { plan_cache_entries: 0, ..Default::default() });

@@ -7,8 +7,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::error::{exec_err, plan_err, Error, Result};
-use crate::exec::{compile, exec_query, ExecCtx, PhaseTimings, Rel, Scope};
+use crate::exec::{PhaseTimings, Rel};
 use crate::io::{no_faults, FaultHandle};
+use crate::plan::{self, Prepared};
 use crate::snapshot::{load_snapshot, write_snapshot, SnapshotTable};
 use crate::sql::ast::Stmt;
 use crate::sql::parser::parse_statement;
@@ -73,7 +74,9 @@ impl Durability {
 ///
 /// This is the substrate standing in for IBM DB2 in the paper's architecture
 /// (see DESIGN.md §2): the RDF store above it emits SQL text, which is parsed,
-/// planned and executed here. [`Database::new`] is purely in-memory;
+/// compiled and executed here — in one call ([`Database::query`]), or
+/// compiled once ([`Database::prepare`]) and run many times, as DB2 keeps the
+/// access plan of repeated dynamic SQL. [`Database::new`] is purely in-memory;
 /// [`Database::open`] binds the database to a directory so that every
 /// committed mutation survives a crash (DESIGN.md §4.6).
 pub struct Database {
@@ -303,19 +306,13 @@ impl Database {
         self.finish_batch(true)
     }
 
-    /// Like [`Database::commit_batch`], but the frame is only *appended* to
-    /// the WAL — it becomes durable at the next [`Database::sync_wal`]. The
-    /// group-commit path writes one frame per update request through this,
-    /// then pays a single fsync for the whole group. An append failure
-    /// degrades to read-only (and the unsynced tail is discarded by the
-    /// writer, so nothing half-appended can be replayed).
-    pub fn commit_batch_nosync(&mut self) -> Result<()> {
-        self.finish_batch(false)
-    }
-
-    /// The one body behind both commits: close a batch level and, at the
-    /// outermost one, write the buffered ops as a single frame — fsynced
-    /// when `sync`, appended otherwise.
+    /// Close a batch level and, at the outermost one, write the buffered
+    /// ops as a single frame — fsynced when `sync`; otherwise only
+    /// *appended*, durable at the next [`Database::sync_wal`]. The
+    /// group-commit path appends one frame per update request, then pays a
+    /// single fsync for the whole group. A write failure degrades to
+    /// read-only (and the writer discards an unsynced tail, so nothing
+    /// half-appended can be replayed).
     pub fn finish_batch(&mut self, sync: bool) -> Result<()> {
         let Some(d) = &mut self.durability else {
             return Ok(());
@@ -335,8 +332,8 @@ impl Database {
         d.wal_io(|w| if sync { w.commit(&payload) } else { w.append(&payload) })
     }
 
-    /// Fsync every frame appended by [`Database::commit_batch_nosync`]
-    /// since the last sync — the group-commit barrier. On failure the
+    /// Fsync every frame appended by [`Database::finish_batch`] without
+    /// `sync` since the last sync — the group-commit barrier. On failure the
     /// unsynced frames are discarded and the database degrades to
     /// read-only: the group's updates were never acknowledged and must not
     /// survive a restart. No-op for in-memory databases.
@@ -536,11 +533,21 @@ impl Database {
     }
 
     pub fn scalar_function(&self, name: &str) -> Option<ScalarFn> {
-        self.functions.get(&name.to_ascii_lowercase()).cloned()
+        self.function(&name.to_ascii_lowercase()).cloned()
+    }
+
+    /// The function registered as `lower`, which is already lowercase.
+    pub(crate) fn function(&self, lower: &str) -> Option<&ScalarFn> {
+        self.functions.get(lower)
     }
 
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase()).map(Arc::as_ref)
+        self.lookup_table(&name.to_ascii_lowercase())
+    }
+
+    /// The table named `lower`, which is already lowercase.
+    pub(crate) fn lookup_table(&self, lower: &str) -> Option<&Table> {
+        self.tables.get(lower).map(Arc::as_ref)
     }
 
     /// Direct mutable access to a table. **Bypasses the WAL**: on a durable
@@ -734,37 +741,33 @@ impl Database {
                 let n = self.execute_insert(&table, columns.as_deref(), &rows)?;
                 Ok(ExecOutcome::Inserted(n))
             }
-            Stmt::Query(q) => {
-                let ctx = ExecCtx::new(self);
-                Ok(ExecOutcome::Rows(exec_query(&q, &ctx)?))
-            }
+            Stmt::Query(q) => Ok(ExecOutcome::Rows(plan::prepare(&q, self)?.run(self)?)),
         }
     }
 
-    /// Execute a read-only query.
-    pub fn query(&self, sql: &str) -> Result<Rel> {
+    /// Parse and compile a read-only query into a [`Prepared`] statement
+    /// that [`Prepared::run`] executes on this database or any snapshot of
+    /// it ([`Database::snapshot_clone`]), without parsing or resolving a
+    /// name again.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         match parse_statement(sql)? {
-            Stmt::Query(q) => {
-                let ctx = ExecCtx::new(self);
-                exec_query(&q, &ctx)
-            }
+            Stmt::Query(q) => plan::prepare(&q, self),
             _ => plan_err("expected a query"),
         }
+    }
+
+    /// Execute a read-only query: [`Database::prepare`], then
+    /// [`Prepared::run`].
+    pub fn query(&self, sql: &str) -> Result<Rel> {
+        self.prepare(sql)?.run(self)
     }
 
     /// Execute a read-only query, additionally reporting per-phase
     /// wall-clock timings (scan / join build / probe / aggregation) so
     /// benchmark regressions are attributable to a specific operator phase.
     pub fn query_traced(&self, sql: &str) -> Result<(Rel, PhaseTimings)> {
-        match parse_statement(sql)? {
-            Stmt::Query(q) => {
-                let ctx = ExecCtx::with_tracing(self, true);
-                let rel = exec_query(&q, &ctx)?;
-                let timings = ctx.phase_timings().expect("tracing was enabled");
-                Ok((rel, timings))
-            }
-            _ => plan_err("expected a query"),
-        }
+        let (rel, timings) = self.prepare(sql)?.run_traced(self, true)?;
+        Ok((rel, timings.expect("tracing was enabled")))
     }
 
     fn execute_insert(
@@ -773,7 +776,6 @@ impl Database {
         columns: Option<&[String]>,
         rows: &[Vec<crate::sql::ast::Expr>],
     ) -> Result<usize> {
-        let empty_scope = Scope::default();
         let t = self
             .tables
             .get(&table.to_ascii_lowercase())
@@ -802,9 +804,7 @@ impl Database {
             }
             let mut dense = vec![Value::Null; width];
             for (expr, &pos) in row.iter().zip(&positions) {
-                let cexpr = compile(expr, &empty_scope, self)?;
-                let no_row: &[Value] = &[];
-                dense[pos] = cexpr.eval(no_row)?;
+                dense[pos] = plan::eval_const(expr, self)?;
             }
             dense_rows.push(dense);
         }

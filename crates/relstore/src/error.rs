@@ -9,6 +9,9 @@ pub enum Error {
     Plan(String),
     /// Runtime evaluation error.
     Exec(String),
+    /// A prepared statement was run on a database whose referenced tables
+    /// have changed shape since it was compiled; prepare it again.
+    Stale(String),
     /// The per-query evaluation budget was exceeded (stands in for the
     /// paper's 10-minute query timeout).
     LimitExceeded,
@@ -33,6 +36,7 @@ impl fmt::Display for Error {
             }
             Error::Plan(m) => write!(f, "SQL planning error: {m}"),
             Error::Exec(m) => write!(f, "SQL execution error: {m}"),
+            Error::Stale(m) => write!(f, "stale prepared statement: {m}"),
             Error::LimitExceeded => write!(f, "evaluation budget exceeded"),
             Error::Timeout => write!(f, "query deadline exceeded"),
             Error::Io(m) => write!(f, "durability I/O error: {m}"),

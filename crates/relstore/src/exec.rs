@@ -1,34 +1,35 @@
-//! Query planning and execution.
+//! Query execution: the operators a [`Prepared`](crate::Prepared) plan
+//! tree runs — scans and index probes, index nested-loop and hash joins,
+//! `UNNEST`, filters, projection, aggregation, deduplication, sorting — and
+//! the compiled expressions they evaluate. Every name was resolved by the
+//! compile pass (`plan`); nothing here looks one up.
 //!
-//! The engine deliberately keeps relational planning minimal, per the paper's
-//! architecture: join *order* is decided upstream by the SPARQL optimizer and
-//! the SQL is treated as a procedural plan. The executor contributes only
-//! what any relational engine obviously would: index lookups for constant
-//! equality on indexed columns, hash joins for equi-joins, and streaming
-//! filters. FROM items are processed left to right and every item may
-//! reference columns of all items before it (lateral-friendly scoping, which
-//! `UNNEST` requires).
+//! Hot operators run morsel-parallel on the query's worker pool and
+//! concatenate their outputs in morsel order, so a result, row order
+//! included, is the same at every thread count.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::database::{Database, ScalarFn};
-use crate::error::{exec_err, plan_err, Error, Result};
+use crate::error::{exec_err, Error, Result};
 use crate::hash::{fx_hash_one, FxHashMap, FxHashSet};
-use crate::pool::WorkerPool;
-use crate::sql::ast::{
-    BinaryOp, Expr, Join, JoinKind, OrderItem, Query, QueryBody, Relation, Select, SelectItem,
-    TableFactor, UnaryOp,
+use crate::plan::{
+    AggFunc, AggPlan, BodyPlan, HashJoin, IndexJoin, JoinPlan, Output, Prepared, QueryPlan,
+    SelectPlan, Source,
 };
+use crate::pool::WorkerPool;
+use crate::sql::ast::{BinaryOp, UnaryOp};
+use crate::table::Table;
 use crate::value::{SqlType, Value};
 
-/// An output column: optional table qualifier plus name (both lowercase).
+/// An output column: optional table qualifier plus name (both lowercase),
+/// shared so that copying a column list copies no string bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutCol {
-    pub qualifier: Option<String>,
-    pub name: String,
+    pub qualifier: Option<Arc<str>>,
+    pub name: Arc<str>,
 }
 
 /// A materialized relation: the result of executing a query.
@@ -46,13 +47,16 @@ impl Rel {
     /// Index of the column named `name` (unqualified match).
     pub fn col_index(&self, name: &str) -> Option<usize> {
         let lower = name.to_ascii_lowercase();
-        self.cols.iter().position(|c| c.name == lower)
+        self.cols.iter().position(|c| *c.name == *lower)
     }
 
     pub fn column_names(&self) -> Vec<&str> {
-        self.cols.iter().map(|c| c.name.as_str()).collect()
+        self.cols.iter().map(|c| &*c.name).collect()
     }
 }
+
+/// The rows of an intermediate relation; its columns are known to the plan.
+type Rows = Vec<Vec<Value>>;
 
 /// Wall-clock time attributed to each heavy executor phase, for
 /// `Database::query_traced`. Phases are measured on the orchestrating thread
@@ -106,72 +110,49 @@ impl PhaseStats {
     }
 }
 
-/// Resources shared by every operator and CTE scope of one query: the
-/// worker pool (spawned once, reused by every parallel region), a freelist
-/// of row scratch buffers handed to scan workers so decompression scratch
-/// survives across operators, and the optional phase-timing counters.
-struct QueryShared {
+/// A CTE's materialized rows and the scans still to read them.
+struct CteSlot {
+    rows: Rows,
+    readers: u32,
+}
+
+/// Everything one execution of a plan shares across its operators: the
+/// snapshot's tables by plan slot, the CTE results by plan slot, the row
+/// budget that stands in for a query timeout, the worker pool (spawned
+/// once, reused by every parallel region), a freelist of row scratch
+/// buffers handed to scan workers so decompression scratch survives across
+/// operators, and the optional phase-timing counters. The budget is atomic
+/// so morsel workers can charge it concurrently through a shared
+/// `&ExecCtx`.
+struct ExecCtx<'a> {
+    tables: Vec<&'a Table>,
+    ctes: Mutex<Vec<CteSlot>>,
+    budget: AtomicU64,
+    /// Wall-clock deadline (the paper's 10-minute query timeout), checked at
+    /// the same sites as the row budget. `None` costs only a branch.
+    deadline: Option<Instant>,
     pool: WorkerPool,
     scratch: Mutex<Vec<Vec<Value>>>,
     phases: Option<PhaseStats>,
 }
 
-/// Execution context: database handle, visible CTEs, the row budget that
-/// stands in for a query timeout, and the per-query [`QueryShared`]
-/// resources. The budget is atomic so morsel workers can charge it
-/// concurrently through a shared `&ExecCtx`.
-pub struct ExecCtx<'a> {
-    pub db: &'a Database,
-    ctes: HashMap<String, Arc<Rel>>,
-    budget: AtomicU64,
-    /// Wall-clock deadline (the paper's 10-minute query timeout), checked at
-    /// the same sites as the row budget. `None` costs only a branch.
-    deadline: Option<std::time::Instant>,
-    shared: Arc<QueryShared>,
-}
-
-impl<'a> ExecCtx<'a> {
-    pub fn new(db: &'a Database) -> Self {
-        Self::with_tracing(db, false)
-    }
-
-    /// `traced = true` turns on per-phase timing counters, readable through
-    /// [`ExecCtx::phase_timings`] after execution.
-    pub fn with_tracing(db: &'a Database, traced: bool) -> Self {
-        ExecCtx {
-            db,
-            ctes: HashMap::new(),
-            budget: AtomicU64::new(db.row_budget().unwrap_or(u64::MAX)),
-            deadline: db.deadline().map(|d| std::time::Instant::now() + d),
-            shared: Arc::new(QueryShared {
-                pool: WorkerPool::new(db.threads()),
-                scratch: Mutex::new(Vec::new()),
-                phases: traced.then(PhaseStats::default),
-            }),
-        }
-    }
-
+impl ExecCtx<'_> {
     fn pool(&self) -> &WorkerPool {
-        &self.shared.pool
+        &self.pool
     }
 
     fn threads(&self) -> usize {
-        self.shared.pool.threads()
-    }
-
-    /// Phase timings accumulated so far; `None` unless built with tracing.
-    pub fn phase_timings(&self) -> Option<PhaseTimings> {
-        self.shared.phases.as_ref().map(PhaseStats::timings)
+        self.pool.threads()
     }
 
     #[inline]
     fn phase_start(&self) -> Option<Instant> {
-        self.shared.phases.as_ref().map(|_| Instant::now())
+        self.phases.as_ref().map(|_| Instant::now())
     }
 
     #[inline]
     fn phase_add(&self, phase: Phase, start: Option<Instant>) {
-        if let (Some(stats), Some(t0)) = (&self.shared.phases, start) {
+        if let (Some(stats), Some(t0)) = (&self.phases, start) {
             stats.add(phase, t0.elapsed());
         }
     }
@@ -180,17 +161,38 @@ impl<'a> ExecCtx<'a> {
     /// the first time). Paired with [`ExecCtx::scratch_put`] so scan workers
     /// of successive operators reuse the same decompression scratch.
     fn scratch_take(&self) -> Vec<Value> {
-        self.shared.scratch.lock().unwrap().pop().unwrap_or_default()
+        self.scratch.lock().expect("no worker panics holding the freelist").pop().unwrap_or_default()
     }
 
     fn scratch_put(&self, mut buf: Vec<Value>) {
         buf.clear();
-        self.shared.scratch.lock().unwrap().push(buf);
+        self.scratch.lock().expect("no worker panics holding the freelist").push(buf);
+    }
+
+    /// Keep a CTE's rows for its readers (none: drop them now).
+    fn store_cte(&self, slot: usize, rows: Rows) {
+        let mut ctes = self.ctes.lock().expect("no operator panics holding the CTE slots");
+        if ctes[slot].readers > 0 {
+            ctes[slot].rows = rows;
+        }
+    }
+
+    /// A CTE's rows for one of its readers: a copy, except that the last
+    /// reader takes the rows themselves.
+    fn read_cte(&self, slot: usize) -> Rows {
+        let mut ctes = self.ctes.lock().expect("no operator panics holding the CTE slots");
+        let cte = &mut ctes[slot];
+        cte.readers -= 1;
+        if cte.readers == 0 {
+            std::mem::take(&mut cte.rows)
+        } else {
+            cte.rows.clone()
+        }
     }
 
     fn charge(&self, n: usize) -> Result<()> {
         if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
+            if Instant::now() >= deadline {
                 return Err(Error::Timeout);
             }
         }
@@ -202,6 +204,29 @@ impl<'a> ExecCtx<'a> {
             .map(|_| ())
             .map_err(|_| Error::LimitExceeded)
     }
+}
+
+/// Run a prepared plan on `db`, whose copies of the plan's tables are
+/// `tables` (bound and shape-checked by the caller).
+pub(crate) fn execute(
+    prepared: &Prepared,
+    db: &Database,
+    tables: Vec<&Table>,
+    traced: bool,
+) -> Result<(Rel, Option<PhaseTimings>)> {
+    let ctes = prepared.cte_readers.iter().map(|&readers| CteSlot { rows: Vec::new(), readers });
+    let ctx = ExecCtx {
+        tables,
+        ctes: Mutex::new(ctes.collect()),
+        budget: AtomicU64::new(db.row_budget().unwrap_or(u64::MAX)),
+        deadline: db.deadline().map(|d| Instant::now() + d),
+        pool: WorkerPool::new(db.threads()),
+        scratch: Mutex::new(Vec::new()),
+        phases: traced.then(PhaseStats::default),
+    };
+    let rows = exec_query(&prepared.root, &ctx)?;
+    let rel = Rel { cols: prepared.cols.clone(), rows };
+    Ok((rel, ctx.phases.as_ref().map(PhaseStats::timings)))
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +334,8 @@ where
 // Compiled expressions
 // ---------------------------------------------------------------------------
 
+/// An expression with every column resolved to a position in the row it is
+/// evaluated on and every function bound.
 #[derive(Clone)]
 pub enum CExpr {
     Col(usize),
@@ -327,147 +354,6 @@ pub enum CExpr {
         func: ScalarFn,
         args: Vec<CExpr>,
     },
-}
-
-/// Name-resolution scope: the columns visible to an expression.
-#[derive(Debug, Clone, Default)]
-pub struct Scope {
-    pub cols: Vec<OutCol>,
-}
-
-impl Scope {
-    pub fn from_cols(cols: &[OutCol]) -> Scope {
-        Scope { cols: cols.to_vec() }
-    }
-
-    /// Resolve `qualifier.name`; unqualified names must be unambiguous.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let name = name.to_ascii_lowercase();
-        let qualifier = qualifier.map(str::to_ascii_lowercase);
-        let mut found = None;
-        for (i, c) in self.cols.iter().enumerate() {
-            let matches = match &qualifier {
-                Some(q) => c.qualifier.as_deref() == Some(q.as_str()) && c.name == name,
-                None => c.name == name,
-            };
-            if matches {
-                if found.is_some() {
-                    return plan_err(format!("ambiguous column reference {name:?}"));
-                }
-                found = Some(i);
-            }
-        }
-        found.ok_or_else(|| {
-            Error::Plan(format!(
-                "unknown column {}{name}",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
-            ))
-        })
-    }
-
-    /// True when the expression only references columns resolvable here.
-    pub fn covers(&self, expr: &Expr) -> bool {
-        collect_columns(expr).iter().all(|(q, n)| self.resolve(q.as_deref(), n).is_ok())
-    }
-}
-
-fn collect_columns(expr: &Expr) -> Vec<(Option<String>, String)> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<(Option<String>, String)>) {
-        match e {
-            Expr::Column { qualifier, name } => out.push((qualifier.clone(), name.clone())),
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Unary { expr, .. } => walk(expr, out),
-            Expr::IsNull { expr, .. } => walk(expr, out),
-            Expr::InList { expr, list, .. } => {
-                walk(expr, out);
-                list.iter().for_each(|e| walk(e, out));
-            }
-            Expr::Like { expr, pattern, .. } => {
-                walk(expr, out);
-                walk(pattern, out);
-            }
-            Expr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    walk(c, out);
-                    walk(v, out);
-                }
-                if let Some(e) = else_expr {
-                    walk(e, out);
-                }
-            }
-            Expr::Cast { expr, .. } => walk(expr, out),
-            Expr::Func { args, .. } => args.iter().for_each(|e| walk(e, out)),
-        }
-    }
-    walk(expr, &mut out);
-    out
-}
-
-/// Compile an AST expression against a scope. Aggregate calls are rejected
-/// here; the aggregation pass rewrites them into column references first.
-pub fn compile(expr: &Expr, scope: &Scope, db: &Database) -> Result<CExpr> {
-    Ok(match expr {
-        Expr::Column { qualifier, name } => {
-            CExpr::Col(scope.resolve(qualifier.as_deref(), name)?)
-        }
-        Expr::Literal(v) => CExpr::Lit(v.clone()),
-        Expr::Binary { op, left, right } => CExpr::Binary {
-            op: *op,
-            left: Box::new(compile(left, scope, db)?),
-            right: Box::new(compile(right, scope, db)?),
-        },
-        Expr::Unary { op, expr } => {
-            CExpr::Unary { op: *op, expr: Box::new(compile(expr, scope, db)?) }
-        }
-        Expr::IsNull { expr, negated } => {
-            CExpr::IsNull { expr: Box::new(compile(expr, scope, db)?), negated: *negated }
-        }
-        Expr::InList { expr, list, negated } => CExpr::InList {
-            expr: Box::new(compile(expr, scope, db)?),
-            list: list.iter().map(|e| compile(e, scope, db)).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => CExpr::Like {
-            expr: Box::new(compile(expr, scope, db)?),
-            pattern: Box::new(compile(pattern, scope, db)?),
-            negated: *negated,
-        },
-        Expr::Case { branches, else_expr } => CExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((compile(c, scope, db)?, compile(v, scope, db)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(compile(e, scope, db)?)),
-                None => None,
-            },
-        },
-        Expr::Cast { expr, ty } => {
-            CExpr::Cast { expr: Box::new(compile(expr, scope, db)?), ty: *ty }
-        }
-        Expr::Func { name, args, star, distinct } => {
-            if *star || *distinct || is_aggregate(name) {
-                return plan_err(format!("aggregate {name:?} not allowed in this context"));
-            }
-            let func = db
-                .scalar_function(name)
-                .ok_or_else(|| Error::Plan(format!("unknown function {name:?}")))?;
-            CExpr::Call {
-                name: name.clone(),
-                func,
-                args: args.iter().map(|e| compile(e, scope, db)).collect::<Result<_>>()?,
-            }
-        }
-    })
-}
-
-pub fn is_aggregate(name: &str) -> bool {
-    matches!(name, "count" | "sum" | "min" | "max" | "avg")
 }
 
 /// Row abstraction for expression evaluation. Implemented for plain slices
@@ -815,51 +701,43 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 // Query execution
 // ---------------------------------------------------------------------------
 
-pub fn exec_query(q: &Query, ctx: &ExecCtx<'_>) -> Result<Rel> {
-    // CTEs are visible to later CTEs and to the body; inner scopes shadow.
-    let mut local = ExecCtx {
-        db: ctx.db,
-        ctes: ctx.ctes.clone(),
-        budget: AtomicU64::new(ctx.budget.load(Ordering::Relaxed)),
-        deadline: ctx.deadline,
-        // CTE scopes share the query's pool, scratch and timing counters.
-        shared: ctx.shared.clone(),
-    };
-    for (name, cte_query) in &q.ctes {
-        let rel = exec_query(cte_query, &local)?;
-        local.ctes.insert(name.to_ascii_lowercase(), Arc::new(rel));
+fn exec_query(q: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
+    for (slot, cte) in &q.ctes {
+        let rows = exec_query(cte, ctx)?;
+        ctx.store_cte(*slot, rows);
     }
-    let mut rel = exec_body(&q.body, &local)?;
-    ctx.budget.store(local.budget.load(Ordering::Relaxed), Ordering::Relaxed);
-
+    let mut rows = exec_body(&q.body, ctx)?;
     if !q.order_by.is_empty() {
-        sort_rel(&mut rel, &q.order_by, ctx)?;
+        sort_rows(&mut rows, &q.order_by, ctx)?;
     }
-    apply_limit(&mut rel, q.limit, q.offset);
-    Ok(rel)
+    apply_limit(&mut rows, q.limit, q.offset);
+    Ok(rows)
 }
 
-fn exec_body(body: &QueryBody, ctx: &ExecCtx<'_>) -> Result<Rel> {
+fn exec_body(body: &BodyPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
     match body {
-        QueryBody::Select(sel) => exec_select(sel, ctx),
-        QueryBody::Union { left, right, all } => {
+        BodyPlan::Select(sel) => exec_select(sel, ctx),
+        BodyPlan::Union { left, right, all } => {
             let mut l = exec_body(left, ctx)?;
             let r = exec_body(right, ctx)?;
-            if l.cols.len() != r.cols.len() {
-                return plan_err(format!(
-                    "UNION arity mismatch: {} vs {}",
-                    l.cols.len(),
-                    r.cols.len()
-                ));
-            }
-            ctx.charge(r.rows.len())?;
-            l.rows.extend(r.rows);
+            ctx.charge(r.len())?;
+            l.extend(r);
             if !*all {
                 dedupe(&mut l, ctx);
             }
             Ok(l)
         }
     }
+}
+
+/// Keep the rows whose `keep` entry is true, in order.
+fn retain_mask(rows: &mut Rows, keep: &[bool]) {
+    let mut i = 0;
+    rows.retain(|_| {
+        let k = keep[i];
+        i += 1;
+        k
+    });
 }
 
 /// Remove duplicate rows, keeping first occurrences, without cloning any
@@ -872,18 +750,18 @@ fn exec_body(body: &QueryBody, ctx: &ExecCtx<'_>) -> Result<Rel> {
 /// partition's row-id list stays ascending, so "first occurrence wins" is
 /// preserved exactly. The keep-mask is a pure function of the rows — the
 /// same at every thread count.
-fn dedupe(rel: &mut Rel, ctx: &ExecCtx<'_>) {
+fn dedupe(rows: &mut Rows, ctx: &ExecCtx<'_>) {
     use std::hash::{Hash, Hasher};
-    let n = rel.rows.len();
+    let n = rows.len();
     if n <= 1 {
         return;
     }
-    let rows = &rel.rows;
+    let all = &*rows;
     let hashes: Vec<u64> = parallel_morsels(ctx, n, |range| {
         Ok(range
             .map(|i| {
                 let mut h = crate::hash::FxHasher::default();
-                rows[i].hash(&mut h);
+                all[i].hash(&mut h);
                 h.finish()
             })
             .collect())
@@ -912,7 +790,7 @@ fn dedupe(rel: &mut Rel, ctx: &ExecCtx<'_>) {
                 let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
                 for &i in &parts_ref[p] {
                     let bucket = buckets.entry(hashes_ref[i as usize]).or_default();
-                    if bucket.iter().any(|&j| rows[j as usize] == rows[i as usize]) {
+                    if bucket.iter().any(|&j| all[j as usize] == all[i as usize]) {
                         local_dead.push(i);
                     } else {
                         bucket.push(i);
@@ -929,55 +807,28 @@ fn dedupe(rel: &mut Rel, ctx: &ExecCtx<'_>) {
             FxHashMap::with_capacity_and_hasher(n, crate::hash::FxBuildHasher::default());
         for i in 0..n {
             let bucket = buckets.entry(hashes[i]).or_default();
-            if bucket.iter().any(|&j| rows[j] == rows[i]) {
+            if bucket.iter().any(|&j| all[j] == all[i]) {
                 keep[i] = false;
             } else {
                 bucket.push(i);
             }
         }
     }
-    let mut i = 0;
-    rel.rows.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
+    retain_mask(rows, &keep);
 }
 
-fn sort_rel(rel: &mut Rel, order_by: &[OrderItem], ctx: &ExecCtx<'_>) -> Result<()> {
-    // Resolve each item: positional integer, output column, or expression
-    // over output columns.
-    let scope = Scope::from_cols(&rel.cols);
-    let db = ctx.db;
-    let mut keys: Vec<(CExpr, bool)> = Vec::new();
-    for item in order_by {
-        let cexpr = match &item.expr {
-            Expr::Literal(Value::Int(n)) => {
-                let i = *n as usize;
-                if i == 0 || i > rel.cols.len() {
-                    return plan_err(format!("ORDER BY position {i} out of range"));
-                }
-                CExpr::Col(i - 1)
-            }
-            // Projected columns lose their table qualifiers, but SQL permits
-            // `ORDER BY t.col`; retry with qualifiers stripped when the
-            // qualified reference no longer resolves.
-            e => compile(e, &scope, db).or_else(|_| compile(&strip_qualifiers(e), &scope, db))?,
-        };
-        keys.push((cexpr, item.asc));
-    }
+fn sort_rows(rows: &mut Rows, keys: &[(CExpr, bool)], ctx: &ExecCtx<'_>) -> Result<()> {
     // Decorate-sort-undecorate; key extraction (the expression-evaluation
     // part) runs morsel-parallel, the comparison sort stays sequential and
     // stable so equal keys preserve input order at every thread count.
-    let rows = &rel.rows;
-    let keys_ref = &keys;
-    let extracted: Vec<Vec<Value>> = parallel_morsels(ctx, rows.len(), |range| {
+    let all = &*rows;
+    let extracted: Vec<Vec<Value>> = parallel_morsels(ctx, all.len(), |range| {
         range
-            .map(|i| keys_ref.iter().map(|(k, _)| k.eval(&rows[i])).collect::<Result<Vec<_>>>())
+            .map(|i| keys.iter().map(|(k, _)| k.eval(&all[i])).collect::<Result<Vec<_>>>())
             .collect()
     })?;
     let mut decorated: Vec<(Vec<Value>, Vec<Value>)> =
-        extracted.into_iter().zip(rel.rows.drain(..)).collect();
+        extracted.into_iter().zip(rows.drain(..)).collect();
     decorated.sort_by(|(ka, _), (kb, _)| {
         for (i, (_, asc)) in keys.iter().enumerate() {
             let o = ka[i].total_cmp(&kb[i]);
@@ -987,532 +838,159 @@ fn sort_rel(rel: &mut Rel, order_by: &[OrderItem], ctx: &ExecCtx<'_>) -> Result<
         }
         std::cmp::Ordering::Equal
     });
-    rel.rows = decorated.into_iter().map(|(_, r)| r).collect();
+    *rows = decorated.into_iter().map(|(_, r)| r).collect();
     Ok(())
 }
 
-fn strip_qualifiers(e: &Expr) -> Expr {
-    match e {
-        Expr::Column { name, .. } => Expr::Column { qualifier: None, name: name.clone() },
-        Expr::Literal(_) => e.clone(),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(strip_qualifiers(left)),
-            right: Box::new(strip_qualifiers(right)),
-        },
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(strip_qualifiers(expr)) }
-        }
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(strip_qualifiers(expr)), negated: *negated }
-        }
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(strip_qualifiers(expr)),
-            list: list.iter().map(strip_qualifiers).collect(),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(strip_qualifiers(expr)),
-            pattern: Box::new(strip_qualifiers(pattern)),
-            negated: *negated,
-        },
-        Expr::Case { branches, else_expr } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| (strip_qualifiers(c), strip_qualifiers(v)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|x| Box::new(strip_qualifiers(x))),
-        },
-        Expr::Cast { expr, ty } => {
-            Expr::Cast { expr: Box::new(strip_qualifiers(expr)), ty: *ty }
-        }
-        Expr::Func { name, args, star, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(strip_qualifiers).collect(),
-            star: *star,
-            distinct: *distinct,
-        },
-    }
-}
-
-fn apply_limit(rel: &mut Rel, limit: Option<u64>, offset: Option<u64>) {
+fn apply_limit(rows: &mut Rows, limit: Option<u64>, offset: Option<u64>) {
     if let Some(off) = offset {
-        let off = (off as usize).min(rel.rows.len());
-        rel.rows.drain(..off);
+        let off = (off as usize).min(rows.len());
+        rows.drain(..off);
     }
     if let Some(lim) = limit {
-        rel.rows.truncate(lim as usize);
+        rows.truncate(lim as usize);
     }
 }
 
-/// One linearized FROM step.
-struct Step<'a> {
-    relation: &'a Relation,
-    alias: Option<&'a str>,
-    kind: JoinKind,
-    on: Option<&'a Expr>,
-}
-
-fn linearize_from(from: &[TableFactor]) -> Vec<Step<'_>> {
-    let mut steps = Vec::new();
-    for factor in from {
-        steps.push(Step {
-            relation: &factor.relation,
-            alias: factor.alias.as_deref(),
-            kind: JoinKind::Inner,
-            on: None,
-        });
-        for Join { kind, relation, alias, on } in &factor.joins {
-            steps.push(Step { relation, alias: alias.as_deref(), kind: *kind, on: Some(on) });
-        }
-    }
-    steps
-}
-
-fn exec_select(sel: &Select, ctx: &ExecCtx<'_>) -> Result<Rel> {
-    let where_conjuncts: Vec<&Expr> =
-        sel.where_clause.as_ref().map(|w| w.conjuncts()).unwrap_or_default();
-
+fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // FROM: fold steps left to right.
-    let mut cur: Option<Rel> = None;
-    for step in linearize_from(&sel.from) {
-        cur = Some(apply_step(cur, &step, &where_conjuncts, ctx)?);
-    }
-    let mut rel = match cur {
-        Some(r) => r,
+    let mut rows = match &sel.from {
+        Some(from) => {
+            let mut rows = scan(&from.first, ctx)?;
+            for join in &from.joins {
+                rows = match join {
+                    JoinPlan::Unnest(tuples) => unnest(rows, tuples, ctx)?,
+                    JoinPlan::IndexJoin(j) => index_nested_loop(rows, j, ctx)?,
+                    JoinPlan::HashJoin(j) => {
+                        let right = scan(&j.right, ctx)?;
+                        hash_join(rows, right, j, ctx)?
+                    }
+                };
+            }
+            rows
+        }
         // SELECT without FROM: a single empty row.
-        None => Rel { cols: Vec::new(), rows: vec![Vec::new()] },
+        None => vec![Vec::new()],
     };
 
     // WHERE (full residual re-check; pushdowns were best-effort hints).
     // The predicate is evaluated morsel-parallel into a keep-mask; the
     // in-order retain keeps the surviving rows in their original order.
-    if let Some(w) = &sel.where_clause {
-        let scope = Scope::from_cols(&rel.cols);
-        let cond = compile(w, &scope, ctx.db)?;
-        let rows = &rel.rows;
-        let keep: Vec<bool> = parallel_morsels(ctx, rows.len(), |range| {
-            range.map(|i| cond.eval_truthy(&rows[i])).collect()
+    if let Some(cond) = &sel.filter {
+        let all = &rows;
+        let keep: Vec<bool> = parallel_morsels(ctx, all.len(), |range| {
+            range.map(|i| cond.eval_truthy(&all[i])).collect()
         })?;
-        let mut i = 0;
-        rel.rows.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
+        retain_mask(&mut rows, &keep);
     }
 
-    // GROUP BY / aggregates.
-    let has_aggs = select_has_aggregates(sel);
-    if has_aggs || !sel.group_by.is_empty() {
-        rel = aggregate(sel, rel, ctx)?;
-        // After aggregation the projection/having were already applied.
-        if sel.distinct {
-            dedupe(&mut rel, ctx);
-        }
-        return Ok(rel);
-    }
-
-    // Projection.
-    rel = project(&sel.projection, rel, ctx)?;
+    rows = match &sel.output {
+        Output::Aggregate(agg) => aggregate(agg, rows, ctx)?,
+        Output::Project(exprs) => project(exprs, rows, ctx)?,
+    };
     if sel.distinct {
-        dedupe(&mut rel, ctx);
+        dedupe(&mut rows, ctx);
     }
-    Ok(rel)
+    Ok(rows)
 }
 
-fn apply_step(
-    cur: Option<Rel>,
-    step: &Step<'_>,
-    where_conjuncts: &[&Expr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Rel> {
-    // UNNEST is lateral over the current relation.
-    if let Relation::Unnest { tuples, columns } = step.relation {
-        let cur = cur.ok_or_else(|| Error::Plan("UNNEST cannot be the first FROM item".into()))?;
-        return unnest(cur, tuples, columns, step.alias, ctx);
-    }
-
-    // ON conjuncts that reference only the new factor can be pushed into its
-    // scan; for inner steps, single-factor WHERE conjuncts can be pushed too.
-    let alias = step.alias.map(str::to_ascii_lowercase);
-    let on_conjuncts: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
-
-    let right_cols = relation_cols(step.relation, alias.as_deref(), ctx)?;
-    let right_scope = Scope::from_cols(&right_cols);
-
-    let mut push: Vec<&Expr> = Vec::new();
-    for c in &on_conjuncts {
-        if right_scope.covers(c) {
-            push.push(c);
-        }
-    }
-    if step.kind == JoinKind::Inner {
-        for c in where_conjuncts {
-            if right_scope.covers(c) && !expr_is_trivial(c) {
-                push.push(c);
-            }
-        }
-    }
-    let Some(left) = cur else {
-        // First factor: scan (index-assisted when a pushed predicate allows).
-        return scan_relation(step.relation, alias.as_deref(), right_cols, &push, ctx);
+/// Materialize a relation applying its pushed predicates; a base table
+/// with a probe reads only the rows its index names.
+fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
+    let (table, probe, conds) = match source {
+        Source::Table { table, probe, conds } => (ctx.tables[*table], probe, conds),
+        Source::Cte { slot, conds } => return filter_rows(ctx.read_cte(*slot), conds, ctx),
+        Source::Subquery(q) => return exec_query(q, ctx),
     };
-
-    // Index nested-loop join: when the new factor is a base table and some
-    // equi-condition probes an indexed column with a left-side expression,
-    // loop over the (usually small) left relation and probe the index
-    // instead of materializing and hashing the whole table. This is what a
-    // relational engine does for `prior ⋈ DPH ON dph.entry = prior.v`.
-    if let Relation::Named(name) = step.relation {
-        let lower = name.to_ascii_lowercase();
-        if !ctx.ctes.contains_key(&lower) {
-            let left_scope = Scope::from_cols(&left.cols);
-            let conds: Vec<&Expr> = step
-                .on
-                .map(|e| e.conjuncts())
-                .unwrap_or_default()
-                .into_iter()
-                .chain(if step.kind == JoinKind::Inner {
-                    where_conjuncts.to_vec()
-                } else {
-                    Vec::new()
-                })
-                .collect();
-            let mut probe: Option<(usize, CExpr)> = None;
-            for c in &conds {
-                if let Expr::Binary { op: BinaryOp::Eq, left: a, right: b } = c {
-                    for (col_side, other) in [(a, b), (b, a)] {
-                        if let Expr::Column { qualifier, name: cname } = col_side.as_ref() {
-                            let table = ctx.db.table(&lower).expect("checked in relation_cols");
-                            let qual_ok = match qualifier {
-                                Some(q) => {
-                                    let q = q.to_ascii_lowercase();
-                                    alias.as_deref() == Some(q.as_str()) || q == lower
-                                }
-                                None => true,
-                            };
-                            if qual_ok
-                                && table.index_on(cname).is_some()
-                                && left_scope.covers(other)
-                                && !expr_is_trivial(other)
-                            {
-                                let ci = table.schema.column_index(cname).unwrap();
-                                probe = Some((ci, compile(other, &left_scope, ctx.db)?));
+    let width = table.width();
+    let scan_t0 = ctx.phase_start();
+    let rows = match probe {
+        Some((ci, key)) => {
+            // Index probes touch few rows; stay sequential.
+            let index = table.index_at(*ci).expect("the shape check keeps the probed index");
+            let mut rows = Vec::new();
+            for &rid in index.lookup(key) {
+                let vals = table.row_values(rid);
+                if eval_all(conds, &vals)? {
+                    rows.push(vals);
+                }
+            }
+            ctx.charge(rows.len())?;
+            rows
+        }
+        None => {
+            // Morsel-parallel full scan: each worker decompresses and
+            // filters its morsel, charging the budget as it goes, so
+            // LimitExceeded fires from inside worker threads. Each worker
+            // checks one scratch buffer out of the query-wide freelist for
+            // its whole run — rejected rows (the common case on a filtered
+            // scan) never pay a heap allocation, and the buffers carry over
+            // to later scans in the query. A morsel is a run of whole row
+            // chunks, each walked as one contiguous slice.
+            parallel_morsels_scratch(
+                ctx.pool(),
+                table.row_count(),
+                &|| ctx.scratch_take(),
+                &|buf| ctx.scratch_put(buf),
+                |range, buf| {
+                    let mut out = Vec::new();
+                    for rows in table.row_slices(range) {
+                        for r in rows {
+                            r.decompress_into(width, buf);
+                            if eval_all(conds, buf)? {
+                                out.push(std::mem::take(buf));
                             }
                         }
-                        if probe.is_some() {
-                            break;
-                        }
                     }
-                }
-                if probe.is_some() {
-                    break;
-                }
-            }
-            if let Some((ci, left_key)) = probe {
-                return index_nested_loop(
-                    left, &lower, right_cols, ci, left_key, &push, step, where_conjuncts, ctx,
-                );
-            }
+                    ctx.charge(out.len())?;
+                    Ok(out)
+                },
+            )?
         }
-    }
-
-    let right = scan_relation(step.relation, alias.as_deref(), right_cols, &push, ctx)?;
-
-    // Find equi-join keys `left_expr = right_expr` among ON conjuncts and
-    // (for inner joins) WHERE conjuncts.
-    let left_scope = Scope::from_cols(&left.cols);
-    let stream_filters = stream_filters(&left, &right.cols, where_conjuncts, ctx)?;
-    let mut lkeys: Vec<CExpr> = Vec::new();
-    let mut rkeys: Vec<CExpr> = Vec::new();
-    let mut residual_on: Vec<&Expr> = Vec::new();
-    let key_sources: Vec<&Expr> = if step.kind == JoinKind::Inner {
-        on_conjuncts.iter().copied().chain(where_conjuncts.iter().copied()).collect()
-    } else {
-        on_conjuncts.clone()
     };
-    let mut used_as_key = vec![false; on_conjuncts.len()];
-    for (i, c) in key_sources.iter().enumerate() {
-        if let Expr::Binary { op: BinaryOp::Eq, left: a, right: b } = c {
-            let (la, ra) = (left_scope.covers(a), right_scope.covers(a));
-            let (lb, rb) = (left_scope.covers(b), right_scope.covers(b));
-            if la && rb && !ra {
-                lkeys.push(compile(a, &left_scope, ctx.db)?);
-                rkeys.push(compile(b, &right_scope, ctx.db)?);
-                if i < on_conjuncts.len() {
-                    used_as_key[i] = true;
-                }
-                continue;
-            }
-            if lb && ra && !rb {
-                lkeys.push(compile(b, &left_scope, ctx.db)?);
-                rkeys.push(compile(a, &right_scope, ctx.db)?);
-                if i < on_conjuncts.len() {
-                    used_as_key[i] = true;
-                }
-                continue;
-            }
-        }
-    }
-    for (i, c) in on_conjuncts.iter().enumerate() {
-        if !used_as_key[i] {
-            residual_on.push(c);
-        }
-    }
-
-    join(left, right, lkeys, rkeys, residual_on, step.kind, &stream_filters, ctx)
+    ctx.phase_add(Phase::Scan, scan_t0);
+    Ok(rows)
 }
 
-/// WHERE conjuncts that become fully evaluable at this join step (they
-/// reference right-side columns) are applied to each *emitted* row — after
-/// the match/null-extension decision, so outer-join semantics are
-/// preserved; the final WHERE re-checks them, making this purely an early
-/// filter. This is what keeps e.g. `rs.elm = prior.v` from materializing
-/// the whole multi-value expansion.
-fn stream_filters(
-    left: &Rel,
-    right_cols: &[OutCol],
-    where_conjuncts: &[&Expr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Vec<CExpr>> {
-    let left_scope = Scope::from_cols(&left.cols);
-    let mut cols = left.cols.clone();
-    cols.extend(right_cols.iter().cloned());
-    let combined = Scope::from_cols(&cols);
-    let mut out = Vec::new();
-    for c in where_conjuncts {
-        if !expr_is_trivial(c) && combined.covers(c) && !left_scope.covers(c) {
-            out.push(compile(c, &combined, ctx.db)?);
-        }
-    }
-    Ok(out)
-}
-
-fn expr_is_trivial(e: &Expr) -> bool {
-    collect_columns(e).is_empty()
-}
-
-/// Output columns a relation will produce, *without* materializing base
-/// tables (subqueries are not pre-resolved; their pushdown happens after
-/// execution inside [`scan_relation`]).
-fn relation_cols(relation: &Relation, alias: Option<&str>, ctx: &ExecCtx<'_>) -> Result<Vec<OutCol>> {
-    match relation {
-        Relation::Named(name) => {
-            let lower = name.to_ascii_lowercase();
-            let qual = alias.map(str::to_ascii_lowercase).unwrap_or_else(|| lower.clone());
-            if let Some(cte) = ctx.ctes.get(&lower) {
-                return Ok(cte
-                    .cols
-                    .iter()
-                    .map(|c| OutCol { qualifier: Some(qual.clone()), name: c.name.clone() })
-                    .collect());
-            }
-            let table = ctx
-                .db
-                .table(&lower)
-                .ok_or_else(|| Error::Plan(format!("unknown table {name:?}")))?;
-            Ok(table
-                .schema
-                .columns
-                .iter()
-                .map(|c| OutCol { qualifier: Some(qual.clone()), name: c.name.clone() })
-                .collect())
-        }
-        Relation::Subquery(q) => {
-            // Column names of a subquery are those of its SELECT list; we
-            // cannot know them cheaply without planning, so be conservative:
-            // no pushdown (empty scope) — correctness is preserved by the
-            // final WHERE re-check.
-            let _ = q;
-            Ok(Vec::new())
-        }
-        Relation::Unnest { .. } => unreachable!("handled in apply_step"),
-    }
-}
-
-/// Materialize a relation applying pushdown predicates; for base tables an
-/// equality predicate on an indexed column turns the scan into a probe.
-fn scan_relation(
-    relation: &Relation,
-    alias: Option<&str>,
-    cols: Vec<OutCol>,
-    push: &[&Expr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Rel> {
-    match relation {
-        Relation::Named(name) => {
-            let lower = name.to_ascii_lowercase();
-            if let Some(cte) = ctx.ctes.get(&lower) {
-                let rel = Rel { cols, rows: cte.rows.clone() };
-                return filter_rows(rel, push, ctx);
-            }
-            let table = ctx.db.table(&lower).expect("checked in relation_cols");
-            let scope = Scope::from_cols(&cols);
-            let mut conds: Vec<CExpr> =
-                push.iter().map(|e| compile(e, &scope, ctx.db)).collect::<Result<_>>()?;
-            order_by_cost(&mut conds);
-
-            // Index probe: find `col = literal` (either orientation) among the
-            // pushed conjuncts where `col` has an index.
-            let mut probe: Option<(usize, Value)> = None;
-            for c in push {
-                if let Expr::Binary { op: BinaryOp::Eq, left, right } = c {
-                    let pair = match (left.as_ref(), right.as_ref()) {
-                        (Expr::Column { qualifier, name }, Expr::Literal(v))
-                        | (Expr::Literal(v), Expr::Column { qualifier, name }) => {
-                            Some((qualifier, name, v))
-                        }
-                        _ => None,
-                    };
-                    if let Some((q, n, v)) = pair {
-                        if scope.resolve(q.as_deref(), n).is_ok()
-                            && table.index_on(n).is_some()
-                        {
-                            let ci = table.schema.column_index(n).unwrap();
-                            probe = Some((ci, v.clone()));
-                            break;
-                        }
-                    }
-                }
-            }
-
-            let width = table.width();
-            let scan_t0 = ctx.phase_start();
-            let rows = match probe {
-                Some((ci, key)) => {
-                    // Index probes touch few rows; stay sequential.
-                    let index = table
-                        .index_on(&table.schema.columns[ci].name)
-                        .expect("index checked above");
-                    let mut rows = Vec::new();
-                    for &rid in index.lookup(&key) {
-                        let vals = table.row_values(rid);
-                        if eval_all(&conds, &vals)? {
-                            rows.push(vals);
-                        }
-                    }
-                    ctx.charge(rows.len())?;
-                    rows
-                }
-                None => {
-                    // Morsel-parallel full scan: each worker decompresses and
-                    // filters its morsel, charging the budget as it goes, so
-                    // LimitExceeded fires from inside worker threads. Each
-                    // worker checks one scratch buffer out of the query-wide
-                    // freelist for its whole run — rejected rows (the common
-                    // case on a filtered scan) never pay a heap allocation,
-                    // and the buffers carry over to later scans in the query.
-                    // A morsel is a run of whole row chunks, each walked as
-                    // one contiguous slice.
-                    let conds = &conds;
-                    parallel_morsels_scratch(
-                        ctx.pool(),
-                        table.row_count(),
-                        &|| ctx.scratch_take(),
-                        &|buf| ctx.scratch_put(buf),
-                        |range, buf| {
-                            let mut out = Vec::new();
-                            for rows in table.row_slices(range) {
-                                for r in rows {
-                                    r.decompress_into(width, buf);
-                                    if eval_all(conds, buf)? {
-                                        out.push(std::mem::take(buf));
-                                    }
-                                }
-                            }
-                            ctx.charge(out.len())?;
-                            Ok(out)
-                        },
-                    )?
-                }
-            };
-            ctx.phase_add(Phase::Scan, scan_t0);
-            Ok(Rel { cols, rows })
-        }
-        Relation::Subquery(q) => {
-            let mut rel = exec_query(q, ctx)?;
-            let qual = alias.map(str::to_ascii_lowercase);
-            for c in &mut rel.cols {
-                c.qualifier = qual.clone();
-            }
-            // push was computed against an empty scope, so it is empty here.
-            Ok(rel)
-        }
-        Relation::Unnest { .. } => unreachable!("handled in apply_step"),
-    }
-}
-
-/// Probe `table`'s index on column `ci` once per left row, applying the
-/// pushed single-table predicates to each probed row and the full join
-/// condition to each combined row. Handles both inner and left-outer joins.
-#[allow(clippy::too_many_arguments)]
-fn index_nested_loop(
-    left: Rel,
-    table_name: &str,
-    right_cols: Vec<OutCol>,
-    key_col: usize,
-    left_key: CExpr,
-    push: &[&Expr],
-    step: &Step<'_>,
-    where_conjuncts: &[&Expr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Rel> {
-    let stream = stream_filters(&left, &right_cols, where_conjuncts, ctx)?;
-    let table = ctx.db.table(table_name).expect("caller checked");
-    let index = table
-        .index_on(&table.schema.columns[key_col].name)
-        .expect("caller checked index presence");
-    let right_scope = Scope::from_cols(&right_cols);
-    let mut push_conds: Vec<CExpr> =
-        push.iter().map(|e| compile(e, &right_scope, ctx.db)).collect::<Result<_>>()?;
-    order_by_cost(&mut push_conds);
-
-    let mut cols = left.cols.clone();
-    cols.extend(right_cols.iter().cloned());
-    let combined_scope = Scope::from_cols(&cols);
-    // The whole ON condition re-checked per combined row (cheap, safe).
-    let residual: Vec<CExpr> = step
-        .on
-        .map(|e| e.conjuncts())
-        .unwrap_or_default()
-        .iter()
-        .map(|e| compile(e, &combined_scope, ctx.db))
-        .collect::<Result<_>>()?;
-
+/// Probe the table's index once per left row, applying the pushed
+/// single-table predicates to each probed row and the full join condition
+/// to each combined row. Handles both inner and left-outer joins.
+fn index_nested_loop(left: Rows, j: &IndexJoin, ctx: &ExecCtx<'_>) -> Result<Rows> {
+    let table = ctx.tables[j.table];
+    let index = table.index_at(j.key_col).expect("the shape check keeps the probed index");
     let width = table.width();
     let probe_t0 = ctx.phase_start();
     let mut rows = Vec::new();
-    for l in &left.rows {
-        let key = left_key.eval(l)?;
+    for l in &left {
+        let key = j.left_key.eval(l)?;
         let rids: &[u32] = if key.is_null() { &[] } else { index.lookup(&key) };
         ctx.charge(rids.len().max(1))?;
         let mut matched = false;
         for &rid in rids {
             let vals = table.row(rid).decompress(width);
-            if !eval_all(&push_conds, &vals)? {
+            if !eval_all(&j.push, &vals)? {
                 continue;
             }
             let mut combined = l.clone();
             combined.extend(vals);
-            if !eval_all(&residual, &combined)? {
+            if !eval_all(&j.residual, &combined)? {
                 continue;
             }
             matched = true;
-            if eval_all(&stream, &combined)? {
+            if eval_all(&j.stream, &combined)? {
                 rows.push(combined);
             }
         }
-        if !matched && step.kind == JoinKind::LeftOuter {
+        if !matched && j.outer {
             let mut combined = l.clone();
             combined.extend(std::iter::repeat_with(|| Value::Null).take(width));
-            if eval_all(&stream, &combined)? {
+            if eval_all(&j.stream, &combined)? {
                 rows.push(combined);
             }
         }
     }
     ctx.phase_add(Phase::Probe, probe_t0);
-    Ok(Rel { cols, rows })
+    Ok(rows)
 }
 
 fn eval_all<R: RowAccess + ?Sized>(conds: &[CExpr], row: &R) -> Result<bool> {
@@ -1524,77 +1002,29 @@ fn eval_all<R: RowAccess + ?Sized>(conds: &[CExpr], row: &R) -> Result<bool> {
     Ok(true)
 }
 
-/// Order conjuncts so cheap comparisons short-circuit before expensive ones
-/// (function calls, LIKE, CASE). `eval_all` stops at the first rejecting
-/// conjunct, so on a selective scan this keeps e.g. a per-row dictionary
-/// materialization behind an integer equality that filters most rows out.
-/// Stable, so equal-cost conjuncts keep their written order.
-fn order_by_cost(conds: &mut [CExpr]) {
-    fn is_expensive(e: &CExpr) -> bool {
-        match e {
-            CExpr::Call { .. } | CExpr::Like { .. } | CExpr::Case { .. } => true,
-            CExpr::Col(_) | CExpr::Lit(_) => false,
-            CExpr::Binary { left, right, .. } => is_expensive(left) || is_expensive(right),
-            CExpr::Unary { expr, .. }
-            | CExpr::IsNull { expr, .. }
-            | CExpr::Cast { expr, .. } => is_expensive(expr),
-            CExpr::InList { expr, list, .. } => {
-                is_expensive(expr) || list.iter().any(is_expensive)
-            }
-        }
-    }
-    conds.sort_by_key(is_expensive);
-}
-
-fn filter_rows(mut rel: Rel, push: &[&Expr], ctx: &ExecCtx<'_>) -> Result<Rel> {
-    let scope = Scope::from_cols(&rel.cols);
-    let mut conds: Vec<CExpr> =
-        push.iter().map(|e| compile(e, &scope, ctx.db)).collect::<Result<_>>()?;
-    order_by_cost(&mut conds);
+fn filter_rows(mut rows: Rows, conds: &[CExpr], ctx: &ExecCtx<'_>) -> Result<Rows> {
     let scan_t0 = ctx.phase_start();
-    let rows = &rel.rows;
-    let conds_ref = &conds;
-    let keep: Vec<bool> = parallel_morsels(ctx, rows.len(), |range| {
+    let all = &rows;
+    let keep: Vec<bool> = parallel_morsels(ctx, all.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
         let mut kept = 0usize;
         for i in range {
-            let k = eval_all(conds_ref, &rows[i])?;
+            let k = eval_all(conds, &all[i])?;
             kept += k as usize;
             out.push(k);
         }
         ctx.charge(kept)?;
         Ok(out)
     })?;
-    let mut i = 0;
-    rel.rows.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
+    retain_mask(&mut rows, &keep);
     ctx.phase_add(Phase::Scan, scan_t0);
-    Ok(rel)
+    Ok(rows)
 }
 
-fn unnest(
-    cur: Rel,
-    tuples: &[Vec<Expr>],
-    columns: &[String],
-    alias: Option<&str>,
-    ctx: &ExecCtx<'_>,
-) -> Result<Rel> {
-    let scope = Scope::from_cols(&cur.cols);
-    let compiled: Vec<Vec<CExpr>> = tuples
-        .iter()
-        .map(|t| t.iter().map(|e| compile(e, &scope, ctx.db)).collect::<Result<Vec<_>>>())
-        .collect::<Result<_>>()?;
-    let qual = alias.map(str::to_ascii_lowercase);
-    let mut cols = cur.cols.clone();
-    for c in columns {
-        cols.push(OutCol { qualifier: qual.clone(), name: c.to_ascii_lowercase() });
-    }
+fn unnest(cur: Rows, tuples: &[Vec<CExpr>], ctx: &ExecCtx<'_>) -> Result<Rows> {
     let mut rows = Vec::new();
-    for row in &cur.rows {
-        for tuple in &compiled {
+    for row in &cur {
+        for tuple in tuples {
             let mut vals = Vec::with_capacity(tuple.len());
             for e in tuple {
                 vals.push(e.eval(row)?);
@@ -1608,7 +1038,7 @@ fn unnest(
         }
     }
     ctx.charge(rows.len())?;
-    Ok(Rel { cols, rows })
+    Ok(rows)
 }
 
 /// Sentinel right-row id marking a left-outer null extension in the
@@ -1743,26 +1173,8 @@ where
 /// `(left_row, right_row)` index pairs. Combined rows are materialized (also
 /// morsel-parallel) only for pairs that passed every predicate — candidate
 /// rows rejected by a predicate are never copied at all.
-#[allow(clippy::too_many_arguments)]
-fn join(
-    left: Rel,
-    right: Rel,
-    lkeys: Vec<CExpr>,
-    rkeys: Vec<CExpr>,
-    residual_on: Vec<&Expr>,
-    kind: JoinKind,
-    stream: &[CExpr],
-    ctx: &ExecCtx<'_>,
-) -> Result<Rel> {
-    let mut cols = left.cols.clone();
-    cols.extend(right.cols.iter().cloned());
-    let combined_scope = Scope::from_cols(&cols);
-    let residual: Vec<CExpr> = residual_on
-        .iter()
-        .map(|e| compile(e, &combined_scope, ctx.db))
-        .collect::<Result<_>>()?;
-    let right_width = right.cols.len();
-    let null_row: Vec<Value> = vec![Value::Null; right_width];
+fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result<Rows> {
+    let null_row: Vec<Value> = vec![Value::Null; j.right_width];
 
     // Build phase: hash right rows on their key into a partitioned table
     // (parallel radix build above the size cutoff — see `partitioned_build`).
@@ -1775,22 +1187,20 @@ fn join(
         Single(PartitionedTable<Value>),
         Multi(PartitionedTable<Vec<Value>>),
     }
-    let cross = lkeys.is_empty();
+    let cross = j.lkeys.is_empty();
     let build_t0 = ctx.phase_start();
     let table = if cross {
-        ctx.charge(left.rows.len().saturating_mul(right.rows.len().max(1)))?;
+        ctx.charge(left.len().saturating_mul(right.len().max(1)))?;
         KeyTable::Single(PartitionedTable { parts: vec![FxHashMap::default()] })
-    } else if rkeys.len() == 1 {
-        let rk = &rkeys[0];
-        KeyTable::Single(partitioned_build(ctx, &right.rows, &|r| {
+    } else if let [rk] = j.rkeys.as_slice() {
+        KeyTable::Single(partitioned_build(ctx, &right, &|r| {
             let v = rk.eval(r)?;
             Ok(if v.is_null() { None } else { Some(v) })
         })?)
     } else {
-        let rkeys_ref = &rkeys;
-        KeyTable::Multi(partitioned_build(ctx, &right.rows, &|r| {
-            let mut key = Vec::with_capacity(rkeys_ref.len());
-            for k in rkeys_ref {
+        KeyTable::Multi(partitioned_build(ctx, &right, &|r| {
+            let mut key = Vec::with_capacity(j.rkeys.len());
+            for k in &j.rkeys {
                 let v = k.eval(r)?;
                 if v.is_null() {
                     return Ok(None);
@@ -1806,14 +1216,12 @@ fn join(
     // pairs in left-row order, so the final row order matches a sequential
     // left-to-right probe exactly.
     let probe_t0 = ctx.phase_start();
-    let all_right: Vec<u32> =
-        if cross { (0..right.rows.len() as u32).collect() } else { Vec::new() };
-    let (left_rows, right_rows) = (&left.rows, &right.rows);
-    let (table_ref, lkeys_ref, residual_ref) = (&table, &lkeys, &residual);
-    let (null_ref, all_right_ref) = (&null_row, &all_right);
+    let all_right: Vec<u32> = if cross { (0..right.len() as u32).collect() } else { Vec::new() };
+    let (left_rows, right_rows) = (&left, &right);
+    let (table_ref, null_ref, all_right_ref) = (&table, &null_row, &all_right);
     let pairs: Vec<(usize, usize)> = parallel_morsels(ctx, left_rows.len(), |range| {
         let mut out = Vec::new();
-        let mut key = Vec::with_capacity(lkeys_ref.len());
+        let mut key = Vec::with_capacity(j.lkeys.len());
         for li in range {
             let l = &left_rows[li];
             let matches: &[u32] = if cross {
@@ -1821,7 +1229,7 @@ fn join(
             } else {
                 match table_ref {
                     KeyTable::Single(t) => {
-                        let v = lkeys_ref[0].eval(l)?;
+                        let v = j.lkeys[0].eval(l)?;
                         if v.is_null() {
                             &[]
                         } else {
@@ -1831,7 +1239,7 @@ fn join(
                     KeyTable::Multi(t) => {
                         key.clear();
                         let mut null_key = false;
-                        for k in lkeys_ref {
+                        for k in &j.lkeys {
                             let v = k.eval(l)?;
                             if v.is_null() {
                                 null_key = true;
@@ -1851,17 +1259,17 @@ fn join(
             for &ri in matches {
                 let ri = ri as usize;
                 let pair = SplitRow { left: l, right: &right_rows[ri] };
-                if !eval_all(residual_ref, &pair)? {
+                if !eval_all(&j.residual, &pair)? {
                     continue;
                 }
                 matched = true;
-                if eval_all(stream, &pair)? {
+                if eval_all(&j.stream, &pair)? {
                     out.push((li, ri));
                 }
             }
-            if !matched && kind == JoinKind::LeftOuter {
+            if !matched && j.outer {
                 let pair = SplitRow { left: l, right: null_ref };
-                if eval_all(stream, &pair)? {
+                if eval_all(&j.stream, &pair)? {
                     out.push((li, NULL_EXTENDED));
                 }
             }
@@ -1874,11 +1282,10 @@ fn join(
 
     // Materialization phase: copy out only the surviving pairs.
     let pairs_ref = &pairs;
-    let rows: Vec<Vec<Value>> = parallel_morsels(ctx, pairs.len(), |range| {
+    let rows: Rows = parallel_morsels(ctx, pairs.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
         for &(li, ri) in &pairs_ref[range] {
-            let mut combined =
-                Vec::with_capacity(left_rows[li].len() + right_width);
+            let mut combined = Vec::with_capacity(left_rows[li].len() + j.right_width);
             combined.extend(left_rows[li].iter().cloned());
             let r = if ri == NULL_EXTENDED { null_ref } else { &right_rows[ri] };
             combined.extend(r.iter().cloned());
@@ -1887,247 +1294,164 @@ fn join(
         Ok(out)
     })?;
     ctx.phase_add(Phase::Probe, probe_t0);
-    Ok(Rel { cols, rows })
+    Ok(rows)
 }
 
-fn project(items: &[SelectItem], rel: Rel, ctx: &ExecCtx<'_>) -> Result<Rel> {
-    let scope = Scope::from_cols(&rel.cols);
-    let mut out_cols: Vec<OutCol> = Vec::new();
-    let mut exprs: Vec<CExpr> = Vec::new();
-    for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                for (i, c) in rel.cols.iter().enumerate() {
-                    out_cols.push(OutCol { qualifier: None, name: c.name.clone() });
-                    exprs.push(CExpr::Col(i));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let qq = q.to_ascii_lowercase();
-                let mut any = false;
-                for (i, c) in rel.cols.iter().enumerate() {
-                    if c.qualifier.as_deref() == Some(qq.as_str()) {
-                        out_cols.push(OutCol { qualifier: None, name: c.name.clone() });
-                        exprs.push(CExpr::Col(i));
-                        any = true;
-                    }
-                }
-                if !any {
-                    return plan_err(format!("unknown qualifier {q:?} in wildcard"));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    _ => format!("col{}", out_cols.len() + 1),
-                });
-                out_cols.push(OutCol { qualifier: None, name: name.to_ascii_lowercase() });
-                exprs.push(compile(expr, &scope, ctx.db)?);
-            }
-        }
-    }
+fn project(exprs: &[CExpr], in_rows: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // Morsel-parallel expression projection; morsel-order concatenation
     // keeps output rows aligned with input order.
-    let in_rows = &rel.rows;
-    let exprs_ref = &exprs;
-    let rows: Vec<Vec<Value>> = parallel_morsels(ctx, in_rows.len(), |range| {
+    parallel_morsels(ctx, in_rows.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
-        for i in range {
-            let row = &in_rows[i];
-            let mut vals = Vec::with_capacity(exprs_ref.len());
-            for e in exprs_ref {
+        for row in &in_rows[range] {
+            let mut vals = Vec::with_capacity(exprs.len());
+            for e in exprs {
                 vals.push(e.eval(row)?);
             }
             out.push(vals);
         }
         Ok(out)
-    })?;
-    Ok(Rel { cols: out_cols, rows })
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
 
-fn select_has_aggregates(sel: &Select) -> bool {
-    fn expr_has(e: &Expr) -> bool {
-        match e {
-            // An aggregate may hide inside a scalar call: COALESCE(SUM(x), 0).
-            Expr::Func { name, star, args, .. } => {
-                *star || is_aggregate(name) || args.iter().any(expr_has)
-            }
-            Expr::Column { .. } | Expr::Literal(_) => false,
-            Expr::Binary { left, right, .. } => expr_has(left) || expr_has(right),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr_has(expr)
-            }
-            Expr::InList { expr, list, .. } => expr_has(expr) || list.iter().any(expr_has),
-            Expr::Like { expr, pattern, .. } => expr_has(expr) || expr_has(pattern),
-            Expr::Case { branches, else_expr } => {
-                branches.iter().any(|(c, v)| expr_has(c) || expr_has(v))
-                    || else_expr.as_deref().is_some_and(expr_has)
-            }
-        }
-    }
-    sel.projection.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr_has(expr),
-        _ => false,
-    }) || sel.having.as_ref().is_some_and(expr_has)
+#[derive(Clone)]
+struct AggState {
+    count: u64,
+    sum: f64,
+    sum_is_int: bool,
+    sum_int: i64,
+    min: Option<Value>,
+    max: Option<Value>,
+    /// `AGG(DISTINCT x)`: values in first-occurrence order. Accumulation
+    /// is deferred to [`AggState::plain`] so merging morsel partials can
+    /// dedup globally; first-occurrence order is a pure function of the
+    /// input, keeping results byte-identical at every thread count.
+    distinct: Option<(FxHashSet<Value>, Vec<Value>)>,
 }
 
-/// Hash aggregation. Supports projections/HAVING built from GROUP BY
-/// expressions and aggregate calls.
-fn aggregate(sel: &Select, input: Rel, ctx: &ExecCtx<'_>) -> Result<Rel> {
-    let in_scope = Scope::from_cols(&input.cols);
-
-    // Collect the distinct aggregate calls appearing anywhere.
-    let mut agg_calls: Vec<Expr> = Vec::new();
-    let mut collect = |e: &Expr| {
-        for a in find_aggregates(e) {
-            if !agg_calls.contains(&a) {
-                agg_calls.push(a);
-            }
-        }
-    };
-    for item in &sel.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect(expr);
+impl AggState {
+    fn new(distinct: bool) -> Self {
+        AggState {
+            count: 0,
+            sum: 0.0,
+            sum_is_int: true,
+            sum_int: 0,
+            min: None,
+            max: None,
+            distinct: distinct.then(|| (FxHashSet::default(), Vec::new())),
         }
     }
-    if let Some(h) = &sel.having {
-        collect(h);
+
+    /// Resolve a deferred DISTINCT accumulation into a plain state.
+    fn plain(&self) -> AggState {
+        match &self.distinct {
+            None => self.clone(),
+            Some((_, order)) => {
+                let mut s = AggState::new(false);
+                for v in order {
+                    s.update(v);
+                }
+                s
+            }
+        }
     }
 
-    let group_exprs: Vec<CExpr> =
-        sel.group_by.iter().map(|e| compile(e, &in_scope, ctx.db)).collect::<Result<_>>()?;
-    // Aggregate argument expressions (None for COUNT(*)).
-    let agg_args: Vec<Option<CExpr>> = agg_calls
-        .iter()
-        .map(|a| match a {
-            Expr::Func { star: true, .. } => Ok(None),
-            Expr::Func { args, .. } => Ok(Some(compile(&args[0], &in_scope, ctx.db)?)),
-            _ => unreachable!(),
-        })
-        .collect::<Result<_>>()?;
-
-    #[derive(Clone)]
-    struct AggState {
-        count: u64,
-        sum: f64,
-        sum_is_int: bool,
-        sum_int: i64,
-        min: Option<Value>,
-        max: Option<Value>,
-        /// `AGG(DISTINCT x)`: values in first-occurrence order. Accumulation
-        /// is deferred to [`AggState::plain`] so merging morsel partials can
-        /// dedup globally; first-occurrence order is a pure function of the
-        /// input, keeping results byte-identical at every thread count.
-        distinct: Option<(FxHashSet<Value>, Vec<Value>)>,
+    fn update(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        if let Some((seen, order)) = &mut self.distinct {
+            if seen.insert(v.clone()) {
+                order.push(v.clone());
+            }
+            return;
+        }
+        self.count += 1;
+        match v {
+            Value::Int(i) => {
+                self.sum += *i as f64;
+                self.sum_int = self.sum_int.wrapping_add(*i);
+            }
+            Value::Double(d) => {
+                self.sum += d;
+                self.sum_is_int = false;
+            }
+            _ => self.sum_is_int = false,
+        }
+        if self.min.as_ref().map(|m| replaces(v, m, true)).unwrap_or(true) {
+            self.min = Some(v.clone());
+        }
+        if self.max.as_ref().map(|m| replaces(v, m, false)).unwrap_or(true) {
+            self.max = Some(v.clone());
+        }
     }
-    impl AggState {
-        fn new(distinct: bool) -> Self {
-            AggState {
-                count: 0,
-                sum: 0.0,
-                sum_is_int: true,
-                sum_int: 0,
-                min: None,
-                max: None,
-                distinct: distinct.then(|| (FxHashSet::default(), Vec::new())),
-            }
-        }
 
-        /// Resolve a deferred DISTINCT accumulation into a plain state.
-        fn plain(&self) -> AggState {
-            match &self.distinct {
-                None => self.clone(),
-                Some((_, order)) => {
-                    let mut s = AggState::new(false);
-                    for v in order {
-                        s.update(v);
-                    }
-                    s
-                }
-            }
-        }
-
-        fn update(&mut self, v: &Value) {
-            if v.is_null() {
-                return;
-            }
-            if let Some((seen, order)) = &mut self.distinct {
-                if seen.insert(v.clone()) {
-                    order.push(v.clone());
-                }
-                return;
-            }
-            self.count += 1;
-            match v {
-                Value::Int(i) => {
-                    self.sum += *i as f64;
-                    self.sum_int = self.sum_int.wrapping_add(*i);
-                }
-                Value::Double(d) => {
-                    self.sum += d;
-                    self.sum_is_int = false;
-                }
-                _ => self.sum_is_int = false,
-            }
-            if self.min.as_ref().map(|m| replaces(v, m, true)).unwrap_or(true) {
-                self.min = Some(v.clone());
-            }
-            if self.max.as_ref().map(|m| replaces(v, m, false)).unwrap_or(true) {
-                self.max = Some(v.clone());
-            }
-        }
-
-        /// Fold `other` (a later morsel's partial) into `self`. On min/max
-        /// ties the earlier occurrence is kept unless the type tie-break in
-        /// [`replaces`] applies, matching what a sequential pass would retain.
-        fn merge(&mut self, other: &AggState) {
-            if let Some((seen, order)) = &mut self.distinct {
-                if let Some((_, oorder)) = &other.distinct {
-                    for v in oorder {
-                        if seen.insert(v.clone()) {
-                            order.push(v.clone());
-                        }
+    /// Fold `other` (a later morsel's partial) into `self`. On min/max
+    /// ties the earlier occurrence is kept unless the type tie-break in
+    /// [`replaces`] applies, matching what a sequential pass would retain.
+    fn merge(&mut self, other: &AggState) {
+        if let Some((seen, order)) = &mut self.distinct {
+            if let Some((_, oorder)) = &other.distinct {
+                for v in oorder {
+                    if seen.insert(v.clone()) {
+                        order.push(v.clone());
                     }
                 }
-                return;
             }
-            self.count += other.count;
-            self.sum += other.sum;
-            self.sum_is_int &= other.sum_is_int;
-            self.sum_int = self.sum_int.wrapping_add(other.sum_int);
-            if let Some(m) = &other.min {
-                if self.min.as_ref().map(|c| replaces(m, c, true)).unwrap_or(true) {
-                    self.min = Some(m.clone());
-                }
+            return;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.sum_is_int &= other.sum_is_int;
+        self.sum_int = self.sum_int.wrapping_add(other.sum_int);
+        if let Some(m) = &other.min {
+            if self.min.as_ref().map(|c| replaces(m, c, true)).unwrap_or(true) {
+                self.min = Some(m.clone());
             }
-            if let Some(m) = &other.max {
-                if self.max.as_ref().map(|c| replaces(m, c, false)).unwrap_or(true) {
-                    self.max = Some(m.clone());
-                }
+        }
+        if let Some(m) = &other.max {
+            if self.max.as_ref().map(|c| replaces(m, c, false)).unwrap_or(true) {
+                self.max = Some(m.clone());
             }
         }
     }
 
-    /// Should candidate `v` replace the current MIN (`want_less`) or MAX
-    /// representative `m`? On a `total_cmp` tie — only possible for an Int
-    /// and a Double of equal value, e.g. `1` vs `1.0` — prefer the Int so
-    /// the retained representative is a function of the value multiset, not
-    /// of the order rows reach the aggregate.
-    fn replaces(v: &Value, m: &Value, want_less: bool) -> bool {
-        use std::cmp::Ordering;
-        match v.total_cmp(m) {
-            Ordering::Equal => {
-                matches!(v, Value::Int(_)) && matches!(m, Value::Double(_))
-            }
-            Ordering::Less => want_less,
-            Ordering::Greater => !want_less,
+    /// The aggregate's value.
+    fn finish(&self, func: AggFunc) -> Value {
+        let s = self.plain();
+        match func {
+            AggFunc::Count => Value::Int(s.count as i64),
+            AggFunc::Sum if s.count == 0 => Value::Null,
+            AggFunc::Sum if s.sum_is_int => Value::Int(s.sum_int),
+            AggFunc::Sum => Value::Double(s.sum),
+            AggFunc::Avg if s.count == 0 => Value::Null,
+            AggFunc::Avg => Value::Double(s.sum / s.count as f64),
+            AggFunc::Min => s.min.unwrap_or(Value::Null),
+            AggFunc::Max => s.max.unwrap_or(Value::Null),
         }
     }
+}
 
+/// Should candidate `v` replace the current MIN (`want_less`) or MAX
+/// representative `m`? On a `total_cmp` tie — only possible for an Int
+/// and a Double of equal value, e.g. `1` vs `1.0` — prefer the Int so
+/// the retained representative is a function of the value multiset, not
+/// of the order rows reach the aggregate.
+fn replaces(v: &Value, m: &Value, want_less: bool) -> bool {
+    use std::cmp::Ordering;
+    match v.total_cmp(m) {
+        Ordering::Equal => matches!(v, Value::Int(_)) && matches!(m, Value::Double(_)),
+        Ordering::Less => want_less,
+        Ordering::Greater => !want_less,
+    }
+}
+
+/// Hash aggregation, then HAVING and the projection over the intermediate
+/// rows (group keys followed by aggregate values).
+fn aggregate(agg: &AggPlan, input: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // Accumulation runs as per-MORSEL partial aggregates (morsel-parallel),
     // merged below in morsel order. Because morsel boundaries are fixed by
     // MORSEL_ROWS alone, both the float summation order and the
@@ -2135,21 +1459,12 @@ fn aggregate(sel: &Select, input: Rel, ctx: &ExecCtx<'_>) -> Result<Rel> {
     // are byte-identical at every thread count.
     let agg_t0 = ctx.phase_start();
     type Partial = Vec<(Vec<Value>, Vec<AggState>)>;
-    let (group_ref, arg_ref) = (&group_exprs, &agg_args);
-    let in_rows = &input.rows;
-    let agg_distinct: Vec<bool> = agg_calls
-        .iter()
-        .map(|a| matches!(a, Expr::Func { distinct: true, .. }))
-        .collect();
-    let dist_ref = &agg_distinct;
-    let fresh_states =
-        move || dist_ref.iter().map(|d| AggState::new(*d)).collect::<Vec<_>>();
-    let partials: Vec<Partial> = parallel_morsels(ctx, in_rows.len(), |range| {
+    let fresh_states = || agg.calls.iter().map(|c| AggState::new(c.distinct)).collect::<Vec<_>>();
+    let partials: Vec<Partial> = parallel_morsels(ctx, input.len(), |range| {
         let mut idx: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
         let mut local: Partial = Vec::new();
-        for row in &in_rows[range] {
-            let key: Vec<Value> =
-                group_ref.iter().map(|e| e.eval(row)).collect::<Result<_>>()?;
+        for row in &input[range] {
+            let key: Vec<Value> = agg.group.iter().map(|e| e.eval(row)).collect::<Result<_>>()?;
             // Entry API so the common already-seen-group path moves the key
             // in without cloning it; only a fresh group pays a clone.
             let slot = match idx.entry(key) {
@@ -2160,13 +1475,10 @@ fn aggregate(sel: &Select, input: Rel, ctx: &ExecCtx<'_>) -> Result<Rel> {
                 }
             };
             let states = &mut local[slot].1;
-            for (i, arg) in arg_ref.iter().enumerate() {
-                match arg {
-                    None => states[i].count += 1, // COUNT(*)
-                    Some(e) => {
-                        let v = e.eval(row)?;
-                        states[i].update(&v);
-                    }
+            for (state, call) in states.iter_mut().zip(&agg.calls) {
+                match &call.arg {
+                    None => state.count += 1, // COUNT(*)
+                    Some(e) => state.update(&e.eval(row)?),
                 }
             }
         }
@@ -2194,187 +1506,26 @@ fn aggregate(sel: &Select, input: Rel, ctx: &ExecCtx<'_>) -> Result<Rel> {
         }
     }
     // Global aggregate over an empty input still yields one row.
-    if sel.group_by.is_empty() && merged.is_empty() {
+    if agg.global && merged.is_empty() {
         merged.push((Vec::new(), fresh_states()));
     }
 
-    // Build the intermediate scope: group-by exprs then aggregate values.
-    let mut mid_cols: Vec<OutCol> = Vec::new();
-    for (i, e) in sel.group_by.iter().enumerate() {
-        let name = match e {
-            Expr::Column { name, .. } => name.clone(),
-            _ => format!("_g{i}"),
-        };
-        mid_cols.push(OutCol { qualifier: None, name: name.to_ascii_lowercase() });
+    let mut rows: Rows = Vec::with_capacity(merged.len());
+    for (mut row, states) in merged {
+        row.extend(states.iter().zip(&agg.calls).map(|(s, call)| s.finish(call.func)));
+        rows.push(row);
     }
-    for i in 0..agg_calls.len() {
-        mid_cols.push(OutCol { qualifier: None, name: format!("_agg{i}") });
-    }
+    ctx.charge(rows.len())?;
 
-    let mut mid_rows: Vec<Vec<Value>> = Vec::with_capacity(merged.len());
-    for (key, states) in merged {
-        let mut row = key;
-        for (i, call) in agg_calls.iter().enumerate() {
-            let s = states[i].plain();
-            let Expr::Func { name, .. } = call else { unreachable!() };
-            let v = match name.as_str() {
-                "count" => Value::Int(s.count as i64),
-                "sum" => {
-                    if s.count == 0 {
-                        Value::Null
-                    } else if s.sum_is_int {
-                        Value::Int(s.sum_int)
-                    } else {
-                        Value::Double(s.sum)
-                    }
-                }
-                "avg" => {
-                    if s.count == 0 {
-                        Value::Null
-                    } else {
-                        Value::Double(s.sum / s.count as f64)
-                    }
-                }
-                "min" => s.min.clone().unwrap_or(Value::Null),
-                "max" => s.max.clone().unwrap_or(Value::Null),
-                _ => unreachable!(),
-            };
-            row.push(v);
-        }
-        mid_rows.push(row);
-    }
-    ctx.charge(mid_rows.len())?;
-
-    // Rewrite projection/having over the intermediate scope.
-    let rewrite = |e: &Expr| -> Expr {
-        rewrite_agg(e, &sel.group_by, &agg_calls)
-    };
-    let mid = Rel { cols: mid_cols, rows: mid_rows };
-    let mid_scope = Scope::from_cols(&mid.cols);
-
-    let mut rel = mid;
-    if let Some(h) = &sel.having {
-        let cond = compile(&rewrite(h), &mid_scope, ctx.db)?;
+    if let Some(cond) = &agg.having {
         let mut kept = Vec::new();
-        for row in rel.rows {
+        for row in rows {
             if cond.eval_truthy(&row)? {
                 kept.push(row);
             }
         }
-        rel.rows = kept;
+        rows = kept;
     }
-
-    let items: Vec<SelectItem> = sel
-        .projection
-        .iter()
-        .map(|item| match item {
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().or_else(|| match expr {
-                    Expr::Column { name, .. } => Some(name.clone()),
-                    Expr::Func { name, .. } => Some(name.clone()),
-                    _ => None,
-                });
-                Ok(SelectItem::Expr { expr: rewrite(expr), alias: name })
-            }
-            _ => plan_err("wildcard projection is not supported with GROUP BY"),
-        })
-        .collect::<Result<_>>()?;
     ctx.phase_add(Phase::Agg, agg_t0);
-    project(&items, rel, ctx)
-}
-
-fn find_aggregates(e: &Expr) -> Vec<Expr> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Func { name, star, .. } if *star || is_aggregate(name) => out.push(e.clone()),
-            Expr::Func { args, .. } => args.iter().for_each(|a| walk(a, out)),
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                walk(expr, out)
-            }
-            Expr::InList { expr, list, .. } => {
-                walk(expr, out);
-                list.iter().for_each(|a| walk(a, out));
-            }
-            Expr::Like { expr, pattern, .. } => {
-                walk(expr, out);
-                walk(pattern, out);
-            }
-            Expr::Case { branches, else_expr } => {
-                for (c, v) in branches {
-                    walk(c, out);
-                    walk(v, out);
-                }
-                if let Some(x) = else_expr {
-                    walk(x, out);
-                }
-            }
-            Expr::Column { .. } | Expr::Literal(_) => {}
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
-/// Replace group-by expressions and aggregate calls with references into the
-/// intermediate aggregation scope.
-fn rewrite_agg(e: &Expr, group_by: &[Expr], agg_calls: &[Expr]) -> Expr {
-    if let Some(i) = agg_calls.iter().position(|a| a == e) {
-        return Expr::col(&format!("_agg{i}"));
-    }
-    if let Some(i) = group_by.iter().position(|g| g == e) {
-        return match &group_by[i] {
-            Expr::Column { name, .. } => Expr::col(name),
-            _ => Expr::col(&format!("_g{i}")),
-        };
-    }
-    match e {
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rewrite_agg(left, group_by, agg_calls)),
-            right: Box::new(rewrite_agg(right, group_by, agg_calls)),
-        },
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(rewrite_agg(expr, group_by, agg_calls)) }
-        }
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_agg(expr, group_by, agg_calls)),
-            negated: *negated,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_agg(expr, group_by, agg_calls)),
-            list: list.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(rewrite_agg(expr, group_by, agg_calls)),
-            pattern: Box::new(rewrite_agg(pattern, group_by, agg_calls)),
-            negated: *negated,
-        },
-        Expr::Case { branches, else_expr } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    (rewrite_agg(c, group_by, agg_calls), rewrite_agg(v, group_by, agg_calls))
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| Box::new(rewrite_agg(x, group_by, agg_calls))),
-        },
-        Expr::Cast { expr, ty } => {
-            Expr::Cast { expr: Box::new(rewrite_agg(expr, group_by, agg_calls)), ty: *ty }
-        }
-        Expr::Func { name, args, star, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
-            star: *star,
-            distinct: *distinct,
-        },
-        _ => e.clone(),
-    }
+    project(&agg.project, rows, ctx)
 }

@@ -10,10 +10,14 @@
 //! simple aggregates, and a lateral `UNNEST` table function standing in for
 //! DB2's `TABLE(...)` value-flip construct (paper Fig. 13).
 //!
-//! Planning is deliberately minimal (see `exec` module docs): the SPARQL
+//! Planning is deliberately minimal (see `plan` module docs): the SPARQL
 //! optimizer upstream decides join order; this engine contributes index
 //! probes for constant equality on indexed columns and hash joins for
 //! equi-joins — what the paper assumes of "the relational query engine".
+//! A query is compiled once into a [`Prepared`] plan — every name resolved,
+//! every access path chosen — and executed by operators that resolve none;
+//! [`Database::prepare`] keeps the compiled form for reuse on any snapshot,
+//! as DB2 keeps the access plan of repeated dynamic SQL.
 //!
 //! Hot operators (base-table scans, WHERE filtering, projection, hash-join
 //! probing, sort-key extraction and duplicate pre-hashing) execute
@@ -39,6 +43,10 @@
 //! db.execute("INSERT INTO person VALUES ('ada', 36), ('alan', 41)").unwrap();
 //! let rel = db.query("SELECT name FROM person WHERE age > 40").unwrap();
 //! assert_eq!(rel.rows, vec![vec![Value::str("alan")]]);
+//!
+//! let older = db.prepare("SELECT name FROM person WHERE age > 40").unwrap();
+//! db.execute("INSERT INTO person VALUES ('grace', 85)").unwrap();
+//! assert_eq!(older.run(&db).unwrap().rows.len(), 2);
 //! ```
 
 mod codec;
@@ -47,6 +55,7 @@ mod error;
 mod exec;
 pub mod hash;
 pub mod io;
+mod plan;
 pub mod pool;
 mod row;
 mod snapshot;
@@ -59,6 +68,7 @@ pub use database::{resolve_threads, table_schema, Database, ExecOutcome, ScalarF
 pub use error::{Error, Result};
 pub use exec::{like_match, OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHasher};
+pub use plan::Prepared;
 pub use pool::WorkerPool;
 pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFaults, WriteOutcome};
 pub use row::CompressedRow;

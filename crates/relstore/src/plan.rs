@@ -1,0 +1,1092 @@
+//! The compile pass: a parsed query becomes a [`Prepared`] plan tree in
+//! which every decision the executor makes before touching a row is already
+//! taken — column positions, the output columns of every CTE and subquery,
+//! index-probe and index-nested-loop choices, join keys, pushed and
+//! residual predicates, compiled expressions. [`Prepared::run`] hands the
+//! tree to the operators in `exec`, which resolve no names.
+//!
+//! Planning is deliberately minimal, per the paper's architecture: join
+//! *order* is decided upstream by the SPARQL optimizer and the SQL is
+//! treated as a procedural plan. This pass contributes only what any
+//! relational engine obviously would. FROM items fold left to right and
+//! every item may reference the columns of all items before it
+//! (lateral-friendly scoping, which `UNNEST` requires). A conjunct that
+//! references only the new item is pushed into its scan; an equality on an
+//! indexed column with a literal probes the index, and one with a left-side
+//! expression turns the step into an index nested-loop join; other
+//! equalities between the two sides become hash-join keys. None of these
+//! choices looks at row data, so a plan is valid on every snapshot whose
+//! referenced tables have the shape it was compiled against.
+//!
+//! Identifiers in the AST are lowercase (the lexer folds them), so nothing
+//! here folds case again.
+
+use std::sync::Arc;
+
+use crate::database::Database;
+use crate::error::{plan_err, Error, Result};
+use crate::exec::{self, CExpr, OutCol, PhaseTimings, Rel};
+use crate::sql::ast::{
+    BinaryOp, Expr, Join, JoinKind, OrderItem, Query, QueryBody, Relation, Select, SelectItem,
+    TableFactor,
+};
+use crate::table::Table;
+use crate::value::Value;
+
+/// A compiled query: the plan tree plus what it was compiled against. It
+/// holds no row data, so one `Prepared` runs on any snapshot of the
+/// database it was made from ([`Database::prepare`]). Its calls are bound
+/// to the scalar functions registered when it was prepared.
+pub struct Prepared {
+    pub(crate) root: QueryPlan,
+    /// The result's columns.
+    pub(crate) cols: Vec<OutCol>,
+    /// The base tables the plan reads, by slot: name and
+    /// [`Table::shape_id`] at compile time.
+    tables: Vec<(String, u64)>,
+    /// How many scans read each CTE slot; the last one takes the rows
+    /// instead of a copy.
+    pub(crate) cte_readers: Vec<u32>,
+}
+
+impl std::fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prepared")
+            .field("cols", &self.cols)
+            .field("tables", &self.tables)
+            .field("ctes", &self.cte_readers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Prepared {
+    /// Execute against `db` — the database the statement was prepared on,
+    /// or any snapshot of it. Fails with [`Error::Stale`], before reading a
+    /// row, if a referenced table has changed shape (columns or indexes)
+    /// since the statement was prepared; prepare it again then.
+    pub fn run(&self, db: &Database) -> Result<Rel> {
+        Ok(self.run_traced(db, false)?.0)
+    }
+
+    /// [`Prepared::run`], with per-phase timings when `traced`.
+    pub(crate) fn run_traced(
+        &self,
+        db: &Database,
+        traced: bool,
+    ) -> Result<(Rel, Option<PhaseTimings>)> {
+        let tables = self.bind(db)?;
+        exec::execute(self, db, tables, traced)
+    }
+
+    /// `db`'s copies of the referenced tables, by slot, once each is
+    /// checked to have the shape the plan was compiled against.
+    fn bind<'a>(&self, db: &'a Database) -> Result<Vec<&'a Table>> {
+        self.tables
+            .iter()
+            .map(|(name, shape)| match db.lookup_table(name) {
+                Some(t) if t.shape_id() == *shape => Ok(t),
+                _ => Err(Error::Stale(format!(
+                    "table {name:?} changed shape after the statement was prepared"
+                ))),
+            })
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The plan tree
+// ---------------------------------------------------------------------------
+
+pub(crate) struct QueryPlan {
+    /// (slot, body) in definition order.
+    pub ctes: Vec<(usize, QueryPlan)>,
+    pub body: BodyPlan,
+    /// Sort keys with their direction; empty without ORDER BY.
+    pub order_by: Vec<(CExpr, bool)>,
+    pub limit: Option<u64>,
+    pub offset: Option<u64>,
+}
+
+pub(crate) enum BodyPlan {
+    Select(Box<SelectPlan>),
+    Union { left: Box<BodyPlan>, right: Box<BodyPlan>, all: bool },
+}
+
+pub(crate) struct SelectPlan {
+    /// `None` for a SELECT without FROM: one row of no columns.
+    pub from: Option<FromPlan>,
+    /// The whole WHERE clause, re-checked after the joins (pushdowns are
+    /// early filters only).
+    pub filter: Option<CExpr>,
+    pub output: Output,
+    pub distinct: bool,
+}
+
+pub(crate) struct FromPlan {
+    pub first: Source,
+    pub joins: Vec<JoinPlan>,
+}
+
+/// A relation materialized with its pushed predicates.
+pub(crate) enum Source {
+    Table {
+        table: usize,
+        /// An index probe `(column, key)` replacing the full scan.
+        probe: Option<(usize, Value)>,
+        /// Pushed conjuncts, cheapest first; the probe's own included.
+        conds: Vec<CExpr>,
+    },
+    Cte {
+        slot: usize,
+        conds: Vec<CExpr>,
+    },
+    Subquery(Box<QueryPlan>),
+}
+
+pub(crate) enum JoinPlan {
+    /// Lateral `UNNEST`: one compiled expression list per tuple.
+    Unnest(Vec<Vec<CExpr>>),
+    IndexJoin(Box<IndexJoin>),
+    HashJoin(Box<HashJoin>),
+}
+
+/// Probe `table`'s index on `key_col` once per left row with `left_key`.
+pub(crate) struct IndexJoin {
+    pub table: usize,
+    pub key_col: usize,
+    pub left_key: CExpr,
+    /// Pushed single-table conjuncts, evaluated on each probed row.
+    pub push: Vec<CExpr>,
+    /// The whole ON condition, evaluated on each combined row.
+    pub residual: Vec<CExpr>,
+    pub stream: Vec<CExpr>,
+    pub outer: bool,
+}
+
+pub(crate) struct HashJoin {
+    pub right: Source,
+    pub lkeys: Vec<CExpr>,
+    pub rkeys: Vec<CExpr>,
+    /// ON conjuncts that are not join keys, over the combined row.
+    pub residual: Vec<CExpr>,
+    /// WHERE conjuncts that first become evaluable at this step, applied
+    /// to each emitted row (see [`stream_filters`]).
+    pub stream: Vec<CExpr>,
+    pub right_width: usize,
+    pub outer: bool,
+}
+
+pub(crate) enum Output {
+    Project(Vec<CExpr>),
+    Aggregate(Box<AggPlan>),
+}
+
+/// Hash aggregation: group keys and aggregate arguments over the input,
+/// then HAVING and the projection over the intermediate row of group keys
+/// followed by aggregate values.
+pub(crate) struct AggPlan {
+    pub group: Vec<CExpr>,
+    /// No GROUP BY: an empty input still yields one row.
+    pub global: bool,
+    pub calls: Vec<AggCall>,
+    pub having: Option<CExpr>,
+    pub project: Vec<CExpr>,
+}
+
+pub(crate) struct AggCall {
+    pub func: AggFunc,
+    /// `None` for `COUNT(*)`.
+    pub arg: Option<CExpr>,
+    pub distinct: bool,
+}
+
+#[derive(Clone, Copy)]
+pub(crate) enum AggFunc {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+// ---------------------------------------------------------------------------
+// Name resolution
+// ---------------------------------------------------------------------------
+
+/// The columns visible to an expression.
+#[derive(Clone, Copy)]
+struct Scope<'c> {
+    cols: &'c [OutCol],
+}
+
+enum Lookup {
+    Missing,
+    Found(usize),
+    Ambiguous,
+}
+
+impl<'c> Scope<'c> {
+    fn new(cols: &'c [OutCol]) -> Self {
+        Scope { cols }
+    }
+
+    fn lookup(&self, qualifier: Option<&str>, name: &str) -> Lookup {
+        let mut found = Lookup::Missing;
+        for (i, c) in self.cols.iter().enumerate() {
+            if &*c.name == name && qualifier.is_none_or(|q| c.qualifier.as_deref() == Some(q)) {
+                if let Lookup::Found(_) = found {
+                    return Lookup::Ambiguous;
+                }
+                found = Lookup::Found(i);
+            }
+        }
+        found
+    }
+
+    /// Resolve `qualifier.name`; unqualified names must be unambiguous.
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        match self.lookup(qualifier, name) {
+            Lookup::Found(i) => Ok(i),
+            Lookup::Ambiguous => plan_err(format!("ambiguous column reference {name:?}")),
+            Lookup::Missing => plan_err(format!(
+                "unknown column {}{name}",
+                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
+            )),
+        }
+    }
+
+    /// True when the expression only references columns resolvable here.
+    fn covers(&self, expr: &Expr) -> bool {
+        all_columns(expr, &mut |q, n| matches!(self.lookup(q, n), Lookup::Found(_)))
+    }
+}
+
+/// Whether `pred` holds for every column reference in `expr`.
+fn all_columns(expr: &Expr, pred: &mut impl FnMut(Option<&str>, &str) -> bool) -> bool {
+    match expr {
+        Expr::Column { qualifier, name } => pred(qualifier.as_deref(), name),
+        Expr::Literal(_) => true,
+        Expr::Binary { left, right, .. } => all_columns(left, pred) && all_columns(right, pred),
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            all_columns(expr, pred)
+        }
+        Expr::InList { expr, list, .. } => {
+            all_columns(expr, pred) && list.iter().all(|e| all_columns(e, pred))
+        }
+        Expr::Like { expr, pattern, .. } => all_columns(expr, pred) && all_columns(pattern, pred),
+        Expr::Case { branches, else_expr } => {
+            branches.iter().all(|(c, v)| all_columns(c, pred) && all_columns(v, pred))
+                && else_expr.as_deref().is_none_or(|e| all_columns(e, pred))
+        }
+        Expr::Func { args, .. } => args.iter().all(|e| all_columns(e, pred)),
+    }
+}
+
+/// An expression referencing no column at all.
+fn is_trivial(e: &Expr) -> bool {
+    all_columns(e, &mut |_, _| false)
+}
+
+/// Compile an AST expression against a scope. Aggregate calls are rejected
+/// here; the aggregation pass rewrites them into column references first.
+fn compile(expr: &Expr, scope: &Scope<'_>, db: &Database) -> Result<CExpr> {
+    let boxed = |e: &Expr| compile(e, scope, db).map(Box::new);
+    Ok(match expr {
+        Expr::Column { qualifier, name } => CExpr::Col(scope.resolve(qualifier.as_deref(), name)?),
+        Expr::Literal(v) => CExpr::Lit(v.clone()),
+        Expr::Binary { op, left, right } => {
+            CExpr::Binary { op: *op, left: boxed(left)?, right: boxed(right)? }
+        }
+        Expr::Unary { op, expr } => CExpr::Unary { op: *op, expr: boxed(expr)? },
+        Expr::IsNull { expr, negated } => CExpr::IsNull { expr: boxed(expr)?, negated: *negated },
+        Expr::InList { expr, list, negated } => CExpr::InList {
+            expr: boxed(expr)?,
+            list: compile_all(list, scope, db)?,
+            negated: *negated,
+        },
+        Expr::Like { expr, pattern, negated } => {
+            CExpr::Like { expr: boxed(expr)?, pattern: boxed(pattern)?, negated: *negated }
+        }
+        Expr::Case { branches, else_expr } => CExpr::Case {
+            branches: branches
+                .iter()
+                .map(|(c, v)| Ok((compile(c, scope, db)?, compile(v, scope, db)?)))
+                .collect::<Result<_>>()?,
+            else_expr: else_expr.as_deref().map(boxed).transpose()?,
+        },
+        Expr::Cast { expr, ty } => CExpr::Cast { expr: boxed(expr)?, ty: *ty },
+        Expr::Func { name, args, star, distinct } => {
+            if *star || *distinct || is_aggregate(name) {
+                return plan_err(format!("aggregate {name:?} not allowed in this context"));
+            }
+            let func = db
+                .function(name)
+                .ok_or_else(|| Error::Plan(format!("unknown function {name:?}")))?;
+            CExpr::Call {
+                name: name.clone(),
+                func: func.clone(),
+                args: compile_all(args, scope, db)?,
+            }
+        }
+    })
+}
+
+fn compile_all<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    scope: &Scope<'_>,
+    db: &Database,
+) -> Result<Vec<CExpr>> {
+    exprs.into_iter().map(|e| compile(e, scope, db)).collect()
+}
+
+/// Evaluate a constant expression (an `INSERT ... VALUES` cell).
+pub(crate) fn eval_const(expr: &Expr, db: &Database) -> Result<Value> {
+    let no_row: &[Value] = &[];
+    compile(expr, &Scope::new(&[]), db)?.eval(no_row)
+}
+
+fn is_aggregate(name: &str) -> bool {
+    matches!(name, "count" | "sum" | "min" | "max" | "avg")
+}
+
+/// Order conjuncts so cheap comparisons short-circuit before expensive ones
+/// (function calls, LIKE, CASE). The executor stops at the first rejecting
+/// conjunct, so on a selective scan this keeps e.g. a per-row dictionary
+/// materialization behind an integer equality that filters most rows out.
+/// Stable, so equal-cost conjuncts keep their written order.
+fn order_by_cost(conds: &mut [CExpr]) {
+    fn is_expensive(e: &CExpr) -> bool {
+        match e {
+            CExpr::Call { .. } | CExpr::Like { .. } | CExpr::Case { .. } => true,
+            CExpr::Col(_) | CExpr::Lit(_) => false,
+            CExpr::Binary { left, right, .. } => is_expensive(left) || is_expensive(right),
+            CExpr::Unary { expr, .. } | CExpr::IsNull { expr, .. } | CExpr::Cast { expr, .. } => {
+                is_expensive(expr)
+            }
+            CExpr::InList { expr, list, .. } => is_expensive(expr) || list.iter().any(is_expensive),
+        }
+    }
+    conds.sort_by_key(is_expensive);
+}
+
+/// Compiled pushed conjuncts, cheapest first.
+fn compile_conds(push: &[&Expr], scope: &Scope<'_>, db: &Database) -> Result<Vec<CExpr>> {
+    let mut conds = compile_all(push.iter().copied(), scope, db)?;
+    order_by_cost(&mut conds);
+    Ok(conds)
+}
+
+// ---------------------------------------------------------------------------
+// The compiler
+// ---------------------------------------------------------------------------
+
+/// Compile a parsed query against `db`'s schema.
+pub(crate) fn prepare(q: &Query, db: &Database) -> Result<Prepared> {
+    let mut c = Compiler { db, tables: Vec::new(), cte_readers: Vec::new(), ctes: Vec::new() };
+    let (root, cols) = c.query(q)?;
+    Ok(Prepared { root, cols, tables: c.tables, cte_readers: c.cte_readers })
+}
+
+struct Compiler<'q, 'db> {
+    db: &'db Database,
+    tables: Vec<(String, u64)>,
+    cte_readers: Vec<u32>,
+    /// The CTEs in scope, innermost last: (name, slot, output columns).
+    ctes: Vec<(&'q str, usize, Vec<OutCol>)>,
+}
+
+/// One linearized FROM step.
+struct Step<'q> {
+    relation: &'q Relation,
+    alias: Option<&'q str>,
+    kind: JoinKind,
+    on: Option<&'q Expr>,
+}
+
+fn linearize_from(from: &[TableFactor]) -> Vec<Step<'_>> {
+    let mut steps = Vec::new();
+    for factor in from {
+        steps.push(Step {
+            relation: &factor.relation,
+            alias: factor.alias.as_deref(),
+            kind: JoinKind::Inner,
+            on: None,
+        });
+        for Join { kind, relation, alias, on } in &factor.joins {
+            steps.push(Step { relation, alias: alias.as_deref(), kind: *kind, on: Some(on) });
+        }
+    }
+    steps
+}
+
+/// What a named FROM item resolved to, with the columns a pushed predicate
+/// may reference. A subquery's are not known before it is compiled, so it
+/// gets no pushdown (an empty scope) — the WHERE re-check keeps it correct.
+enum Target<'q, 'db> {
+    Table { slot: usize, name: &'q str, table: &'db Table, cols: Vec<OutCol> },
+    Cte { slot: usize, cols: Vec<OutCol> },
+    Subquery(&'q Query),
+}
+
+impl Target<'_, '_> {
+    fn cols(&self) -> &[OutCol] {
+        match self {
+            Target::Table { cols, .. } | Target::Cte { cols, .. } => cols,
+            Target::Subquery(_) => &[],
+        }
+    }
+}
+
+/// `cols` under a new qualifier.
+fn requalify(cols: &[OutCol], qualifier: Option<&Arc<str>>) -> Vec<OutCol> {
+    cols.iter().map(|c| OutCol { qualifier: qualifier.cloned(), name: c.name.clone() }).collect()
+}
+
+/// ON conjuncts that reference only the new factor are pushed into its
+/// scan; for inner steps, single-factor WHERE conjuncts are pushed too.
+fn pushed<'q>(
+    scope: &Scope<'_>,
+    on: &[&'q Expr],
+    kind: JoinKind,
+    where_: &[&'q Expr],
+) -> Vec<&'q Expr> {
+    let mut push: Vec<&Expr> = on.iter().copied().filter(|c| scope.covers(c)).collect();
+    if kind == JoinKind::Inner {
+        push.extend(where_.iter().copied().filter(|c| scope.covers(c) && !is_trivial(c)));
+    }
+    push
+}
+
+/// WHERE conjuncts that become fully evaluable at this join step (they
+/// reference right-side columns) are applied to each *emitted* row — after
+/// the match/null-extension decision, so outer-join semantics are
+/// preserved; the final WHERE re-checks them, making this purely an early
+/// filter. This is what keeps e.g. `rs.elm = prior.v` from materializing
+/// the whole multi-value expansion. `combined` is the left columns then the
+/// right ones.
+fn stream_filters(
+    combined: &[OutCol],
+    left_width: usize,
+    where_: &[&Expr],
+    db: &Database,
+) -> Result<Vec<CExpr>> {
+    let (scope, left) = (Scope::new(combined), Scope::new(&combined[..left_width]));
+    let streamed = where_.iter().filter(|c| !is_trivial(c) && scope.covers(c) && !left.covers(c));
+    compile_all(streamed.copied(), &scope, db)
+}
+
+fn concat(left: &[OutCol], right: &[OutCol]) -> Vec<OutCol> {
+    let mut cols = Vec::with_capacity(left.len() + right.len());
+    cols.extend_from_slice(left);
+    cols.extend_from_slice(right);
+    cols
+}
+
+impl<'q, 'db> Compiler<'q, 'db> {
+    fn query(&mut self, q: &'q Query) -> Result<(QueryPlan, Vec<OutCol>)> {
+        // CTEs are visible to later CTEs and to the body; inner scopes shadow.
+        let outer = self.ctes.len();
+        let mut ctes = Vec::with_capacity(q.ctes.len());
+        for (name, cte) in &q.ctes {
+            let (plan, cols) = self.query(cte)?;
+            let slot = self.cte_readers.len();
+            self.cte_readers.push(0);
+            self.ctes.push((name, slot, cols));
+            ctes.push((slot, plan));
+        }
+        let body = self.body(&q.body);
+        self.ctes.truncate(outer);
+        let (body, cols) = body?;
+        let order_by = order_keys(&q.order_by, &cols, self.db)?;
+        Ok((QueryPlan { ctes, body, order_by, limit: q.limit, offset: q.offset }, cols))
+    }
+
+    fn body(&mut self, body: &'q QueryBody) -> Result<(BodyPlan, Vec<OutCol>)> {
+        match body {
+            QueryBody::Select(sel) => {
+                let (plan, cols) = self.select(sel)?;
+                Ok((BodyPlan::Select(Box::new(plan)), cols))
+            }
+            QueryBody::Union { left, right, all } => {
+                let (left, cols) = self.body(left)?;
+                let (right, right_cols) = self.body(right)?;
+                if cols.len() != right_cols.len() {
+                    return plan_err(format!(
+                        "UNION arity mismatch: {} vs {}",
+                        cols.len(),
+                        right_cols.len()
+                    ));
+                }
+                Ok((
+                    BodyPlan::Union { left: Box::new(left), right: Box::new(right), all: *all },
+                    cols,
+                ))
+            }
+        }
+    }
+
+    fn select(&mut self, sel: &'q Select) -> Result<(SelectPlan, Vec<OutCol>)> {
+        let where_: Vec<&Expr> =
+            sel.where_clause.as_ref().map(|w| w.conjuncts()).unwrap_or_default();
+        let mut from: Option<FromPlan> = None;
+        let mut cols = Vec::new();
+        for step in linearize_from(&sel.from) {
+            let out = match &mut from {
+                None => {
+                    let (first, out) = self.first_item(&step, &where_)?;
+                    from = Some(FromPlan { first, joins: Vec::new() });
+                    out
+                }
+                Some(f) => {
+                    let (join, out) = self.join_step(&cols, &step, &where_)?;
+                    f.joins.push(join);
+                    out
+                }
+            };
+            cols = out;
+        }
+        let scope = Scope::new(&cols);
+        let filter = sel.where_clause.as_ref().map(|w| compile(w, &scope, self.db)).transpose()?;
+        let (output, out) = if select_has_aggregates(sel) || !sel.group_by.is_empty() {
+            let (agg, out) = aggregate(sel, &cols, self.db)?;
+            (Output::Aggregate(Box::new(agg)), out)
+        } else {
+            let (exprs, out) = project(&sel.projection, &cols, self.db)?;
+            (Output::Project(exprs), out)
+        };
+        Ok((SelectPlan { from, filter, output, distinct: sel.distinct }, out))
+    }
+
+    /// Resolve a named FROM item: CTEs in scope shadow base tables.
+    fn target(
+        &mut self,
+        relation: &'q Relation,
+        alias: Option<&'q str>,
+    ) -> Result<Target<'q, 'db>> {
+        let name = match relation {
+            Relation::Named(name) => name.as_str(),
+            Relation::Subquery(q) => return Ok(Target::Subquery(q)),
+            Relation::Unnest { .. } => unreachable!("UNNEST steps are compiled by join_step"),
+        };
+        let qualifier: Arc<str> = alias.unwrap_or(name).into();
+        if let Some((_, slot, cols)) = self.ctes.iter().rev().find(|(n, ..)| *n == name) {
+            return Ok(Target::Cte { slot: *slot, cols: requalify(cols, Some(&qualifier)) });
+        }
+        let db = self.db;
+        let table =
+            db.lookup_table(name).ok_or_else(|| Error::Plan(format!("unknown table {name:?}")))?;
+        let slot = match self.tables.iter().position(|(n, _)| n == name) {
+            Some(slot) => slot,
+            None => {
+                self.tables.push((name.to_string(), table.shape_id()));
+                self.tables.len() - 1
+            }
+        };
+        let cols = table
+            .schema
+            .columns
+            .iter()
+            .map(|c| OutCol { qualifier: Some(qualifier.clone()), name: c.name.clone() })
+            .collect();
+        Ok(Target::Table { slot, name, table, cols })
+    }
+
+    /// Materialize a FROM item applying pushed predicates; for base tables
+    /// an equality with a literal on an indexed column turns the scan into
+    /// a probe. Returns the source and the columns it produces.
+    fn source(
+        &mut self,
+        target: Target<'q, 'db>,
+        alias: Option<&str>,
+        push: &[&Expr],
+    ) -> Result<(Source, Vec<OutCol>)> {
+        let db = self.db;
+        match target {
+            Target::Table { slot, table, cols, .. } => {
+                let scope = Scope::new(&cols);
+                let conds = compile_conds(push, &scope, db)?;
+                let probe = push.iter().find_map(|c| {
+                    let Expr::Binary { op: BinaryOp::Eq, left, right } = c else { return None };
+                    let (qualifier, name, key) = match (&**left, &**right) {
+                        (Expr::Column { qualifier, name }, Expr::Literal(v))
+                        | (Expr::Literal(v), Expr::Column { qualifier, name }) => {
+                            (qualifier, name, v)
+                        }
+                        _ => return None,
+                    };
+                    if !matches!(scope.lookup(qualifier.as_deref(), name), Lookup::Found(_)) {
+                        return None;
+                    }
+                    let ci = table.schema.position(name)?;
+                    table.index_at(ci).map(|_| (ci, key.clone()))
+                });
+                Ok((Source::Table { table: slot, probe, conds }, cols))
+            }
+            Target::Cte { slot, cols } => {
+                let conds = compile_conds(push, &Scope::new(&cols), db)?;
+                self.cte_readers[slot] += 1;
+                Ok((Source::Cte { slot, conds }, cols))
+            }
+            Target::Subquery(q) => {
+                let (plan, cols) = self.query(q)?;
+                let qualifier: Option<Arc<str>> = alias.map(Into::into);
+                Ok((Source::Subquery(Box::new(plan)), requalify(&cols, qualifier.as_ref())))
+            }
+        }
+    }
+
+    fn first_item(
+        &mut self,
+        step: &Step<'q>,
+        where_: &[&'q Expr],
+    ) -> Result<(Source, Vec<OutCol>)> {
+        if let Relation::Unnest { .. } = step.relation {
+            return plan_err("UNNEST cannot be the first FROM item");
+        }
+        let target = self.target(step.relation, step.alias)?;
+        let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
+        let push = pushed(&Scope::new(target.cols()), &on, step.kind, where_);
+        self.source(target, step.alias, &push)
+    }
+
+    /// Join the next FROM item onto `left`, the columns so far.
+    fn join_step(
+        &mut self,
+        left: &[OutCol],
+        step: &Step<'q>,
+        where_: &[&'q Expr],
+    ) -> Result<(JoinPlan, Vec<OutCol>)> {
+        let db = self.db;
+        let left_scope = Scope::new(left);
+        if let Relation::Unnest { tuples, columns } = step.relation {
+            let tuples =
+                tuples.iter().map(|t| compile_all(t, &left_scope, db)).collect::<Result<_>>()?;
+            let qualifier: Option<Arc<str>> = step.alias.map(Into::into);
+            let mut cols = left.to_vec();
+            cols.extend(
+                columns
+                    .iter()
+                    .map(|c| OutCol { qualifier: qualifier.clone(), name: c.as_str().into() }),
+            );
+            return Ok((JoinPlan::Unnest(tuples), cols));
+        }
+
+        let target = self.target(step.relation, step.alias)?;
+        let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
+        let inner = step.kind == JoinKind::Inner;
+        let push = pushed(&Scope::new(target.cols()), &on, step.kind, where_);
+        // Inner steps may take join conditions from WHERE as well as ON.
+        let conds: Vec<&Expr> =
+            on.iter().chain(if inner { where_ } else { &[] }).copied().collect();
+
+        // Index nested-loop join: when the new factor is a base table and
+        // some equi-condition probes an indexed column with a left-side
+        // expression, loop over the (usually small) left relation and probe
+        // the index instead of materializing and hashing the whole table.
+        // This is what a relational engine does for
+        // `prior ⋈ DPH ON dph.entry = prior.v`.
+        if let Target::Table { slot, name, table, cols } = &target {
+            if let Some((key_col, left_key)) =
+                index_probe(&conds, step.alias, name, table, &left_scope, db)?
+            {
+                let combined = concat(left, cols);
+                let stream = stream_filters(&combined, left.len(), where_, db)?;
+                let push = compile_conds(&push, &Scope::new(cols), db)?;
+                // The whole ON condition re-checked per combined row (cheap, safe).
+                let residual = compile_all(on.iter().copied(), &Scope::new(&combined), db)?;
+                let join = IndexJoin {
+                    table: *slot,
+                    key_col,
+                    left_key,
+                    push,
+                    residual,
+                    stream,
+                    outer: !inner,
+                };
+                return Ok((JoinPlan::IndexJoin(Box::new(join)), combined));
+            }
+        }
+
+        let keyed = !matches!(target, Target::Subquery(_));
+        let (right, right_cols) = self.source(target, step.alias, &push)?;
+        let combined = concat(left, &right_cols);
+        let stream = stream_filters(&combined, left.len(), where_, db)?;
+
+        // Equi-join keys `left_expr = right_expr` among ON conjuncts and
+        // (for inner joins) WHERE conjuncts; ON conjuncts that are not keys
+        // stay residual.
+        let right_scope = Scope::new(if keyed { &right_cols } else { &[] });
+        let (mut lkeys, mut rkeys) = (Vec::new(), Vec::new());
+        let mut used_as_key = vec![false; on.len()];
+        for (i, c) in conds.iter().enumerate() {
+            let Expr::Binary { op: BinaryOp::Eq, left: a, right: b } = c else { continue };
+            let (la, ra) = (left_scope.covers(a), right_scope.covers(a));
+            let (lb, rb) = (left_scope.covers(b), right_scope.covers(b));
+            let (l, r) = if la && rb && !ra {
+                (a, b)
+            } else if lb && ra && !rb {
+                (b, a)
+            } else {
+                continue;
+            };
+            lkeys.push(compile(l, &left_scope, db)?);
+            rkeys.push(compile(r, &right_scope, db)?);
+            if i < on.len() {
+                used_as_key[i] = true;
+            }
+        }
+        let residual_on = on.iter().zip(&used_as_key).filter(|(_, &used)| !used).map(|(c, _)| *c);
+        let residual = compile_all(residual_on, &Scope::new(&combined), db)?;
+        let join = HashJoin {
+            right,
+            lkeys,
+            rkeys,
+            residual,
+            stream,
+            right_width: right_cols.len(),
+            outer: !inner,
+        };
+        Ok((JoinPlan::HashJoin(Box::new(join)), combined))
+    }
+}
+
+/// The first equality among `conds` that equates an indexed column of
+/// `table` (unqualified, or qualified by its alias or name) with a
+/// non-constant expression over the left columns: the probed column and
+/// the compiled left-side key.
+fn index_probe(
+    conds: &[&Expr],
+    alias: Option<&str>,
+    name: &str,
+    table: &Table,
+    left: &Scope<'_>,
+    db: &Database,
+) -> Result<Option<(usize, CExpr)>> {
+    for c in conds {
+        let Expr::Binary { op: BinaryOp::Eq, left: a, right: b } = c else { continue };
+        for (col_side, other) in [(a, b), (b, a)] {
+            let Expr::Column { qualifier, name: column } = &**col_side else { continue };
+            if !qualifier.as_deref().is_none_or(|q| alias == Some(q) || q == name) {
+                continue;
+            }
+            let Some(ci) = table.schema.position(column) else { continue };
+            if table.index_at(ci).is_some() && left.covers(other) && !is_trivial(other) {
+                return Ok(Some((ci, compile(other, left, db)?)));
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// ORDER BY keys: a positional integer, an output column, or an expression
+/// over output columns.
+fn order_keys(
+    order_by: &[OrderItem],
+    cols: &[OutCol],
+    db: &Database,
+) -> Result<Vec<(CExpr, bool)>> {
+    let scope = Scope::new(cols);
+    order_by
+        .iter()
+        .map(|item| {
+            let key = match &item.expr {
+                Expr::Literal(Value::Int(n)) => {
+                    let i = *n as usize;
+                    if i == 0 || i > cols.len() {
+                        return plan_err(format!("ORDER BY position {i} out of range"));
+                    }
+                    CExpr::Col(i - 1)
+                }
+                // Projected columns lose their table qualifiers, but SQL
+                // permits `ORDER BY t.col`; retry with qualifiers stripped
+                // when the qualified reference no longer resolves.
+                e => {
+                    compile(e, &scope, db).or_else(|_| compile(&strip_qualifiers(e), &scope, db))?
+                }
+            };
+            Ok((key, item.asc))
+        })
+        .collect()
+}
+
+fn strip_qualifiers(e: &Expr) -> Expr {
+    match e {
+        Expr::Column { name, .. } => Expr::Column { qualifier: None, name: name.clone() },
+        Expr::Literal(_) => e.clone(),
+        Expr::Binary { op, left, right } => Expr::Binary {
+            op: *op,
+            left: Box::new(strip_qualifiers(left)),
+            right: Box::new(strip_qualifiers(right)),
+        },
+        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(strip_qualifiers(expr)) },
+        Expr::IsNull { expr, negated } => {
+            Expr::IsNull { expr: Box::new(strip_qualifiers(expr)), negated: *negated }
+        }
+        Expr::InList { expr, list, negated } => Expr::InList {
+            expr: Box::new(strip_qualifiers(expr)),
+            list: list.iter().map(strip_qualifiers).collect(),
+            negated: *negated,
+        },
+        Expr::Like { expr, pattern, negated } => Expr::Like {
+            expr: Box::new(strip_qualifiers(expr)),
+            pattern: Box::new(strip_qualifiers(pattern)),
+            negated: *negated,
+        },
+        Expr::Case { branches, else_expr } => Expr::Case {
+            branches: branches
+                .iter()
+                .map(|(c, v)| (strip_qualifiers(c), strip_qualifiers(v)))
+                .collect(),
+            else_expr: else_expr.as_ref().map(|x| Box::new(strip_qualifiers(x))),
+        },
+        Expr::Cast { expr, ty } => Expr::Cast { expr: Box::new(strip_qualifiers(expr)), ty: *ty },
+        Expr::Func { name, args, star, distinct } => Expr::Func {
+            name: name.clone(),
+            args: args.iter().map(strip_qualifiers).collect(),
+            star: *star,
+            distinct: *distinct,
+        },
+    }
+}
+
+/// The projection's expressions and output columns.
+fn project(
+    items: &[SelectItem],
+    input: &[OutCol],
+    db: &Database,
+) -> Result<(Vec<CExpr>, Vec<OutCol>)> {
+    let scope = Scope::new(input);
+    let mut cols: Vec<OutCol> = Vec::new();
+    let mut exprs: Vec<CExpr> = Vec::new();
+    for item in items {
+        match item {
+            SelectItem::Wildcard => {
+                for (i, c) in input.iter().enumerate() {
+                    cols.push(OutCol { qualifier: None, name: c.name.clone() });
+                    exprs.push(CExpr::Col(i));
+                }
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                let before = cols.len();
+                for (i, c) in input.iter().enumerate() {
+                    if c.qualifier.as_deref() == Some(q.as_str()) {
+                        cols.push(OutCol { qualifier: None, name: c.name.clone() });
+                        exprs.push(CExpr::Col(i));
+                    }
+                }
+                if cols.len() == before {
+                    return plan_err(format!("unknown qualifier {q:?} in wildcard"));
+                }
+            }
+            SelectItem::Expr { expr, alias } => {
+                let name: Arc<str> = match (alias, expr) {
+                    (Some(alias), _) => alias.as_str().into(),
+                    (None, Expr::Column { name, .. }) => name.as_str().into(),
+                    _ => format!("col{}", cols.len() + 1).into(),
+                };
+                cols.push(OutCol { qualifier: None, name });
+                exprs.push(compile(expr, &scope, db)?);
+            }
+        }
+    }
+    Ok((exprs, cols))
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation
+// ---------------------------------------------------------------------------
+
+fn select_has_aggregates(sel: &Select) -> bool {
+    fn expr_has(e: &Expr) -> bool {
+        match e {
+            // An aggregate may hide inside a scalar call: COALESCE(SUM(x), 0).
+            Expr::Func { name, star, args, .. } => {
+                *star || is_aggregate(name) || args.iter().any(expr_has)
+            }
+            Expr::Column { .. } | Expr::Literal(_) => false,
+            Expr::Binary { left, right, .. } => expr_has(left) || expr_has(right),
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                expr_has(expr)
+            }
+            Expr::InList { expr, list, .. } => expr_has(expr) || list.iter().any(expr_has),
+            Expr::Like { expr, pattern, .. } => expr_has(expr) || expr_has(pattern),
+            Expr::Case { branches, else_expr } => {
+                branches.iter().any(|(c, v)| expr_has(c) || expr_has(v))
+                    || else_expr.as_deref().is_some_and(expr_has)
+            }
+        }
+    }
+    sel.projection.iter().any(|i| match i {
+        SelectItem::Expr { expr, .. } => expr_has(expr),
+        _ => false,
+    }) || sel.having.as_ref().is_some_and(expr_has)
+}
+
+/// Hash aggregation. Supports projections/HAVING built from GROUP BY
+/// expressions and aggregate calls.
+fn aggregate(sel: &Select, input: &[OutCol], db: &Database) -> Result<(AggPlan, Vec<OutCol>)> {
+    let in_scope = Scope::new(input);
+
+    // The distinct aggregate calls appearing anywhere, in first-seen order.
+    let mut calls: Vec<&Expr> = Vec::new();
+    for item in &sel.projection {
+        if let SelectItem::Expr { expr, .. } = item {
+            find_aggregates(expr, &mut calls);
+        }
+    }
+    if let Some(h) = &sel.having {
+        find_aggregates(h, &mut calls);
+    }
+
+    let group = compile_all(&sel.group_by, &in_scope, db)?;
+    let agg_calls = calls
+        .iter()
+        .map(|call| {
+            let Expr::Func { name, args, star, distinct } = call else {
+                unreachable!("find_aggregates collects calls only")
+            };
+            let func = match name.as_str() {
+                "count" => AggFunc::Count,
+                "sum" => AggFunc::Sum,
+                "avg" => AggFunc::Avg,
+                "min" => AggFunc::Min,
+                "max" => AggFunc::Max,
+                _ => return plan_err(format!("unknown aggregate {name:?}")),
+            };
+            let arg = if *star {
+                None
+            } else {
+                let arg =
+                    args.first().ok_or_else(|| Error::Plan(format!("{name} needs an argument")))?;
+                Some(compile(arg, &in_scope, db)?)
+            };
+            Ok(AggCall { func, arg, distinct: *distinct })
+        })
+        .collect::<Result<_>>()?;
+
+    // The intermediate row: group-by expressions, then aggregate values.
+    let mut mid: Vec<OutCol> = sel
+        .group_by
+        .iter()
+        .enumerate()
+        .map(|(i, e)| OutCol {
+            qualifier: None,
+            name: match e {
+                Expr::Column { name, .. } => name.as_str().into(),
+                _ => format!("_g{i}").into(),
+            },
+        })
+        .collect();
+    mid.extend(
+        (0..calls.len()).map(|i| OutCol { qualifier: None, name: format!("_agg{i}").into() }),
+    );
+
+    // Projection and HAVING are rewritten over the intermediate row.
+    let rewrite = |e: &Expr| rewrite_agg(e, &sel.group_by, &calls);
+    let having = match &sel.having {
+        Some(h) => Some(compile(&rewrite(h), &Scope::new(&mid), db)?),
+        None => None,
+    };
+    let items: Vec<SelectItem> = sel
+        .projection
+        .iter()
+        .map(|item| match item {
+            SelectItem::Expr { expr, alias } => {
+                let name = alias.clone().or_else(|| match expr {
+                    Expr::Column { name, .. } | Expr::Func { name, .. } => Some(name.clone()),
+                    _ => None,
+                });
+                Ok(SelectItem::Expr { expr: rewrite(expr), alias: name })
+            }
+            _ => plan_err("wildcard projection is not supported with GROUP BY"),
+        })
+        .collect::<Result<_>>()?;
+    let (project, cols) = project(&items, &mid, db)?;
+    let plan =
+        AggPlan { group, global: sel.group_by.is_empty(), calls: agg_calls, having, project };
+    Ok((plan, cols))
+}
+
+/// Add the aggregate calls in `e` to `out`, skipping ones already there.
+fn find_aggregates<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Func { name, star, .. } if *star || is_aggregate(name) => {
+            if !out.contains(&e) {
+                out.push(e);
+            }
+        }
+        Expr::Func { args, .. } => args.iter().for_each(|a| find_aggregates(a, out)),
+        Expr::Binary { left, right, .. } => {
+            find_aggregates(left, out);
+            find_aggregates(right, out);
+        }
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            find_aggregates(expr, out)
+        }
+        Expr::InList { expr, list, .. } => {
+            find_aggregates(expr, out);
+            list.iter().for_each(|a| find_aggregates(a, out));
+        }
+        Expr::Like { expr, pattern, .. } => {
+            find_aggregates(expr, out);
+            find_aggregates(pattern, out);
+        }
+        Expr::Case { branches, else_expr } => {
+            for (c, v) in branches {
+                find_aggregates(c, out);
+                find_aggregates(v, out);
+            }
+            if let Some(x) = else_expr {
+                find_aggregates(x, out);
+            }
+        }
+        Expr::Column { .. } | Expr::Literal(_) => {}
+    }
+}
+
+/// Replace group-by expressions and aggregate calls with references into the
+/// intermediate aggregation row.
+fn rewrite_agg(e: &Expr, group_by: &[Expr], agg_calls: &[&Expr]) -> Expr {
+    if let Some(i) = agg_calls.iter().position(|a| *a == e) {
+        return Expr::col(&format!("_agg{i}"));
+    }
+    if let Some(i) = group_by.iter().position(|g| g == e) {
+        return match &group_by[i] {
+            Expr::Column { name, .. } => Expr::col(name),
+            _ => Expr::col(&format!("_g{i}")),
+        };
+    }
+    let re = |x: &Expr| Box::new(rewrite_agg(x, group_by, agg_calls));
+    match e {
+        Expr::Binary { op, left, right } => {
+            Expr::Binary { op: *op, left: re(left), right: re(right) }
+        }
+        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: re(expr) },
+        Expr::IsNull { expr, negated } => Expr::IsNull { expr: re(expr), negated: *negated },
+        Expr::InList { expr, list, negated } => Expr::InList {
+            expr: re(expr),
+            list: list.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
+            negated: *negated,
+        },
+        Expr::Like { expr, pattern, negated } => {
+            Expr::Like { expr: re(expr), pattern: re(pattern), negated: *negated }
+        }
+        Expr::Case { branches, else_expr } => Expr::Case {
+            branches: branches
+                .iter()
+                .map(|(c, v)| {
+                    (rewrite_agg(c, group_by, agg_calls), rewrite_agg(v, group_by, agg_calls))
+                })
+                .collect(),
+            else_expr: else_expr.as_deref().map(re),
+        },
+        Expr::Cast { expr, ty } => Expr::Cast { expr: re(expr), ty: *ty },
+        Expr::Func { name, args, star, distinct } => Expr::Func {
+            name: name.clone(),
+            args: args.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
+            star: *star,
+            distinct: *distinct,
+        },
+        Expr::Column { .. } | Expr::Literal(_) => e.clone(),
+    }
+}

@@ -18,6 +18,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{plan_err, Result};
@@ -38,10 +39,11 @@ const _: () = assert!(crate::exec::MORSEL_ROWS.is_multiple_of(CHUNK_ROWS));
 pub const INDEX_SHARDS: usize = 256;
 const _: () = assert!(INDEX_SHARDS.is_power_of_two());
 
-/// A column definition.
+/// A column definition. The name is shared, so a table's copy-on-write
+/// clone and a prepared statement's column list copy no string bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
-    pub name: String,
+    pub name: Arc<str>,
     pub ty: SqlType,
 }
 
@@ -58,14 +60,20 @@ impl TableSchema {
             name: name.into().to_ascii_lowercase(),
             columns: columns
                 .into_iter()
-                .map(|(name, ty)| ColumnDef { name: name.to_ascii_lowercase(), ty })
+                .map(|(name, ty)| ColumnDef { name: name.to_ascii_lowercase().into(), ty })
                 .collect(),
         }
     }
 
+    /// Position of the column named `name` (any case).
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.position(&name.to_ascii_lowercase())
+    }
+
+    /// Position of the column named `lower`, which is already lowercase —
+    /// as every identifier the SQL lexer produces is.
+    pub(crate) fn position(&self, lower: &str) -> Option<usize> {
+        self.columns.iter().position(|c| &*c.name == lower)
     }
 }
 
@@ -177,7 +185,7 @@ impl Index {
 }
 
 /// An in-memory table: schema, compressed rows in copy-on-write chunks, and
-/// secondary indexes keyed by column name.
+/// secondary indexes keyed by column position.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
@@ -185,12 +193,30 @@ pub struct Table {
     /// `chunks[id / CHUNK_ROWS][id % CHUNK_ROWS]`. Every chunk but the last
     /// is full, and none is empty.
     chunks: Vec<Arc<Vec<CompressedRow>>>,
-    indexes: HashMap<String, Index>,
+    /// (column position, index), at most one per column.
+    indexes: Vec<(usize, Index)>,
+    /// See [`Table::shape_id`].
+    shape: u64,
+}
+
+/// A process-wide unique id for a table shape.
+fn fresh_shape_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Table {
     pub fn new(schema: TableSchema) -> Self {
-        Table { schema, chunks: Vec::new(), indexes: HashMap::new() }
+        Table { schema, chunks: Vec::new(), indexes: Vec::new(), shape: fresh_shape_id() }
+    }
+
+    /// Identifies what a prepared statement compiled against: the column
+    /// list and the set of indexed columns. A fresh id, unique in the
+    /// process, is drawn whenever either changes (`widen`, `create_index`),
+    /// and a clone keeps its original's — so equal ids mean equal shapes,
+    /// whichever snapshot the table came from. Row changes never move it.
+    pub(crate) fn shape_id(&self) -> u64 {
+        self.shape
     }
 
     pub fn row_count(&self) -> usize {
@@ -213,9 +239,8 @@ impl Table {
             ));
         }
         let row_id = self.row_count() as u32;
-        for (col, index) in &mut self.indexes {
-            let ci = self.schema.columns.iter().position(|c| &c.name == col).unwrap();
-            index.insert(vals[ci].clone(), row_id);
+        for (ci, index) in &mut self.indexes {
+            index.insert(vals[*ci].clone(), row_id);
         }
         let row = CompressedRow::from_values(vals);
         match self.chunks.last_mut() {
@@ -239,27 +264,37 @@ impl Table {
 
     /// Create (or rebuild) an index on `column`.
     pub fn create_index(&mut self, column: &str, kind: IndexKind) -> Result<()> {
-        let lower = column.to_ascii_lowercase();
-        let Some(ci) = self.schema.column_index(&lower) else {
+        let Some(ci) = self.schema.column_index(column) else {
             return plan_err(format!("no column {column} in table {}", self.schema.name));
         };
         let mut index = Index::new(kind);
         for (row_id, row) in self.iter_rows().enumerate() {
             index.insert(row.get(ci), row_id as u32);
         }
-        self.indexes.insert(lower, index);
+        self.indexes.retain(|(c, _)| *c != ci);
+        self.indexes.push((ci, index));
+        self.shape = fresh_shape_id();
         Ok(())
     }
 
+    /// The index on the column named `column` (any case), if there is one.
     pub fn index_on(&self, column: &str) -> Option<&Index> {
-        self.indexes.get(&column.to_ascii_lowercase())
+        self.index_at(self.schema.column_index(column)?)
+    }
+
+    /// The index on the column at position `ci`, if there is one.
+    pub(crate) fn index_at(&self, ci: usize) -> Option<&Index> {
+        self.indexes.iter().find(|(c, _)| *c == ci).map(|(_, index)| index)
     }
 
     /// The table's index definitions (column, kind), sorted by column name —
     /// what a snapshot needs to rebuild the indexes on load.
     pub fn index_specs(&self) -> Vec<(String, IndexKind)> {
-        let mut specs: Vec<(String, IndexKind)> =
-            self.indexes.iter().map(|(col, idx)| (col.clone(), idx.kind)).collect();
+        let mut specs: Vec<(String, IndexKind)> = self
+            .indexes
+            .iter()
+            .map(|(ci, idx)| (self.schema.columns[*ci].name.to_string(), idx.kind))
+            .collect();
         specs.sort_by(|a, b| a.0.cmp(&b.0));
         specs
     }
@@ -312,7 +347,7 @@ impl Table {
         }
         let mut vals = self.row_values(row_id);
         let old = std::mem::replace(&mut vals[col], value.clone());
-        if let Some(index) = self.indexes.get_mut(&self.schema.columns[col].name) {
+        if let Some((_, index)) = self.indexes.iter_mut().find(|(c, _)| *c == col) {
             index.remove(&old, row_id);
             index.insert(value, row_id);
         }
@@ -332,17 +367,15 @@ impl Table {
         }
         let removed = self.row_values(row_id);
         let last = (n - 1) as u32;
-        for (col, index) in &mut self.indexes {
-            let ci = self.schema.columns.iter().position(|c| &c.name == col).unwrap();
-            index.remove(&removed[ci], row_id);
+        for (ci, index) in &mut self.indexes {
+            index.remove(&removed[*ci], row_id);
         }
         if row_id != last {
             // The moved row keeps its values but changes id: reindex it.
             let moved = self.row_values(last);
-            for (col, index) in &mut self.indexes {
-                let ci = self.schema.columns.iter().position(|c| &c.name == col).unwrap();
-                index.remove(&moved[ci], last);
-                index.insert(moved[ci].clone(), row_id);
+            for (ci, index) in &mut self.indexes {
+                index.remove(&moved[*ci], last);
+                index.insert(moved[*ci].clone(), row_id);
             }
         }
         let tail = self.chunks.last_mut().expect("a non-empty table has a chunk");
@@ -361,8 +394,9 @@ impl Table {
     /// columns at zero storage cost until rewritten.
     pub fn widen(&mut self, new_columns: Vec<(String, SqlType)>) {
         for (name, ty) in new_columns {
-            self.schema.columns.push(ColumnDef { name: name.to_ascii_lowercase(), ty });
+            self.schema.columns.push(ColumnDef { name: name.to_ascii_lowercase().into(), ty });
         }
+        self.shape = fresh_shape_id();
     }
 
     /// Like [`Table::widen`], but rewrites every stored row to the new
@@ -469,6 +503,24 @@ mod tests {
         assert_eq!(t.width(), 4);
         assert_eq!(t.row_values(0)[2], Value::Null);
         assert_eq!(t.storage_bytes(), before);
+    }
+
+    /// The shape id moves with the column list and the index set only, and
+    /// a clone — a snapshot's copy — keeps it.
+    #[test]
+    fn shape_id_follows_columns_and_indexes_not_rows() {
+        let mut t = Table::new(schema());
+        let id = t.shape_id();
+        t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
+        t.update_cell(0, 0, Value::Int(2)).unwrap();
+        assert_eq!(t.clone().shape_id(), id);
+        assert_eq!(t.shape_id(), id, "row changes keep the shape");
+        t.create_index("a", IndexKind::Hash).unwrap();
+        let indexed = t.shape_id();
+        assert_ne!(indexed, id);
+        t.widen(vec![("c".into(), SqlType::Int)]);
+        assert_ne!(t.shape_id(), indexed);
+        assert_ne!(Table::new(schema()).shape_id(), Table::new(schema()).shape_id());
     }
 
     #[test]
@@ -610,7 +662,7 @@ mod tests {
             let shards = self
                 .indexes
                 .iter()
-                .map(|(col, idx)| match other.indexes.get(col) {
+                .map(|(ci, idx)| match other.index_at(*ci) {
                     Some(theirs) => unshared(&idx.shards, &theirs.shards),
                     None => INDEX_SHARDS,
                 })

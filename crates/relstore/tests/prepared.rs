@@ -1,0 +1,139 @@
+//! Prepared statements: one compiled plan runs on every snapshot of the
+//! database it was prepared on and answers exactly as a fresh
+//! `Database::query` there, and refuses — rather than misreads — a snapshot
+//! whose tables changed shape.
+
+use relstore::{Database, Error, IndexKind, Rel, SqlType, Value};
+
+/// The statements every snapshot runs: index probe, index nested-loop join
+/// (inner and left outer), hash join, a CTE read twice, UNION, aggregation
+/// with HAVING, a subquery, UNNEST, DISTINCT and a wildcard.
+const QUERIES: [&str; 10] = [
+    "SELECT v, tag FROM fact WHERE k = 13 ORDER BY v",
+    "SELECT d.w, f.v FROM dim AS d JOIN fact AS f ON f.k = d.k WHERE d.w < 5000",
+    "SELECT f.v, d.w FROM fact AS f LEFT OUTER JOIN dim AS d ON f.k = d.k AND d.w > 90000 \
+     WHERE f.v < 300 ORDER BY f.v",
+    "SELECT f.v, t.code FROM fact AS f, tagmap AS t WHERE f.tag = t.tag AND f.v < 500",
+    PAIRS,
+    "WITH c AS (SELECT k FROM fact WHERE v < 100) SELECT k FROM c UNION SELECT k FROM dim \
+     WHERE w > 95000 ORDER BY k",
+    "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM fact GROUP BY k HAVING COUNT(*) > 40 ORDER BY k",
+    "SELECT s.k, u.x FROM (SELECT k, w FROM dim WHERE k < 10) AS s, \
+     UNNEST ((s.k, 1), (s.w, 2)) AS u(x, y) ORDER BY s.k, u.x",
+    "SELECT DISTINCT tag, k FROM fact",
+    "SELECT * FROM dim WHERE k = 5",
+];
+
+/// Pairs of `fact` rows under v < 2000 sharing a key: the CTE is read
+/// twice, so the first scan gets a copy and the second the rows.
+const PAIRS: &str = "WITH c AS (SELECT k, v FROM fact WHERE v < 2000) \
+     SELECT a.v AS av, b.v AS bv FROM c AS a, c AS b WHERE a.k = b.k AND a.v < b.v ORDER BY av, bv";
+
+/// `fact` (indexed on k), `dim` (indexed on k) and `tagmap` (no index),
+/// with `fact` below one morsel; `rows` mirrors `fact` as (k, v).
+fn fixture() -> (Database, Vec<(i64, i64)>) {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE fact (k INT, v INT, tag TEXT)").unwrap();
+    db.execute("CREATE TABLE dim (k INT, w INT)").unwrap();
+    db.execute("CREATE TABLE tagmap (tag TEXT, code INT)").unwrap();
+    db.create_index("fact", "k", IndexKind::Hash).unwrap();
+    db.create_index("dim", "k", IndexKind::Hash).unwrap();
+    let mut rows = Vec::new();
+    insert_facts(&mut db, &mut rows, 0..3000);
+    db.insert_rows("dim", (0..97i64).map(|k| vec![Value::Int(k), Value::Int(k * 1000)])).unwrap();
+    db.insert_rows("tagmap", [vec![Value::str("fizz"), Value::Int(3)]]).unwrap();
+    (db, rows)
+}
+
+fn insert_facts(db: &mut Database, rows: &mut Vec<(i64, i64)>, ids: std::ops::Range<i64>) {
+    let tag = |i: i64| Value::str(if i % 3 == 0 { "fizz" } else { "plain" });
+    db.insert_rows("fact", ids.clone().map(|i| vec![Value::Int(i % 97), Value::Int(i), tag(i)]))
+        .unwrap();
+    rows.extend(ids.map(|i| (i % 97, i)));
+}
+
+/// [`PAIRS`]' answer computed from the mirror, independently of the engine.
+fn expected_pairs(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
+    let c: Vec<(i64, i64)> = rows.iter().copied().filter(|&(_, v)| v < 2000).collect();
+    let mut out: Vec<(i64, i64)> = c
+        .iter()
+        .flat_map(|a| c.iter().filter(move |b| a.0 == b.0 && a.1 < b.1).map(move |b| (a.1, b.1)))
+        .collect();
+    out.sort_unstable();
+    out.into_iter().map(|(a, b)| vec![Value::Int(a), Value::Int(b)]).collect()
+}
+
+#[test]
+fn one_prepared_statement_serves_every_snapshot() {
+    let (mut db, mut rows) = fixture();
+    let prepared: Vec<_> = QUERIES.iter().map(|q| db.prepare(q).unwrap()).collect();
+
+    // Each step leaves a snapshot behind: the initial state, growth past a
+    // morsel, updates (one moves a row to another key), deletes (each
+    // swaps the last row into the hole), and rows added to the other tables.
+    let mut snapshots = vec![(db.snapshot_clone(), rows.clone())];
+    insert_facts(&mut db, &mut rows, 3000..3000 + relstore::MORSEL_ROWS as i64);
+    snapshots.push((db.snapshot_clone(), rows.clone()));
+    for (rid, k, v) in [(5u32, 13, 1), (700, 13, 1999), (2500, 50, 7)] {
+        db.update_cell("fact", rid, 0, Value::Int(k)).unwrap();
+        db.update_cell("fact", rid, 1, Value::Int(v)).unwrap();
+        rows[rid as usize] = (k, v);
+    }
+    snapshots.push((db.snapshot_clone(), rows.clone()));
+    for rid in [0u32, 13, 1000] {
+        db.delete_row("fact", rid).unwrap();
+        rows.swap_remove(rid as usize);
+    }
+    snapshots.push((db.snapshot_clone(), rows.clone()));
+    db.insert_rows("dim", [vec![Value::Int(13), Value::Int(95_500)]]).unwrap();
+    db.insert_rows("tagmap", [vec![Value::str("plain"), Value::Int(1)]]).unwrap();
+    snapshots.push((db.snapshot_clone(), rows.clone()));
+
+    for (i, (snapshot, mirror)) in snapshots.iter_mut().enumerate() {
+        let pairs = expected_pairs(mirror);
+        assert!(pairs.len() > 10_000, "fixture sanity: {} pairs", pairs.len());
+        for threads in [1, 2, 4] {
+            snapshot.set_threads(Some(threads));
+            for (q, p) in QUERIES.iter().zip(&prepared) {
+                let fresh = snapshot.query(q).unwrap();
+                for run in 0..2 {
+                    let got: Rel = p.run(snapshot).unwrap();
+                    assert_eq!(got, fresh, "snapshot {i}, threads {threads}, run {run}: {q}");
+                }
+            }
+            assert_eq!(
+                prepared[4].run(snapshot).unwrap().rows,
+                pairs,
+                "snapshot {i}, threads {threads}"
+            );
+        }
+    }
+}
+
+/// A table that changed shape after `prepare` is refused with
+/// `Error::Stale` before a row is read — never served from the old column
+/// positions or access paths — while a fresh prepare sees the new shape.
+#[test]
+fn a_changed_shape_is_refused_not_misread() {
+    let (db, _) = fixture();
+    let wildcard = db.prepare("SELECT * FROM dim WHERE k = 5").unwrap();
+    let scan = db.prepare("SELECT code FROM tagmap WHERE tag = 'fizz'").unwrap();
+
+    let mut widened = db.snapshot_clone();
+    widened.table_mut("dim").unwrap().widen(vec![("extra".into(), SqlType::Int)]);
+    assert!(matches!(wildcard.run(&widened), Err(Error::Stale(_))));
+    assert_eq!(widened.query("SELECT * FROM dim WHERE k = 5").unwrap().cols.len(), 3);
+
+    // Rebuilding the probed index, and indexing a scanned column, each
+    // change the access path a fresh compile would choose.
+    let mut reindexed = db.snapshot_clone();
+    reindexed.create_index("dim", "k", IndexKind::Hash).unwrap();
+    assert!(matches!(wildcard.run(&reindexed), Err(Error::Stale(_))));
+    let mut indexed = db.snapshot_clone();
+    indexed.create_index("tagmap", "tag", IndexKind::Hash).unwrap();
+    assert!(matches!(scan.run(&indexed), Err(Error::Stale(_))));
+
+    // The database it was prepared on still runs it.
+    assert_eq!(wildcard.run(&db).unwrap(), db.query("SELECT * FROM dim WHERE k = 5").unwrap());
+    assert_eq!(scan.run(&db).unwrap().rows, vec![vec![Value::Int(3)]]);
+}
