@@ -24,8 +24,6 @@
 //! assert_eq!(sols.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod baseline;
 pub mod dict;
 mod error;

@@ -337,7 +337,7 @@ impl SharedStore {
         self.snapshot().epoch()
     }
 
-    /// Effective executor worker-pool width (see `RdfStore::threads`).
+    /// The executor's effective parallel width (see `RdfStore::threads`).
     pub fn threads(&self) -> usize {
         self.snapshot().threads()
     }
@@ -449,6 +449,75 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert!(stats.groups >= 1 && stats.groups <= stats.applied);
         assert_eq!(stats.batch_sizes.iter().sum::<u64>(), stats.groups);
+    }
+
+    /// Run `updates` on one thread each while the writer mutex is held, and
+    /// release it only once all of them are queued: whichever caller takes
+    /// the mutex first leads one group of all of them. The outcomes come
+    /// back in `updates` order.
+    fn one_group(shared: &SharedStore, updates: &[String]) -> Vec<Result<UpdateOutcome>> {
+        let guard = shared.write();
+        std::thread::scope(|s| {
+            let callers: Vec<_> =
+                updates.iter().map(|u| s.spawn(|| shared.update(u))).collect();
+            while shared.inner.queue.lock().unwrap().len() < updates.len() {
+                std::thread::yield_now();
+            }
+            drop(guard);
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        })
+    }
+
+    fn insert_data(i: usize) -> String {
+        format!("INSERT DATA {{ <http://s/{i}> <http://p> <http://o/{i}> }}")
+    }
+
+    #[test]
+    fn queued_requests_commit_as_one_group() {
+        let shared = loaded_shared(4);
+        let outcomes = one_group(
+            &shared,
+            &[
+                insert_data(100),
+                "DELETE DATA { <http://s/0> <http://p> <http://o/0> }".into(),
+                "INSERT DATA { <http://s/200> <http://p> <http://o/200> . \
+                 <http://s/201> <http://p> <http://o/201> }"
+                    .into(),
+            ],
+        );
+        let outcomes: Vec<UpdateOutcome> = outcomes.into_iter().map(Result::unwrap).collect();
+        assert_eq!(
+            outcomes,
+            [
+                UpdateOutcome { inserted: 1, deleted: 0 },
+                UpdateOutcome { inserted: 0, deleted: 1 },
+                UpdateOutcome { inserted: 2, deleted: 0 },
+            ]
+        );
+        let stats = shared.update_stats();
+        assert_eq!((stats.groups, stats.applied, stats.failed), (1, 3, 0));
+        assert_eq!(stats.batch_sizes, [0, 0, 1, 0, 0, 0, 0], "one group of three");
+        assert_eq!(shared.query("SELECT ?s WHERE { ?s <http://p> ?o }").unwrap().len(), 6);
+    }
+
+    #[test]
+    fn a_failing_request_does_not_poison_its_group() {
+        let shared = loaded_shared(50);
+        // Enough rows for an INSERT DATA, too few for a DELETE WHERE that
+        // matches all 50 triples.
+        shared.write().set_row_budget(Some(20));
+        let outcomes = one_group(
+            &shared,
+            &[insert_data(100), "DELETE WHERE { ?s <http://p> ?o }".into(), insert_data(101)],
+        );
+        assert_eq!(outcomes[0], Ok(UpdateOutcome { inserted: 1, deleted: 0 }));
+        assert_eq!(outcomes[1], Err(StoreError::Sql(relstore::Error::LimitExceeded)));
+        assert_eq!(outcomes[2], Ok(UpdateOutcome { inserted: 1, deleted: 0 }));
+        let stats = shared.update_stats();
+        assert_eq!((stats.groups, stats.applied, stats.failed), (1, 2, 1));
+        assert_eq!(stats.batch_sizes, [0, 0, 1, 0, 0, 0, 0], "one group of three");
+        shared.write().set_row_budget(None);
+        assert_eq!(shared.query("SELECT ?s WHERE { ?s <http://p> ?o }").unwrap().len(), 52);
     }
 
     #[test]

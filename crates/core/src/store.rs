@@ -63,7 +63,7 @@ pub struct StoreConfig {
     /// Per-query wall-clock deadline (None = unbounded); checked at the same
     /// execution sites as the row budget and surfaced as a timeout.
     pub deadline: Option<std::time::Duration>,
-    /// Worker-pool width for the relational engine's morsel-parallel
+    /// Parallel width for the relational engine's morsel-parallel
     /// operators. `None` defers to the `RELSTORE_THREADS` environment
     /// variable, then to the machine's available parallelism; `Some(1)`
     /// forces sequential execution.
@@ -1017,12 +1017,12 @@ impl RdfStore {
         self.db.wal_len()
     }
 
-    /// Adjust the executor worker-pool width (see [`StoreConfig::threads`]).
+    /// Adjust the executor's parallel width (see [`StoreConfig::threads`]).
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.db.set_threads(threads);
     }
 
-    /// Effective executor worker-pool width after resolving the configured
+    /// The executor's effective parallel width after resolving the configured
     /// override, `RELSTORE_THREADS`, and detected parallelism.
     pub fn threads(&self) -> usize {
         self.db.threads()

@@ -11,8 +11,6 @@
 //! | `dbpedia` | DBpedia 3.7                | power-law degrees, thousands of predicates, DQ templates |
 //! | `prbench` | PRBench (tool integration) | 51 predicates, cross-tool links, huge UNION queries |
 
-#![forbid(unsafe_code)]
-
 pub mod dbpedia;
 pub mod lubm;
 pub mod micro;

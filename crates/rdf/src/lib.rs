@@ -11,8 +11,6 @@
 //! `"`), a single `TEXT` column can hold any term without ambiguity, which is
 //! what the DB2RDF schema relies on.
 
-#![forbid(unsafe_code)]
-
 mod ntriples;
 mod term;
 mod triple;

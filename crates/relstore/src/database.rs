@@ -495,7 +495,7 @@ impl Database {
         self.deadline
     }
 
-    /// Pin the executor worker-pool width. `None` (the default) defers to
+    /// Pin the executor's parallel width. `None` (the default) defers to
     /// the `RELSTORE_THREADS` environment variable, then to
     /// [`std::thread::available_parallelism`]. `Some(1)` forces fully
     /// sequential execution; `Some(0)` is clamped to 1 with a warning at
@@ -504,7 +504,7 @@ impl Database {
         self.threads = threads;
     }
 
-    /// Effective worker-pool width for morsel-parallel query operators.
+    /// Effective parallel width for morsel-parallel query operators.
     /// Invalid settings warn (once per process) instead of silently
     /// degrading to sequential execution.
     pub fn threads(&self) -> usize {
@@ -921,7 +921,7 @@ pub fn table_schema(name: &str, cols: &[(&str, SqlType)]) -> TableSchema {
     TableSchema::new(name, cols.iter().map(|(n, t)| (n.to_string(), *t)).collect())
 }
 
-/// Resolve the effective worker-pool width from (in priority order) the
+/// Resolve the effective parallel width from (in priority order) the
 /// explicit [`Database::set_threads`] setting, the `RELSTORE_THREADS`
 /// environment variable, and the machine's available parallelism. Returns
 /// the width plus an optional warning for settings that could not be

@@ -4,11 +4,12 @@
 //! the compiled expressions they evaluate. Every name was resolved by the
 //! compile pass (`plan`); nothing here looks one up.
 //!
-//! Hot operators run morsel-parallel on the query's worker pool and
+//! Hot operators run morsel-parallel on scoped threads, one
+//! `std::thread::scope` per parallel region (see [`parallel_units`]), and
 //! concatenate their outputs in morsel order, so a result, row order
 //! included, is the same at every thread count.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -19,7 +20,6 @@ use crate::plan::{
     AggFunc, AggPlan, BodyPlan, HashJoin, IndexJoin, JoinPlan, Output, Prepared, QueryPlan,
     SelectPlan, Source,
 };
-use crate::pool::WorkerPool;
 use crate::sql::ast::{BinaryOp, UnaryOp};
 use crate::table::Table;
 use crate::value::{SqlType, Value};
@@ -118,11 +118,9 @@ struct CteSlot {
 
 /// Everything one execution of a plan shares across its operators: the
 /// snapshot's tables by plan slot, the CTE results by plan slot, the row
-/// budget that stands in for a query timeout, the worker pool (spawned
-/// once, reused by every parallel region), a freelist of row scratch
-/// buffers handed to scan workers so decompression scratch survives across
-/// operators, and the optional phase-timing counters. The budget is atomic
-/// so morsel workers can charge it concurrently through a shared
+/// budget that stands in for a query timeout, the parallel width resolved
+/// once for the query, and the optional phase-timing counters. The budget
+/// is atomic so morsel workers can charge it concurrently through a shared
 /// `&ExecCtx`.
 struct ExecCtx<'a> {
     tables: Vec<&'a Table>,
@@ -131,20 +129,13 @@ struct ExecCtx<'a> {
     /// Wall-clock deadline (the paper's 10-minute query timeout), checked at
     /// the same sites as the row budget. `None` costs only a branch.
     deadline: Option<Instant>,
-    pool: WorkerPool,
-    scratch: Mutex<Vec<Vec<Value>>>,
+    /// Threads a parallel region may use, the caller included; 1 runs
+    /// every region inline.
+    threads: usize,
     phases: Option<PhaseStats>,
 }
 
 impl ExecCtx<'_> {
-    fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     #[inline]
     fn phase_start(&self) -> Option<Instant> {
         self.phases.as_ref().map(|_| Instant::now())
@@ -155,18 +146,6 @@ impl ExecCtx<'_> {
         if let (Some(stats), Some(t0)) = (&self.phases, start) {
             stats.add(phase, t0.elapsed());
         }
-    }
-
-    /// Take a reusable row buffer from the query-wide freelist (or allocate
-    /// the first time). Paired with [`ExecCtx::scratch_put`] so scan workers
-    /// of successive operators reuse the same decompression scratch.
-    fn scratch_take(&self) -> Vec<Value> {
-        self.scratch.lock().expect("no worker panics holding the freelist").pop().unwrap_or_default()
-    }
-
-    fn scratch_put(&self, mut buf: Vec<Value>) {
-        buf.clear();
-        self.scratch.lock().expect("no worker panics holding the freelist").push(buf);
     }
 
     /// Keep a CTE's rows for its readers (none: drop them now).
@@ -220,8 +199,7 @@ pub(crate) fn execute(
         ctes: Mutex::new(ctes.collect()),
         budget: AtomicU64::new(db.row_budget().unwrap_or(u64::MAX)),
         deadline: db.deadline().map(|d| Instant::now() + d),
-        pool: WorkerPool::new(db.threads()),
-        scratch: Mutex::new(Vec::new()),
+        threads: db.threads(),
         phases: traced.then(PhaseStats::default),
     };
     let rows = exec_query(&prepared.root, &ctx)?;
@@ -238,96 +216,94 @@ pub(crate) fn execute(
 /// splits into many work units for load balancing.
 pub const MORSEL_ROWS: usize = 4096;
 
-/// Run `work` over fixed-size morsels of `0..n` on the query's worker pool
-/// and concatenate the outputs **in morsel order**, so the result is
-/// identical to a sequential left-to-right pass regardless of thread count.
+/// Run `work` over fixed-size morsels of `0..n` and concatenate the outputs
+/// **in morsel order**, so the result is identical to a sequential
+/// left-to-right pass regardless of thread count.
 fn parallel_morsels<R, F>(ctx: &ExecCtx<'_>, n: usize, work: F) -> Result<Vec<R>>
 where
     R: Send,
     F: Fn(std::ops::Range<usize>) -> Result<Vec<R>> + Sync,
 {
-    parallel_morsels_scratch(ctx.pool(), n, &|| (), &|_| (), |range, _| work(range))
+    parallel_morsels_with(ctx, n, |range, _: &mut ()| work(range))
 }
 
-/// [`parallel_morsels`] with per-worker scratch state: each participating
-/// thread gets one `mk_scratch()` value that lives across all the morsels it
-/// processes and is handed to `fini_scratch` when the region ends — how scan
-/// workers keep one decompression buffer per thread instead of one per
-/// morsel, and return it to the query-wide freelist afterwards.
-///
-/// Workers pull morsel indices from a shared atomic counter (classic
-/// morsel-driven scheduling: fast workers take more morsels). On error the
-/// remaining morsels are abandoned and the first error in morsel order is
-/// returned.
-fn parallel_morsels_scratch<R, S, F>(
-    pool: &WorkerPool,
-    n: usize,
-    mk_scratch: &(dyn Fn() -> S + Sync),
-    fini_scratch: &(dyn Fn(S) + Sync),
-    work: F,
-) -> Result<Vec<R>>
+/// [`parallel_morsels`] with one `S::default()` per participating thread,
+/// kept across every morsel that thread runs — how a scan worker keeps one
+/// decompression buffer for its whole region instead of one per morsel.
+fn parallel_morsels_with<R, S, F>(ctx: &ExecCtx<'_>, n: usize, work: F) -> Result<Vec<R>>
 where
     R: Send,
+    S: Default,
     F: Fn(std::ops::Range<usize>, &mut S) -> Result<Vec<R>> + Sync,
 {
-    let morsels = n.div_ceil(MORSEL_ROWS);
-    if pool.threads().min(morsels) <= 1 {
-        let mut scratch = mk_scratch();
-        let mut out = Vec::new();
-        let mut first_err = None;
-        for m in 0..morsels {
-            match work(m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n), &mut scratch) {
-                Ok(mut v) => out.append(&mut v),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        fini_scratch(scratch);
-        return match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        };
+    let mut outs = parallel_units(ctx.threads, n.div_ceil(MORSEL_ROWS), |m, local: &mut S| {
+        work(m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n), local)
+    })?;
+    if outs.len() == 1 {
+        return Ok(outs.pop().expect("one morsel"));
     }
+    let mut out = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    for part in outs {
+        out.extend(part);
+    }
+    Ok(out)
+}
 
+/// The one parallel driver: run `work(i, local)` for every unit `i` in
+/// `0..units` (a unit is a morsel or a hash partition) and return the
+/// outputs **in unit order**.
+///
+/// `threads − 1` scoped workers plus the calling thread pull unit indices
+/// from a shared atomic counter (morsel-driven scheduling: fast threads take
+/// more units), each with its own `S::default()` scratch. No more threads
+/// run than there are units, and a width of one runs inline, spawning
+/// nothing. On error the unclaimed units are abandoned and the first error
+/// in unit order is returned — every unit before it was claimed earlier and
+/// ran to completion, so which error wins never depends on scheduling. A
+/// panic in any thread re-raises here once every thread has joined (the
+/// `std::thread::scope` contract), so no borrow outlives the call.
+fn parallel_units<R, S, F>(threads: usize, units: usize, work: F) -> Result<Vec<R>>
+where
+    R: Send,
+    S: Default,
+    F: Fn(usize, &mut S) -> Result<R> + Sync,
+{
+    let width = threads.min(units);
+    if width <= 1 {
+        let mut local = S::default();
+        return (0..units).map(|i| work(i, &mut local)).collect();
+    }
     let next = AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<Result<Vec<R>>>>> =
-        Mutex::new((0..morsels).map(|_| None).collect());
-    pool.broadcast(&|_worker| {
-        let mut scratch = mk_scratch();
-        loop {
-            if failed.load(Ordering::Relaxed) {
+    let failed = AtomicBool::new(false);
+    let run = || {
+        let mut local = S::default();
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= units {
                 break;
             }
-            let m = next.fetch_add(1, Ordering::Relaxed);
-            if m >= morsels {
-                break;
-            }
-            let res = work(m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n), &mut scratch);
+            let res = work(i, &mut local);
             if res.is_err() {
                 failed.store(true, Ordering::Relaxed);
             }
-            slots.lock().unwrap()[m] = Some(res);
+            done.push((i, res));
         }
-        fini_scratch(scratch);
+        done
+    };
+    let mut slots: Vec<Option<Result<R>>> = (0..units).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (1..width).map(|_| s.spawn(run)).collect();
+        let mine = run();
+        for done in workers.into_iter().map(|w| w.join()).chain([Ok(mine)]) {
+            let done = done.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, res) in done {
+                slots[i] = Some(res);
+            }
+        }
     });
-
-    let slots = slots.into_inner().unwrap();
-    // Surface the first error in morsel order for determinism.
-    for slot in &slots {
-        if let Some(Err(e)) = slot {
-            return Err(e.clone());
-        }
-    }
-    let mut out = Vec::new();
-    for slot in slots {
-        if let Some(Ok(mut v)) = slot {
-            out.append(&mut v);
-        }
-    }
-    Ok(out)
+    // Unclaimed units (`None`) all come after the first error.
+    slots.into_iter().flatten().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -769,37 +745,29 @@ fn dedupe(rows: &mut Rows, ctx: &ExecCtx<'_>) {
     .expect("hashing is infallible");
 
     let mut keep = vec![true; n];
-    if n >= PARALLEL_BUILD_MIN && ctx.threads() > 1 {
+    if n >= PARALLEL_BUILD_MIN && ctx.threads > 1 {
         // Scatter row ids into hash partitions (a cheap sequential integer
-        // pass), then workers claim whole partitions and resolve duplicates
+        // pass), then threads claim whole partitions and resolve duplicates
         // within each independently.
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); BUILD_PARTITIONS];
         for (i, h) in hashes.iter().enumerate() {
             parts[(h >> PARTITION_SHIFT) as usize].push(i as u32);
         }
-        let next = AtomicUsize::new(0);
-        let dead: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-        let (parts_ref, hashes_ref) = (&parts, &hashes);
-        ctx.pool().broadcast(&|_worker| {
-            let mut local_dead: Vec<u32> = Vec::new();
-            loop {
-                let p = next.fetch_add(1, Ordering::Relaxed);
-                if p >= BUILD_PARTITIONS {
-                    break;
-                }
-                let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for &i in &parts_ref[p] {
-                    let bucket = buckets.entry(hashes_ref[i as usize]).or_default();
-                    if bucket.iter().any(|&j| all[j as usize] == all[i as usize]) {
-                        local_dead.push(i);
-                    } else {
-                        bucket.push(i);
-                    }
+        let dead = parallel_units(ctx.threads, BUILD_PARTITIONS, |p, _: &mut ()| {
+            let mut dead: Vec<u32> = Vec::new();
+            let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+            for &i in &parts[p] {
+                let bucket = buckets.entry(hashes[i as usize]).or_default();
+                if bucket.iter().any(|&j| all[j as usize] == all[i as usize]) {
+                    dead.push(i);
+                } else {
+                    bucket.push(i);
                 }
             }
-            dead.lock().unwrap().append(&mut local_dead);
-        });
-        for i in dead.into_inner().unwrap() {
+            Ok(dead)
+        })
+        .expect("deduplication is infallible");
+        for i in dead.into_iter().flatten() {
             keep[i as usize] = false;
         }
     } else {
@@ -919,33 +887,26 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
             rows
         }
         None => {
-            // Morsel-parallel full scan: each worker decompresses and
+            // Morsel-parallel full scan: each thread decompresses and
             // filters its morsel, charging the budget as it goes, so
-            // LimitExceeded fires from inside worker threads. Each worker
-            // checks one scratch buffer out of the query-wide freelist for
-            // its whole run — rejected rows (the common case on a filtered
-            // scan) never pay a heap allocation, and the buffers carry over
-            // to later scans in the query. A morsel is a run of whole row
-            // chunks, each walked as one contiguous slice.
-            parallel_morsels_scratch(
-                ctx.pool(),
-                table.row_count(),
-                &|| ctx.scratch_take(),
-                &|buf| ctx.scratch_put(buf),
-                |range, buf| {
-                    let mut out = Vec::new();
-                    for rows in table.row_slices(range) {
-                        for r in rows {
-                            r.decompress_into(width, buf);
-                            if eval_all(conds, buf)? {
-                                out.push(std::mem::take(buf));
-                            }
+            // LimitExceeded fires from inside worker threads. Each thread
+            // keeps one row buffer for its whole region, so rejected rows
+            // (the common case on a filtered scan) never pay a heap
+            // allocation. A morsel is a run of whole row chunks, each
+            // walked as one contiguous slice.
+            parallel_morsels_with(ctx, table.row_count(), |range, buf: &mut Vec<Value>| {
+                let mut out = Vec::new();
+                for rows in table.row_slices(range) {
+                    for r in rows {
+                        r.decompress_into(width, buf);
+                        if eval_all(conds, buf)? {
+                            out.push(std::mem::take(buf));
                         }
                     }
-                    ctx.charge(out.len())?;
-                    Ok(out)
-                },
-            )?
+                }
+                ctx.charge(out.len())?;
+                Ok(out)
+            })?
         }
     };
     ctx.phase_add(Phase::Scan, scan_t0);
@@ -1051,9 +1012,9 @@ const NULL_EXTENDED: usize = usize::MAX;
 
 /// Number of radix partitions for the parallel hash-join build and the
 /// partitioned dedupe pass. A fixed power of two, deliberately independent
-/// of the pool width: partition contents — and therefore every
-/// order-sensitive merge — are identical at every thread count. 32 keeps
-/// partitions plentiful enough to load-balance 8 workers while per-morsel
+/// of the thread count: partition contents — and therefore every
+/// order-sensitive merge — are identical at every width. 32 keeps
+/// partitions plentiful enough to load-balance 8 threads while per-morsel
 /// scatter buckets stay cache-resident.
 const BUILD_PARTITIONS: usize = 32;
 
@@ -1109,7 +1070,7 @@ fn partitioned_build<K>(
 where
     K: std::hash::Hash + Eq + Clone + Send + Sync,
 {
-    if rows.len() < PARALLEL_BUILD_MIN || ctx.threads() <= 1 {
+    if rows.len() < PARALLEL_BUILD_MIN || ctx.threads <= 1 {
         let mut map: FxHashMap<K, Vec<u32>> = FxHashMap::with_capacity_and_hasher(
             rows.len(),
             crate::hash::FxBuildHasher::default(),
@@ -1136,33 +1097,19 @@ where
         Ok(vec![buckets])
     })?;
 
-    // Phase 2: workers claim whole partitions off a shared counter; no two
-    // ever touch the same map.
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<KeyMap<K>>>> =
-        Mutex::new((0..BUILD_PARTITIONS).map(|_| None).collect());
-    let scattered_ref = &scattered;
-    ctx.pool().broadcast(&|_worker| loop {
-        let part = next.fetch_add(1, Ordering::Relaxed);
-        if part >= BUILD_PARTITIONS {
-            break;
-        }
-        let len: usize = scattered_ref.iter().map(|m| m[part].len()).sum();
-        let mut map: FxHashMap<K, Vec<u32>> =
+    // Phase 2: threads claim whole partitions; no two ever touch the same
+    // map.
+    let parts = parallel_units(ctx.threads, BUILD_PARTITIONS, |part, _: &mut ()| {
+        let len: usize = scattered.iter().map(|m| m[part].len()).sum();
+        let mut map: KeyMap<K> =
             FxHashMap::with_capacity_and_hasher(len, crate::hash::FxBuildHasher::default());
-        for morsel in scattered_ref {
+        for morsel in &scattered {
             for (k, rid) in &morsel[part] {
                 map.entry(k.clone()).or_default().push(*rid);
             }
         }
-        slots.lock().unwrap()[part] = Some(map);
-    });
-    let parts = slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|m| m.expect("every partition claimed and built"))
-        .collect();
+        Ok(map)
+    })?;
     Ok(PartitionedTable { parts })
 }
 

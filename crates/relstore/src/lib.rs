@@ -21,11 +21,13 @@
 //!
 //! Hot operators (base-table scans, WHERE filtering, projection, hash-join
 //! probing, sort-key extraction and duplicate pre-hashing) execute
-//! morsel-parallel over a `std::thread::scope` worker pool; results are
-//! concatenated in morsel order, so row order is identical at every thread
-//! count. The pool width comes from [`Database::set_threads`], the
+//! morsel-parallel: each parallel region runs its threads inside one
+//! `std::thread::scope`, pulling morsels off a shared counter, and results
+//! are concatenated in morsel order, so row order is identical at every
+//! thread count. The width comes from [`Database::set_threads`], the
 //! `RELSTORE_THREADS` environment variable, or
-//! [`std::thread::available_parallelism`], in that order.
+//! [`std::thread::available_parallelism`], in that order, resolved once per
+//! query; a width of 1 runs every region inline and spawns nothing.
 //!
 //! [`Database::new`] is purely in-memory; [`Database::open`] binds the
 //! database to a directory for crash-safe durability — a CRC32-framed
@@ -56,7 +58,6 @@ mod exec;
 pub mod hash;
 pub mod io;
 mod plan;
-pub mod pool;
 mod row;
 mod snapshot;
 pub mod sql;
@@ -69,7 +70,6 @@ pub use error::{Error, Result};
 pub use exec::{like_match, OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHasher};
 pub use plan::Prepared;
-pub use pool::WorkerPool;
 pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFaults, WriteOutcome};
 pub use row::CompressedRow;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotTable};

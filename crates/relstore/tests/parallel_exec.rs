@@ -1,4 +1,4 @@
-//! Executor semantics that must hold at every worker-pool width: outer-join
+//! Executor semantics that must hold at every thread count: outer-join
 //! residual ON predicates, UNION (ALL and deduplicating), ORDER BY
 //! determinism, and row-budget exhaustion raised from worker threads.
 
@@ -144,7 +144,7 @@ fn order_by_is_stable_for_equal_keys_under_parallelism() {
 #[test]
 fn float_aggregates_identical_at_every_thread_count() {
     // f64 summation is association-sensitive, so AVG/SUM over doubles would
-    // drift across pool widths if partials were merged in completion order.
+    // drift across thread counts if partials were merged in completion order.
     // They are merged in morsel order instead: the summation tree depends
     // only on MORSEL_ROWS, so these must be bit-identical, not just close.
     let q = "SELECT k, AVG(v * 0.1) AS a, SUM(v * 0.001) AS s \
@@ -217,4 +217,26 @@ fn env_thread_override_is_picked_up() {
     let reference = big_db(Some(1));
     let expected = reference.query("SELECT v FROM fact WHERE v - v / 11 * 11 = 0 ORDER BY v").unwrap();
     assert_eq!(got.rows, expected.rows);
+}
+
+#[test]
+fn worker_panic_reaches_the_caller_and_the_database_stays_usable() {
+    for threads in [1, 2, 4] {
+        let mut db = big_db(Some(threads));
+        // `fact` spans 7 morsels, so at widths > 1 the panicking row (in the
+        // last morsel) may be filtered on any thread, the caller included.
+        db.register_function("explode", |args| match args[0] {
+            Value::Int(v) if v == 6 * relstore::MORSEL_ROWS as i64 + 100 => {
+                panic!("scalar function panicked")
+            }
+            _ => Ok(Value::Bool(true)),
+        });
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.query("SELECT v FROM fact WHERE explode(v)")
+        }));
+        assert!(res.is_err(), "threads={threads}: the panic must reach the caller");
+        let ok = db.query("SELECT v FROM fact WHERE v < 100 ORDER BY v").unwrap();
+        let want: Vec<Vec<Value>> = (0..100).map(|v| vec![Value::Int(v)]).collect();
+        assert_eq!(ok.rows, want, "threads={threads}");
+    }
 }

@@ -33,8 +33,6 @@
 //! closed at the next read-timeout tick, and the call returns when every
 //! worker has exited.
 
-#![forbid(unsafe_code)]
-
 pub mod http;
 pub mod metrics;
 

@@ -307,7 +307,7 @@ fn healthz_and_stats_reflect_traffic() {
     assert!(body.contains("\"triples\":5"), "{body}");
     assert!(body.contains("\"sparql\":{\"requests\":4,\"errors\":1"), "{body}");
     assert!(body.contains("\"p99_us\":"), "{body}");
-    // The effective executor pool width is visible (and never the silent
+    // The effective executor parallel width is visible (and never the silent
     // fallback value 0 — an invalid RELSTORE_THREADS clamps with a warning).
     assert!(body.contains("\"exec_threads\":"), "{body}");
     assert!(!body.contains("\"exec_threads\":0"), "{body}");

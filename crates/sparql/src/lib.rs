@@ -12,8 +12,6 @@
 //! assert_eq!(q.projected_variables(), vec!["x"]);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod ast;
 mod error;
 pub mod fmt;
