@@ -196,7 +196,10 @@ fn val_sql(
 
 /// One aggregate call. Per the W3C definitions `Sum(∅) = 0` and
 /// `Avg(∅) = 0`, so both wrap in `COALESCE`; `MIN`/`MAX` over an empty (or
-/// all-unbound) group stay NULL → unbound.
+/// all-unbound) group stay NULL → unbound. A plain `COUNT(?v)` counts the
+/// column itself: `RDF_VAL` is NULL only on a NULL input, so it would change
+/// no count and cost a dictionary resolve per row. The other calls, and
+/// `COUNT(DISTINCT …)`, need value-domain identity and keep it.
 fn aggregate_sql(
     func: AggFunc,
     distinct: bool,
@@ -208,7 +211,10 @@ fn aggregate_sql(
         // Parser guarantees `*` only on COUNT.
         return Ok("COUNT(*)".to_string());
     };
-    let v = val_sql(arg, bound, plain, false)?;
+    let v = match (func, distinct, arg) {
+        (AggFunc::Count, false, Expression::Var(v)) => var_col(v, bound),
+        _ => val_sql(arg, bound, plain, false)?,
+    };
     let d = if distinct { "DISTINCT " } else { "" };
     Ok(match func {
         AggFunc::Count => format!("COUNT({d}{v})"),
@@ -428,6 +434,19 @@ mod tests {
 
     fn no_plain() -> HashSet<String> {
         HashSet::new()
+    }
+
+    #[test]
+    fn plain_count_of_a_term_variable_counts_the_column() {
+        let n = Expression::Var("n".to_string());
+        let sql = |func, distinct| aggregate_sql(func, distinct, Some(&n), &bound(), &no_plain());
+        assert_eq!(sql(AggFunc::Count, false).unwrap(), "COUNT(c_n)");
+        assert_eq!(sql(AggFunc::Count, true).unwrap(), "COUNT(DISTINCT RDF_VAL(c_n))");
+        assert_eq!(sql(AggFunc::Sum, false).unwrap(), "COALESCE(SUM(RDF_VAL(c_n)), 0)");
+        assert_eq!(sql(AggFunc::Max, false).unwrap(), "MAX(RDF_VAL(c_n))");
+        let unbound = Expression::Var("u".to_string());
+        let count = aggregate_sql(AggFunc::Count, false, Some(&unbound), &bound(), &no_plain());
+        assert_eq!(count.unwrap(), "COUNT(NULL)");
     }
 
     #[test]

@@ -229,7 +229,7 @@ where
 
 /// [`parallel_morsels`] with one `S::default()` per participating thread,
 /// kept across every morsel that thread runs — how a scan worker keeps one
-/// decompression buffer for its whole region instead of one per morsel.
+/// row buffer for its whole region instead of one per morsel.
 fn parallel_morsels_with<R, S, F>(ctx: &ExecCtx<'_>, n: usize, work: F) -> Result<Vec<R>>
 where
     R: Send,
@@ -841,9 +841,9 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
         None => vec![Vec::new()],
     };
 
-    // WHERE (full residual re-check; pushdowns were best-effort hints).
-    // The predicate is evaluated morsel-parallel into a keep-mask; the
-    // in-order retain keeps the surviving rows in their original order.
+    // WHERE: the residue of conjuncts no FROM step enforced (see
+    // `SelectPlan::filter`). It is evaluated morsel-parallel into a
+    // keep-mask; the in-order retain keeps the survivors in their order.
     if let Some(cond) = &sel.filter {
         let all = &rows;
         let keep: Vec<bool> = parallel_morsels(ctx, all.len(), |range| {
@@ -863,32 +863,32 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
 }
 
 /// Materialize a relation applying its pushed predicates; a base table
-/// with a probe reads only the rows its index names.
+/// with a probe reads only the rows its index names, and of each row only
+/// the cells the plan kept.
 fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
-    let (table, probe, conds) = match source {
-        Source::Table { table, probe, conds } => (ctx.tables[*table], probe, conds),
+    let (table, cols, probe, conds) = match source {
+        Source::Table { table, cols, probe, conds } => (ctx.tables[*table], cols, probe, conds),
         Source::Cte { slot, conds } => return filter_rows(ctx.read_cte(*slot), conds, ctx),
         Source::Subquery(q) => return exec_query(q, ctx),
     };
-    let width = table.width();
     let scan_t0 = ctx.phase_start();
     let rows = match probe {
         Some((ci, key)) => {
             // Index probes touch few rows; stay sequential.
             let index = table.index_at(*ci).expect("the shape check keeps the probed index");
-            let mut rows = Vec::new();
+            let (mut rows, mut buf) = (Vec::new(), Vec::new());
             for &rid in index.lookup(key) {
-                let vals = table.row_values(rid);
-                if eval_all(conds, &vals)? {
-                    rows.push(vals);
+                table.row(rid).gather_into(cols, &mut buf);
+                if eval_all(conds, &buf)? {
+                    rows.push(std::mem::take(&mut buf));
                 }
             }
             ctx.charge(rows.len())?;
             rows
         }
         None => {
-            // Morsel-parallel full scan: each thread decompresses and
-            // filters its morsel, charging the budget as it goes, so
+            // Morsel-parallel full scan: each thread gathers and filters
+            // its morsel, charging the budget as it goes, so
             // LimitExceeded fires from inside worker threads. Each thread
             // keeps one row buffer for its whole region, so rejected rows
             // (the common case on a filtered scan) never pay a heap
@@ -898,7 +898,7 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
                 let mut out = Vec::new();
                 for rows in table.row_slices(range) {
                     for r in rows {
-                        r.decompress_into(width, buf);
+                        r.gather_into(cols, buf);
                         if eval_all(conds, buf)? {
                             out.push(std::mem::take(buf));
                         }
@@ -916,38 +916,47 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
 /// Probe the table's index once per left row, applying the pushed
 /// single-table predicates to each probed row and the full join condition
 /// to each combined row. Handles both inner and left-outer joins.
+///
+/// Late-materializing, like [`hash_join`]: each probed row's kept cells are
+/// gathered into one scratch row, the predicates run on a [`SplitRow`] view
+/// of the pair, and a combined row is allocated only for a survivor. It
+/// stays sequential: measured on 2 cores, a morsel-parallel version was no
+/// faster, so splitting it waits for a host that can show a gain.
 fn index_nested_loop(left: Rows, j: &IndexJoin, ctx: &ExecCtx<'_>) -> Result<Rows> {
     let table = ctx.tables[j.table];
     let index = table.index_at(j.key_col).expect("the shape check keeps the probed index");
-    let width = table.width();
     let probe_t0 = ctx.phase_start();
+    let nulls = vec![Value::Null; j.cols.len()];
+    let mut buf = Vec::with_capacity(j.cols.len());
     let mut rows = Vec::new();
+    let emit = |rows: &mut Rows, pair: SplitRow<'_>| -> Result<()> {
+        if eval_all(&j.stream, &pair)? {
+            let mut combined = Vec::with_capacity(pair.left.len() + pair.right.len());
+            combined.extend_from_slice(pair.left);
+            combined.extend_from_slice(pair.right);
+            rows.push(combined);
+        }
+        Ok(())
+    };
     for l in &left {
         let key = j.left_key.eval(l)?;
         let rids: &[u32] = if key.is_null() { &[] } else { index.lookup(&key) };
         ctx.charge(rids.len().max(1))?;
         let mut matched = false;
         for &rid in rids {
-            let vals = table.row(rid).decompress(width);
-            if !eval_all(&j.push, &vals)? {
+            table.row(rid).gather_into(&j.cols, &mut buf);
+            if !eval_all(&j.push, &buf)? {
                 continue;
             }
-            let mut combined = l.clone();
-            combined.extend(vals);
-            if !eval_all(&j.residual, &combined)? {
+            let pair = SplitRow { left: l, right: &buf };
+            if !eval_all(&j.residual, &pair)? {
                 continue;
             }
             matched = true;
-            if eval_all(&j.stream, &combined)? {
-                rows.push(combined);
-            }
+            emit(&mut rows, pair)?;
         }
         if !matched && j.outer {
-            let mut combined = l.clone();
-            combined.extend(std::iter::repeat_with(|| Value::Null).take(width));
-            if eval_all(&j.stream, &combined)? {
-                rows.push(combined);
-            }
+            emit(&mut rows, SplitRow { left: l, right: &nulls })?;
         }
     }
     ctx.phase_add(Phase::Probe, probe_t0);

@@ -10,13 +10,16 @@
 //! treated as a procedural plan. This pass contributes only what any
 //! relational engine obviously would. FROM items fold left to right and
 //! every item may reference the columns of all items before it
-//! (lateral-friendly scoping, which `UNNEST` requires). A conjunct that
-//! references only the new item is pushed into its scan; an equality on an
-//! indexed column with a literal probes the index, and one with a left-side
-//! expression turns the step into an index nested-loop join; other
-//! equalities between the two sides become hash-join keys. None of these
-//! choices looks at row data, so a plan is valid on every snapshot whose
-//! referenced tables have the shape it was compiled against.
+//! (lateral-friendly scoping, which `UNNEST` requires). A base table is
+//! read only in the columns some reference of the SELECT could name
+//! (projection pushdown). A conjunct that references only the new item is
+//! pushed into its scan; an equality on an indexed column with a literal
+//! probes the index, and one with a left-side expression turns the step
+//! into an index nested-loop join; other equalities between the two sides
+//! become hash-join keys. A WHERE conjunct that a step already enforced is
+//! not evaluated again after the joins. None of these choices looks at row
+//! data, so a plan is valid on every snapshot whose referenced tables have
+//! the shape it was compiled against.
 //!
 //! Identifiers in the AST are lowercase (the lexer folds them), so nothing
 //! here folds case again.
@@ -115,8 +118,9 @@ pub(crate) enum BodyPlan {
 pub(crate) struct SelectPlan {
     /// `None` for a SELECT without FROM: one row of no columns.
     pub from: Option<FromPlan>,
-    /// The whole WHERE clause, re-checked after the joins (pushdowns are
-    /// early filters only).
+    /// The WHERE residue, applied after the joins: the conjuncts no FROM
+    /// step enforced, AND-folded in written order; `None` when every
+    /// conjunct was pushed into an inner step's scan or streamed at a join.
     pub filter: Option<CExpr>,
     pub output: Output,
     pub distinct: bool,
@@ -131,6 +135,8 @@ pub(crate) struct FromPlan {
 pub(crate) enum Source {
     Table {
         table: usize,
+        /// The table positions read, ascending: the row's columns.
+        cols: Vec<usize>,
         /// An index probe `(column, key)` replacing the full scan.
         probe: Option<(usize, Value)>,
         /// Pushed conjuncts, cheapest first; the probe's own included.
@@ -153,6 +159,8 @@ pub(crate) enum JoinPlan {
 /// Probe `table`'s index on `key_col` once per left row with `left_key`.
 pub(crate) struct IndexJoin {
     pub table: usize,
+    /// The table positions read, ascending: the right side's columns.
+    pub cols: Vec<usize>,
     pub key_col: usize,
     pub left_key: CExpr,
     /// Pushed single-table conjuncts, evaluated on each probed row.
@@ -262,7 +270,10 @@ impl<'c> Scope<'c> {
 }
 
 /// Whether `pred` holds for every column reference in `expr`.
-fn all_columns(expr: &Expr, pred: &mut impl FnMut(Option<&str>, &str) -> bool) -> bool {
+fn all_columns<'e>(
+    expr: &'e Expr,
+    pred: &mut impl FnMut(Option<&'e str>, &'e str) -> bool,
+) -> bool {
     match expr {
         Expr::Column { qualifier, name } => pred(qualifier.as_deref(), name),
         Expr::Literal(_) => true,
@@ -419,12 +430,84 @@ fn linearize_from(from: &[TableFactor]) -> Vec<Step<'_>> {
     steps
 }
 
+/// A column reference: optional qualifier, name.
+type ColRef<'q> = (Option<&'q str>, &'q str);
+
+/// What every FROM step of one SELECT consults and updates.
+struct SelectCtx<'q> {
+    /// The WHERE conjuncts, in written order.
+    where_: Vec<&'q Expr>,
+    /// Per WHERE conjunct: enforced by a FROM step, so left out of the
+    /// residue (see [`SelectPlan::filter`]).
+    enforced: Vec<bool>,
+    /// Every column reference the SELECT makes; `None` when a wildcard
+    /// projects every column.
+    refs: Option<Vec<ColRef<'q>>>,
+}
+
+impl<'q> SelectCtx<'q> {
+    fn new(sel: &'q Select) -> Self {
+        let where_: Vec<&Expr> =
+            sel.where_clause.as_ref().map(|w| w.conjuncts()).unwrap_or_default();
+        SelectCtx { enforced: vec![false; where_.len()], where_, refs: column_refs(sel) }
+    }
+
+    /// Whether a base-table column under `qualifier` must be read: some
+    /// reference could resolve to it. Every reference that resolves (or is
+    /// ambiguous) over the full table therefore does the same over the kept
+    /// columns.
+    fn reads(&self, qualifier: &str, name: &str) -> bool {
+        self.refs.as_ref().is_none_or(|refs| {
+            refs.iter().any(|&(q, n)| n == name && q.is_none_or(|q| q == qualifier))
+        })
+    }
+}
+
+/// Every column reference in `sel` that the FROM items' columns may
+/// resolve: the projection, WHERE, every ON, the `UNNEST` tuples, GROUP BY
+/// and HAVING. `None` when the projection has a wildcard.
+fn column_refs(sel: &Select) -> Option<Vec<ColRef<'_>>> {
+    let mut exprs: Vec<&Expr> = Vec::new();
+    for item in &sel.projection {
+        match item {
+            SelectItem::Expr { expr, .. } => exprs.push(expr),
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
+        }
+    }
+    exprs.extend(sel.where_clause.iter().chain(&sel.group_by).chain(&sel.having));
+    for step in linearize_from(&sel.from) {
+        exprs.extend(step.on);
+        if let Relation::Unnest { tuples, .. } = step.relation {
+            exprs.extend(tuples.iter().flatten());
+        }
+    }
+    let mut refs = Vec::new();
+    for e in exprs {
+        all_columns(e, &mut |q, n| {
+            refs.push((q, n));
+            true
+        });
+    }
+    Some(refs)
+}
+
 /// What a named FROM item resolved to, with the columns a pushed predicate
 /// may reference. A subquery's are not known before it is compiled, so it
-/// gets no pushdown (an empty scope) — the WHERE re-check keeps it correct.
+/// gets no pushdown (an empty scope) and its conjuncts stay in the WHERE
+/// residue.
 enum Target<'q, 'db> {
-    Table { slot: usize, name: &'q str, table: &'db Table, cols: Vec<OutCol> },
-    Cte { slot: usize, cols: Vec<OutCol> },
+    /// `cols` are the kept columns, whose table positions are `keep`.
+    Table {
+        slot: usize,
+        name: &'q str,
+        table: &'db Table,
+        cols: Vec<OutCol>,
+        keep: Vec<usize>,
+    },
+    Cte {
+        slot: usize,
+        cols: Vec<OutCol>,
+    },
     Subquery(&'q Query),
 }
 
@@ -443,16 +526,23 @@ fn requalify(cols: &[OutCol], qualifier: Option<&Arc<str>>) -> Vec<OutCol> {
 }
 
 /// ON conjuncts that reference only the new factor are pushed into its
-/// scan; for inner steps, single-factor WHERE conjuncts are pushed too.
+/// scan; for inner steps, single-factor WHERE conjuncts are pushed too, and
+/// marked enforced. (A subquery's scope is empty, so only column-free
+/// conjuncts cover it, and those are never pushed from WHERE.)
 fn pushed<'q>(
     scope: &Scope<'_>,
     on: &[&'q Expr],
     kind: JoinKind,
-    where_: &[&'q Expr],
+    sc: &mut SelectCtx<'q>,
 ) -> Vec<&'q Expr> {
     let mut push: Vec<&Expr> = on.iter().copied().filter(|c| scope.covers(c)).collect();
     if kind == JoinKind::Inner {
-        push.extend(where_.iter().copied().filter(|c| scope.covers(c) && !is_trivial(c)));
+        for (c, enforced) in sc.where_.iter().zip(&mut sc.enforced) {
+            if scope.covers(c) && !is_trivial(c) {
+                push.push(c);
+                *enforced = true;
+            }
+        }
     }
     push
 }
@@ -460,19 +550,27 @@ fn pushed<'q>(
 /// WHERE conjuncts that become fully evaluable at this join step (they
 /// reference right-side columns) are applied to each *emitted* row — after
 /// the match/null-extension decision, so outer-join semantics are
-/// preserved; the final WHERE re-checks them, making this purely an early
-/// filter. This is what keeps e.g. `rs.elm = prior.v` from materializing
-/// the whole multi-value expansion. `combined` is the left columns then the
-/// right ones.
+/// preserved. Later steps only append columns, so a streamed conjunct holds
+/// on every row built from one that passed it: it is enforced, and left out
+/// of the residue. One already pushed into this step's scan is not streamed
+/// again: every right row passed it. Streaming is what keeps e.g.
+/// `rs.elm = prior.v` from materializing the whole multi-value expansion.
+/// `combined` is the left columns then the right ones.
 fn stream_filters(
     combined: &[OutCol],
     left_width: usize,
-    where_: &[&Expr],
+    sc: &mut SelectCtx<'_>,
     db: &Database,
 ) -> Result<Vec<CExpr>> {
     let (scope, left) = (Scope::new(combined), Scope::new(&combined[..left_width]));
-    let streamed = where_.iter().filter(|c| !is_trivial(c) && scope.covers(c) && !left.covers(c));
-    compile_all(streamed.copied(), &scope, db)
+    let mut streamed = Vec::new();
+    for (c, enforced) in sc.where_.iter().zip(&mut sc.enforced) {
+        if !*enforced && !is_trivial(c) && scope.covers(c) && !left.covers(c) {
+            streamed.push(*c);
+            *enforced = true;
+        }
+    }
+    compile_all(streamed, &scope, db)
 }
 
 fn concat(left: &[OutCol], right: &[OutCol]) -> Vec<OutCol> {
@@ -526,27 +624,38 @@ impl<'q, 'db> Compiler<'q, 'db> {
     }
 
     fn select(&mut self, sel: &'q Select) -> Result<(SelectPlan, Vec<OutCol>)> {
-        let where_: Vec<&Expr> =
-            sel.where_clause.as_ref().map(|w| w.conjuncts()).unwrap_or_default();
+        let mut sc = SelectCtx::new(sel);
         let mut from: Option<FromPlan> = None;
         let mut cols = Vec::new();
         for step in linearize_from(&sel.from) {
             let out = match &mut from {
                 None => {
-                    let (first, out) = self.first_item(&step, &where_)?;
+                    let (first, out) = self.first_item(&step, &mut sc)?;
                     from = Some(FromPlan { first, joins: Vec::new() });
                     out
                 }
                 Some(f) => {
-                    let (join, out) = self.join_step(&cols, &step, &where_)?;
+                    let (join, out) = self.join_step(&cols, &step, &mut sc)?;
                     f.joins.push(join);
                     out
                 }
             };
             cols = out;
         }
+        // Every conjunct still resolves over the whole FROM scope, so a name
+        // a later item made ambiguous fails as before; only the ones no step
+        // enforced are kept.
         let scope = Scope::new(&cols);
-        let filter = sel.where_clause.as_ref().map(|w| compile(w, &scope, self.db)).transpose()?;
+        let mut filter: Option<CExpr> = None;
+        for (c, enforced) in sc.where_.iter().zip(&sc.enforced) {
+            let c = compile(c, &scope, self.db)?;
+            if !enforced {
+                filter = Some(match filter {
+                    None => c,
+                    Some(f) => CExpr::Binary { op: BinaryOp::And, left: f.into(), right: c.into() },
+                });
+            }
+        }
         let (output, out) = if select_has_aggregates(sel) || !sel.group_by.is_empty() {
             let (agg, out) = aggregate(sel, &cols, self.db)?;
             (Output::Aggregate(Box::new(agg)), out)
@@ -557,11 +666,13 @@ impl<'q, 'db> Compiler<'q, 'db> {
         Ok((SelectPlan { from, filter, output, distinct: sel.distinct }, out))
     }
 
-    /// Resolve a named FROM item: CTEs in scope shadow base tables.
+    /// Resolve a named FROM item: CTEs in scope shadow base tables, which
+    /// keep only the columns `sc` reads.
     fn target(
         &mut self,
         relation: &'q Relation,
         alias: Option<&'q str>,
+        sc: &SelectCtx<'q>,
     ) -> Result<Target<'q, 'db>> {
         let name = match relation {
             Relation::Named(name) => name.as_str(),
@@ -582,13 +693,14 @@ impl<'q, 'db> Compiler<'q, 'db> {
                 self.tables.len() - 1
             }
         };
-        let cols = table
-            .schema
-            .columns
-            .iter()
-            .map(|c| OutCol { qualifier: Some(qualifier.clone()), name: c.name.clone() })
-            .collect();
-        Ok(Target::Table { slot, name, table, cols })
+        let (mut cols, mut keep) = (Vec::new(), Vec::new());
+        for (i, c) in table.schema.columns.iter().enumerate() {
+            if sc.reads(&qualifier, &c.name) {
+                cols.push(OutCol { qualifier: Some(qualifier.clone()), name: c.name.clone() });
+                keep.push(i);
+            }
+        }
+        Ok(Target::Table { slot, name, table, cols, keep })
     }
 
     /// Materialize a FROM item applying pushed predicates; for base tables
@@ -602,7 +714,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
     ) -> Result<(Source, Vec<OutCol>)> {
         let db = self.db;
         match target {
-            Target::Table { slot, table, cols, .. } => {
+            Target::Table { slot, table, cols, keep, .. } => {
                 let scope = Scope::new(&cols);
                 let conds = compile_conds(push, &scope, db)?;
                 let probe = push.iter().find_map(|c| {
@@ -620,7 +732,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
                     let ci = table.schema.position(name)?;
                     table.index_at(ci).map(|_| (ci, key.clone()))
                 });
-                Ok((Source::Table { table: slot, probe, conds }, cols))
+                Ok((Source::Table { table: slot, cols: keep, probe, conds }, cols))
             }
             Target::Cte { slot, cols } => {
                 let conds = compile_conds(push, &Scope::new(&cols), db)?;
@@ -638,14 +750,14 @@ impl<'q, 'db> Compiler<'q, 'db> {
     fn first_item(
         &mut self,
         step: &Step<'q>,
-        where_: &[&'q Expr],
+        sc: &mut SelectCtx<'q>,
     ) -> Result<(Source, Vec<OutCol>)> {
         if let Relation::Unnest { .. } = step.relation {
             return plan_err("UNNEST cannot be the first FROM item");
         }
-        let target = self.target(step.relation, step.alias)?;
+        let target = self.target(step.relation, step.alias, sc)?;
         let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
-        let push = pushed(&Scope::new(target.cols()), &on, step.kind, where_);
+        let push = pushed(&Scope::new(target.cols()), &on, step.kind, sc);
         self.source(target, step.alias, &push)
     }
 
@@ -654,7 +766,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
         &mut self,
         left: &[OutCol],
         step: &Step<'q>,
-        where_: &[&'q Expr],
+        sc: &mut SelectCtx<'q>,
     ) -> Result<(JoinPlan, Vec<OutCol>)> {
         let db = self.db;
         let left_scope = Scope::new(left);
@@ -671,13 +783,13 @@ impl<'q, 'db> Compiler<'q, 'db> {
             return Ok((JoinPlan::Unnest(tuples), cols));
         }
 
-        let target = self.target(step.relation, step.alias)?;
+        let target = self.target(step.relation, step.alias, sc)?;
         let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
         let inner = step.kind == JoinKind::Inner;
-        let push = pushed(&Scope::new(target.cols()), &on, step.kind, where_);
+        let push = pushed(&Scope::new(target.cols()), &on, step.kind, sc);
         // Inner steps may take join conditions from WHERE as well as ON.
         let conds: Vec<&Expr> =
-            on.iter().chain(if inner { where_ } else { &[] }).copied().collect();
+            on.iter().chain(if inner { &sc.where_[..] } else { &[] }).copied().collect();
 
         // Index nested-loop join: when the new factor is a base table and
         // some equi-condition probes an indexed column with a left-side
@@ -685,17 +797,18 @@ impl<'q, 'db> Compiler<'q, 'db> {
         // the index instead of materializing and hashing the whole table.
         // This is what a relational engine does for
         // `prior ⋈ DPH ON dph.entry = prior.v`.
-        if let Target::Table { slot, name, table, cols } = &target {
+        if let Target::Table { slot, name, table, cols, keep } = &target {
             if let Some((key_col, left_key)) =
                 index_probe(&conds, step.alias, name, table, &left_scope, db)?
             {
                 let combined = concat(left, cols);
-                let stream = stream_filters(&combined, left.len(), where_, db)?;
+                let stream = stream_filters(&combined, left.len(), sc, db)?;
                 let push = compile_conds(&push, &Scope::new(cols), db)?;
                 // The whole ON condition re-checked per combined row (cheap, safe).
                 let residual = compile_all(on.iter().copied(), &Scope::new(&combined), db)?;
                 let join = IndexJoin {
                     table: *slot,
+                    cols: keep.clone(),
                     key_col,
                     left_key,
                     push,
@@ -710,7 +823,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
         let keyed = !matches!(target, Target::Subquery(_));
         let (right, right_cols) = self.source(target, step.alias, &push)?;
         let combined = concat(left, &right_cols);
-        let stream = stream_filters(&combined, left.len(), where_, db)?;
+        let stream = stream_filters(&combined, left.len(), sc, db)?;
 
         // Equi-join keys `left_expr = right_expr` among ON conjuncts and
         // (for inner joins) WHERE conjuncts; ON conjuncts that are not keys
@@ -1088,5 +1201,116 @@ fn rewrite_agg(e: &Expr, group_by: &[Expr], agg_calls: &[&Expr]) -> Expr {
             distinct: *distinct,
         },
         Expr::Column { .. } | Expr::Literal(_) => e.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A DPH-shaped table at U = 11: `entry`, `spill`, then `pred{i}`,
+    /// `val{i}` pairs, 24 columns, indexed on `entry`; and a DS-shaped
+    /// table indexed on `l_id`.
+    fn db() -> Database {
+        let mut db = Database::new();
+        let pairs: Vec<String> = (0..11).map(|i| format!("pred{i} INT, val{i} INT")).collect();
+        db.execute(&format!("CREATE TABLE dph (entry INT, spill INT, {})", pairs.join(", ")))
+            .unwrap();
+        db.execute("CREATE INDEX ON dph(entry)").unwrap();
+        db.execute("CREATE TABLE ds (l_id INT, elm INT, extra INT)").unwrap();
+        db.execute("CREATE INDEX ON ds(l_id)").unwrap();
+        db.execute("CREATE TABLE src (c_x INT, c_y INT)").unwrap();
+        db
+    }
+
+    fn select(p: &Prepared) -> &SelectPlan {
+        match &p.root.body {
+            BodyPlan::Select(sel) => sel,
+            BodyPlan::Union { .. } => panic!("expected a SELECT body"),
+        }
+    }
+
+    fn first_cols(sel: &SelectPlan) -> &[usize] {
+        match &sel.from.as_ref().expect("a FROM").first {
+            Source::Table { cols, .. } => cols,
+            _ => panic!("expected a base-table first item"),
+        }
+    }
+
+    fn index_join(sel: &SelectPlan, step: usize) -> &IndexJoin {
+        match &sel.from.as_ref().expect("a FROM").joins[step] {
+            JoinPlan::IndexJoin(j) => j,
+            _ => panic!("expected an index nested-loop join at step {step}"),
+        }
+    }
+
+    #[test]
+    fn triangle_cte_reads_three_dph_columns_and_has_no_residue() {
+        // The shape of the LQ9 triangle's `q5`.
+        let p = db()
+            .prepare(
+                "WITH q4 AS (SELECT c_x, c_y FROM src)
+                 SELECT P.c_x AS c_x, P.c_y AS c_y, COALESCE(S0.elm, T.val9) AS c_z
+                 FROM q4 AS P, dph AS T LEFT OUTER JOIN ds AS S0 ON T.val9 = S0.l_id
+                 WHERE T.entry = P.c_y AND (T.pred9 = 67)",
+            )
+            .unwrap();
+        let sel = select(&p);
+        let dph = index_join(sel, 0);
+        assert_eq!(dph.cols, [0, 20, 21], "entry, pred9, val9 in table order");
+        // `T.pred9 = 67` is pushed, so only the join equality is streamed.
+        assert_eq!((dph.push.len(), dph.stream.len()), (1, 1));
+        let ds = index_join(sel, 1);
+        assert_eq!(ds.cols, [0, 1], "l_id and elm; extra is never read");
+        assert!(ds.outer);
+        assert!(sel.filter.is_none(), "every conjunct was pushed or streamed");
+    }
+
+    #[test]
+    fn a_scan_keeps_only_referenced_columns_in_table_order() {
+        let p = db().prepare("SELECT T.val3, T.entry FROM dph AS T WHERE T.pred3 = 5").unwrap();
+        let sel = select(&p);
+        assert_eq!(first_cols(sel), [0, 8, 9]);
+        assert!(sel.filter.is_none());
+    }
+
+    #[test]
+    fn wildcards_keep_every_column() {
+        let db = db();
+        let p = db.prepare("SELECT * FROM dph").unwrap();
+        assert_eq!(first_cols(select(&p)), (0..24).collect::<Vec<_>>());
+        // `T.*` means every column of every factor, not only T's.
+        let p = db.prepare("SELECT S.* FROM dph AS T, src AS S WHERE T.entry = S.c_x").unwrap();
+        let sel = select(&p);
+        assert_eq!(first_cols(sel), (0..24).collect::<Vec<_>>());
+        let JoinPlan::HashJoin(src) = &sel.from.as_ref().unwrap().joins[0] else {
+            panic!("expected a hash join onto the unindexed src");
+        };
+        assert!(matches!(&src.right, Source::Table { cols, .. } if cols[..] == [0, 1]));
+    }
+
+    #[test]
+    fn an_unqualified_name_in_two_factors_is_still_ambiguous() {
+        let err = db().prepare("SELECT val0 FROM dph AS A, dph AS B WHERE A.entry = B.entry");
+        assert!(matches!(err, Err(Error::Plan(m)) if m.contains("ambiguous")));
+    }
+
+    #[test]
+    fn a_qualified_name_prunes_the_same_name_in_another_factor() {
+        let p =
+            db().prepare("SELECT A.val0 FROM dph AS A, dph AS B WHERE A.entry = B.entry").unwrap();
+        let sel = select(&p);
+        assert_eq!(first_cols(sel), [0, 3]);
+        assert_eq!(index_join(sel, 0).cols, [0], "B.val0 is never named");
+        assert!(sel.filter.is_none());
+    }
+
+    #[test]
+    fn an_unenforced_conjunct_stays_in_the_residue() {
+        // A column-free conjunct is never pushed, so it is the residue.
+        let p = db().prepare("SELECT entry FROM dph WHERE 1 = 0 AND pred0 = 2").unwrap();
+        let sel = select(&p);
+        assert_eq!(first_cols(sel), [0, 2]);
+        assert!(matches!(&sel.filter, Some(CExpr::Binary { op: BinaryOp::Eq, .. })));
     }
 }

@@ -55,6 +55,14 @@ impl CompressedRow {
         self.values[rank].clone()
     }
 
+    /// Read the cells at table positions `cols` into `out`, reusing its
+    /// allocation: one bit test and one popcount rank per cell, so a reader
+    /// that needs 3 columns of a 24-column row touches 3 values, not 24.
+    pub(crate) fn gather_into(&self, cols: &[usize], out: &mut Vec<Value>) {
+        out.clear();
+        out.extend(cols.iter().map(|&i| self.get(i)));
+    }
+
     /// Decompress into a dense vector of `ncols` values.
     pub fn decompress(&self, ncols: usize) -> Vec<Value> {
         let mut out = Vec::new();
@@ -132,6 +140,23 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(&r.get(i), v, "col {i}");
         }
+    }
+
+    #[test]
+    fn gather_reads_only_the_named_cells() {
+        let mut vals = vec![Value::Null; 130];
+        vals[3] = Value::Int(3);
+        vals[70] = Value::str("seventy");
+        vals[129] = Value::Int(129);
+        let r = row(&vals);
+        let mut out = vec![Value::Int(-1)];
+        r.gather_into(&[3, 4, 70, 129, 200], &mut out);
+        assert_eq!(
+            out,
+            [Value::Int(3), Value::Null, vals[70].clone(), Value::Int(129), Value::Null]
+        );
+        r.gather_into(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

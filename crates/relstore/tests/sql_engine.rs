@@ -427,3 +427,94 @@ fn select_without_from() {
     let rel = db.query("SELECT 1 + 1 AS x, 'a' AS y").unwrap();
     assert_eq!(rel.rows, vec![vec![Value::Int(2), Value::str("a")]]);
 }
+
+/// `db_with_people` plus `capital(city, country)` with London and New York.
+fn db_with_capitals(threads: usize) -> Database {
+    let mut db = db_with_people();
+    db.set_threads(Some(threads));
+    db.execute("CREATE TABLE capital (city TEXT, country TEXT)").unwrap();
+    db.execute("INSERT INTO capital VALUES ('london', 'uk'), ('ny', 'us')").unwrap();
+    db
+}
+
+// The WHERE residue: conjuncts no FROM step enforces are applied after the
+// joins. Each case below keeps at least one conjunct there.
+
+#[test]
+fn residue_column_free_conjunct() {
+    for threads in [1, 4] {
+        let db = db_with_capitals(threads);
+        let rel = db
+            .query("SELECT p.name FROM person p, capital c WHERE p.city = c.city AND 1 = 0")
+            .unwrap();
+        assert!(rel.rows.is_empty(), "threads {threads}");
+        let rel = db.query("SELECT name FROM person WHERE 1 = 1 AND city = 'ny'").unwrap();
+        assert_eq!(rows(&rel), vec![vec!["grace"]], "threads {threads}");
+    }
+}
+
+#[test]
+fn residue_conjunct_first_covered_at_unnest() {
+    for threads in [1, 4] {
+        let mut db = Database::new();
+        db.set_threads(Some(threads));
+        db.execute("CREATE TABLE t (k INT, a TEXT, b TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x', NULL), (2, NULL, 'y'), (3, 'p', 'q')").unwrap();
+        let rel = db
+            .query(
+                "SELECT t.k, l.v FROM t, UNNEST (t.a, t.b) AS L(v)
+                 WHERE t.k > 1 AND l.v <> 'q' ORDER BY l.v",
+            )
+            .unwrap();
+        assert_eq!(rows(&rel), vec![vec!["3", "p"], vec!["2", "y"]], "threads {threads}");
+    }
+}
+
+#[test]
+fn residue_conjunct_over_a_first_item_subquery() {
+    for threads in [1, 4] {
+        let db = db_with_capitals(threads);
+        let rel = db
+            .query(
+                "SELECT s.name, c.country FROM (SELECT name, city, age FROM person) AS s
+                 JOIN capital c ON s.city = c.city WHERE s.age > 40 ORDER BY s.name",
+            )
+            .unwrap();
+        assert_eq!(rows(&rel), vec![vec!["alan", "uk"], vec!["grace", "us"]], "threads {threads}");
+    }
+}
+
+#[test]
+fn residue_left_join_anti_join() {
+    for threads in [1, 4] {
+        let mut db = db_with_capitals(threads);
+        db.execute("INSERT INTO person VALUES ('marie', 66, 'paris')").unwrap();
+        let anti = "SELECT p.name FROM person p LEFT JOIN capital c ON p.city = c.city
+                    WHERE c.country IS NULL ORDER BY p.name";
+        // Hash join, then index nested-loop join, on the same data.
+        let hashed = db.query(anti).unwrap();
+        db.execute("CREATE INDEX ON capital(city)").unwrap();
+        let probed = db.query(anti).unwrap();
+        assert_eq!(rows(&hashed), vec![vec!["edsger"], vec!["marie"]], "threads {threads}");
+        assert_eq!(hashed, probed, "threads {threads}");
+    }
+}
+
+#[test]
+fn residue_type_error_still_raises() {
+    for threads in [1, 4] {
+        let db = db_with_capitals(threads);
+        // `p.city = 'ny'` is pushed into the scan; `NOT l.v` is first covered
+        // at the UNNEST step, so it is the residue, and grace's age is no
+        // boolean.
+        let q = |city: &str| {
+            db.query(&format!(
+                "SELECT p.name FROM person p, UNNEST (p.age) AS L(v)
+                 WHERE p.city = '{city}' AND NOT l.v"
+            ))
+        };
+        assert!(matches!(q("ny"), Err(Error::Exec(_))), "threads {threads}");
+        // No row reaches the residue: nothing to raise on.
+        assert!(q("paris").unwrap().rows.is_empty(), "threads {threads}");
+    }
+}
