@@ -16,7 +16,7 @@
 //! small dataset, single timed run, JSON printed instead of written),
 //! `ANALYTICS_DOCS` (document count).
 
-use bench::{emit_report, fmt_time, run_workload, scale_from_env, Outcome, System};
+use bench::{emit_report, scale_from_env, Grid, System};
 use datagen::BenchQuery;
 use db2rdf::{naive, oracle};
 use sparql::parse_sparql;
@@ -133,7 +133,6 @@ fn encode_rows(sols: &db2rdf::Solutions) -> Vec<Vec<String>> {
 fn main() {
     let smoke = std::env::var("ANALYTICS_SMOKE").map(|v| v == "1").unwrap_or(false);
     let docs = scale_from_env("ANALYTICS_DOCS", if smoke { 400 } else { 10_000 });
-    let runs = if smoke { 1 } else { 3 };
     let triples = datagen::sp2b::generate(docs, 42);
     println!("== Analytic workload (SPARQL 1.1 aggregates / BIND / VALUES / subqueries) ==");
     println!(
@@ -142,57 +141,38 @@ fn main() {
         if smoke { "; SMOKE mode" } else { "" }
     );
 
-    let systems = [System::Db2Rdf, System::TripleStore, System::Vertical];
-    let stores: Vec<_> = systems
-        .iter()
-        .map(|s| {
-            let t0 = std::time::Instant::now();
-            let store = s.build(&triples, None);
-            eprintln!("loaded {} in {:?}", s.name(), t0.elapsed());
-            store
-        })
-        .collect();
+    let stores = [System::Db2Rdf, System::TripleStore, System::Vertical].map(|s| {
+        let t0 = std::time::Instant::now();
+        let store = s.build(&triples, None);
+        eprintln!("loaded {} in {:?}", s.name(), t0.elapsed());
+        (s, store)
+    });
 
     // Correctness gate first: every layout × every query vs the reference.
     let queries = queries();
     let mut reference_rows = Vec::with_capacity(queries.len());
     for q in &queries {
         let mut rows = 0;
-        for (sys, store) in systems.iter().zip(stores.iter()) {
+        for (sys, store) in &stores {
             rows = assert_agreement(sys, store, q, &triples);
         }
         reference_rows.push(rows);
     }
     println!("verified: all {} queries agree with the naive reference on all 3 layouts\n", queries.len());
 
-    let results: Vec<Vec<(String, Outcome)>> =
-        stores.iter().map(|s| run_workload(s, &queries, runs)).collect();
-
-    println!(
-        "{:<5} {:>8} | {:>12} {:>12} {:>12}",
-        "query", "results", "Entity", "TripleStore", "Vertical"
-    );
-    for (qi, q) in queries.iter().enumerate() {
-        println!(
-            "{:<5} {:>8} | {:>12} {:>12} {:>12}",
-            q.name,
-            reference_rows[qi],
-            fmt_time(&results[0][qi].1),
-            fmt_time(&results[1][qi].1),
-            fmt_time(&results[2][qi].1),
-        );
-    }
+    let grid = Grid::time(&stores, &queries);
+    grid.print(None);
 
     let query_json: Vec<String> = queries
         .iter()
         .enumerate()
         .map(|(qi, q)| {
-            let times: Vec<String> = systems
+            let times: Vec<String> = grid
+                .systems
                 .iter()
-                .enumerate()
-                .map(|(si, sys)| {
-                    let ms = results[si][qi]
-                        .1
+                .map(|&sys| {
+                    let ms = grid
+                        .outcome(sys, &q.name)
                         .time_secs()
                         .map_or("null".to_string(), |s| format!("{:.3}", s * 1e3));
                     format!("\"{}\": {ms}", sys.name())
@@ -208,8 +188,9 @@ fn main() {
         .collect();
     let json = format!(
         "{{\"smoke\": {smoke}, \"documents\": {docs}, \"triples\": {}, \
-         \"verified_against_naive\": true, \"runs\": {runs}, \"queries\": [{}]}}\n",
+         \"verified_against_naive\": true, \"runs\": {}, \"queries\": [{}]}}\n",
         triples.len(),
+        bench::RUNS,
         query_json.join(", ")
     );
     emit_report("BENCH_analytics.json", &json, smoke);

@@ -23,6 +23,7 @@
 
 use std::time::Instant;
 
+use bench::scale_from_env;
 use datagen::lubm;
 use db2rdf::{BulkLoadOptions, RdfStore};
 
@@ -33,10 +34,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 struct QueryLatency {
@@ -145,7 +142,7 @@ fn latency_json(lat: &[QueryLatency]) -> String {
 fn main() {
     let smoke = std::env::var("BULK_LOAD_SMOKE").is_ok_and(|v| v == "1");
     let scale_triples =
-        env_u64("BULK_LOAD_TRIPLES", if smoke { 100_000 } else { 10_000_000 });
+        scale_from_env::<u64>("BULK_LOAD_TRIPLES", if smoke { 100_000 } else { 10_000_000 });
     let seed = 42u64;
 
     // Stream → bulk loader, no materialized triple vector.
@@ -195,7 +192,7 @@ fn main() {
     );
     drop(store);
 
-    let rss_ceiling_mb = env_u64("BULK_LOAD_RSS_CEILING_MB", 1024);
+    let rss_ceiling_mb = scale_from_env::<u64>("BULK_LOAD_RSS_CEILING_MB", 1024);
     if smoke {
         if let Some(b) = peak_rss {
             assert!(

@@ -34,6 +34,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use bench::scale_from_env;
 use datagen::queryfuzz;
 use datagen::rng::SplitMix64;
 use db2rdf::oracle::{self, Divergence};
@@ -53,10 +54,6 @@ struct Profile {
     corpus: PathBuf,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 impl Profile {
     fn from_env() -> Profile {
         let smoke = std::env::var("FUZZ_SMOKE").map(|v| v == "1").unwrap_or(false);
@@ -64,10 +61,10 @@ impl Profile {
             Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
         });
         Profile {
-            cases: env_u64("FUZZ_CASES", if smoke { 200 } else { 2000 }),
-            update_cases: env_u64("FUZZ_UPDATE_CASES", if smoke { 150 } else { 1500 }),
-            seed: env_u64("FUZZ_SEED", 1),
-            crash_seeds: env_u64("FUZZ_CRASH_SEEDS", if smoke { 2 } else { 6 }),
+            cases: scale_from_env("FUZZ_CASES", if smoke { 200 } else { 2000 }),
+            update_cases: scale_from_env("FUZZ_UPDATE_CASES", if smoke { 150 } else { 1500 }),
+            seed: scale_from_env("FUZZ_SEED", 1),
+            crash_seeds: scale_from_env("FUZZ_CRASH_SEEDS", if smoke { 2 } else { 6 }),
             workload_ops: if smoke { 24 } else { 48 },
             max_cuts: if smoke { 80 } else { 400 },
             max_write_plans: if smoke { 12 } else { 60 },

@@ -84,7 +84,7 @@ pub struct CachedPlan {
 }
 
 /// A plan's SQL in both forms: the generated text — the inspectable plan
-/// that `translate`, `explain` and `show_sql` print — and the `relstore`
+/// that `translate`, `explain` and `figures sql` print — and the `relstore`
 /// statement compiled from it, which is what a query executes. The
 /// compiled form holds column positions, not rows, so it serves every
 /// snapshot whose tables have the shape it was compiled against; running

@@ -5,12 +5,15 @@
 //! observable ones — or a clean 503 from admission control; never a torn
 //! row, a mixed state, or a dropped connection.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use db2rdf::{RdfStore, SharedStore};
 use rdf::{Term, Triple};
-use server::client::Client;
+use server::client::{self, Client};
 use server::{Server, ServerConfig};
 
 fn person(n: usize) -> Term {
@@ -138,17 +141,51 @@ fn overload_sheds_cleanly_under_fire() {
     let cfg = ServerConfig { workers: 8, max_in_flight: 1, ..ServerConfig::default() };
     let server = Server::start(SharedStore::new(store), "127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
+    let q = "SELECT ?a ?c WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c }";
 
     let shed = Arc::new(AtomicU64::new(0));
     let served = Arc::new(AtomicU64::new(0));
+
+    // Hold the one admission slot deterministically: a `POST /insert` keeps
+    // its slot while its body is still arriving, so send the head and the
+    // first triple, then wait until /stats shows the slot taken.
+    let first = "<http://ex/p0> <http://ex/likes> <http://ex/p1> .\n";
+    let rest = "<http://ex/p1> <http://ex/likes> <http://ex/p2> .\n";
+    let mut upload = TcpStream::connect(addr).unwrap();
+    upload.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let head = format!(
+        "POST /insert HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        first.len() + rest.len()
+    );
+    upload.write_all(format!("{head}{first}").as_bytes()).unwrap();
+    upload.flush().unwrap();
+    let slot_taken = || {
+        let stats = client::request(addr, "GET", "/stats", &[], b"").unwrap().text();
+        stats.contains("\"in_flight\":1,")
+    };
+    let held = Instant::now();
+    while !slot_taken() {
+        assert!(held.elapsed() < Duration::from_secs(5), "the upload never took the slot");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let resp = Client::connect(addr).unwrap().sparql_get(q, None).unwrap();
+    assert_eq!(resp.status, 503, "a query ran while the upload held the only slot");
+    assert_eq!(resp.header("retry-after"), Some("1"));
+    shed.fetch_add(1, Ordering::Relaxed);
+
+    // Finish the upload: it is applied, and its slot comes back.
+    upload.write_all(rest.as_bytes()).unwrap();
+    let mut reply = String::new();
+    upload.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+    assert!(reply.contains(r#"{"received":2,"inserted":2}"#), "{reply}");
+
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let shed = shed.clone();
             let served = served.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                // A join query slow enough to overlap across clients.
-                let q = "SELECT ?a ?c WHERE { ?a <http://ex/knows> ?b . ?b <http://ex/knows> ?c }";
                 for _ in 0..25 {
                     let resp = client.sparql_get(q, None).expect("response");
                     match resp.status {

@@ -7,7 +7,7 @@
 #   scripts/verify.sh --all      # additionally test every workspace crate
 #                                # and the e2e harness's own unit tests
 #   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
-#   scripts/verify.sh --smoke    # additionally run the six bounded smoke
+#   scripts/verify.sh --smoke    # additionally run the seven bounded smoke
 #                                # profiles; each asserts its own invariants,
 #                                # exits non-zero on a violation and writes
 #                                # no BENCH_*.json:
@@ -23,6 +23,9 @@
 #                                peak-RSS ceiling
 #       analytics                AQ1-8 on all three layouts, every answer
 #                                checked against the naive reference
+#       figures all              every paper table and figure at small
+#                                scale; each claim EXPERIMENTS.md makes is
+#                                checked and printed PASS/FAIL/SKIP
 #       e2e --smoke              the BENCHMARK.json harness: all four
 #                                workloads over HTTP, traced and untraced;
 #                                every reply checksummed, a warm mix never
@@ -69,7 +72,7 @@ if $run_smoke; then
     cargo run --release --offline -p server --bin db2rdf-serve -- --smoke
     # <bench bin>:<the env var that selects its bounded profile>
     for pair in exec_scaling:EXEC_SCALING_SMOKE fuzz_differential:FUZZ_SMOKE \
-        bulk_load:BULK_LOAD_SMOKE analytics:ANALYTICS_SMOKE; do
+        bulk_load:BULK_LOAD_SMOKE analytics:ANALYTICS_SMOKE figures:FIGURES_SMOKE; do
         echo "== ${pair%%:*} (${pair##*:}=1)"
         env "${pair##*:}=1" cargo run --release --offline -p bench --bin "${pair%%:*}"
     done
