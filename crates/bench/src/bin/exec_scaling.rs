@@ -29,7 +29,8 @@ use std::time::Instant;
 
 use bench::{emit_report, scale_from_env};
 use datagen::lubm::{self, NS, RDF_TYPE};
-use relstore::{quote_str, Database, PhaseTimings, Rel, Value};
+use relstore::SqlType::Text;
+use relstore::{quote_str, table_schema, Database, PhaseTimings, Rel, Value};
 
 fn iri(local: &str) -> String {
     rdf::Term::iri(format!("{NS}{local}")).encode()
@@ -113,7 +114,7 @@ fn traced_median(db: &Database, sql: &str, runs: usize) -> (f64, PhaseTimings, R
 fn string_db(universities: usize) -> (Database, usize) {
     let triples = lubm::generate(universities, 42);
     let mut db = Database::new();
-    db.execute("CREATE TABLE spo (s TEXT, p TEXT, o TEXT)").unwrap();
+    db.create_table(table_schema("spo", &[("s", Text), ("p", Text), ("o", Text)])).unwrap();
     db.insert_rows(
         "spo",
         triples.iter().map(|t| {

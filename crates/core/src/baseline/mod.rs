@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use rdf::Triple;
-use relstore::{quote_str, Database, IndexKind, SqlType, TableSchema, Value};
+use relstore::{quote_str, Database, SqlType, TableSchema, Value};
 use sparql::TermPattern;
 
 use crate::error::{Result, StoreError};
@@ -38,8 +38,8 @@ pub fn load_triple_store(db: &mut Database, triples: &[&Triple]) -> relstore::Re
             ]
         }),
     )?;
-    db.create_index("triples", "subj", IndexKind::Hash)?;
-    db.create_index("triples", "obj", IndexKind::Hash)?;
+    db.create_index("triples", "subj")?;
+    db.create_index("triples", "obj")?;
     Ok(())
 }
 
@@ -181,8 +181,8 @@ pub fn load_vertical(
             vec![("entry".into(), SqlType::Text), ("val".into(), SqlType::Text)],
         ))?;
         db.insert_rows(&table, rows.into_iter().map(|(s, o)| vec![Value::str(s), Value::str(o)]))?;
-        db.create_index(&table, "entry", IndexKind::Hash)?;
-        db.create_index(&table, "val", IndexKind::Hash)?;
+        db.create_index(&table, "entry")?;
+        db.create_index(&table, "val")?;
         layout.tables.insert(pred, table);
     }
     Ok(layout)
@@ -205,8 +205,8 @@ pub fn insert_vertical(
                 &table,
                 vec![("entry".into(), SqlType::Text), ("val".into(), SqlType::Text)],
             ))?;
-            db.create_index(&table, "entry", IndexKind::Hash)?;
-            db.create_index(&table, "val", IndexKind::Hash)?;
+            db.create_index(&table, "entry")?;
+            db.create_index(&table, "val")?;
             layout.tables.insert(pred.clone(), table.clone());
             table
         }

@@ -49,7 +49,7 @@ use std::io::Read;
 use std::time::Instant;
 
 use rdf::Triple;
-use relstore::{Database, IndexKind, SqlType, TableSchema, Value};
+use relstore::{Database, SqlType, TableSchema, Value};
 
 use crate::dict::{Dict, DictMemStats};
 use crate::error::{Result, StoreError};
@@ -352,8 +352,8 @@ fn create_side_tables(
         secondary,
         vec![("l_id".into(), SqlType::Int), ("elm".into(), SqlType::Int)],
     ))?;
-    db.create_index(primary, "entry", IndexKind::Hash)?;
-    db.create_index(secondary, "l_id", IndexKind::Hash)
+    db.create_index(primary, "entry")?;
+    db.create_index(secondary, "l_id")
 }
 
 /// A chunk parsed on a worker: distinct canonical terms in first-appearance

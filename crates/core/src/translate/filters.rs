@@ -130,14 +130,14 @@ fn term_value_sql(t: &Term) -> String {
             match suffix {
                 "integer" | "int" | "long" => {
                     if let Ok(i) = lexical.trim().parse::<i64>() {
-                        return i.to_string();
+                        return num_lit(i.to_string());
                     }
                 }
                 "double" | "decimal" | "float" => {
                     if let Some(x) = t.numeric_value() {
                         // `{:?}` keeps the decimal point (`1000.0`, not
                         // `1000`) so the literal lexes as a Double.
-                        return format!("{x:?}");
+                        return num_lit(format!("{x:?}"));
                     }
                 }
                 _ => {}
@@ -145,6 +145,33 @@ fn term_value_sql(t: &Term) -> String {
         }
     }
     quote_str(&t.encode())
+}
+
+/// A number's SQL text. SQL has no negative literal, and the dialect no
+/// unary minus, so a negative number is written `(0 - x)`.
+fn num_lit(text: String) -> String {
+    match text.strip_prefix('-') {
+        Some(abs) => neg_sql(abs),
+        None => text,
+    }
+}
+
+/// SPARQL arithmetic over two lowered operands, the same in the value and
+/// the numeric domain. SPARQL division over integers is not integer
+/// division, so `/` forces the float path (`1.0 * Int` is a Double).
+fn arith_sql(op: &ArithOp, l: &str, r: &str) -> String {
+    match op {
+        ArithOp::Add => format!("({l} + {r})"),
+        ArithOp::Sub => format!("({l} - {r})"),
+        ArithOp::Mul => format!("({l} * {r})"),
+        ArithOp::Div => format!("((1.0 * {l}) / {r})"),
+    }
+}
+
+/// SPARQL unary minus as `0 - x`: arithmetic maps a non-numeric operand to
+/// NULL (SPARQL: type error → unbound), as negation must too.
+fn neg_sql(x: &str) -> String {
+    format!("(0 - {x})")
 }
 
 /// Value-domain scalar (see module docs). `allow_agg` permits aggregate
@@ -162,24 +189,12 @@ fn val_sql(
             None => "NULL".to_string(),
         }),
         Expression::Term(t) => Ok(term_value_sql(t)),
-        Expression::Arith { op, left, right } => {
-            let l = val_sql(left, bound, plain, allow_agg)?;
-            let r = val_sql(right, bound, plain, allow_agg)?;
-            Ok(match op {
-                ArithOp::Add => format!("({l} + {r})"),
-                ArithOp::Sub => format!("({l} - {r})"),
-                ArithOp::Mul => format!("({l} * {r})"),
-                // SPARQL division over integers is not integer division;
-                // force the float path (1.0 * Int → Double).
-                ArithOp::Div => format!("((1.0 * {l}) / {r})"),
-            })
-        }
-        // `0 - x` instead of SQL unary minus: arithmetic maps non-numeric
-        // operands to NULL (SPARQL: type error → unbound) where unary `-`
-        // would abort the whole query.
-        Expression::Neg(inner) => {
-            Ok(format!("(0 - {})", val_sql(inner, bound, plain, allow_agg)?))
-        }
+        Expression::Arith { op, left, right } => Ok(arith_sql(
+            op,
+            &val_sql(left, bound, plain, allow_agg)?,
+            &val_sql(right, bound, plain, allow_agg)?,
+        )),
+        Expression::Neg(inner) => Ok(neg_sql(&val_sql(inner, bound, plain, allow_agg)?)),
         Expression::Aggregate { func, distinct, arg } => {
             if !allow_agg {
                 return Err(unsupported(
@@ -265,24 +280,15 @@ fn num_sql(
         Expression::Var(v) if plain.contains(v) => Ok(var_col(v, bound)),
         Expression::Var(v) => Ok(format!("RDF_NUM({})", var_col(v, bound))),
         Expression::Term(t) => Ok(match t.numeric_value() {
-            Some(x) => format!("{x}"),
+            Some(x) => num_lit(format!("{x}")),
             None => "NULL".to_string(),
         }),
-        Expression::Arith { op, left, right } => {
-            let o = match op {
-                ArithOp::Add => "+",
-                ArithOp::Sub => "-",
-                ArithOp::Mul => "*",
-                ArithOp::Div => "/",
-            };
-            Ok(format!(
-                "({} {} {})",
-                num_sql(left, bound, plain)?,
-                o,
-                num_sql(right, bound, plain)?
-            ))
-        }
-        Expression::Neg(inner) => Ok(format!("(- {})", num_sql(inner, bound, plain)?)),
+        Expression::Arith { op, left, right } => Ok(arith_sql(
+            op,
+            &num_sql(left, bound, plain)?,
+            &num_sql(right, bound, plain)?,
+        )),
+        Expression::Neg(inner) => Ok(neg_sql(&num_sql(inner, bound, plain)?)),
         other => Ok(format!("RDF_NUM({})", term_sql(other, bound, plain)?)),
     }
 }
@@ -512,6 +518,32 @@ mod tests {
         let f = filter_of("SELECT * WHERE { ?a <http://p> ?n . FILTER(?n * 2 >= ?a + 1) }");
         let sql = filter_to_sql(&f, &bound(), &no_plain()).unwrap();
         assert_eq!(sql, "((RDF_NUM(c_n) * 2) >= (RDF_NUM(c_a) + 1))");
+    }
+
+    #[test]
+    fn division_and_negation_lower_alike_in_both_domains() {
+        // `5 / 2` is 2.5 in SPARQL: integer operands must not divide as
+        // integers in a numeric comparison any more than in a BIND.
+        let f = filter_of("SELECT * WHERE { ?a <http://p> ?n . FILTER(?n > 5 / 2) }");
+        let sql = filter_to_sql(&f, &bound(), &no_plain()).unwrap();
+        assert_eq!(sql, "(RDF_NUM(c_n) > ((1.0 * 5) / 2))");
+        let f = filter_of("SELECT * WHERE { ?a <http://p> ?n . FILTER(-?n < 2) }");
+        let sql = filter_to_sql(&f, &bound(), &no_plain()).unwrap();
+        assert_eq!(sql, "((0 - RDF_NUM(c_n)) < 2)");
+        let f = filter_of(
+            "SELECT * WHERE { ?a <http://p> ?n . \
+             FILTER(?n > \"-3\"^^<http://www.w3.org/2001/XMLSchema#integer>) }",
+        );
+        let sql = filter_to_sql(&f, &bound(), &no_plain()).unwrap();
+        assert_eq!(sql, "(RDF_NUM(c_n) > (0 - 3))");
+        let n = Expression::Var("n".to_string());
+        let half = Expression::Arith {
+            op: ArithOp::Div,
+            left: Box::new(n.clone()),
+            right: Box::new(Expression::Neg(Box::new(n))),
+        };
+        let sql = value_sql(&half, &bound(), &no_plain()).unwrap();
+        assert_eq!(sql, "((1.0 * RDF_VAL(c_n)) / (0 - RDF_VAL(c_n)))");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! accepts: connected BGPs (pivot-variable chaining, so no accidental cross
 //! products), constant and variable predicates, repeated variables,
 //! OPTIONAL blocks, UNION branches with shared variables, group-scoped
-//! FILTERs over the full builtin surface (comparisons, arithmetic, BOUND,
-//! REGEX, STR/LANG, isIRI/isLITERAL, &&/||/!), DISTINCT, ORDER BY and
+//! FILTERs over the full builtin surface (comparisons, arithmetic with
+//! division by constants and unary minus, BOUND, REGEX, STR/LANG/DATATYPE,
+//! isIRI/isLITERAL, &&/||/!), DISTINCT, ORDER BY and
 //! LIMIT/OFFSET windows — plus the analytic surface: BIND, inline VALUES
 //! (with UNDEF), subqueries (plain, DISTINCT and aggregating), aggregate
 //! projections (COUNT/SUM/AVG/MIN/MAX, COUNT(*), DISTINCT-in-aggregate),
@@ -485,7 +486,7 @@ fn gen_subquery(
 /// One aggregate call over the bound variables.
 fn gen_aggregate_call(rng: &mut SplitMix64, all_vars: &[String]) -> String {
     let v = &all_vars[rng.gen_range(0..all_vars.len())];
-    match rng.gen_range(0..9u32) {
+    match rng.gen_range(0..12u32) {
         0 => "COUNT(*)".to_string(),
         1 => format!("COUNT(?{v})"),
         2 => format!("COUNT(DISTINCT ?{v})"),
@@ -611,32 +612,47 @@ fn gen_filter_leaf(rng: &mut SplitMix64, vars: &[String], opt_vars: &[String]) -
         pool[rng.gen_range(0..pool.len())].clone()
     };
     let v = pick(rng, vars, opt_vars);
-    match rng.gen_range(0..9u32) {
+    match rng.gen_range(0..12u32) {
         0 => {
             // Numeric comparison (numeric-shaped on the constant side).
             let op = ["<", "<=", ">", ">=", "=", "!="][rng.gen_range(0..6usize)];
             format!("?{v} {op} {}", rng.gen_range(0..INT_VALS))
         }
         1 => {
-            // Arithmetic keeps the comparison numeric-shaped. Division is
-            // deliberately excluded: SQL and SPARQL disagree on x/0.
+            // Arithmetic keeps the comparison numeric-shaped.
             let op = if rng.gen_ratio(1, 2) { "+" } else { "*" };
             format!("(?{v} {op} {}) > {}", rng.gen_range(1..4i64), rng.gen_range(0..INT_VALS))
         }
         2 => {
+            // Division by a constant in 1..4, of the variable or of two
+            // constants: SPARQL divides integers exactly, never as `5 / 2 = 2`.
+            let d = rng.gen_range(1..4i64);
+            let k = rng.gen_range(0..INT_VALS);
+            if rng.gen_ratio(1, 2) {
+                format!("(?{v} / {d}) > {k}")
+            } else {
+                format!("?{v} > {k} / {d}")
+            }
+        }
+        3 => {
+            let op = ["<", "<=", ">", ">="][rng.gen_range(0..4usize)];
+            format!("-?{v} {op} -{}", rng.gen_range(0..INT_VALS))
+        }
+        4 => format!("DATATYPE(?{v}) = <http://www.w3.org/2001/XMLSchema#integer>"),
+        5 => {
             let eq = if rng.gen_ratio(2, 3) { "=" } else { "!=" };
             format!("?{v} {eq} \"val{}\"", rng.gen_range(0..STR_VALS))
         }
-        3 => {
+        6 => {
             let eq = if rng.gen_ratio(2, 3) { "=" } else { "!=" };
             format!("?{v} {eq} <http://s/{}>", rng.gen_range(0..SUBJECTS))
         }
-        4 => {
+        7 => {
             let w = pick(rng, vars, opt_vars);
             let eq = if rng.gen_ratio(1, 2) { "=" } else { "!=" };
             format!("?{v} {eq} ?{w}")
         }
-        5 => {
+        8 => {
             // BOUND prefers an OPTIONAL variable, where it can be false.
             let w = pick(rng, opt_vars, vars);
             if rng.gen_ratio(1, 3) {
@@ -645,11 +661,11 @@ fn gen_filter_leaf(rng: &mut SplitMix64, vars: &[String], opt_vars: &[String]) -
                 format!("BOUND(?{w})")
             }
         }
-        6 => {
+        9 => {
             let f = if rng.gen_ratio(1, 2) { "isIRI" } else { "isLITERAL" };
             format!("{f}(?{v})")
         }
-        7 => {
+        10 => {
             let pat = ["val", "^val", "2$", "^http", "al"][rng.gen_range(0..5usize)];
             let flags = if rng.gen_ratio(1, 3) { ", \"i\"" } else { "" };
             format!("REGEX(STR(?{v}), \"{pat}\"{flags})")

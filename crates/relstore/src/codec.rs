@@ -8,7 +8,7 @@
 //! of deserialized.
 
 use crate::error::{Error, Result};
-use crate::table::{IndexKind, TableSchema};
+use crate::table::TableSchema;
 use crate::value::{SqlType, Value};
 
 // ---------------------------------------------------------------------------
@@ -107,11 +107,10 @@ pub fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     }
 }
 
-pub fn put_index_kind(buf: &mut Vec<u8>, kind: IndexKind) {
-    put_u8(buf, match kind {
-        IndexKind::Hash => 0,
-        IndexKind::BTree => 1,
-    });
+/// The index-kind byte after an index's column name. Every index is the
+/// same equality index, written as kind 0.
+pub fn put_index_kind(buf: &mut Vec<u8>) {
+    put_u8(buf, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,10 +197,11 @@ impl<'a> Reader<'a> {
         Ok(TableSchema::new(name, columns))
     }
 
-    pub fn take_index_kind(&mut self) -> Result<IndexKind> {
+    /// The index-kind byte: 0, or 1 from stores written when `USING BTREE`
+    /// was a tag. Both read as the one equality index.
+    pub fn take_index_kind(&mut self) -> Result<()> {
         match self.take_u8()? {
-            0 => Ok(IndexKind::Hash),
-            1 => Ok(IndexKind::BTree),
+            0 | 1 => Ok(()),
             t => Err(Error::Corrupt(format!("unknown index kind {t}"))),
         }
     }

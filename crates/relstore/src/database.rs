@@ -11,25 +11,13 @@ use crate::exec::{PhaseTimings, Rel};
 use crate::io::{no_faults, FaultHandle};
 use crate::plan::{self, Prepared};
 use crate::snapshot::{load_snapshot, write_snapshot, SnapshotTable};
-use crate::sql::ast::Stmt;
 use crate::sql::parser::parse_statement;
-use crate::table::{IndexKind, Table, TableSchema};
+use crate::table::{Table, TableSchema};
 use crate::value::{SqlType, Value};
 use crate::wal::{self, WalOp, WalWriter};
 
 /// A registered scalar SQL function.
 pub type ScalarFn = Arc<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>;
-
-/// Outcome of [`Database::execute`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecOutcome {
-    /// DDL statement completed.
-    Done,
-    /// Number of rows inserted.
-    Inserted(usize),
-    /// Query result.
-    Rows(Rel),
-}
 
 /// Durability state for a database opened on a directory.
 ///
@@ -111,7 +99,10 @@ impl Database {
             threads: None,
             durability: None,
         };
-        db.register_builtins();
+        // The one built-in function; the store registers its `RDF_*` ones.
+        db.register_function("coalesce", |args| {
+            Ok(args.iter().find(|a| !a.is_null()).cloned().unwrap_or(Value::Null))
+        });
         db
     }
 
@@ -420,12 +411,12 @@ impl Database {
                 self.tables.insert(name, Arc::new(Table::new(schema)));
                 Ok(())
             }
-            WalOp::CreateIndex { table, column, kind } => {
+            WalOp::CreateIndex { table, column } => {
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| Error::Plan(format!("unknown table {table:?}")))?;
-                Arc::make_mut(t).create_index(&column, kind)
+                Arc::make_mut(t).create_index(&column)
             }
             WalOp::InsertRows { table, rows } => {
                 let t = self
@@ -461,8 +452,8 @@ impl Database {
         for row in &st.rows {
             t.insert(row)?;
         }
-        for (col, kind) in st.indexes {
-            t.create_index(&col, kind)?;
+        for col in st.indexes {
+            t.create_index(&col)?;
         }
         let name = t.schema.name.clone();
         self.tables.insert(name, Arc::new(t));
@@ -565,7 +556,7 @@ impl Database {
         names
     }
 
-    /// Programmatic DDL, used by bulk loaders to avoid SQL round-trips.
+    /// Create a table: the dialect has no DDL, so this is the one way.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
         self.check_writable()?;
         let name = schema.name.clone();
@@ -583,7 +574,9 @@ impl Database {
         Ok(())
     }
 
-    pub fn create_index(&mut self, table: &str, column: &str, kind: IndexKind) -> Result<()> {
+    /// Create (or rebuild) the equality index on `table.column`, the one
+    /// kind of index there is.
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
         self.check_writable()?;
         let key = table.to_ascii_lowercase();
         let col = column.to_ascii_lowercase();
@@ -597,14 +590,14 @@ impl Database {
         }
         if self.is_durable() {
             let mut ops = Vec::new();
-            wal::encode_create_index(&mut ops, &key, &col, kind);
+            wal::encode_create_index(&mut ops, &key, &col);
             self.log_op(ops)?;
         }
         let t = self
             .tables
             .get_mut(&key)
             .ok_or_else(|| Error::Plan(format!("unknown table {table:?}")))?;
-        Arc::make_mut(t).create_index(&col, kind)
+        Arc::make_mut(t).create_index(&col)
     }
 
     /// Programmatic bulk insert, maintaining indexes. On a durable database
@@ -722,38 +715,12 @@ impl Database {
         Arc::make_mut(t).delete_row(row_id).map(|_| ())
     }
 
-    /// Execute any SQL statement.
-    pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        match parse_statement(sql)? {
-            Stmt::CreateTable { name, columns } => {
-                self.create_table(TableSchema::new(name, columns))?;
-                Ok(ExecOutcome::Done)
-            }
-            Stmt::CreateIndex { table, column, btree } => {
-                self.create_index(
-                    &table,
-                    &column,
-                    if btree { IndexKind::BTree } else { IndexKind::Hash },
-                )?;
-                Ok(ExecOutcome::Done)
-            }
-            Stmt::Insert { table, columns, rows } => {
-                let n = self.execute_insert(&table, columns.as_deref(), &rows)?;
-                Ok(ExecOutcome::Inserted(n))
-            }
-            Stmt::Query(q) => Ok(ExecOutcome::Rows(plan::prepare(&q, self)?.run(self)?)),
-        }
-    }
-
-    /// Parse and compile a read-only query into a [`Prepared`] statement
-    /// that [`Prepared::run`] executes on this database or any snapshot of
-    /// it ([`Database::snapshot_clone`]), without parsing or resolving a
-    /// name again.
+    /// Parse and compile a query into a [`Prepared`] statement that
+    /// [`Prepared::run`] executes on this database or any snapshot of it
+    /// ([`Database::snapshot_clone`]), without parsing or resolving a name
+    /// again.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        match parse_statement(sql)? {
-            Stmt::Query(q) => plan::prepare(&q, self),
-            _ => plan_err("expected a query"),
-        }
+        plan::prepare(&parse_statement(sql)?, self)
     }
 
     /// Execute a read-only query: [`Database::prepare`], then
@@ -768,103 +735,6 @@ impl Database {
     pub fn query_traced(&self, sql: &str) -> Result<(Rel, PhaseTimings)> {
         let (rel, timings) = self.prepare(sql)?.run_traced(self, true)?;
         Ok((rel, timings.expect("tracing was enabled")))
-    }
-
-    fn execute_insert(
-        &mut self,
-        table: &str,
-        columns: Option<&[String]>,
-        rows: &[Vec<crate::sql::ast::Expr>],
-    ) -> Result<usize> {
-        let t = self
-            .tables
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| Error::Plan(format!("unknown table {table:?}")))?;
-        let width = t.width();
-        // Map provided columns to schema positions.
-        let positions: Vec<usize> = match columns {
-            Some(cols) => cols
-                .iter()
-                .map(|c| {
-                    t.schema
-                        .column_index(c)
-                        .ok_or_else(|| Error::Plan(format!("unknown column {c:?}")))
-                })
-                .collect::<Result<_>>()?,
-            None => (0..width).collect(),
-        };
-        let mut dense_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != positions.len() {
-                return plan_err(format!(
-                    "INSERT arity {} does not match column list {}",
-                    row.len(),
-                    positions.len()
-                ));
-            }
-            let mut dense = vec![Value::Null; width];
-            for (expr, &pos) in row.iter().zip(&positions) {
-                dense[pos] = plan::eval_const(expr, self)?;
-            }
-            dense_rows.push(dense);
-        }
-        self.insert_rows(table, dense_rows)
-    }
-
-    fn register_builtins(&mut self) {
-        self.register_function("coalesce", |args| {
-            for a in args {
-                if !a.is_null() {
-                    return Ok(a.clone());
-                }
-            }
-            Ok(Value::Null)
-        });
-        self.register_function("lower", |args| {
-            unary_str(args, "lower", |s| Value::str(s.to_lowercase()))
-        });
-        self.register_function("upper", |args| {
-            unary_str(args, "upper", |s| Value::str(s.to_uppercase()))
-        });
-        self.register_function("length", |args| {
-            unary_str(args, "length", |s| Value::Int(s.chars().count() as i64))
-        });
-        self.register_function("abs", |args| {
-            expect_arity(args, 1, "abs")?;
-            Ok(match &args[0] {
-                Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.abs()),
-                Value::Double(d) => Value::Double(d.abs()),
-                other => return exec_err(format!("abs: expected number, got {}", other.type_name())),
-            })
-        });
-        self.register_function("substr", |args| {
-            if args.len() < 2 || args.len() > 3 {
-                return exec_err("substr expects 2 or 3 arguments");
-            }
-            let (Some(s), Some(start)) = (args[0].as_str(), args[1].as_f64()) else {
-                return Ok(Value::Null);
-            };
-            let chars: Vec<char> = s.chars().collect();
-            // SQL substr is 1-based.
-            let start = (start as i64 - 1).max(0) as usize;
-            let len = match args.get(2) {
-                Some(v) => match v.as_f64() {
-                    Some(l) => l.max(0.0) as usize,
-                    None => return Ok(Value::Null),
-                },
-                None => chars.len().saturating_sub(start),
-            };
-            let out: String = chars.iter().skip(start).take(len).collect();
-            Ok(Value::str(out))
-        });
-        self.register_function("replace", |args| {
-            expect_arity(args, 3, "replace")?;
-            match (args[0].as_str(), args[1].as_str(), args[2].as_str()) {
-                (Some(s), Some(from), Some(to)) => Ok(Value::str(s.replace(from, to))),
-                _ => Ok(Value::Null),
-            }
-        });
     }
 }
 
@@ -898,22 +768,6 @@ fn prune_generations(dir: &Path, current: u64) {
             }
         }
     }
-}
-
-fn expect_arity(args: &[Value], n: usize, name: &str) -> Result<()> {
-    if args.len() != n {
-        exec_err(format!("{name} expects {n} argument(s), got {}", args.len()))
-    } else {
-        Ok(())
-    }
-}
-
-fn unary_str(args: &[Value], name: &str, f: impl Fn(&str) -> Value) -> Result<Value> {
-    expect_arity(args, 1, name)?;
-    Ok(match args[0].as_str() {
-        Some(s) => f(s),
-        None => Value::Null,
-    })
 }
 
 /// Convenience constructor for tests and examples.
@@ -976,8 +830,8 @@ mod tests {
     fn a_write_after_a_snapshot_copies_only_what_it_touches() {
         let mut db = Database::new();
         db.create_table(table_schema("t", &[("k", SqlType::Int), ("v", SqlType::Int)])).unwrap();
-        db.create_index("t", "k", IndexKind::Hash).unwrap();
-        db.create_index("t", "v", IndexKind::Hash).unwrap();
+        db.create_index("t", "k").unwrap();
+        db.create_index("t", "v").unwrap();
         db.insert_rows("t", (0..5000).map(|i| vec![Value::Int(i % 997), Value::Int(i)])).unwrap();
         let rows = |db: &Database| {
             let t = db.table("t").unwrap();

@@ -20,9 +20,9 @@ use crate::plan::{
     AggFunc, AggPlan, BodyPlan, HashJoin, IndexJoin, JoinPlan, Output, Prepared, QueryPlan,
     SelectPlan, Source,
 };
-use crate::sql::ast::{BinaryOp, UnaryOp};
+use crate::sql::ast::BinaryOp;
 use crate::table::Table;
-use crate::value::{SqlType, Value};
+use crate::value::Value;
 
 /// An output column: optional table qualifier plus name (both lowercase),
 /// shared so that copying a column list copies no string bytes.
@@ -61,7 +61,7 @@ type Rows = Vec<Vec<Value>>;
 /// Wall-clock time attributed to each heavy executor phase, for
 /// `Database::query_traced`. Phases are measured on the orchestrating thread
 /// around whole parallel regions, so a phase's time is elapsed time, not a
-/// sum over workers; nested scopes (CTEs, subqueries) accumulate into the
+/// sum over workers; nested scopes (CTEs) accumulate into the
 /// same counters. Time outside these four phases (sorting, projection,
 /// UNNEST, plumbing) is the remainder against total query time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -317,19 +317,11 @@ pub enum CExpr {
     Col(usize),
     Lit(Value),
     Binary { op: BinaryOp, left: Box<CExpr>, right: Box<CExpr> },
-    Unary { op: UnaryOp, expr: Box<CExpr> },
+    Not(Box<CExpr>),
     IsNull { expr: Box<CExpr>, negated: bool },
-    InList { expr: Box<CExpr>, list: Vec<CExpr>, negated: bool },
-    Like { expr: Box<CExpr>, pattern: Box<CExpr>, negated: bool },
-    Case { branches: Vec<(CExpr, CExpr)>, else_expr: Option<Box<CExpr>> },
-    Cast { expr: Box<CExpr>, ty: SqlType },
-    Call {
-        /// Retained for plan debugging output.
-        #[allow(dead_code)]
-        name: String,
-        func: ScalarFn,
-        args: Vec<CExpr>,
-    },
+    Like { expr: Box<CExpr>, pattern: Box<CExpr> },
+    Case { branches: Vec<(CExpr, CExpr)>, else_expr: Box<CExpr> },
+    Call { func: ScalarFn, args: Vec<CExpr> },
 }
 
 /// Row abstraction for expression evaluation. Implemented for plain slices
@@ -383,56 +375,19 @@ impl CExpr {
             CExpr::Binary { op, left, right } => {
                 eval_binary(*op, left.eval(row)?, right.eval(row)?)?
             }
-            CExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match op {
-                    UnaryOp::Not => match to_bool3(&v)? {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Null,
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Value::Null,
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Double(d) => Value::Double(-d),
-                        other => return exec_err(format!("cannot negate {}", other.type_name())),
-                    },
-                }
-            }
+            CExpr::Not(expr) => match to_bool3(&expr.eval(row)?)? {
+                Some(b) => Value::Bool(!b),
+                None => Value::Null,
+            },
             CExpr::IsNull { expr, negated } => {
                 let v = expr.eval(row)?;
                 Value::Bool(v.is_null() != *negated)
             }
-            CExpr::InList { expr, list, negated } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                let mut found = false;
-                for item in list {
-                    let iv = item.eval(row)?;
-                    match v.sql_eq(&iv) {
-                        Some(true) => {
-                            found = true;
-                            break;
-                        }
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                if found {
-                    Value::Bool(!*negated)
-                } else if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(*negated)
-                }
-            }
-            CExpr::Like { expr, pattern, negated } => {
+            CExpr::Like { expr, pattern } => {
                 let v = expr.eval(row)?;
                 let p = pattern.eval(row)?;
                 match (v.as_str(), p.as_str()) {
-                    (Some(s), Some(pat)) => Value::Bool(like_match(s, pat) != *negated),
+                    (Some(s), Some(pat)) => Value::Bool(like_match(s, pat)),
                     _ => Value::Null,
                 }
             }
@@ -442,13 +397,9 @@ impl CExpr {
                         return val.eval(row);
                     }
                 }
-                match else_expr {
-                    Some(e) => e.eval(row)?,
-                    None => Value::Null,
-                }
+                else_expr.eval(row)?
             }
-            CExpr::Cast { expr, ty } => cast_value(expr.eval(row)?, *ty),
-            CExpr::Call { func, args, .. } => {
+            CExpr::Call { func, args } => {
                 if let [arg] = args.as_slice() {
                     // Single-argument calls (the common shape for the RDF_*
                     // dictionary functions) skip the per-call argument Vec.
@@ -521,10 +472,6 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
         Gt => cmp_to_bool(&l, &r, |o| o == std::cmp::Ordering::Greater),
         GtEq => cmp_to_bool(&l, &r, |o| o != std::cmp::Ordering::Less),
         Add | Sub | Mul | Div => arith(op, &l, &r),
-        Concat => match (&l, &r) {
-            (Value::Null, _) | (_, Value::Null) => Value::Null,
-            (a, b) => Value::str(format!("{a}{b}")),
-        },
     })
 }
 
@@ -571,44 +518,6 @@ fn arith(op: BinaryOp, l: &Value, r: &Value) -> Value {
             _ => unreachable!(),
         },
         _ => Value::Null,
-    }
-}
-
-fn cast_value(v: Value, ty: SqlType) -> Value {
-    if v.is_null() {
-        return Value::Null;
-    }
-    match ty {
-        SqlType::Int => match &v {
-            Value::Int(_) => v,
-            Value::Double(d) => Value::Int(*d as i64),
-            Value::Str(s) => s.trim().parse::<i64>().map(Value::Int).unwrap_or(Value::Null),
-            Value::Bool(b) => Value::Int(*b as i64),
-            Value::Null => unreachable!(),
-        },
-        SqlType::Double => match &v {
-            Value::Double(_) => v,
-            Value::Int(i) => Value::Double(*i as f64),
-            Value::Str(s) => s.trim().parse::<f64>().map(Value::Double).unwrap_or(Value::Null),
-            Value::Bool(b) => Value::Double(*b as i64 as f64),
-            Value::Null => unreachable!(),
-        },
-        // A Text→Text cast is the identity: reuse the existing `Arc<str>`
-        // instead of reallocating through `to_string`.
-        SqlType::Text => match v {
-            Value::Str(_) => v,
-            other => Value::str(other.to_string()),
-        },
-        SqlType::Bool => match &v {
-            Value::Bool(_) => v,
-            Value::Int(i) => Value::Bool(*i != 0),
-            Value::Str(s) => match s.to_ascii_lowercase().as_str() {
-                "true" | "t" | "1" => Value::Bool(true),
-                "false" | "f" | "0" => Value::Bool(false),
-                _ => Value::Null,
-            },
-            _ => Value::Null,
-        },
     }
 }
 
@@ -693,14 +602,11 @@ fn exec_query(q: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
 fn exec_body(body: &BodyPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
     match body {
         BodyPlan::Select(sel) => exec_select(sel, ctx),
-        BodyPlan::Union { left, right, all } => {
+        BodyPlan::UnionAll { left, right } => {
             let mut l = exec_body(left, ctx)?;
             let r = exec_body(right, ctx)?;
             ctx.charge(r.len())?;
             l.extend(r);
-            if !*all {
-                dedupe(&mut l, ctx);
-            }
             Ok(l)
         }
     }
@@ -869,7 +775,6 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
     let (table, cols, probe, conds) = match source {
         Source::Table { table, cols, probe, conds } => (ctx.tables[*table], cols, probe, conds),
         Source::Cte { slot, conds } => return filter_rows(ctx.read_cte(*slot), conds, ctx),
-        Source::Subquery(q) => return exec_query(q, ctx),
     };
     let scan_t0 = ctx.phase_start();
     let rows = match probe {

@@ -4,11 +4,14 @@
 //! DB2RDF architecture: typed tables with null-suppressing ("value
 //! compressed") wide rows, copy-on-write per row chunk and index shard so a
 //! commit copies what it touches, equality secondary indexes, and a SQL
-//! dialect covering the constructs the paper's SPARQL→SQL translation emits —
-//! CTEs (`WITH`), inner and left-outer joins, `UNION [ALL]`, `CASE`,
+//! dialect that is exactly what the paper's SPARQL→SQL translation emits
+//! (DESIGN.md §2): queries with CTEs (`WITH`), comma joins and
+//! `LEFT OUTER JOIN`, `UNION ALL`, searched `CASE … ELSE … END`,
 //! `COALESCE`, `IS [NOT] NULL`, `DISTINCT`, `ORDER BY`, `LIMIT`/`OFFSET`,
 //! simple aggregates, and a lateral `UNNEST` table function standing in for
-//! DB2's `TABLE(...)` value-flip construct (paper Fig. 13).
+//! DB2's `TABLE(...)` value-flip construct (paper Fig. 13). Tables, indexes
+//! and rows are made through the API ([`Database::create_table`],
+//! [`Database::create_index`], [`Database::insert_rows`]), not SQL.
 //!
 //! Planning is deliberately minimal (see `plan` module docs): the SPARQL
 //! optimizer upstream decides join order; this engine contributes index
@@ -38,16 +41,18 @@
 //! module exposes the fault-injection hooks the crash-recovery tests use.
 //!
 //! ```
-//! use relstore::{Database, Value};
+//! use relstore::{table_schema, Database, SqlType, Value};
 //!
 //! let mut db = Database::new();
-//! db.execute("CREATE TABLE person (name TEXT, age INT)").unwrap();
-//! db.execute("INSERT INTO person VALUES ('ada', 36), ('alan', 41)").unwrap();
+//! db.create_table(table_schema("person", &[("name", SqlType::Text), ("age", SqlType::Int)]))
+//!     .unwrap();
+//! let person = |name: &str, age| vec![Value::str(name), Value::Int(age)];
+//! db.insert_rows("person", [person("ada", 36), person("alan", 41)]).unwrap();
 //! let rel = db.query("SELECT name FROM person WHERE age > 40").unwrap();
 //! assert_eq!(rel.rows, vec![vec![Value::str("alan")]]);
 //!
 //! let older = db.prepare("SELECT name FROM person WHERE age > 40").unwrap();
-//! db.execute("INSERT INTO person VALUES ('grace', 85)").unwrap();
+//! db.insert_rows("person", [person("grace", 85)]).unwrap();
 //! assert_eq!(older.run(&db).unwrap().rows.len(), 2);
 //! ```
 
@@ -65,7 +70,7 @@ mod table;
 mod value;
 pub mod wal;
 
-pub use database::{resolve_threads, table_schema, Database, ExecOutcome, ScalarFn};
+pub use database::{resolve_threads, table_schema, Database, ScalarFn};
 pub use error::{Error, Result};
 pub use exec::{like_match, OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHasher};
@@ -74,6 +79,6 @@ pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFau
 pub use row::CompressedRow;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotTable};
 pub use sql::lexer::{quote_str, value_to_sql};
-pub use table::{ColumnDef, Index, IndexKind, Table, TableSchema, CHUNK_ROWS};
+pub use table::{ColumnDef, Index, Table, TableSchema, CHUNK_ROWS};
 pub use value::{SqlType, Value};
 pub use wal::{WalOp, WalWriter};

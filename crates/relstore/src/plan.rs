@@ -1,6 +1,6 @@
 //! The compile pass: a parsed query becomes a [`Prepared`] plan tree in
 //! which every decision the executor makes before touching a row is already
-//! taken — column positions, the output columns of every CTE and subquery,
+//! taken — column positions, the output columns of every CTE,
 //! index-probe and index-nested-loop choices, join keys, pushed and
 //! residual predicates, compiled expressions. [`Prepared::run`] hands the
 //! tree to the operators in `exec`, which resolve no names.
@@ -30,8 +30,7 @@ use crate::database::Database;
 use crate::error::{plan_err, Error, Result};
 use crate::exec::{self, CExpr, OutCol, PhaseTimings, Rel};
 use crate::sql::ast::{
-    BinaryOp, Expr, Join, JoinKind, OrderItem, Query, QueryBody, Relation, Select, SelectItem,
-    TableFactor,
+    BinaryOp, Expr, Join, OrderItem, Query, QueryBody, Relation, Select, SelectItem, TableFactor,
 };
 use crate::table::Table;
 use crate::value::Value;
@@ -112,7 +111,7 @@ pub(crate) struct QueryPlan {
 
 pub(crate) enum BodyPlan {
     Select(Box<SelectPlan>),
-    Union { left: Box<BodyPlan>, right: Box<BodyPlan>, all: bool },
+    UnionAll { left: Box<BodyPlan>, right: Box<BodyPlan> },
 }
 
 pub(crate) struct SelectPlan {
@@ -146,7 +145,6 @@ pub(crate) enum Source {
         slot: usize,
         conds: Vec<CExpr>,
     },
-    Subquery(Box<QueryPlan>),
 }
 
 pub(crate) enum JoinPlan {
@@ -276,20 +274,7 @@ fn all_columns<'e>(
 ) -> bool {
     match expr {
         Expr::Column { qualifier, name } => pred(qualifier.as_deref(), name),
-        Expr::Literal(_) => true,
-        Expr::Binary { left, right, .. } => all_columns(left, pred) && all_columns(right, pred),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            all_columns(expr, pred)
-        }
-        Expr::InList { expr, list, .. } => {
-            all_columns(expr, pred) && list.iter().all(|e| all_columns(e, pred))
-        }
-        Expr::Like { expr, pattern, .. } => all_columns(expr, pred) && all_columns(pattern, pred),
-        Expr::Case { branches, else_expr } => {
-            branches.iter().all(|(c, v)| all_columns(c, pred) && all_columns(v, pred))
-                && else_expr.as_deref().is_none_or(|e| all_columns(e, pred))
-        }
-        Expr::Func { args, .. } => args.iter().all(|e| all_columns(e, pred)),
+        _ => expr.children().all(|e| all_columns(e, pred)),
     }
 }
 
@@ -308,24 +293,18 @@ fn compile(expr: &Expr, scope: &Scope<'_>, db: &Database) -> Result<CExpr> {
         Expr::Binary { op, left, right } => {
             CExpr::Binary { op: *op, left: boxed(left)?, right: boxed(right)? }
         }
-        Expr::Unary { op, expr } => CExpr::Unary { op: *op, expr: boxed(expr)? },
+        Expr::Not(expr) => CExpr::Not(boxed(expr)?),
         Expr::IsNull { expr, negated } => CExpr::IsNull { expr: boxed(expr)?, negated: *negated },
-        Expr::InList { expr, list, negated } => CExpr::InList {
-            expr: boxed(expr)?,
-            list: compile_all(list, scope, db)?,
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => {
-            CExpr::Like { expr: boxed(expr)?, pattern: boxed(pattern)?, negated: *negated }
+        Expr::Like { expr, pattern } => {
+            CExpr::Like { expr: boxed(expr)?, pattern: boxed(pattern)? }
         }
         Expr::Case { branches, else_expr } => CExpr::Case {
             branches: branches
                 .iter()
                 .map(|(c, v)| Ok((compile(c, scope, db)?, compile(v, scope, db)?)))
                 .collect::<Result<_>>()?,
-            else_expr: else_expr.as_deref().map(boxed).transpose()?,
+            else_expr: boxed(else_expr)?,
         },
-        Expr::Cast { expr, ty } => CExpr::Cast { expr: boxed(expr)?, ty: *ty },
         Expr::Func { name, args, star, distinct } => {
             if *star || *distinct || is_aggregate(name) {
                 return plan_err(format!("aggregate {name:?} not allowed in this context"));
@@ -333,11 +312,7 @@ fn compile(expr: &Expr, scope: &Scope<'_>, db: &Database) -> Result<CExpr> {
             let func = db
                 .function(name)
                 .ok_or_else(|| Error::Plan(format!("unknown function {name:?}")))?;
-            CExpr::Call {
-                name: name.clone(),
-                func: func.clone(),
-                args: compile_all(args, scope, db)?,
-            }
+            CExpr::Call { func: func.clone(), args: compile_all(args, scope, db)? }
         }
     })
 }
@@ -350,41 +325,30 @@ fn compile_all<'e>(
     exprs.into_iter().map(|e| compile(e, scope, db)).collect()
 }
 
-/// Evaluate a constant expression (an `INSERT ... VALUES` cell).
-pub(crate) fn eval_const(expr: &Expr, db: &Database) -> Result<Value> {
-    let no_row: &[Value] = &[];
-    compile(expr, &Scope::new(&[]), db)?.eval(no_row)
-}
-
 fn is_aggregate(name: &str) -> bool {
     matches!(name, "count" | "sum" | "min" | "max" | "avg")
 }
 
-/// Order conjuncts so cheap comparisons short-circuit before expensive ones
-/// (function calls, LIKE, CASE). The executor stops at the first rejecting
-/// conjunct, so on a selective scan this keeps e.g. a per-row dictionary
-/// materialization behind an integer equality that filters most rows out.
-/// Stable, so equal-cost conjuncts keep their written order.
-fn order_by_cost(conds: &mut [CExpr]) {
-    fn is_expensive(e: &CExpr) -> bool {
-        match e {
-            CExpr::Call { .. } | CExpr::Like { .. } | CExpr::Case { .. } => true,
-            CExpr::Col(_) | CExpr::Lit(_) => false,
-            CExpr::Binary { left, right, .. } => is_expensive(left) || is_expensive(right),
-            CExpr::Unary { expr, .. } | CExpr::IsNull { expr, .. } | CExpr::Cast { expr, .. } => {
-                is_expensive(expr)
-            }
-            CExpr::InList { expr, list, .. } => is_expensive(expr) || list.iter().any(is_expensive),
-        }
-    }
-    conds.sort_by_key(is_expensive);
+/// An aggregate call: `COUNT(*)` or a call of an aggregate function.
+fn is_aggregate_call(e: &Expr) -> bool {
+    matches!(e, Expr::Func { name, star, .. } if *star || is_aggregate(name))
 }
 
-/// Compiled pushed conjuncts, cheapest first.
+/// A function call, LIKE or CASE anywhere in `e`.
+fn is_expensive(e: &Expr) -> bool {
+    matches!(e, Expr::Func { .. } | Expr::Like { .. } | Expr::Case { .. })
+        || e.children().any(is_expensive)
+}
+
+/// Compiled pushed conjuncts, cheapest first: cheap comparisons
+/// short-circuit before expensive ones. The executor stops at the first
+/// rejecting conjunct, so on a selective scan this keeps e.g. a per-row
+/// dictionary materialization behind an integer equality that filters most
+/// rows out. Stable, so equal-cost conjuncts keep their written order.
 fn compile_conds(push: &[&Expr], scope: &Scope<'_>, db: &Database) -> Result<Vec<CExpr>> {
-    let mut conds = compile_all(push.iter().copied(), scope, db)?;
-    order_by_cost(&mut conds);
-    Ok(conds)
+    let mut push = push.to_vec();
+    push.sort_by_key(|c| is_expensive(c));
+    compile_all(push, scope, db)
 }
 
 // ---------------------------------------------------------------------------
@@ -406,25 +370,21 @@ struct Compiler<'q, 'db> {
     ctes: Vec<(&'q str, usize, Vec<OutCol>)>,
 }
 
-/// One linearized FROM step.
+/// One linearized FROM step: a comma-separated factor (an inner join), or
+/// a `LEFT OUTER JOIN` with its ON condition.
 struct Step<'q> {
     relation: &'q Relation,
     alias: Option<&'q str>,
-    kind: JoinKind,
+    /// The ON condition of a left outer join; `None` for an inner step.
     on: Option<&'q Expr>,
 }
 
 fn linearize_from(from: &[TableFactor]) -> Vec<Step<'_>> {
     let mut steps = Vec::new();
     for factor in from {
-        steps.push(Step {
-            relation: &factor.relation,
-            alias: factor.alias.as_deref(),
-            kind: JoinKind::Inner,
-            on: None,
-        });
-        for Join { kind, relation, alias, on } in &factor.joins {
-            steps.push(Step { relation, alias: alias.as_deref(), kind: *kind, on: Some(on) });
+        steps.push(Step { relation: &factor.relation, alias: factor.alias.as_deref(), on: None });
+        for Join { relation, alias, on } in &factor.joins {
+            steps.push(Step { relation, alias: alias.as_deref(), on: Some(on) });
         }
     }
     steps
@@ -471,7 +431,7 @@ fn column_refs(sel: &Select) -> Option<Vec<ColRef<'_>>> {
     for item in &sel.projection {
         match item {
             SelectItem::Expr { expr, .. } => exprs.push(expr),
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
+            SelectItem::Wildcard => return None,
         }
     }
     exprs.extend(sel.where_clause.iter().chain(&sel.group_by).chain(&sel.having));
@@ -492,9 +452,7 @@ fn column_refs(sel: &Select) -> Option<Vec<ColRef<'_>>> {
 }
 
 /// What a named FROM item resolved to, with the columns a pushed predicate
-/// may reference. A subquery's are not known before it is compiled, so it
-/// gets no pushdown (an empty scope) and its conjuncts stay in the WHERE
-/// residue.
+/// may reference.
 enum Target<'q, 'db> {
     /// `cols` are the kept columns, whose table positions are `keep`.
     Table {
@@ -508,35 +466,33 @@ enum Target<'q, 'db> {
         slot: usize,
         cols: Vec<OutCol>,
     },
-    Subquery(&'q Query),
 }
 
 impl Target<'_, '_> {
     fn cols(&self) -> &[OutCol] {
         match self {
             Target::Table { cols, .. } | Target::Cte { cols, .. } => cols,
-            Target::Subquery(_) => &[],
         }
     }
 }
 
 /// `cols` under a new qualifier.
-fn requalify(cols: &[OutCol], qualifier: Option<&Arc<str>>) -> Vec<OutCol> {
-    cols.iter().map(|c| OutCol { qualifier: qualifier.cloned(), name: c.name.clone() }).collect()
+fn requalify(cols: &[OutCol], qualifier: &Arc<str>) -> Vec<OutCol> {
+    let qualifier = Some(qualifier.clone());
+    cols.iter().map(|c| OutCol { qualifier: qualifier.clone(), name: c.name.clone() }).collect()
 }
 
 /// ON conjuncts that reference only the new factor are pushed into its
 /// scan; for inner steps, single-factor WHERE conjuncts are pushed too, and
-/// marked enforced. (A subquery's scope is empty, so only column-free
-/// conjuncts cover it, and those are never pushed from WHERE.)
+/// marked enforced.
 fn pushed<'q>(
     scope: &Scope<'_>,
     on: &[&'q Expr],
-    kind: JoinKind,
+    inner: bool,
     sc: &mut SelectCtx<'q>,
 ) -> Vec<&'q Expr> {
     let mut push: Vec<&Expr> = on.iter().copied().filter(|c| scope.covers(c)).collect();
-    if kind == JoinKind::Inner {
+    if inner {
         for (c, enforced) in sc.where_.iter().zip(&mut sc.enforced) {
             if scope.covers(c) && !is_trivial(c) {
                 push.push(c);
@@ -605,7 +561,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
                 let (plan, cols) = self.select(sel)?;
                 Ok((BodyPlan::Select(Box::new(plan)), cols))
             }
-            QueryBody::Union { left, right, all } => {
+            QueryBody::UnionAll { left, right } => {
                 let (left, cols) = self.body(left)?;
                 let (right, right_cols) = self.body(right)?;
                 if cols.len() != right_cols.len() {
@@ -615,10 +571,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
                         right_cols.len()
                     ));
                 }
-                Ok((
-                    BodyPlan::Union { left: Box::new(left), right: Box::new(right), all: *all },
-                    cols,
-                ))
+                Ok((BodyPlan::UnionAll { left: Box::new(left), right: Box::new(right) }, cols))
             }
         }
     }
@@ -676,12 +629,11 @@ impl<'q, 'db> Compiler<'q, 'db> {
     ) -> Result<Target<'q, 'db>> {
         let name = match relation {
             Relation::Named(name) => name.as_str(),
-            Relation::Subquery(q) => return Ok(Target::Subquery(q)),
             Relation::Unnest { .. } => unreachable!("UNNEST steps are compiled by join_step"),
         };
         let qualifier: Arc<str> = alias.unwrap_or(name).into();
         if let Some((_, slot, cols)) = self.ctes.iter().rev().find(|(n, ..)| *n == name) {
-            return Ok(Target::Cte { slot: *slot, cols: requalify(cols, Some(&qualifier)) });
+            return Ok(Target::Cte { slot: *slot, cols: requalify(cols, &qualifier) });
         }
         let db = self.db;
         let table =
@@ -706,12 +658,7 @@ impl<'q, 'db> Compiler<'q, 'db> {
     /// Materialize a FROM item applying pushed predicates; for base tables
     /// an equality with a literal on an indexed column turns the scan into
     /// a probe. Returns the source and the columns it produces.
-    fn source(
-        &mut self,
-        target: Target<'q, 'db>,
-        alias: Option<&str>,
-        push: &[&Expr],
-    ) -> Result<(Source, Vec<OutCol>)> {
+    fn source(&mut self, target: Target<'q, 'db>, push: &[&Expr]) -> Result<(Source, Vec<OutCol>)> {
         let db = self.db;
         match target {
             Target::Table { slot, table, cols, keep, .. } => {
@@ -739,11 +686,6 @@ impl<'q, 'db> Compiler<'q, 'db> {
                 self.cte_readers[slot] += 1;
                 Ok((Source::Cte { slot, conds }, cols))
             }
-            Target::Subquery(q) => {
-                let (plan, cols) = self.query(q)?;
-                let qualifier: Option<Arc<str>> = alias.map(Into::into);
-                Ok((Source::Subquery(Box::new(plan)), requalify(&cols, qualifier.as_ref())))
-            }
         }
     }
 
@@ -755,10 +697,10 @@ impl<'q, 'db> Compiler<'q, 'db> {
         if let Relation::Unnest { .. } = step.relation {
             return plan_err("UNNEST cannot be the first FROM item");
         }
+        // The first step is a FROM factor: an inner step with no ON.
         let target = self.target(step.relation, step.alias, sc)?;
-        let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
-        let push = pushed(&Scope::new(target.cols()), &on, step.kind, sc);
-        self.source(target, step.alias, &push)
+        let push = pushed(&Scope::new(target.cols()), &[], true, sc);
+        self.source(target, &push)
     }
 
     /// Join the next FROM item onto `left`, the columns so far.
@@ -785,8 +727,8 @@ impl<'q, 'db> Compiler<'q, 'db> {
 
         let target = self.target(step.relation, step.alias, sc)?;
         let on: Vec<&Expr> = step.on.map(|e| e.conjuncts()).unwrap_or_default();
-        let inner = step.kind == JoinKind::Inner;
-        let push = pushed(&Scope::new(target.cols()), &on, step.kind, sc);
+        let inner = step.on.is_none();
+        let push = pushed(&Scope::new(target.cols()), &on, inner, sc);
         // Inner steps may take join conditions from WHERE as well as ON.
         let conds: Vec<&Expr> =
             on.iter().chain(if inner { &sc.where_[..] } else { &[] }).copied().collect();
@@ -820,15 +762,14 @@ impl<'q, 'db> Compiler<'q, 'db> {
             }
         }
 
-        let keyed = !matches!(target, Target::Subquery(_));
-        let (right, right_cols) = self.source(target, step.alias, &push)?;
+        let (right, right_cols) = self.source(target, &push)?;
         let combined = concat(left, &right_cols);
         let stream = stream_filters(&combined, left.len(), sc, db)?;
 
         // Equi-join keys `left_expr = right_expr` among ON conjuncts and
         // (for inner joins) WHERE conjuncts; ON conjuncts that are not keys
         // stay residual.
-        let right_scope = Scope::new(if keyed { &right_cols } else { &[] });
+        let right_scope = Scope::new(&right_cols);
         let (mut lkeys, mut rkeys) = (Vec::new(), Vec::new());
         let mut used_as_key = vec![false; on.len()];
         for (i, c) in conds.iter().enumerate() {
@@ -925,40 +866,7 @@ fn order_keys(
 fn strip_qualifiers(e: &Expr) -> Expr {
     match e {
         Expr::Column { name, .. } => Expr::Column { qualifier: None, name: name.clone() },
-        Expr::Literal(_) => e.clone(),
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(strip_qualifiers(left)),
-            right: Box::new(strip_qualifiers(right)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(strip_qualifiers(expr)) },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(strip_qualifiers(expr)), negated: *negated }
-        }
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(strip_qualifiers(expr)),
-            list: list.iter().map(strip_qualifiers).collect(),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(strip_qualifiers(expr)),
-            pattern: Box::new(strip_qualifiers(pattern)),
-            negated: *negated,
-        },
-        Expr::Case { branches, else_expr } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| (strip_qualifiers(c), strip_qualifiers(v)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|x| Box::new(strip_qualifiers(x))),
-        },
-        Expr::Cast { expr, ty } => Expr::Cast { expr: Box::new(strip_qualifiers(expr)), ty: *ty },
-        Expr::Func { name, args, star, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(strip_qualifiers).collect(),
-            star: *star,
-            distinct: *distinct,
-        },
+        _ => e.map_children(strip_qualifiers),
     }
 }
 
@@ -977,18 +885,6 @@ fn project(
                 for (i, c) in input.iter().enumerate() {
                     cols.push(OutCol { qualifier: None, name: c.name.clone() });
                     exprs.push(CExpr::Col(i));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let before = cols.len();
-                for (i, c) in input.iter().enumerate() {
-                    if c.qualifier.as_deref() == Some(q.as_str()) {
-                        cols.push(OutCol { qualifier: None, name: c.name.clone() });
-                        exprs.push(CExpr::Col(i));
-                    }
-                }
-                if cols.len() == before {
-                    return plan_err(format!("unknown qualifier {q:?} in wildcard"));
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -1010,28 +906,13 @@ fn project(
 // ---------------------------------------------------------------------------
 
 fn select_has_aggregates(sel: &Select) -> bool {
+    // An aggregate may hide inside a scalar call: COALESCE(SUM(x), 0).
     fn expr_has(e: &Expr) -> bool {
-        match e {
-            // An aggregate may hide inside a scalar call: COALESCE(SUM(x), 0).
-            Expr::Func { name, star, args, .. } => {
-                *star || is_aggregate(name) || args.iter().any(expr_has)
-            }
-            Expr::Column { .. } | Expr::Literal(_) => false,
-            Expr::Binary { left, right, .. } => expr_has(left) || expr_has(right),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr_has(expr)
-            }
-            Expr::InList { expr, list, .. } => expr_has(expr) || list.iter().any(expr_has),
-            Expr::Like { expr, pattern, .. } => expr_has(expr) || expr_has(pattern),
-            Expr::Case { branches, else_expr } => {
-                branches.iter().any(|(c, v)| expr_has(c) || expr_has(v))
-                    || else_expr.as_deref().is_some_and(expr_has)
-            }
-        }
+        is_aggregate_call(e) || e.children().any(expr_has)
     }
     sel.projection.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr_has(expr),
-        _ => false,
+        SelectItem::Wildcard => false,
     }) || sel.having.as_ref().is_some_and(expr_has)
 }
 
@@ -1122,38 +1003,12 @@ fn aggregate(sel: &Select, input: &[OutCol], db: &Database) -> Result<(AggPlan, 
 
 /// Add the aggregate calls in `e` to `out`, skipping ones already there.
 fn find_aggregates<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::Func { name, star, .. } if *star || is_aggregate(name) => {
-            if !out.contains(&e) {
-                out.push(e);
-            }
+    if is_aggregate_call(e) {
+        if !out.contains(&e) {
+            out.push(e);
         }
-        Expr::Func { args, .. } => args.iter().for_each(|a| find_aggregates(a, out)),
-        Expr::Binary { left, right, .. } => {
-            find_aggregates(left, out);
-            find_aggregates(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            find_aggregates(expr, out)
-        }
-        Expr::InList { expr, list, .. } => {
-            find_aggregates(expr, out);
-            list.iter().for_each(|a| find_aggregates(a, out));
-        }
-        Expr::Like { expr, pattern, .. } => {
-            find_aggregates(expr, out);
-            find_aggregates(pattern, out);
-        }
-        Expr::Case { branches, else_expr } => {
-            for (c, v) in branches {
-                find_aggregates(c, out);
-                find_aggregates(v, out);
-            }
-            if let Some(x) = else_expr {
-                find_aggregates(x, out);
-            }
-        }
-        Expr::Column { .. } | Expr::Literal(_) => {}
+    } else {
+        e.children().for_each(|c| find_aggregates(c, out));
     }
 }
 
@@ -1169,64 +1024,37 @@ fn rewrite_agg(e: &Expr, group_by: &[Expr], agg_calls: &[&Expr]) -> Expr {
             _ => Expr::col(&format!("_g{i}")),
         };
     }
-    let re = |x: &Expr| Box::new(rewrite_agg(x, group_by, agg_calls));
-    match e {
-        Expr::Binary { op, left, right } => {
-            Expr::Binary { op: *op, left: re(left), right: re(right) }
-        }
-        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: re(expr) },
-        Expr::IsNull { expr, negated } => Expr::IsNull { expr: re(expr), negated: *negated },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: re(expr),
-            list: list.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => {
-            Expr::Like { expr: re(expr), pattern: re(pattern), negated: *negated }
-        }
-        Expr::Case { branches, else_expr } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    (rewrite_agg(c, group_by, agg_calls), rewrite_agg(v, group_by, agg_calls))
-                })
-                .collect(),
-            else_expr: else_expr.as_deref().map(re),
-        },
-        Expr::Cast { expr, ty } => Expr::Cast { expr: re(expr), ty: *ty },
-        Expr::Func { name, args, star, distinct } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|x| rewrite_agg(x, group_by, agg_calls)).collect(),
-            star: *star,
-            distinct: *distinct,
-        },
-        Expr::Column { .. } | Expr::Literal(_) => e.clone(),
-    }
+    e.map_children(|x| rewrite_agg(x, group_by, agg_calls))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableSchema;
+    use crate::value::SqlType;
 
     /// A DPH-shaped table at U = 11: `entry`, `spill`, then `pred{i}`,
     /// `val{i}` pairs, 24 columns, indexed on `entry`; and a DS-shaped
     /// table indexed on `l_id`.
     fn db() -> Database {
         let mut db = Database::new();
-        let pairs: Vec<String> = (0..11).map(|i| format!("pred{i} INT, val{i} INT")).collect();
-        db.execute(&format!("CREATE TABLE dph (entry INT, spill INT, {})", pairs.join(", ")))
-            .unwrap();
-        db.execute("CREATE INDEX ON dph(entry)").unwrap();
-        db.execute("CREATE TABLE ds (l_id INT, elm INT, extra INT)").unwrap();
-        db.execute("CREATE INDEX ON ds(l_id)").unwrap();
-        db.execute("CREATE TABLE src (c_x INT, c_y INT)").unwrap();
+        let ints = |name: &str, cols: &[String]| {
+            TableSchema::new(name, cols.iter().map(|c| (c.clone(), SqlType::Int)).collect())
+        };
+        let mut dph = vec!["entry".to_string(), "spill".to_string()];
+        dph.extend((0..11).flat_map(|i| [format!("pred{i}"), format!("val{i}")]));
+        db.create_table(ints("dph", &dph)).unwrap();
+        db.create_index("dph", "entry").unwrap();
+        db.create_table(ints("ds", &["l_id".into(), "elm".into(), "extra".into()])).unwrap();
+        db.create_index("ds", "l_id").unwrap();
+        db.create_table(ints("src", &["c_x".into(), "c_y".into()])).unwrap();
         db
     }
 
     fn select(p: &Prepared) -> &SelectPlan {
         match &p.root.body {
             BodyPlan::Select(sel) => sel,
-            BodyPlan::Union { .. } => panic!("expected a SELECT body"),
+            BodyPlan::UnionAll { .. } => panic!("expected a SELECT body"),
         }
     }
 
@@ -1275,12 +1103,11 @@ mod tests {
     }
 
     #[test]
-    fn wildcards_keep_every_column() {
+    fn a_wildcard_keeps_every_column() {
         let db = db();
         let p = db.prepare("SELECT * FROM dph").unwrap();
         assert_eq!(first_cols(select(&p)), (0..24).collect::<Vec<_>>());
-        // `T.*` means every column of every factor, not only T's.
-        let p = db.prepare("SELECT S.* FROM dph AS T, src AS S WHERE T.entry = S.c_x").unwrap();
+        let p = db.prepare("SELECT * FROM dph AS T, src AS S WHERE T.entry = S.c_x").unwrap();
         let sel = select(&p);
         assert_eq!(first_cols(sel), (0..24).collect::<Vec<_>>());
         let JoinPlan::HashJoin(src) = &sel.from.as_ref().unwrap().joins[0] else {

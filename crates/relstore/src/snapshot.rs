@@ -7,6 +7,7 @@
 //! magic   := "RSNAPv1\0"                   (8 bytes)
 //! payload := ntables:u32 table*
 //! table   := schema nindexes:u32 (column:str kind:u8)* nrows:u64 row*
+//! kind    := 0                              (1 is read as 0: see codec)
 //! row     := value * width                 (dense; NULLs explicit)
 //! ```
 //!
@@ -21,7 +22,7 @@ use std::path::Path;
 use crate::codec::{crc32, put_index_kind, put_schema, put_u32, put_u64, put_value, Reader};
 use crate::error::{Error, Result};
 use crate::io::{atomic_write, FaultHandle};
-use crate::table::{IndexKind, Table, TableSchema};
+use crate::table::{Table, TableSchema};
 use crate::value::Value;
 
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RSNAPv1\0";
@@ -29,7 +30,8 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RSNAPv1\0";
 /// One table's decoded snapshot contents.
 pub struct SnapshotTable {
     pub schema: TableSchema,
-    pub indexes: Vec<(String, IndexKind)>,
+    /// The indexed columns.
+    pub indexes: Vec<String>,
     pub rows: Vec<Vec<Value>>,
 }
 
@@ -43,11 +45,11 @@ pub fn write_snapshot(tables: &[&Table], path: &Path, faults: &FaultHandle) -> R
     put_u32(&mut payload, sorted.len() as u32);
     for t in sorted {
         put_schema(&mut payload, &t.schema);
-        let indexes = t.index_specs();
+        let indexes = t.indexed_columns();
         put_u32(&mut payload, indexes.len() as u32);
-        for (col, kind) in &indexes {
+        for col in &indexes {
             crate::codec::put_str(&mut payload, col);
-            put_index_kind(&mut payload, *kind);
+            put_index_kind(&mut payload);
         }
         put_u64(&mut payload, t.row_count() as u64);
         let mut row = Vec::new();
@@ -95,9 +97,8 @@ pub fn load_snapshot(path: &Path, faults: &FaultHandle) -> Result<Vec<SnapshotTa
         let nindexes = r.take_u32()? as usize;
         let mut indexes = Vec::with_capacity(nindexes.min(1 << 10));
         for _ in 0..nindexes {
-            let col = r.take_str()?;
-            let kind = r.take_index_kind()?;
-            indexes.push((col, kind));
+            indexes.push(r.take_str()?);
+            r.take_index_kind()?;
         }
         let nrows = r.take_u64()? as usize;
         let width = schema.columns.len();
@@ -141,7 +142,7 @@ mod tests {
         ));
         t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
         t.insert(&[Value::Int(2), Value::Null]).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
         t
     }
 
@@ -153,7 +154,7 @@ mod tests {
         let tables = load_snapshot(&path, &no_faults()).unwrap();
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].schema, t.schema);
-        assert_eq!(tables[0].indexes, vec![("a".to_string(), IndexKind::Hash)]);
+        assert_eq!(tables[0].indexes, ["a"]);
         assert_eq!(
             tables[0].rows,
             vec![vec![Value::Int(1), Value::str("x")], vec![Value::Int(2), Value::Null]]

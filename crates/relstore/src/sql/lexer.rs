@@ -7,8 +7,6 @@ use crate::value::Value;
 pub enum Token {
     /// Unquoted identifier or keyword, normalized to lowercase.
     Ident(String),
-    /// `"quoted"` identifier, case preserved.
-    QuotedIdent(String),
     /// `'string'` literal.
     Str(String),
     Int(i64),
@@ -22,14 +20,12 @@ pub enum Token {
     Plus,
     Minus,
     Slash,
-    Semicolon,
     Eq,
     NotEq,
     Lt,
     LtEq,
     Gt,
     GtEq,
-    Concat,
     Eof,
 }
 
@@ -48,12 +44,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
         let c = bytes[i];
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // line comment
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
             b'(' => {
                 out.push(Spanned { token: Token::LParen, offset: i });
                 i += 1;
@@ -86,17 +76,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                 out.push(Spanned { token: Token::Slash, offset: i });
                 i += 1;
             }
-            b';' => {
-                out.push(Spanned { token: Token::Semicolon, offset: i });
-                i += 1;
-            }
             b'=' => {
                 out.push(Spanned { token: Token::Eq, offset: i });
                 i += 1;
-            }
-            b'!' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                out.push(Spanned { token: Token::NotEq, offset: i });
-                i += 2;
             }
             b'<' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
@@ -117,14 +99,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                 } else {
                     out.push(Spanned { token: Token::Gt, offset: i });
                     i += 1;
-                }
-            }
-            b'|' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'|' {
-                    out.push(Spanned { token: Token::Concat, offset: i });
-                    i += 2;
-                } else {
-                    return Err(err("unexpected '|'", i));
                 }
             }
             b'\'' => {
@@ -155,20 +129,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                     }
                 }
                 out.push(Spanned { token: Token::Str(s), offset: start });
-            }
-            b'"' => {
-                let start = i;
-                i += 1;
-                let mut s = String::new();
-                while i < bytes.len() && bytes[i] != b'"' {
-                    s.push(bytes[i] as char);
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return Err(err("unterminated quoted identifier", start));
-                }
-                i += 1;
-                out.push(Spanned { token: Token::QuotedIdent(s), offset: start });
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -295,32 +255,17 @@ mod tests {
     #[test]
     fn operators() {
         assert_eq!(
-            toks("<> != < > >= || ="),
+            toks("<> < <= > >= ="),
             vec![
                 Token::NotEq,
-                Token::NotEq,
                 Token::Lt,
+                Token::LtEq,
                 Token::Gt,
                 Token::GtEq,
-                Token::Concat,
                 Token::Eq,
                 Token::Eof
             ]
         );
-    }
-
-    #[test]
-    fn comments_skipped() {
-        assert_eq!(toks("a -- comment\n b"), vec![
-            Token::Ident("a".into()),
-            Token::Ident("b".into()),
-            Token::Eof
-        ]);
-    }
-
-    #[test]
-    fn quoted_identifier_preserves_case() {
-        assert_eq!(toks("\"MiXeD\""), vec![Token::QuotedIdent("MiXeD".into()), Token::Eof]);
     }
 
     #[test]

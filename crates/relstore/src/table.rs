@@ -77,16 +77,6 @@ impl TableSchema {
     }
 }
 
-/// The index kind a `CREATE INDEX` asked for. Every index is the same
-/// equality index (the only probe the DB2RDF schema makes, on `entry` and
-/// `l_id`); the kind is kept only so the WAL and snapshots written by any
-/// build round-trip the tag they were given.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    Hash,
-    BTree,
-}
-
 /// One shard of an index: key → row ids, in insertion order. Keys are
 /// stored data, so the map keeps the std hasher's collision resistance.
 type Shard = HashMap<Value, Rids>;
@@ -112,16 +102,15 @@ impl Rids {
 /// shard picked by the key's hash.
 #[derive(Debug, Clone)]
 pub struct Index {
-    kind: IndexKind,
     shards: Vec<Arc<Shard>>,
 }
 
 impl Index {
-    fn new(kind: IndexKind) -> Self {
+    fn new() -> Self {
         // Every shard starts as the same empty map; the first insert into
         // one copies it (an empty map owns no heap).
         let empty = Arc::new(Shard::default());
-        Index { kind, shards: (0..INDEX_SHARDS).map(|_| empty.clone()).collect() }
+        Index { shards: (0..INDEX_SHARDS).map(|_| empty.clone()).collect() }
     }
 
     /// The shard holding `key`.
@@ -262,12 +251,12 @@ impl Table {
         Ok(())
     }
 
-    /// Create (or rebuild) an index on `column`.
-    pub fn create_index(&mut self, column: &str, kind: IndexKind) -> Result<()> {
+    /// Create (or rebuild) the equality index on `column`.
+    pub fn create_index(&mut self, column: &str) -> Result<()> {
         let Some(ci) = self.schema.column_index(column) else {
             return plan_err(format!("no column {column} in table {}", self.schema.name));
         };
-        let mut index = Index::new(kind);
+        let mut index = Index::new();
         for (row_id, row) in self.iter_rows().enumerate() {
             index.insert(row.get(ci), row_id as u32);
         }
@@ -287,16 +276,13 @@ impl Table {
         self.indexes.iter().find(|(c, _)| *c == ci).map(|(_, index)| index)
     }
 
-    /// The table's index definitions (column, kind), sorted by column name —
-    /// what a snapshot needs to rebuild the indexes on load.
-    pub fn index_specs(&self) -> Vec<(String, IndexKind)> {
-        let mut specs: Vec<(String, IndexKind)> = self
-            .indexes
-            .iter()
-            .map(|(ci, idx)| (self.schema.columns[*ci].name.to_string(), idx.kind))
-            .collect();
-        specs.sort_by(|a, b| a.0.cmp(&b.0));
-        specs
+    /// The indexed columns, sorted by name — what a snapshot needs to
+    /// rebuild the indexes on load.
+    pub fn indexed_columns(&self) -> Vec<String> {
+        let mut cols: Vec<String> =
+            self.indexes.iter().map(|(ci, _)| self.schema.columns[*ci].name.to_string()).collect();
+        cols.sort();
+        cols
     }
 
     /// Row `row_id`. Panics when out of range, like slice indexing.
@@ -462,7 +448,7 @@ mod tests {
     fn index_lookup_after_and_before_build() {
         let mut t = Table::new(schema());
         t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
         t.insert(&[Value::Int(1), Value::str("y")]).unwrap();
         t.insert(&[Value::Int(2), Value::str("z")]).unwrap();
         let idx = t.index_on("a").unwrap();
@@ -476,21 +462,18 @@ mod tests {
     fn null_keys_not_indexed() {
         let mut t = Table::new(schema());
         t.insert(&[Value::Null, Value::str("x")]).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
         assert_eq!(t.index_on("a").unwrap().distinct_keys(), 0);
         assert_eq!(t.index_on("a").unwrap().lookup(&Value::Null), &[] as &[u32]);
     }
 
     #[test]
-    fn btree_kind_is_a_persisted_tag_over_the_equality_index() {
+    fn indexed_columns_are_sorted_by_name() {
         let mut t = Table::new(schema());
         t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
-        t.create_index("b", IndexKind::BTree).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
-        assert_eq!(
-            t.index_specs(),
-            vec![("a".to_string(), IndexKind::Hash), ("b".to_string(), IndexKind::BTree)]
-        );
+        t.create_index("b").unwrap();
+        t.create_index("a").unwrap();
+        assert_eq!(t.indexed_columns(), ["a", "b"]);
         assert_eq!(t.index_on("b").unwrap().lookup(&Value::str("x")), &[0]);
     }
 
@@ -515,7 +498,7 @@ mod tests {
         t.update_cell(0, 0, Value::Int(2)).unwrap();
         assert_eq!(t.clone().shape_id(), id);
         assert_eq!(t.shape_id(), id, "row changes keep the shape");
-        t.create_index("a", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
         let indexed = t.shape_id();
         assert_ne!(indexed, id);
         t.widen(vec![("c".into(), SqlType::Int)]);
@@ -536,7 +519,7 @@ mod tests {
         let mut t = Table::new(schema());
         t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
         t.insert(&[Value::Int(2), Value::str("y")]).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
         t.update_cell(0, 0, Value::Int(9)).unwrap();
         {
             let idx = t.index_on("a").unwrap();
@@ -565,8 +548,8 @@ mod tests {
         t.insert(&[Value::Int(1), Value::str("x")]).unwrap();
         t.insert(&[Value::Int(2), Value::str("y")]).unwrap();
         t.insert(&[Value::Int(3), Value::str("z")]).unwrap();
-        t.create_index("a", IndexKind::Hash).unwrap();
-        t.create_index("b", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
+        t.create_index("b").unwrap();
 
         // Delete the middle row: row 2 moves into slot 1.
         let removed = t.delete_row(1).unwrap();
@@ -590,7 +573,7 @@ mod tests {
     #[test]
     fn unknown_index_column_rejected() {
         let mut t = Table::new(schema());
-        assert!(t.create_index("zzz", IndexKind::Hash).is_err());
+        assert!(t.create_index("zzz").is_err());
     }
 
     #[test]
@@ -622,8 +605,8 @@ mod tests {
         for i in 0..10 * CHUNK_ROWS as i64 + 5 {
             t.insert(&[Value::Int(i % 700), Value::str(format!("v{i}"))]).unwrap();
         }
-        t.create_index("a", IndexKind::Hash).unwrap();
-        t.create_index("b", IndexKind::Hash).unwrap();
+        t.create_index("a").unwrap();
+        t.create_index("b").unwrap();
         type Op = fn(&mut Table);
         let ops: [Op; 5] = [
             |t| t.insert(&[Value::Int(5), Value::str("new")]).unwrap(),

@@ -119,7 +119,7 @@ impl Value {
         }
     }
 
-    /// Total order used by ORDER BY, B-tree indexes and DISTINCT: NULLs
+    /// Total order used by ORDER BY and DISTINCT: NULLs
     /// first, then booleans, numerics (Int and Double interleaved by value),
     /// then text.
     pub fn total_cmp(&self, other: &Value) -> Ordering {

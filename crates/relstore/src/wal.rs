@@ -8,7 +8,7 @@
 //! frame  := len:u32le crc:u32le payload (crc = CRC32(payload))
 //! payload:= nops:u32le op*              (one frame = one committed txn)
 //! op     := 0x01 schema                       -- CREATE TABLE
-//!         | 0x02 table:str column:str kind:u8 -- CREATE INDEX
+//!         | 0x02 table:str column:str kind:u8 -- CREATE INDEX (kind 0)
 //!         | 0x03 table:str nrows:u32 width:u32 value*  -- INSERT
 //!         | 0x04 table:str row:u32 col:u32 value       -- UPDATE one cell
 //!         | 0x05 table:str row:u32                     -- DELETE one row
@@ -32,7 +32,7 @@ use crate::codec::{
 };
 use crate::error::{Error, Result};
 use crate::io::{FaultFile, FaultHandle};
-use crate::table::{IndexKind, TableSchema};
+use crate::table::TableSchema;
 use crate::value::Value;
 
 pub const WAL_MAGIC: &[u8; 8] = b"RSWALv1\0";
@@ -51,7 +51,7 @@ const OP_DELETE_ROW: u8 = 5;
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     CreateTable(TableSchema),
-    CreateIndex { table: String, column: String, kind: IndexKind },
+    CreateIndex { table: String, column: String },
     InsertRows { table: String, rows: Vec<Vec<Value>> },
     UpdateCell { table: String, row_id: u32, col: u32, value: Value },
     /// Remove one row with `swap_remove` semantics (the last row moves into
@@ -69,11 +69,11 @@ pub fn encode_create_table(buf: &mut Vec<u8>, schema: &TableSchema) {
     put_schema(buf, schema);
 }
 
-pub fn encode_create_index(buf: &mut Vec<u8>, table: &str, column: &str, kind: IndexKind) {
+pub fn encode_create_index(buf: &mut Vec<u8>, table: &str, column: &str) {
     put_u8(buf, OP_CREATE_INDEX);
     put_str(buf, table);
     put_str(buf, column);
-    crate::codec::put_index_kind(buf, kind);
+    crate::codec::put_index_kind(buf);
 }
 
 /// Encode an insert of dense rows (all `width` values per row).
@@ -106,11 +106,11 @@ pub fn encode_delete_row(buf: &mut Vec<u8>, table: &str, row_id: u32) {
 fn decode_op(r: &mut Reader<'_>) -> Result<WalOp> {
     Ok(match r.take_u8()? {
         OP_CREATE_TABLE => WalOp::CreateTable(r.take_schema()?),
-        OP_CREATE_INDEX => WalOp::CreateIndex {
-            table: r.take_str()?,
-            column: r.take_str()?,
-            kind: r.take_index_kind()?,
-        },
+        OP_CREATE_INDEX => {
+            let (table, column) = (r.take_str()?, r.take_str()?);
+            r.take_index_kind()?;
+            WalOp::CreateIndex { table, column }
+        }
         OP_INSERT_ROWS => {
             let table = r.take_str()?;
             let nrows = r.take_u32()? as usize;
@@ -312,6 +312,23 @@ mod tests {
         );
         encode_insert_rows(&mut ops, "t", 1, &[vec![Value::Int(7)]]);
         ops
+    }
+
+    /// Every index is written with kind byte 0; stores written when
+    /// `USING BTREE` was a tag carry a 1, which reads as the same index.
+    #[test]
+    fn create_index_writes_kind_zero_and_reads_zero_or_one() {
+        let mut ops = Vec::new();
+        encode_create_index(&mut ops, "t", "a");
+        assert_eq!(ops.last(), Some(&0));
+        let index = WalOp::CreateIndex { table: "t".into(), column: "a".into() };
+        for kind in [0, 1] {
+            *ops.last_mut().unwrap() = kind;
+            let decoded = decode_frame(&frame_payload(1, &ops)).unwrap();
+            assert_eq!(decoded, std::slice::from_ref(&index));
+        }
+        *ops.last_mut().unwrap() = 2;
+        assert!(matches!(decode_frame(&frame_payload(1, &ops)), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 
 use std::time::Duration;
 
-use relstore::{Database, Error, Value};
+use relstore::SqlType::{Int, Text};
+use relstore::{table_schema, Database, Error, Value};
 
 fn populated() -> Database {
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (k INT, v TEXT)").unwrap();
+    db.create_table(table_schema("t", &[("k", Int), ("v", Text)])).unwrap();
     let rows: Vec<Vec<Value>> =
         (0..20_000).map(|i| vec![Value::Int(i), Value::str(format!("v{i}"))]).collect();
     db.insert_rows("t", rows).unwrap();
@@ -20,7 +21,7 @@ fn zero_deadline_times_out() {
     let mut db = populated();
     db.set_deadline(Some(Duration::ZERO));
     let err = db
-        .query("SELECT a.k FROM t a JOIN t b ON a.k = b.k WHERE a.k < 100")
+        .query("SELECT a.k FROM t AS a, t AS b WHERE a.k = b.k AND a.k < 100")
         .unwrap_err();
     assert_eq!(err, Error::Timeout);
 }

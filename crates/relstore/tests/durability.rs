@@ -76,7 +76,7 @@ fn build_history(dir: &Path, n_txns: usize) -> Vec<State> {
     db.begin_batch();
     db.create_table(table_schema("t", &[("k", SqlType::Int), ("v", SqlType::Text)]))
         .unwrap();
-    db.create_index("t", "k", relstore::IndexKind::Hash).unwrap();
+    db.create_index("t", "k").unwrap();
     db.commit_batch().unwrap();
     states.push(dump(&db));
     for i in 0..n_txns.saturating_sub(1) {
@@ -149,18 +149,6 @@ fn close_checkpoints_and_reopen_is_instant_replay_free() {
     db.close().unwrap();
     let db = Database::open(&dir).unwrap();
     assert_eq!(dump(&db), expect);
-}
-
-#[test]
-fn sql_statements_are_durable_too() {
-    let dir = fresh_dir("sql");
-    let mut db = Database::open(&dir).unwrap();
-    db.execute("CREATE TABLE person (name TEXT, age INT)").unwrap();
-    db.execute("INSERT INTO person VALUES ('ada', 36), ('alan', 41)").unwrap();
-    drop(db);
-    let db = Database::open(&dir).unwrap();
-    let rel = db.query("SELECT name FROM person WHERE age > 40").unwrap();
-    assert_eq!(rel.rows, vec![vec![Value::str("alan")]]);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,14 +477,14 @@ fn reads_still_work_in_read_only_mode() {
     let dir = fresh_dir("ro-reads");
     {
         let mut db = Database::open(&dir).unwrap();
-        db.execute("CREATE TABLE t (k INT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        db.create_table(table_schema("t", &[("k", SqlType::Int)])).unwrap();
+        db.insert_rows("t", [vec![Value::Int(1)], vec![Value::Int(2)]]).unwrap();
         drop(db);
     }
     // Fail the first write of the new session (the torn-tail truncate is a
     // set_len, so the first *write* is the next commit's frame).
     let mut db = Database::open_with_faults(&dir, FailNthWrite::nth(1, None)).unwrap();
-    assert!(db.execute("INSERT INTO t VALUES (3)").is_err());
+    assert!(db.insert_rows("t", [vec![Value::Int(3)]]).is_err());
     assert!(db.is_read_only());
     let rel = db.query("SELECT k FROM t ORDER BY k").unwrap();
     assert_eq!(rel.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);

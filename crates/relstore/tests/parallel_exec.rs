@@ -1,16 +1,17 @@
 //! Executor semantics that must hold at every thread count: outer-join
-//! residual ON predicates, UNION (ALL and deduplicating), ORDER BY
+//! residual ON predicates, UNION ALL and DISTINCT over it, ORDER BY
 //! determinism, and row-budget exhaustion raised from worker threads.
 
-use relstore::{Database, Error, Rel, Value};
+use relstore::SqlType::{Int, Text};
+use relstore::{table_schema, Database, Error, Rel, Value};
 
 /// Build a database with two related tables big enough that scans, joins and
 /// sorts all split into multiple morsels (MORSEL_ROWS = 4096).
 fn big_db(threads: Option<usize>) -> Database {
     let mut db = Database::new();
     db.set_threads(threads);
-    db.execute("CREATE TABLE fact (k INT, v INT, tag TEXT)").unwrap();
-    db.execute("CREATE TABLE dim (k INT, w INT)").unwrap();
+    db.create_table(table_schema("fact", &[("k", Int), ("v", Int), ("tag", Text)])).unwrap();
+    db.create_table(table_schema("dim", &[("k", Int), ("w", Int)])).unwrap();
     let n = 6 * relstore::MORSEL_ROWS + 123;
     db.insert_rows(
         "fact",
@@ -87,7 +88,7 @@ fn left_outer_join_with_residual_on_predicate() {
 }
 
 #[test]
-fn union_all_keeps_duplicates_union_removes_them() {
+fn union_all_keeps_duplicates_distinct_over_it_removes_them() {
     for threads in [1, 4] {
         let db = big_db(Some(threads));
         let all = db
@@ -99,8 +100,9 @@ fn union_all_keeps_duplicates_union_removes_them() {
         assert_eq!(all.rows.len(), 600, "threads={threads}");
         let distinct = db
             .query(
-                "SELECT tag FROM fact WHERE v < 300 \
-                 UNION SELECT tag FROM fact WHERE v < 300 ORDER BY tag",
+                "WITH u AS (SELECT tag FROM fact WHERE v < 300 \
+                 UNION ALL SELECT tag FROM fact WHERE v < 300) \
+                 SELECT DISTINCT tag FROM u ORDER BY tag",
             )
             .unwrap();
         assert_eq!(
@@ -110,7 +112,10 @@ fn union_all_keeps_duplicates_union_removes_them() {
         );
         // Dedupe keeps first occurrences: order follows the left branch.
         let first_wins = db
-            .query("SELECT tag FROM fact WHERE v < 10 UNION SELECT tag FROM fact WHERE v < 10")
+            .query(
+                "WITH u AS (SELECT tag FROM fact WHERE v < 10 \
+                 UNION ALL SELECT tag FROM fact WHERE v < 10) SELECT DISTINCT tag FROM u",
+            )
             .unwrap();
         assert_eq!(
             first_wins.rows,

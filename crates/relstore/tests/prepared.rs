@@ -3,23 +3,26 @@
 //! `Database::query` there, and refuses — rather than misreads — a snapshot
 //! whose tables changed shape.
 
-use relstore::{Database, Error, IndexKind, Rel, SqlType, Value};
+use relstore::SqlType::{Int, Text};
+use relstore::{table_schema, Database, Error, Rel, SqlType, Value};
 
 /// The statements every snapshot runs: index probe, index nested-loop join
-/// (inner and left outer), hash join, a CTE read twice, UNION, aggregation
-/// with HAVING, a subquery, UNNEST, DISTINCT and a wildcard.
+/// (inner and left outer), hash join, a CTE read twice, UNION ALL under
+/// DISTINCT, aggregation with HAVING, UNNEST over a CTE, DISTINCT and a
+/// wildcard.
 const QUERIES: [&str; 10] = [
     "SELECT v, tag FROM fact WHERE k = 13 ORDER BY v",
-    "SELECT d.w, f.v FROM dim AS d JOIN fact AS f ON f.k = d.k WHERE d.w < 5000",
+    "SELECT d.w, f.v FROM dim AS d, fact AS f WHERE f.k = d.k AND d.w < 5000",
     "SELECT f.v, d.w FROM fact AS f LEFT OUTER JOIN dim AS d ON f.k = d.k AND d.w > 90000 \
      WHERE f.v < 300 ORDER BY f.v",
     "SELECT f.v, t.code FROM fact AS f, tagmap AS t WHERE f.tag = t.tag AND f.v < 500",
     PAIRS,
-    "WITH c AS (SELECT k FROM fact WHERE v < 100) SELECT k FROM c UNION SELECT k FROM dim \
-     WHERE w > 95000 ORDER BY k",
+    "WITH c AS (SELECT k FROM fact WHERE v < 100), \
+     u AS (SELECT k FROM c UNION ALL SELECT k FROM dim WHERE w > 95000) \
+     SELECT DISTINCT k FROM u ORDER BY k",
     "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM fact GROUP BY k HAVING COUNT(*) > 40 ORDER BY k",
-    "SELECT s.k, u.x FROM (SELECT k, w FROM dim WHERE k < 10) AS s, \
-     UNNEST ((s.k, 1), (s.w, 2)) AS u(x, y) ORDER BY s.k, u.x",
+    "WITH s AS (SELECT k, w FROM dim WHERE k < 10) \
+     SELECT s.k, u.x FROM s, UNNEST ((s.k, 1), (s.w, 2)) AS u(x, y) ORDER BY s.k, u.x",
     "SELECT DISTINCT tag, k FROM fact",
     "SELECT * FROM dim WHERE k = 5",
 ];
@@ -33,11 +36,11 @@ const PAIRS: &str = "WITH c AS (SELECT k, v FROM fact WHERE v < 2000) \
 /// with `fact` below one morsel; `rows` mirrors `fact` as (k, v).
 fn fixture() -> (Database, Vec<(i64, i64)>) {
     let mut db = Database::new();
-    db.execute("CREATE TABLE fact (k INT, v INT, tag TEXT)").unwrap();
-    db.execute("CREATE TABLE dim (k INT, w INT)").unwrap();
-    db.execute("CREATE TABLE tagmap (tag TEXT, code INT)").unwrap();
-    db.create_index("fact", "k", IndexKind::Hash).unwrap();
-    db.create_index("dim", "k", IndexKind::Hash).unwrap();
+    db.create_table(table_schema("fact", &[("k", Int), ("v", Int), ("tag", Text)])).unwrap();
+    db.create_table(table_schema("dim", &[("k", Int), ("w", Int)])).unwrap();
+    db.create_table(table_schema("tagmap", &[("tag", Text), ("code", Int)])).unwrap();
+    db.create_index("fact", "k").unwrap();
+    db.create_index("dim", "k").unwrap();
     let mut rows = Vec::new();
     insert_facts(&mut db, &mut rows, 0..3000);
     db.insert_rows("dim", (0..97i64).map(|k| vec![Value::Int(k), Value::Int(k * 1000)])).unwrap();
@@ -127,10 +130,10 @@ fn a_changed_shape_is_refused_not_misread() {
     // Rebuilding the probed index, and indexing a scanned column, each
     // change the access path a fresh compile would choose.
     let mut reindexed = db.snapshot_clone();
-    reindexed.create_index("dim", "k", IndexKind::Hash).unwrap();
+    reindexed.create_index("dim", "k").unwrap();
     assert!(matches!(wildcard.run(&reindexed), Err(Error::Stale(_))));
     let mut indexed = db.snapshot_clone();
-    indexed.create_index("tagmap", "tag", IndexKind::Hash).unwrap();
+    indexed.create_index("tagmap", "tag").unwrap();
     assert!(matches!(scan.run(&indexed), Err(Error::Stale(_))));
 
     // The database it was prepared on still runs it.

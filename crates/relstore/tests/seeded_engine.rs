@@ -6,7 +6,8 @@
 //! SplitMix64 drives the generators) so the suite needs no external
 //! dependency and every run exercises exactly the same cases.
 
-use relstore::{CompressedRow, Database, Value};
+use relstore::SqlType::Int;
+use relstore::{table_schema, CompressedRow, Database, Value};
 
 /// Minimal SplitMix64 — local copy so the test crate stays dependency-free.
 struct Rng(u64);
@@ -65,7 +66,7 @@ fn index_probe_equals_scan() {
         let keys: Vec<i64> = (0..1 + rng.below(60)).map(|_| rng.int(0, 20)).collect();
         let probe = rng.int(0, 20);
         let mut db = Database::new();
-        db.execute("CREATE TABLE t (k INT, pos INT)").unwrap();
+        db.create_table(table_schema("t", &[("k", Int), ("pos", Int)])).unwrap();
         let rows: Vec<Vec<Value>> = keys
             .iter()
             .enumerate()
@@ -75,7 +76,7 @@ fn index_probe_equals_scan() {
         let scan = db
             .query(&format!("SELECT pos FROM t WHERE k = {probe} ORDER BY pos"))
             .unwrap();
-        db.execute("CREATE INDEX ON t(k)").unwrap();
+        db.create_index("t", "k").unwrap();
         let probed = db
             .query(&format!("SELECT pos FROM t WHERE k = {probe} ORDER BY pos"))
             .unwrap();
@@ -93,8 +94,8 @@ fn joins_match_reference() {
             (0..rng.below(25)).map(|_| (rng.int(0, 8), rng.int(0, 100))).collect();
 
         let mut db = Database::new();
-        db.execute("CREATE TABLE l (k INT, v INT)").unwrap();
-        db.execute("CREATE TABLE r (k INT, w INT)").unwrap();
+        db.create_table(table_schema("l", &[("k", Int), ("v", Int)])).unwrap();
+        db.create_table(table_schema("r", &[("k", Int), ("w", Int)])).unwrap();
         db.insert_rows("l", left.iter().map(|&(k, v)| vec![Value::Int(k), Value::Int(v)]))
             .unwrap();
         db.insert_rows("r", right.iter().map(|&(k, w)| vec![Value::Int(k), Value::Int(w)]))
@@ -125,7 +126,7 @@ fn joins_match_reference() {
         assert_eq!(fetch(&db), expected);
 
         // Index nested-loop path must agree too.
-        db.execute("CREATE INDEX ON r(k)").unwrap();
+        db.create_index("r", "k").unwrap();
         assert_eq!(fetch(&db), expected);
     }
 }
@@ -137,8 +138,8 @@ fn left_join_preserves_all_left_rows() {
         let left: Vec<i64> = (0..rng.below(20)).map(|_| rng.int(0, 8)).collect();
         let right: Vec<i64> = (0..rng.below(20)).map(|_| rng.int(0, 8)).collect();
         let mut db = Database::new();
-        db.execute("CREATE TABLE l (k INT)").unwrap();
-        db.execute("CREATE TABLE r (k INT)").unwrap();
+        db.create_table(table_schema("l", &[("k", Int)])).unwrap();
+        db.create_table(table_schema("r", &[("k", Int)])).unwrap();
         db.insert_rows("l", left.iter().map(|&k| vec![Value::Int(k)])).unwrap();
         db.insert_rows("r", right.iter().map(|&k| vec![Value::Int(k)])).unwrap();
         let got = db
@@ -171,8 +172,7 @@ fn like_reference(s: &[char], p: &[char]) -> bool {
 #[test]
 fn like_matches_reference() {
     let mut rng = Rng(0x11FE);
-    let mut db = Database::new();
-    db.execute("CREATE TABLE s (v TEXT)").unwrap();
+    let db = Database::new();
     for _ in 0..400 {
         let text = rng.string_from(&['a', 'b', 'c', '%', '_', 'é'], 10);
         let pattern = rng.string_from(&['a', 'b', 'c', '%', '_', 'é'], 8);

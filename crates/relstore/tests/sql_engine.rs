@@ -1,19 +1,43 @@
 //! End-to-end SQL engine tests exercising every construct the DB2RDF
 //! SPARQL→SQL translation emits (paper Figs. 12 & 13), plus general engine
-//! semantics.
+//! semantics. The dialect has no DDL or INSERT, so tables are made through
+//! the API.
 
-use relstore::{Database, Error, ExecOutcome, Rel, Value};
+use relstore::SqlType::{Double, Int, Text};
+use relstore::{table_schema, Database, Error, Rel, SqlType, Value};
+
+/// Create `name` with `cols`, holding `rows`.
+fn table(db: &mut Database, name: &str, cols: &[(&str, SqlType)], rows: Vec<Vec<Value>>) {
+    db.create_table(table_schema(name, cols)).unwrap();
+    db.insert_rows(name, rows).unwrap();
+}
+
+fn s(v: &str) -> Value {
+    Value::str(v)
+}
+
+fn i(v: i64) -> Value {
+    Value::Int(v)
+}
+
+const NULL: Value = Value::Null;
 
 fn db_with_people() -> Database {
     let mut db = Database::new();
-    db.execute("CREATE TABLE person (name TEXT, age INT, city TEXT)").unwrap();
-    db.execute(
-        "INSERT INTO person VALUES
-         ('ada', 36, 'london'), ('alan', 41, 'london'),
-         ('grace', 85, 'ny'), ('edsger', 72, NULL)",
-    )
-    .unwrap();
+    let people = vec![
+        vec![s("ada"), i(36), s("london")],
+        vec![s("alan"), i(41), s("london")],
+        vec![s("grace"), i(85), s("ny")],
+        vec![s("edsger"), i(72), NULL],
+    ];
+    table(&mut db, "person", &[("name", Text), ("age", Int), ("city", Text)], people);
     db
+}
+
+/// `capital(city, country)` holding `rows` of (city, country).
+fn capitals(db: &mut Database, rows: &[(&str, &str)]) {
+    let data = rows.iter().map(|(c, k)| vec![s(c), s(k)]).collect();
+    table(db, "capital", &[("city", Text), ("country", Text)], data);
 }
 
 fn rows(rel: &Rel) -> Vec<Vec<String>> {
@@ -48,8 +72,7 @@ fn is_null_and_is_not_null() {
 #[test]
 fn inner_join_via_where_equality() {
     let mut db = db_with_people();
-    db.execute("CREATE TABLE capital (city TEXT, country TEXT)").unwrap();
-    db.execute("INSERT INTO capital VALUES ('london', 'uk'), ('paris', 'fr')").unwrap();
+    capitals(&mut db, &[("london", "uk"), ("paris", "fr")]);
     let rel = db
         .query(
             "SELECT p.name, c.country FROM person AS p, capital AS c
@@ -60,28 +83,13 @@ fn inner_join_via_where_equality() {
 }
 
 #[test]
-fn explicit_join_on() {
-    let mut db = db_with_people();
-    db.execute("CREATE TABLE capital (city TEXT, country TEXT)").unwrap();
-    db.execute("INSERT INTO capital VALUES ('london', 'uk'), ('ny', 'us')").unwrap();
-    let rel = db
-        .query(
-            "SELECT p.name, c.country FROM person p JOIN capital c ON p.city = c.city
-             ORDER BY 1",
-        )
-        .unwrap();
-    assert_eq!(rel.rows.len(), 3);
-}
-
-#[test]
 fn left_outer_join_pads_nulls() {
     let mut db = db_with_people();
-    db.execute("CREATE TABLE capital (city TEXT, country TEXT)").unwrap();
-    db.execute("INSERT INTO capital VALUES ('london', 'uk')").unwrap();
+    capitals(&mut db, &[("london", "uk")]);
     let rel = db
         .query(
-            "SELECT p.name, c.country FROM person p
-             LEFT OUTER JOIN capital c ON p.city = c.city ORDER BY p.name",
+            "SELECT p.name, c.country FROM person AS p
+             LEFT OUTER JOIN capital AS c ON p.city = c.city ORDER BY p.name",
         )
         .unwrap();
     assert_eq!(
@@ -98,26 +106,29 @@ fn left_outer_join_pads_nulls() {
 #[test]
 fn left_join_with_residual_on_condition() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE l (k INT)").unwrap();
-    db.execute("CREATE TABLE r (k INT, v INT)").unwrap();
-    db.execute("INSERT INTO l VALUES (1), (2)").unwrap();
-    db.execute("INSERT INTO r VALUES (1, 10), (1, 99), (2, 99)").unwrap();
+    table(&mut db, "l", &[("k", Int)], vec![vec![i(1)], vec![i(2)]]);
+    let r = vec![vec![i(1), i(10)], vec![i(1), i(99)], vec![i(2), i(99)]];
+    table(&mut db, "r", &[("k", Int), ("v", Int)], r);
     // Residual v < 50 filters matches; row 2 keeps the left side.
     let rel = db
-        .query("SELECT l.k, r.v FROM l LEFT JOIN r ON l.k = r.k AND r.v < 50 ORDER BY l.k")
+        .query("SELECT l.k, r.v FROM l LEFT OUTER JOIN r ON l.k = r.k AND r.v < 50 ORDER BY l.k")
         .unwrap();
     assert_eq!(rows(&rel), vec![vec!["1", "10"], vec!["2", "NULL"]]);
 }
 
 #[test]
-fn union_all_and_union_distinct() {
+fn union_all_and_distinct_over_it() {
     let db = db_with_people();
     let rel = db
         .query("SELECT city FROM person WHERE name = 'ada' UNION ALL SELECT city FROM person WHERE name = 'alan'")
         .unwrap();
     assert_eq!(rel.rows.len(), 2);
     let rel = db
-        .query("SELECT city FROM person WHERE name = 'ada' UNION SELECT city FROM person WHERE name = 'alan'")
+        .query(
+            "WITH u AS (SELECT city FROM person WHERE name = 'ada'
+                        UNION ALL SELECT city FROM person WHERE name = 'alan')
+             SELECT DISTINCT city FROM u",
+        )
         .unwrap();
     assert_eq!(rel.rows.len(), 1);
 }
@@ -126,7 +137,7 @@ fn union_all_and_union_distinct() {
 fn union_arity_mismatch_is_error() {
     let db = db_with_people();
     assert!(matches!(
-        db.query("SELECT name FROM person UNION SELECT name, age FROM person"),
+        db.query("SELECT name FROM person UNION ALL SELECT name, age FROM person"),
         Err(Error::Plan(_))
     ));
 }
@@ -171,8 +182,8 @@ fn unnest_flips_columns_to_rows() {
     // The paper's Fig. 13 uses DB2's TABLE(T.valm, T.val0) to turn the CASE
     // projections of an OR-merged star into one row per present predicate.
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (a TEXT, b TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES ('x', NULL), (NULL, 'y'), ('p', 'q')").unwrap();
+    let data = vec![vec![s("x"), NULL], vec![NULL, s("y")], vec![s("p"), s("q")]];
+    table(&mut db, "t", &[("a", Text), ("b", Text)], data);
     let rel = db
         .query("SELECT l.v FROM t, UNNEST (t.a, t.b) AS L(v) ORDER BY l.v")
         .unwrap();
@@ -182,9 +193,11 @@ fn unnest_flips_columns_to_rows() {
 #[test]
 fn unnest_tuples_keep_pairs_together() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (p0 TEXT, v0 TEXT, p1 TEXT, v1 TEXT)").unwrap();
-    db.execute("INSERT INTO t VALUES ('born', '1912', 'died', '1954')").unwrap();
-    db.execute("INSERT INTO t VALUES (NULL, NULL, 'died', '1990')").unwrap();
+    let data = vec![
+        vec![s("born"), s("1912"), s("died"), s("1954")],
+        vec![NULL, NULL, s("died"), s("1990")],
+    ];
+    table(&mut db, "t", &[("p0", Text), ("v0", Text), ("p1", Text), ("v1", Text)], data);
     let rel = db
         .query(
             "SELECT l.p, l.v FROM t, UNNEST ((t.p0, t.v0), (t.p1, t.v1)) AS L(p, v)
@@ -219,10 +232,8 @@ fn aggregates_group_by_having() {
 #[test]
 fn distinct_aggregates() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (k INTEGER, v INTEGER)").unwrap();
-    for (k, v) in [(1, 10), (1, 10), (1, 20), (2, 5), (2, 5), (2, 5)] {
-        db.execute(&format!("INSERT INTO t VALUES ({k}, {v})")).unwrap();
-    }
+    let data = [(1, 10), (1, 10), (1, 20), (2, 5), (2, 5), (2, 5)];
+    table(&mut db, "t", &[("k", Int), ("v", Int)], data.map(|(k, v)| vec![i(k), i(v)]).into());
     let rel = db
         .query(
             "SELECT k, COUNT(DISTINCT v) AS n, SUM(DISTINCT v) AS s, COUNT(v) AS all_n
@@ -241,8 +252,8 @@ fn min_max_tie_prefers_int_over_double() {
     // retained MIN/MAX representative must not depend on row order, so the
     // Int wins regardless of which arrives first.
     let mut db = Database::new();
-    db.execute("CREATE TABLE m (v DOUBLE)").unwrap();
-    db.execute("INSERT INTO m VALUES (1.0), (1), (2), (2.0)").unwrap();
+    let data = [Value::Double(1.0), i(1), i(2), Value::Double(2.0)];
+    table(&mut db, "m", &[("v", Double)], data.map(|v| vec![v]).into());
     let rel = db.query("SELECT MIN(v) AS lo, MAX(v) AS hi FROM m").unwrap();
     assert_eq!(rel.rows[0], vec![Value::Int(1), Value::Int(2)]);
 }
@@ -255,19 +266,17 @@ fn global_aggregate_on_empty_input() {
 }
 
 #[test]
-fn in_list_and_like() {
+fn like() {
     let db = db_with_people();
-    let rel = db
-        .query("SELECT name FROM person WHERE city IN ('ny', 'paris') OR name LIKE 'a%a'")
-        .unwrap();
+    let rel = db.query("SELECT name FROM person WHERE city = 'ny' OR name LIKE 'a%a'").unwrap();
     assert_eq!(rel.rows.len(), 2); // grace (ny), ada (a%a)
 }
 
 #[test]
-fn cast_and_arithmetic() {
+fn arithmetic() {
     let db = db_with_people();
     let rel = db
-        .query("SELECT name, CAST(age AS DOUBLE) / 2 AS half FROM person WHERE name = 'ada'")
+        .query("SELECT name, (1.0 * age) / 2 AS half FROM person WHERE name = 'ada'")
         .unwrap();
     assert_eq!(rel.rows[0][1], Value::Double(18.0));
     let rel = db.query("SELECT 7 / 2 AS a, 7.0 / 2 AS b, 1 + 2 * 3 AS c").unwrap();
@@ -275,38 +284,15 @@ fn cast_and_arithmetic() {
 }
 
 #[test]
-fn subquery_in_from() {
+fn cte_in_place_of_a_subquery() {
     let db = db_with_people();
     let rel = db
         .query(
-            "SELECT s.name FROM (SELECT name, age FROM person WHERE age > 40) AS s
-             WHERE s.age < 50",
+            "WITH s AS (SELECT name, age FROM person WHERE age > 40)
+             SELECT s.name FROM s WHERE s.age < 50",
         )
         .unwrap();
     assert_eq!(rows(&rel), vec![vec!["alan"]]);
-}
-
-#[test]
-fn scalar_functions() {
-    let db = Database::new();
-    let rel = db
-        .query(
-            "SELECT LOWER('AbC') AS a, UPPER('x') AS b, LENGTH('héllo') AS c,
-                    SUBSTR('hello', 2, 3) AS d, REPLACE('aXa', 'X', 'y') AS e,
-                    'a' || 'b' || 1 AS f",
-        )
-        .unwrap();
-    assert_eq!(
-        rel.rows[0],
-        vec![
-            Value::str("abc"),
-            Value::str("X"),
-            Value::Int(5),
-            Value::str("ell"),
-            Value::str("aya"),
-            Value::str("ab1"),
-        ]
-    );
 }
 
 #[test]
@@ -332,8 +318,7 @@ fn unknown_table_and_column_errors() {
 #[test]
 fn ambiguous_column_is_error() {
     let mut db = db_with_people();
-    db.execute("CREATE TABLE other (name TEXT)").unwrap();
-    db.execute("INSERT INTO other VALUES ('z')").unwrap();
+    table(&mut db, "other", &[("name", Text)], vec![vec![s("z")]]);
     assert!(matches!(
         db.query("SELECT name FROM person, other"),
         Err(Error::Plan(_))
@@ -343,9 +328,7 @@ fn ambiguous_column_is_error() {
 #[test]
 fn row_budget_stops_cross_products() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (a INT)").unwrap();
-    let vals: Vec<String> = (0..1000).map(|i| format!("({i})")).collect();
-    db.execute(&format!("INSERT INTO t VALUES {}", vals.join(","))).unwrap();
+    table(&mut db, "t", &[("a", Int)], (0..1000).map(|v| vec![i(v)]).collect());
     db.set_row_budget(Some(10_000));
     let err = db.query("SELECT x.a FROM t AS x, t AS y").unwrap_err();
     assert_eq!(err, Error::LimitExceeded);
@@ -356,27 +339,13 @@ fn row_budget_stops_cross_products() {
 #[test]
 fn index_probe_matches_full_scan() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE t (k TEXT, v INT)").unwrap();
-    for chunk in (0..500).collect::<Vec<_>>().chunks(100) {
-        let vals: Vec<String> =
-            chunk.iter().map(|i| format!("('k{}', {i})", i % 37)).collect();
-        db.execute(&format!("INSERT INTO t VALUES {}", vals.join(","))).unwrap();
-    }
+    let data = (0..500).map(|v| vec![s(&format!("k{}", v % 37)), i(v)]).collect();
+    table(&mut db, "t", &[("k", Text), ("v", Int)], data);
     let unindexed = db.query("SELECT v FROM t WHERE k = 'k5' ORDER BY v").unwrap();
-    db.execute("CREATE INDEX ON t(k)").unwrap();
+    db.create_index("t", "k").unwrap();
     let indexed = db.query("SELECT v FROM t WHERE k = 'k5' ORDER BY v").unwrap();
     assert_eq!(unindexed, indexed);
     assert!(!indexed.rows.is_empty());
-}
-
-#[test]
-fn insert_with_column_list_fills_nulls() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE t (a INT, b TEXT, c INT)").unwrap();
-    let out = db.execute("INSERT INTO t (c, a) VALUES (3, 1)").unwrap();
-    assert_eq!(out, ExecOutcome::Inserted(1));
-    let rel = db.query("SELECT a, b, c FROM t").unwrap();
-    assert_eq!(rel.rows[0], vec![Value::Int(1), Value::Null, Value::Int(3)]);
 }
 
 #[test]
@@ -389,16 +358,12 @@ fn order_by_nulls_first_and_desc() {
 }
 
 #[test]
-fn wildcard_and_qualified_wildcard() {
+fn wildcard_projects_every_factor() {
     let mut db = Database::new();
-    db.execute("CREATE TABLE a (x INT)").unwrap();
-    db.execute("CREATE TABLE b (y INT)").unwrap();
-    db.execute("INSERT INTO a VALUES (1)").unwrap();
-    db.execute("INSERT INTO b VALUES (2)").unwrap();
+    table(&mut db, "a", &[("x", Int)], vec![vec![i(1)]]);
+    table(&mut db, "b", &[("y", Int)], vec![vec![i(2)]]);
     let rel = db.query("SELECT * FROM a, b").unwrap();
     assert_eq!(rel.rows[0], vec![Value::Int(1), Value::Int(2)]);
-    let rel = db.query("SELECT b.* FROM a, b").unwrap();
-    assert_eq!(rel.rows[0], vec![Value::Int(2)]);
 }
 
 #[test]
@@ -432,8 +397,7 @@ fn select_without_from() {
 fn db_with_capitals(threads: usize) -> Database {
     let mut db = db_with_people();
     db.set_threads(Some(threads));
-    db.execute("CREATE TABLE capital (city TEXT, country TEXT)").unwrap();
-    db.execute("INSERT INTO capital VALUES ('london', 'uk'), ('ny', 'us')").unwrap();
+    capitals(&mut db, &[("london", "uk"), ("ny", "us")]);
     db
 }
 
@@ -445,7 +409,7 @@ fn residue_column_free_conjunct() {
     for threads in [1, 4] {
         let db = db_with_capitals(threads);
         let rel = db
-            .query("SELECT p.name FROM person p, capital c WHERE p.city = c.city AND 1 = 0")
+            .query("SELECT p.name FROM person AS p, capital AS c WHERE p.city = c.city AND 1 = 0")
             .unwrap();
         assert!(rel.rows.is_empty(), "threads {threads}");
         let rel = db.query("SELECT name FROM person WHERE 1 = 1 AND city = 'ny'").unwrap();
@@ -458,8 +422,12 @@ fn residue_conjunct_first_covered_at_unnest() {
     for threads in [1, 4] {
         let mut db = Database::new();
         db.set_threads(Some(threads));
-        db.execute("CREATE TABLE t (k INT, a TEXT, b TEXT)").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 'x', NULL), (2, NULL, 'y'), (3, 'p', 'q')").unwrap();
+        let data = vec![
+            vec![i(1), s("x"), NULL],
+            vec![i(2), NULL, s("y")],
+            vec![i(3), s("p"), s("q")],
+        ];
+        table(&mut db, "t", &[("k", Int), ("a", Text), ("b", Text)], data);
         let rel = db
             .query(
                 "SELECT t.k, l.v FROM t, UNNEST (t.a, t.b) AS L(v)
@@ -471,29 +439,15 @@ fn residue_conjunct_first_covered_at_unnest() {
 }
 
 #[test]
-fn residue_conjunct_over_a_first_item_subquery() {
-    for threads in [1, 4] {
-        let db = db_with_capitals(threads);
-        let rel = db
-            .query(
-                "SELECT s.name, c.country FROM (SELECT name, city, age FROM person) AS s
-                 JOIN capital c ON s.city = c.city WHERE s.age > 40 ORDER BY s.name",
-            )
-            .unwrap();
-        assert_eq!(rows(&rel), vec![vec!["alan", "uk"], vec!["grace", "us"]], "threads {threads}");
-    }
-}
-
-#[test]
 fn residue_left_join_anti_join() {
     for threads in [1, 4] {
         let mut db = db_with_capitals(threads);
-        db.execute("INSERT INTO person VALUES ('marie', 66, 'paris')").unwrap();
-        let anti = "SELECT p.name FROM person p LEFT JOIN capital c ON p.city = c.city
+        db.insert_rows("person", [vec![s("marie"), i(66), s("paris")]]).unwrap();
+        let anti = "SELECT p.name FROM person AS p LEFT OUTER JOIN capital AS c ON p.city = c.city
                     WHERE c.country IS NULL ORDER BY p.name";
         // Hash join, then index nested-loop join, on the same data.
         let hashed = db.query(anti).unwrap();
-        db.execute("CREATE INDEX ON capital(city)").unwrap();
+        db.create_index("capital", "city").unwrap();
         let probed = db.query(anti).unwrap();
         assert_eq!(rows(&hashed), vec![vec!["edsger"], vec!["marie"]], "threads {threads}");
         assert_eq!(hashed, probed, "threads {threads}");
@@ -509,7 +463,7 @@ fn residue_type_error_still_raises() {
         // boolean.
         let q = |city: &str| {
             db.query(&format!(
-                "SELECT p.name FROM person p, UNNEST (p.age) AS L(v)
+                "SELECT p.name FROM person AS p, UNNEST (p.age) AS L(v)
                  WHERE p.city = '{city}' AND NOT l.v"
             ))
         };

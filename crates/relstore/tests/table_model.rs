@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use relstore::{table_schema, Database, IndexKind, SqlType, Value, CHUNK_ROWS};
+use relstore::{table_schema, Database, SqlType, Value, CHUNK_ROWS};
 
 /// Minimal SplitMix64 — local copy so the test crate stays dependency-free.
 struct Rng(u64);
@@ -82,8 +82,8 @@ fn indexed_db() -> Database {
     let mut db = Database::new();
     let cols = [("k", SqlType::Int), ("v", SqlType::Int), ("s", SqlType::Text)];
     db.create_table(table_schema("t", &cols)).unwrap();
-    db.create_index("t", "k", IndexKind::Hash).unwrap();
-    db.create_index("t", "v", IndexKind::Hash).unwrap();
+    db.create_index("t", "k").unwrap();
+    db.create_index("t", "v").unwrap();
     db
 }
 
