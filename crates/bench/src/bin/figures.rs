@@ -1,13 +1,16 @@
 //! The paper's evaluation, figure by figure, with every qualitative claim
 //! checked: §2.1 (Tables 1–2, Figs. 2–3), §2.3 (Table 4, spills, NULL
-//! storage), §3.3 (Figs. 13–14) and §4 (Figs. 15–18).
+//! storage), §3.3 (Figs. 13–14) and §4 (Figs. 15–18), plus two of this
+//! repo's own: the SPARQL 1.1 analytic queries on the three layouts, and
+//! the executor's thread scaling.
 //!
 //! Usage: `cargo run -p bench --release --bin figures -- <figure>`, where
 //! `<figure>` is `sql`, `micro`, `coloring`, `nulls`, `optimizer`,
-//! `summary`, `lubm`, `prbench` or `all` (the default). Each figure prints
-//! markdown tables that EXPERIMENTS.md takes verbatim, then one line per
-//! claim: `PASS|FAIL|SKIP <claim> — measured <value>, gate <margin>`. Any
-//! FAIL makes the process exit non-zero. Nothing is written to disk.
+//! `summary`, `lubm`, `prbench`, `layouts`, `scaling` or `all` (the
+//! default). Each figure prints markdown tables that EXPERIMENTS.md takes
+//! verbatim, then one line per claim: `PASS|FAIL|SKIP <claim> — measured
+//! <value>, gate <margin>`. Any FAIL makes the process exit non-zero.
+//! Nothing is written to disk.
 //!
 //! Two fixed profiles. The record profile runs the scales EXPERIMENTS.md
 //! records; `FIGURES_SMOKE=1` runs a bounded one for CI. Claims whose value
@@ -16,11 +19,14 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 use bench::{fmt_time, print_table, Checks, Gate, Grid, System};
 use datagen::BenchQuery;
-use db2rdf::{ColoringMode, LoadReport, RdfStore, StoreConfig};
+use db2rdf::{naive, oracle, ColoringMode, LoadReport, RdfStore, Solutions, StoreConfig};
 use rdf::{Term, Triple};
+use relstore::SqlType::Text;
+use relstore::{quote_str, table_schema, Database, PhaseTimings, Rel, Value};
 use System::{Db2Rdf, Db2RdfNoOpt, TripleStore, Vertical};
 
 /// A dataset of the evaluation: its generator at each profile's scale
@@ -97,7 +103,7 @@ fn stores(systems: &[System], triples: &[Triple]) -> Vec<(System, RdfStore)> {
 type Figure = fn(&mut Run);
 
 /// Every figure, in the order `all` runs them.
-const FIGURES: [(&str, Figure); 8] = [
+const FIGURES: [(&str, Figure); 10] = [
     ("sql", sql),
     ("micro", micro),
     ("coloring", coloring),
@@ -106,6 +112,8 @@ const FIGURES: [(&str, Figure); 8] = [
     ("summary", summary),
     ("lubm", lubm),
     ("prbench", prbench),
+    ("layouts", layouts),
+    ("scaling", scaling),
 ];
 
 fn main() {
@@ -491,4 +499,184 @@ fn prbench(run: &mut Run) {
         &medium,
         Gate { record: None, smoke: None },
     );
+}
+
+/// The analytic queries AQ1–AQ8 on the three layouts. Every answer is
+/// checked against the naive reference before anything is timed: row by
+/// row when the query has an ORDER BY, as a multiset otherwise.
+fn layouts(run: &mut Run) {
+    let triples = run.triples(&SP2B);
+    println!(
+        "## Analytic workload — SPARQL 1.1 aggregates, BIND, VALUES, subqueries \
+         ({} triples)\n",
+        triples.len()
+    );
+    let stores = stores(&System::ALL[..3], &triples);
+    let queries = datagen::sp2b::analytic_queries();
+    for q in &queries {
+        let parsed = sparql::parse_sparql(&q.sparql).expect("parse an AQ query");
+        let ordered = !parsed.order_by.is_empty();
+        let encode = |r: &Vec<Option<Term>>| {
+            r.iter().map(|t| t.as_ref().map_or(String::new(), Term::encode)).collect()
+        };
+        let rows = |s: &Solutions| match ordered {
+            true => s.rows.iter().map(encode).collect(),
+            false => oracle::canon(s),
+        };
+        let want = rows(&naive::evaluate(&triples, &parsed));
+        let agree: Vec<_> = stores
+            .iter()
+            .filter(|(sys, store)| match store.query(&q.sparql) {
+                Ok(got) => rows(&got) == want,
+                Err(e) => {
+                    eprintln!("{} on {}: {e}", q.name, sys.name());
+                    false
+                }
+            })
+            .map(|(sys, _)| sys.name())
+            .collect();
+        let order = if ordered { "row by row" } else { "as a multiset" };
+        let claim = format!("{}: every layout matches the naive reference {order}", q.name);
+        run.checks.exact(&claim, agree, System::ALL[..3].iter().map(System::name).collect());
+    }
+    println!();
+    Grid::time(&stores, &queries).print(None);
+}
+
+/// Universities in the `spo` relation of `scaling` (record, smoke). The
+/// record profile's 384 (1.97M triples) is the first doubling from 24 at
+/// which every query takes at least 1 s on one thread of a 2-core host.
+const SCALING_UNIVERSITIES: (usize, usize) = (384, 2);
+
+/// The executor's thread scaling over one unindexed `spo(s, p, o)` string
+/// relation: every FROM item is a full parallel scan and every join a hash
+/// join. Each query is timed at every width; its rows, in order, must be
+/// the same at each.
+fn scaling(run: &mut Run) {
+    let smoke = run.checks.smoke;
+    let (universities, widths, runs): (_, &[usize], _) = match smoke {
+        true => (SCALING_UNIVERSITIES.1, &[1, 2, 4], 1),
+        false => (SCALING_UNIVERSITIES.0, &[1, 2, 4, 8], bench::RUNS),
+    };
+    let mut db = Database::new();
+    db.create_table(table_schema("spo", &[("s", Text), ("p", Text), ("o", Text)])).unwrap();
+    let triples = datagen::lubm::generate(universities, 42);
+    let terms = |t: &Triple| [&t.subject, &t.predicate, &t.object].map(|x| Value::str(x.encode()));
+    db.insert_rows("spo", triples.iter().map(|t| terms(t).to_vec())).unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "## Executor thread scaling ({} triples of {universities} LUBM universities, \
+         {cores} cores)\n",
+        triples.len()
+    );
+    drop(triples);
+    let (mut rows, mut speedups, mut same_rows) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, sql) in scaling_queries() {
+        let mut base: Option<(f64, Rel)> = None;
+        let mut same = Vec::new();
+        for &threads in widths {
+            db.set_threads(Some(threads));
+            let (secs, ph, rel) = traced_median(&db, &sql, runs);
+            let (base_secs, first) = base.get_or_insert_with(|| (secs, rel.clone()));
+            if first.rows == rel.rows {
+                same.push(threads);
+            }
+            let speedup = *base_secs / secs;
+            if threads == 4 {
+                speedups.push(speedup);
+            }
+            let phases = [ph.scan_secs, ph.build_secs, ph.probe_secs, ph.agg_secs];
+            let mut row = vec![name.into(), threads.to_string(), rel.rows.len().to_string()];
+            row.extend([format!("{secs:.4}"), format!("{speedup:.2}×")]);
+            row.extend(phases.map(|p| format!("{p:.4}")));
+            rows.push(row);
+        }
+        same_rows.push((name, same));
+    }
+    print_table("query | threads | rows | secs | speedup | scan | build | probe | agg", &rows);
+    for (name, same) in same_rows {
+        let claim = format!("scaling: {name}'s rows and their order are identical at every width");
+        run.checks.exact(&claim, same, widths.to_vec());
+    }
+    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
+    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    let (pass, gate) = match smoke {
+        true => (min >= 1.5, "minimum ≥ 1.5×"),
+        false => (geomean >= 2.5, "geomean ≥ 2.5×"),
+    };
+    run.checks.check(
+        "scaling: 4 threads speed every shape up",
+        (cores >= 4).then_some(pass),
+        &format!("geomean {geomean:.2}×, minimum {min:.2}× on {cores} cores"),
+        &format!("{gate}, checked on ≥ 4 cores"),
+    );
+}
+
+/// The three shapes of `scaling`, in the SQL the store's dialect takes.
+fn scaling_queries() -> [(&'static str, String); 3] {
+    let c = |local: &str| quote_str(&Term::iri(format!("{}{local}", datagen::lubm::NS)).encode());
+    let typ = quote_str(&Term::iri(datagen::lubm::RDF_TYPE).encode());
+    let grad = c("GraduateStudent");
+    [
+        // LUBM Q9's triangle: student → advisor → a course the advisor
+        // teaches and the student takes. Three hash joins, the last on a
+        // composite (s, o) key.
+        (
+            "triangle",
+            format!(
+                "SELECT t1.s, t2.o AS prof, t3.o AS course \
+                 FROM spo AS t1, spo AS t2, spo AS t3, spo AS t4 \
+                 WHERE t1.p = {typ} AND t1.o = {grad} \
+                 AND t2.s = t1.s AND t2.p = {} \
+                 AND t3.s = t2.o AND t3.p = {} \
+                 AND t4.s = t1.s AND t4.p = {} AND t4.o = t3.o",
+                c("advisor"),
+                c("teacherOf"),
+                c("takesCourse")
+            ),
+        ),
+        // A star whose name filter, a string range, the scan evaluates on
+        // every row: the names that start with "Grad 1".
+        (
+            "star_range",
+            format!(
+                "SELECT t1.s, t2.o AS name, t3.o AS dept \
+                 FROM spo AS t1, spo AS t2, spo AS t3 \
+                 WHERE t1.p = {typ} AND t1.o = {grad} \
+                 AND t2.s = t1.s AND t2.p = {} AND t2.o >= '\"Grad 1' AND t2.o < '\"Grad 2' \
+                 AND t3.s = t1.s AND t3.p = {}",
+                c("name"),
+                c("memberOf")
+            ),
+        ),
+        // A chain ending in an aggregate.
+        (
+            "chain_agg",
+            format!(
+                "SELECT t2.o AS dept, COUNT(*) AS n \
+                 FROM spo AS t1, spo AS t2 \
+                 WHERE t1.p = {} AND t2.s = t1.s AND t2.p = {} \
+                 GROUP BY t2.o ORDER BY n DESC, dept",
+                c("advisor"),
+                c("memberOf")
+            ),
+        ),
+    ]
+}
+
+/// Median wall-clock seconds of `runs` traced runs after a warm-up, the
+/// median run's phase breakdown, and the warm-up's rows. Tracing reads the
+/// clock twice per operator region, so the traced time is the measurement.
+fn traced_median(db: &Database, sql: &str, runs: usize) -> (f64, PhaseTimings, Rel) {
+    let (warm, _) = db.query_traced(sql).expect("query");
+    let mut samples: Vec<(f64, PhaseTimings)> = (0..runs)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (_, phases) = db.query_traced(sql).expect("query");
+            (t0.elapsed().as_secs_f64(), phases)
+        })
+        .collect();
+    samples.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
+    let (secs, phases) = samples[samples.len() / 2];
+    (secs, phases, warm)
 }

@@ -373,18 +373,6 @@ impl Checks {
     }
 }
 
-/// Deliver a bench report: a full run refreshes the committed `file`; a
-/// smoke profile prints the JSON to stdout and writes nothing, so a bounded
-/// CI run can never be committed as a measurement.
-pub fn emit_report(file: &str, json: &str, smoke: bool) {
-    if smoke {
-        print!("{json}");
-    } else {
-        std::fs::write(file, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
-        eprintln!("wrote {file}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -199,6 +199,11 @@ impl StarGen for EntityGen<'_> {
                                         select.push(format!("{val} AS {col}"));
                                         new_bound.insert(v.clone(), col);
                                         local.insert(v.clone(), val.clone());
+                                        // An OPTIONAL folded into the row
+                                        // binds NULL where it does not match.
+                                        if !required {
+                                            state.maybe_null.insert(v.clone());
+                                        }
                                     }
                                 }
                             }

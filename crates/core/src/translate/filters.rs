@@ -280,7 +280,14 @@ fn num_sql(
         Expression::Var(v) if plain.contains(v) => Ok(var_col(v, bound)),
         Expression::Var(v) => Ok(format!("RDF_NUM({})", var_col(v, bound))),
         Expression::Term(t) => Ok(match t.numeric_value() {
-            Some(x) => num_lit(format!("{x}")),
+            // An integral value an SQL integer holds keeps its integer
+            // literal; any other finite one is written with `{x:?}`, which
+            // keeps a decimal point or an exponent (`1e20`), so it lexes as
+            // a double. INF and NaN have no SQL literal: RDF_NUM decodes
+            // the term itself.
+            Some(x) if x.fract() == 0.0 && x.abs() < i64::MAX as f64 => num_lit(format!("{x}")),
+            Some(x) if x.is_finite() => num_lit(format!("{x:?}")),
+            Some(_) => format!("RDF_NUM({})", quote_str(&t.encode())),
             None => "NULL".to_string(),
         }),
         Expression::Arith { op, left, right } => Ok(arith_sql(

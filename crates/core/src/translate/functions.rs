@@ -51,8 +51,8 @@ fn lexical(dict: &Dict, v: &Value) -> Option<String> {
 }
 
 /// Lexical form of a canonical encoding without building a [`Term`]. This
-/// is the `RDF_STR` hot path for dictionary IDs (e.g. a LIKE filter over an
-/// encoded column runs it once per candidate row); only encodings with
+/// is the `RDF_STR` hot path for dictionary IDs (e.g. a `REGEX` filter over
+/// an encoded column runs it once per candidate row); only encodings with
 /// escapes fall back to full term parsing.
 fn lexical_of_encoded(enc: &str) -> Option<String> {
     let b = enc.as_bytes();

@@ -7,7 +7,7 @@
 //! |-----------|----------------------------|--------------------------|
 //! | `micro`   | §2.1 micro-benchmark       | Table 1 predicate-set mix, SV/MV split, Q1–Q10 |
 //! | `lubm`    | LUBM                       | 18 predicates, university schema, LQ workload with inference expansion |
-//! | `sp2b`    | SP²Bench                   | DBLP shape, ~30 predicates, SQ1–SQ17 analogues |
+//! | `sp2b`    | SP²Bench                   | DBLP shape, ~30 predicates, SQ1–SQ17 analogues, AQ1–AQ8 analytics |
 //! | `dbpedia` | DBpedia 3.7                | power-law degrees, thousands of predicates, DQ templates |
 //! | `prbench` | PRBench (tool integration) | 51 predicates, cross-tool links, huge UNION queries |
 

@@ -358,6 +358,75 @@ pub fn queries() -> Vec<BenchQuery> {
     ]
 }
 
+/// AQ1–AQ8: the SPARQL 1.1 analytic surface the translator lowers onto its
+/// CTEs — GROUP BY with COUNT/SUM/AVG/MIN/MAX, HAVING, COUNT(DISTINCT),
+/// BIND with a deferred value-domain FILTER, inline VALUES, and an
+/// aggregating subquery re-aggregated by the outer query. Every ORDER BY
+/// key is a unique group key, so an ordered answer has one order.
+pub fn analytic_queries() -> Vec<BenchQuery> {
+    let (ns, ty) = (NS, RDF_TYPE);
+    vec![
+        BenchQuery::new(
+            "AQ1",
+            format!(
+                "SELECT ?y (COUNT(?d) AS ?n) WHERE {{ ?d <{ns}issued> ?y }} \
+                 GROUP BY ?y ORDER BY ?y"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ2",
+            format!(
+                "SELECT ?a (COUNT(?d) AS ?n) WHERE {{ ?d <{ns}creator> ?a }} \
+                 GROUP BY ?a HAVING(COUNT(?d) > 10) ORDER BY ?a"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ3",
+            format!(
+                "SELECT (AVG(?v) AS ?avg) (MIN(?v) AS ?mn) (MAX(?v) AS ?mx) \
+                 (SUM(?v) AS ?total) WHERE {{ ?d <{ns}volume> ?v }}"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ4",
+            format!(
+                "SELECT ?t (COUNT(DISTINCT ?a) AS ?n) WHERE {{ \
+                 ?d <{ty}> ?t . ?d <{ns}creator> ?a }} GROUP BY ?t ORDER BY ?t"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ5",
+            format!(
+                "SELECT (COUNT(*) AS ?n) (SUM(?age) AS ?total) WHERE {{ \
+                 ?d <{ns}issued> ?y . BIND(2026 - ?y AS ?age) FILTER(?age > 50) }}"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ6",
+            format!(
+                "SELECT ?y (COUNT(?d) AS ?n) WHERE {{ \
+                 VALUES ?y {{ 1955 1965 1975 }} ?d <{ns}issued> ?y }} \
+                 GROUP BY ?y ORDER BY ?y"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ7",
+            format!(
+                "SELECT (MAX(?n) AS ?busiest) WHERE {{ \
+                 {{ SELECT ?a (COUNT(?d) AS ?n) WHERE {{ ?d <{ns}creator> ?a }} \
+                 GROUP BY ?a }} }}"
+            ),
+        ),
+        BenchQuery::new(
+            "AQ8",
+            format!(
+                "SELECT ?d (COUNT(?c) AS ?n) WHERE {{ ?d <{ns}cites> ?c }} \
+                 GROUP BY ?d HAVING(COUNT(?c) >= 3)"
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

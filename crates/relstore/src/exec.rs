@@ -319,7 +319,6 @@ pub enum CExpr {
     Binary { op: BinaryOp, left: Box<CExpr>, right: Box<CExpr> },
     Not(Box<CExpr>),
     IsNull { expr: Box<CExpr>, negated: bool },
-    Like { expr: Box<CExpr>, pattern: Box<CExpr> },
     Case { branches: Vec<(CExpr, CExpr)>, else_expr: Box<CExpr> },
     Call { func: ScalarFn, args: Vec<CExpr> },
 }
@@ -382,14 +381,6 @@ impl CExpr {
             CExpr::IsNull { expr, negated } => {
                 let v = expr.eval(row)?;
                 Value::Bool(v.is_null() != *negated)
-            }
-            CExpr::Like { expr, pattern } => {
-                let v = expr.eval(row)?;
-                let p = pattern.eval(row)?;
-                match (v.as_str(), p.as_str()) {
-                    (Some(s), Some(pat)) => Value::Bool(like_match(s, pat)),
-                    _ => Value::Null,
-                }
             }
             CExpr::Case { branches, else_expr } => {
                 for (cond, val) in branches {
@@ -519,67 +510,6 @@ fn arith(op: BinaryOp, l: &Value, r: &Value) -> Value {
         },
         _ => Value::Null,
     }
-}
-
-/// SQL LIKE with `%` and `_` wildcards.
-///
-/// Iterative two-pointer algorithm: on a mismatch after a `%`, restart just
-/// past the character the last `%` previously absorbed. Each pointer only
-/// moves forward, so the worst case is O(|s|·|p|) — the naive recursion is
-/// exponential on patterns like `%a%a%a%…` against a non-matching string.
-/// Operates directly on the UTF-8 byte iterators; no per-call `Vec<char>`.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let text: &[u8] = s.as_bytes();
-    let pat: &[u8] = pattern.as_bytes();
-    // Byte cursors. `_` must consume one *character*, so when it matches we
-    // skip the whole UTF-8 sequence (continuation bytes start with 0b10).
-    let (mut ti, mut pi) = (0usize, 0usize);
-    // Restart state for the most recent `%`: pattern position after it, and
-    // the text position it would next try absorbing one more char from.
-    let (mut star_p, mut star_t): (Option<usize>, usize) = (None, 0);
-
-    fn char_len(b: &[u8], i: usize) -> usize {
-        let mut n = 1;
-        while i + n < b.len() && b[i + n] & 0xC0 == 0x80 {
-            n += 1;
-        }
-        n
-    }
-
-    while ti < text.len() {
-        if pi < pat.len() {
-            match pat[pi] {
-                b'%' => {
-                    star_p = Some(pi + 1);
-                    star_t = ti;
-                    pi += 1;
-                    continue;
-                }
-                b'_' => {
-                    ti += char_len(text, ti);
-                    pi += 1;
-                    continue;
-                }
-                c if c == text[ti] => {
-                    ti += 1;
-                    pi += 1;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        match star_p {
-            Some(sp) => {
-                // Let the last `%` absorb one more character and retry.
-                star_t += char_len(text, star_t);
-                ti = star_t;
-                pi = sp;
-            }
-            None => return false,
-        }
-    }
-    // Text exhausted: any trailing pattern must be all `%`.
-    pat[pi..].iter().all(|&c| c == b'%')
 }
 
 // ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ pub mod wal;
 
 pub use database::{resolve_threads, table_schema, Database, ScalarFn};
 pub use error::{Error, Result};
-pub use exec::{like_match, OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
+pub use exec::{OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHasher};
 pub use plan::Prepared;
 pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFaults, WriteOutcome};

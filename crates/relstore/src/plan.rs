@@ -295,9 +295,6 @@ fn compile(expr: &Expr, scope: &Scope<'_>, db: &Database) -> Result<CExpr> {
         }
         Expr::Not(expr) => CExpr::Not(boxed(expr)?),
         Expr::IsNull { expr, negated } => CExpr::IsNull { expr: boxed(expr)?, negated: *negated },
-        Expr::Like { expr, pattern } => {
-            CExpr::Like { expr: boxed(expr)?, pattern: boxed(pattern)? }
-        }
         Expr::Case { branches, else_expr } => CExpr::Case {
             branches: branches
                 .iter()
@@ -334,10 +331,9 @@ fn is_aggregate_call(e: &Expr) -> bool {
     matches!(e, Expr::Func { name, star, .. } if *star || is_aggregate(name))
 }
 
-/// A function call, LIKE or CASE anywhere in `e`.
+/// A function call or CASE anywhere in `e`.
 fn is_expensive(e: &Expr) -> bool {
-    matches!(e, Expr::Func { .. } | Expr::Like { .. } | Expr::Case { .. })
-        || e.children().any(is_expensive)
+    matches!(e, Expr::Func { .. } | Expr::Case { .. }) || e.children().any(is_expensive)
 }
 
 /// Compiled pushed conjuncts, cheapest first: cheap comparisons
@@ -843,21 +839,19 @@ fn order_keys(
     order_by
         .iter()
         .map(|item| {
-            let key = match &item.expr {
-                Expr::Literal(Value::Int(n)) => {
-                    let i = *n as usize;
-                    if i == 0 || i > cols.len() {
-                        return plan_err(format!("ORDER BY position {i} out of range"));
-                    }
-                    CExpr::Col(i - 1)
-                }
-                // Projected columns lose their table qualifiers, but SQL
-                // permits `ORDER BY t.col`; retry with qualifiers stripped
-                // when the qualified reference no longer resolves.
-                e => {
-                    compile(e, &scope, db).or_else(|_| compile(&strip_qualifiers(e), &scope, db))?
-                }
-            };
+            // An integer key is no column position in this dialect: it
+            // would sort by a constant, so it is refused.
+            if let Expr::Literal(Value::Int(n)) = &item.expr {
+                return plan_err(format!(
+                    "ORDER BY {n}: order by an output column, not a position"
+                ));
+            }
+            // Projected columns lose their table qualifiers, but SQL permits
+            // `ORDER BY t.col`; retry with qualifiers stripped when the
+            // qualified reference no longer resolves.
+            let e = &item.expr;
+            let key =
+                compile(e, &scope, db).or_else(|_| compile(&strip_qualifiers(e), &scope, db))?;
             Ok((key, item.asc))
         })
         .collect()

@@ -2,7 +2,7 @@
 //! in DESIGN.md §2, pinned by the root test `tests/sql_dialect.rs`: one
 //! query per statement (CTEs, a `UNION ALL` of SELECT blocks, ORDER BY,
 //! LIMIT, OFFSET), comma joins and `LEFT OUTER JOIN`, lateral `UNNEST`,
-//! searched `CASE … ELSE … END`, `IS [NOT] NULL`, `LIKE`, arithmetic,
+//! searched `CASE … ELSE … END`, `IS [NOT] NULL`, arithmetic,
 //! aggregates and function calls. Tables are made through
 //! [`Database::create_table`](crate::Database::create_table), not SQL.
 
@@ -102,7 +102,6 @@ pub enum Expr {
     Binary { op: BinaryOp, left: Box<Expr>, right: Box<Expr> },
     Not(Box<Expr>),
     IsNull { expr: Box<Expr>, negated: bool },
-    Like { expr: Box<Expr>, pattern: Box<Expr> },
     /// Searched `CASE WHEN cond THEN v ... ELSE v END`.
     Case { branches: Vec<(Expr, Expr)>, else_expr: Box<Expr> },
     /// Scalar or aggregate function call; aggregates are recognized at
@@ -143,9 +142,7 @@ impl Expr {
         let (first, branches, last, args): (Option<&Expr>, &[(Expr, Expr)], _, &[Expr]) =
             match self {
                 Expr::Column { .. } | Expr::Literal(_) => (None, &[], None, &[]),
-                Expr::Binary { left, right, .. } | Expr::Like { expr: left, pattern: right } => {
-                    (Some(left), &[], Some(&**right), &[])
-                }
+                Expr::Binary { left, right, .. } => (Some(left), &[], Some(&**right), &[]),
                 Expr::Not(expr) | Expr::IsNull { expr, .. } => (Some(expr), &[], None, &[]),
                 Expr::Case { branches, else_expr } => (None, branches, Some(else_expr), &[]),
                 Expr::Func { args, .. } => (None, &[], None, args),
@@ -163,9 +160,6 @@ impl Expr {
             }
             Expr::Not(expr) => Expr::Not(boxed(expr)),
             Expr::IsNull { expr, negated } => Expr::IsNull { expr: boxed(expr), negated: *negated },
-            Expr::Like { expr, pattern } => {
-                Expr::Like { expr: boxed(expr), pattern: boxed(pattern) }
-            }
             Expr::Case { branches, else_expr } => Expr::Case {
                 branches: branches.iter().map(|(c, v)| (f(c), f(v))).collect(),
                 else_expr: Box::new(f(else_expr)),
@@ -188,7 +182,7 @@ mod tests {
     #[test]
     fn children_come_in_written_order_and_map_children_rebuilds() {
         let q = parse_statement(
-            "SELECT CASE WHEN a = 1 THEN NOT b IS NULL ELSE c END AS x, COALESCE(d, e LIKE f) AS y",
+            "SELECT CASE WHEN a = 1 THEN NOT b IS NULL ELSE c END AS x, COALESCE(d, e < f) AS y",
         )
         .unwrap();
         let QueryBody::Select(sel) = q.body else { panic!("expected a SELECT") };

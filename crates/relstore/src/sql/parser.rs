@@ -299,15 +299,11 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr> {
         let left = self.additive()?;
-        // IS [NOT] NULL / LIKE / comparison operators
+        // IS [NOT] NULL / comparison operators
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
-        }
-        if self.eat_kw("like") {
-            let pattern = self.additive()?;
-            return Ok(Expr::Like { expr: Box::new(left), pattern: Box::new(pattern) });
         }
         let op = match self.peek() {
             Token::Eq => BinaryOp::Eq,
@@ -445,7 +441,7 @@ impl Parser {
 /// Words that cannot be used as identifiers.
 const RESERVED: &[&str] = &[
     "select", "from", "where", "group", "by", "having", "order", "limit", "offset", "union",
-    "all", "distinct", "and", "or", "not", "is", "null", "like", "case", "when", "then", "else",
+    "all", "distinct", "and", "or", "not", "is", "null", "case", "when", "then", "else",
     "end", "as", "join", "left", "outer", "on", "with", "unnest", "true", "false", "desc",
 ];
 
@@ -458,7 +454,7 @@ mod tests {
         let q = parse_statement(
             "WITH q1 AS (SELECT entry FROM rph WHERE entry = 'x'),
                   q2 AS (SELECT t.entry AS y FROM dph AS T LEFT OUTER JOIN ds AS S ON t.val0 = s.l_id)
-             SELECT q1.entry, q2.y FROM q1, q2 WHERE q1.entry = q2.y ORDER BY 1 DESC LIMIT 10 OFFSET 2",
+             SELECT q1.entry, q2.y FROM q1, q2 WHERE q1.entry = q2.y ORDER BY y DESC LIMIT 10 OFFSET 2",
         )
         .unwrap();
         assert_eq!(q.ctes.len(), 2);
@@ -524,12 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_like_and_not() {
-        let q = parse_statement("SELECT a FROM t WHERE b LIKE '%z%' AND NOT c = 1").unwrap();
+    fn parses_not_over_a_comparison() {
+        let q = parse_statement("SELECT a FROM t WHERE b < 'z' AND NOT c = 1").unwrap();
         match q.body {
             QueryBody::Select(sel) => {
                 let conjs = sel.where_clause.as_ref().unwrap().conjuncts();
-                assert!(matches!(conjs[0], Expr::Like { .. }));
+                assert!(matches!(conjs[0], Expr::Binary { op: BinaryOp::Lt, .. }));
                 assert!(matches!(conjs[1], Expr::Not(_)));
             }
             _ => panic!(),
@@ -565,7 +561,7 @@ mod tests {
             "SELECT a FROM t JOIN u ON t.a = u.a",
             "SELECT a FROM t LEFT JOIN u ON t.a = u.a",
             "SELECT a FROM t WHERE a IN (1, 2)",
-            "SELECT a FROM t WHERE a NOT LIKE 'x%'",
+            "SELECT a FROM t WHERE a LIKE 'x%'",
             "SELECT CAST(a AS DOUBLE) FROM t",
             "SELECT 'a' || 'b'",
             "SELECT -a FROM t",

@@ -7,25 +7,22 @@
 #   scripts/verify.sh --all      # additionally test every workspace crate
 #                                # and the e2e harness's own unit tests
 #   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
-#   scripts/verify.sh --smoke    # additionally run the seven bounded smoke
+#   scripts/verify.sh --smoke    # additionally run the five bounded smoke
 #                                # profiles; each asserts its own invariants,
 #                                # exits non-zero on a violation and writes
 #                                # no BENCH_*.json:
 #       db2rdf-serve --smoke     endpoint on an ephemeral port: JSON/TSV/
 #                                400/healthz/stats
-#       exec_scaling             thread-count determinism; >=1.5x minimum
-#                                4-thread speedup on a >=4-core host (on
-#                                fewer cores the gate reports itself skipped)
 #       fuzz_differential        ~200 seeded fuzzed queries + ~150 updates
 #                                through the differential oracle, bounded
 #                                crash-point sweep — fixed seeds
 #       bulk_load                ~100k streamed LUBM triples under a fixed
 #                                peak-RSS ceiling
-#       analytics                AQ1-8 on all three layouts, every answer
-#                                checked against the naive reference
-#       figures all              every paper table and figure at small
-#                                scale; each claim EXPERIMENTS.md makes is
-#                                checked and printed PASS/FAIL/SKIP
+#       figures all              every paper table and figure, AQ1-8 on
+#                                the three layouts and the executor's
+#                                thread sweep, at small scale; each claim
+#                                EXPERIMENTS.md makes is checked and
+#                                printed PASS/FAIL/SKIP
 #       e2e --smoke              the BENCHMARK.json harness: all four
 #                                workloads over HTTP, traced and untraced;
 #                                every reply checksummed, a warm mix never
@@ -71,8 +68,8 @@ if $run_smoke; then
     echo "== db2rdf-serve --smoke"
     cargo run --release --offline -p server --bin db2rdf-serve -- --smoke
     # <bench bin>:<the env var that selects its bounded profile>
-    for pair in exec_scaling:EXEC_SCALING_SMOKE fuzz_differential:FUZZ_SMOKE \
-        bulk_load:BULK_LOAD_SMOKE analytics:ANALYTICS_SMOKE figures:FIGURES_SMOKE; do
+    for pair in fuzz_differential:FUZZ_SMOKE bulk_load:BULK_LOAD_SMOKE \
+        figures:FIGURES_SMOKE; do
         echo "== ${pair%%:*} (${pair##*:}=1)"
         env "${pair##*:}=1" cargo run --release --offline -p bench --bin "${pair%%:*}"
     done

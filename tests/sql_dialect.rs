@@ -22,18 +22,7 @@ use relstore::sql::parser::parse_statement;
 use relstore::Value;
 
 /// Shapes no emitted SQL reaches that stay in the dialect, each with why.
-const KEPT: &[(&str, &str)] = &[
-    (
-        "Expr::Like",
-        "exec_scaling's star_like is its one caller, until ROADMAP item 18 folds that bin \
-         into figures",
-    ),
-    (
-        "OrderItem::position",
-        "exec_scaling's chain_agg sorts by `ORDER BY 2 DESC, 1`, until ROADMAP item 18; an \
-         integer key must not silently sort by a constant",
-    ),
-];
+const KEPT: &[(&str, &str)] = &[];
 
 /// Every shape the walk counts.
 const SHAPES: &[&str] = &[
@@ -43,7 +32,6 @@ const SHAPES: &[&str] = &[
     "Query::offset",
     "OrderItem::asc",
     "OrderItem::desc",
-    "OrderItem::position",
     "QueryBody::Select",
     "QueryBody::UnionAll",
     "Select::distinct",
@@ -84,7 +72,6 @@ const SHAPES: &[&str] = &[
     "Expr::Not",
     "Expr::IsNull",
     "Expr::IsNotNull",
-    "Expr::Like",
     "Expr::Case",
     "Expr::Func",
     "Expr::Func::star",
@@ -116,7 +103,6 @@ impl Counts {
         self.hit_if(!q.order_by.is_empty(), "Query::order_by");
         for item in &q.order_by {
             self.hit(if item.asc { "OrderItem::asc" } else { "OrderItem::desc" });
-            self.hit_if(matches!(item.expr, Expr::Literal(Value::Int(_))), "OrderItem::position");
             self.expr(&item.expr);
         }
         self.hit_if(q.limit.is_some(), "Query::limit");
@@ -224,11 +210,6 @@ impl Counts {
             Expr::IsNull { expr, negated } => {
                 self.hit(if *negated { "Expr::IsNotNull" } else { "Expr::IsNull" });
                 self.expr(expr);
-            }
-            Expr::Like { expr, pattern } => {
-                self.hit("Expr::Like");
-                self.expr(expr);
-                self.expr(pattern);
             }
             Expr::Case { branches, else_expr } => {
                 self.hit("Expr::Case");
