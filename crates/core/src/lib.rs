@@ -47,7 +47,7 @@ pub use loader::{ColoringMode, EntityConfig, LoadReport};
 pub use optimizer::OptimizerMode;
 pub use plancache::{CachedPlan, PlanCache, PlanCacheStats, PlanSql};
 pub use results::Solutions;
-pub use shared::{SharedStore, UpdateStats, WriteGuard, BATCH_BUCKETS, BATCH_BUCKET_LABELS};
+pub use shared::{SharedStore, UpdateStats, WriteGuard};
 pub use stats::Stats;
 pub use store::{
     layout_name, BulkLoadOptions, BulkLoadStats, Explanation, Layout, RdfStore, StoreConfig,

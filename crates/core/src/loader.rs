@@ -658,7 +658,7 @@ mod tests {
         let direct_before = store.side_layouts().unwrap().0.next_lid;
 
         // A failed request that promoted rolls the counter back with it.
-        let err = store.request(true, |req| {
+        let err = store.request(|req| {
             req.insert(&t("Flint", "born", "1851"))?;
             Err::<(), _>(crate::error::StoreError::Unsupported("abort".into()))
         });

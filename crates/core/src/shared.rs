@@ -1,12 +1,12 @@
 //! A thread-safe handle over [`RdfStore`] with snapshot-isolated reads and
-//! group-committed writes.
+//! serialized writes.
 //!
 //! ## Snapshot-per-reader
 //!
 //! No query ever runs under a lock. [`SharedStore::snapshot`] hands out an
 //! `Arc<RdfStore>` of the last *published* state from a `Mutex<Arc<RdfStore>>`
 //! that a reader holds for one `Arc` clone and a writer for one pointer swap;
-//! the writer mutex — held while a group applies and fsyncs — is never
+//! the writer mutex — held while a request applies and fsyncs — is never
 //! touched on the read path. A long analytic query therefore runs to
 //! completion against its own frozen snapshot no matter how many updates
 //! commit underneath it. A plain mutex is enough because a request takes one
@@ -20,27 +20,18 @@
 //! and the plan cache is shared (entries are epoch-tagged, so snapshot
 //! readers reuse — and warm — the same cache).
 //!
-//! ## Group commit
+//! ## Writes
 //!
-//! Writers serialize behind a single mutex, and the queue is the one way in
-//! for a shared store: `/update` requests and `/insert` chunks alike (there
-//! is no per-triple side door). An update request is parsed outside the
-//! lock, queued, and then either (a) discovers a concurrent leader already
-//! applied it and returns, or (b) acquires the writer lock, drains the
-//! whole queue, applies every queued request — each as its own WAL frame
-//! via [`crate::update::apply_update`] — and pays **one** fsync for the
-//! group. Under write pressure the fsync amortizes across every
-//! request that arrived while the previous group was committing; the
-//! batch-size histogram in [`UpdateStats`] makes the coalescing observable.
-//!
-//! A group is all-or-nothing at the WAL: if any request's frame fails to
-//! append, or the group fsync fails, the WAL is already truncated back to
-//! the last synced boundary (see `relstore::WalWriter`), so the leader rolls
-//! the in-memory state back to the group start, fails every queued request,
-//! and marks the store degraded — acknowledged updates stay durable,
-//! unacknowledged ones vanish atomically. A request that fails *logically*
-//! (unsupported WHERE shape, budget exhaustion) rolls back alone and does
-//! not poison its group.
+//! Writers serialize behind the writer mutex, and [`SharedStore::update`] is
+//! the one way in for graph changes: `/update` requests and `/insert` chunks
+//! alike. An update request is parsed outside the lock, then applied under
+//! it by [`crate::update::apply_update`] — one [`RdfStore`] request: one WAL
+//! frame, one fsync, its own copy-on-write rollback — and published as the
+//! new snapshot when the lock is released. Every request commits alone, so
+//! a request that fails, logically (unsupported WHERE shape, budget
+//! exhaustion) or on I/O, fails alone: the requests acknowledged before it
+//! are already durable. An I/O failure also degrades the store to
+//! read-only, and every later request is refused.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -52,42 +43,21 @@ use crate::results::Solutions;
 use crate::store::RdfStore;
 use crate::update::{apply_update, UpdateOutcome};
 
-/// Group-commit batch-size histogram buckets: 1, 2, 3, 4, 5–8, 9–16, 17+.
-pub const BATCH_BUCKETS: usize = 7;
-
-/// Human-readable labels for [`UpdateStats::batch_sizes`], index-aligned.
-pub const BATCH_BUCKET_LABELS: [&str; BATCH_BUCKETS] = ["1", "2", "3", "4", "5-8", "9-16", "17+"];
-
-fn batch_bucket(n: usize) -> usize {
-    match n {
-        0 | 1 => 0,
-        2 => 1,
-        3 => 2,
-        4 => 3,
-        5..=8 => 4,
-        9..=16 => 5,
-        _ => 6,
-    }
-}
-
 /// Counter snapshot of the update subsystem, for `/stats` and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Group commits performed (one fsync each).
+    /// Commits performed (one fsync each). Every request commits alone, so
+    /// this is `applied`; the field stays because the e2e benchmark reads
+    /// it.
     pub groups: u64,
     /// Update requests acknowledged (durable).
     pub applied: u64,
-    /// Update requests that failed (logical errors and group aborts).
+    /// Update requests that failed.
     pub failed: u64,
-    /// Histogram of requests-per-group; see [`BATCH_BUCKET_LABELS`].
-    pub batch_sizes: [u64; BATCH_BUCKETS],
-}
-
-/// One queued update request. The slot is filled exactly once — by the
-/// group leader — and taken exactly once, by the submitting thread.
-struct Pending {
-    update: sparql::Update,
-    slot: Arc<Mutex<Option<Result<UpdateOutcome>>>>,
+    /// Requests per commit, as a one-bucket histogram: every commit holds
+    /// one request, so the bucket is `applied`. The field stays because the
+    /// e2e benchmark checks that it sums to `groups`.
+    pub batch_sizes: [u64; 1],
 }
 
 struct SharedInner {
@@ -97,15 +67,11 @@ struct SharedInner {
     /// The last published snapshot; what every reader sees. Held only for
     /// an `Arc` clone or swap, never while a query or a commit runs.
     snap: Mutex<Arc<RdfStore>>,
-    /// Update requests waiting for a group leader.
-    queue: Mutex<Vec<Pending>>,
     /// Mirrors `is_read_only()` of the last published state, readable
     /// without loading a snapshot (the server's admission check).
     degraded: AtomicBool,
-    update_groups: AtomicU64,
     updates_applied: AtomicU64,
     updates_failed: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
 }
 
 impl SharedInner {
@@ -126,7 +92,7 @@ impl SharedInner {
 }
 
 /// A cloneable, `Send + Sync` handle to a shared [`RdfStore`]: snapshot
-/// reads, group-committed updates.
+/// reads, serialized updates.
 ///
 /// Lock poisoning is deliberately ignored (`into_inner` on the guard): a
 /// panicking request cannot leave the store logically inconsistent —
@@ -142,7 +108,7 @@ pub struct SharedStore {
 /// snapshot when dropped. For what is not an update request: the initial
 /// bulk load, checkpointing, reconfiguration. A mutation made through it
 /// (`RdfStore::insert`) is a request of its own — one frame, one fsync,
-/// outside the group-commit counters; graph changes should go through
+/// outside the update counters; graph changes should go through
 /// [`SharedStore::update`].
 pub struct WriteGuard<'a> {
     guard: MutexGuard<'a, RdfStore>,
@@ -182,12 +148,9 @@ impl SharedStore {
             inner: Arc::new(SharedInner {
                 writer: Mutex::new(store),
                 snap: Mutex::new(snapshot),
-                queue: Mutex::new(Vec::new()),
                 degraded: AtomicBool::new(degraded),
-                update_groups: AtomicU64::new(0),
                 updates_applied: AtomicU64::new(0),
                 updates_failed: AtomicU64::new(0),
-                batch_hist: Default::default(),
             }),
         }
     }
@@ -213,9 +176,8 @@ impl SharedStore {
         self.snapshot().query(sparql)
     }
 
-    /// Apply a SPARQL 1.1 Update request (parsed outside any lock), group-
-    /// committed with whatever concurrent requests are in flight. Returns
-    /// once the request is durable (its group's fsync completed).
+    /// Apply a SPARQL 1.1 Update request (parsed outside any lock) as one
+    /// commit. Returns once the request is durable (its fsync completed).
     pub fn update(&self, text: &str) -> Result<UpdateOutcome> {
         let update = sparql::parse_update(text)?;
         self.apply_parsed_update(update)
@@ -226,75 +188,16 @@ impl SharedStore {
         if self.inner.degraded.load(Ordering::SeqCst) {
             return Err(read_only_error());
         }
-        let slot = Arc::new(Mutex::new(None));
-        self.inner
-            .queue
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Pending { update, slot: slot.clone() });
-
-        let mut store = self.inner.writer.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(result) = slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            // A concurrent leader drained the queue (including this
-            // request) while this thread waited for the writer mutex.
-            return result;
-        }
-
-        // This thread is the group leader: commit everything queued so far
-        // as one group, then hand each submitter its result.
-        let group: Vec<Pending> =
-            std::mem::take(&mut *self.inner.queue.lock().unwrap_or_else(|p| p.into_inner()));
-        debug_assert!(!group.is_empty(), "leader's own request is queued");
-        let checkpoint = store.mutation_checkpoint();
-
-        let mut results: Vec<Result<UpdateOutcome>> = Vec::with_capacity(group.len());
-        let mut group_aborted = store.is_read_only();
-        if !group_aborted {
-            for pending in &group {
-                results.push(apply_update(&mut store, &pending.update));
-                if store.is_read_only() {
-                    // An append failure truncated the WAL to the last
-                    // synced boundary, wiping earlier requests' frames of
-                    // this group too: nothing in the group is salvageable.
-                    group_aborted = true;
-                    break;
-                }
-            }
-        }
-        if !group_aborted && results.iter().any(|r| r.is_ok()) {
-            // One fsync for the whole group — the group-commit barrier.
-            group_aborted = store.db_sync_wal().is_err();
-        }
-
-        if group_aborted {
-            store.rollback_mutation(checkpoint);
-            self.inner.updates_failed.fetch_add(group.len() as u64, Ordering::Relaxed);
-            for pending in &group {
-                *pending.slot.lock().unwrap_or_else(|p| p.into_inner()) =
-                    Some(Err(read_only_error()));
-            }
+        // The guard publishes the new snapshot when it drops.
+        let mut store = self.write();
+        let result = if store.is_read_only() {
+            Err(read_only_error())
         } else {
-            let applied = results.iter().filter(|r| r.is_ok()).count() as u64;
-            self.inner.update_groups.fetch_add(1, Ordering::Relaxed);
-            self.inner.updates_applied.fetch_add(applied, Ordering::Relaxed);
-            self.inner
-                .updates_failed
-                .fetch_add(group.len() as u64 - applied, Ordering::Relaxed);
-            self.inner.batch_hist[batch_bucket(group.len())].fetch_add(1, Ordering::Relaxed);
-            for (pending, result) in group.iter().zip(results) {
-                *pending.slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-            }
-        }
-        // Publish while still holding the writer mutex (store order), then
-        // let the mutex release wake the next leader.
-        self.inner.publish(&store);
-        drop(store);
-
-        let result = slot
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-            .expect("leader fills every slot in its group");
+            apply_update(&mut store, &update)
+        };
+        let counter =
+            if result.is_ok() { &self.inner.updates_applied } else { &self.inner.updates_failed };
+        counter.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -313,15 +216,12 @@ impl SharedStore {
 
     /// Update-subsystem counters.
     pub fn update_stats(&self) -> UpdateStats {
-        let mut batch_sizes = [0u64; BATCH_BUCKETS];
-        for (out, counter) in batch_sizes.iter_mut().zip(&self.inner.batch_hist) {
-            *out = counter.load(Ordering::Relaxed);
-        }
+        let applied = self.inner.updates_applied.load(Ordering::Relaxed);
         UpdateStats {
-            groups: self.inner.update_groups.load(Ordering::Relaxed),
-            applied: self.inner.updates_applied.load(Ordering::Relaxed),
+            groups: applied,
+            applied,
             failed: self.inner.updates_failed.load(Ordering::Relaxed),
-            batch_sizes,
+            batch_sizes: [applied],
         }
     }
 
@@ -403,9 +303,8 @@ mod tests {
         );
     }
 
-    /// The acceptance bar from the issue: a reader holding a snapshot is
-    /// never blocked — and never sees a torn state — while 100+ updates
-    /// group-commit underneath it.
+    /// A reader holding a snapshot is never blocked — and never sees a torn
+    /// state — while 100+ updates commit underneath it.
     #[test]
     fn held_snapshot_survives_update_storm() {
         const WRITERS: usize = 4;
@@ -447,23 +346,16 @@ mod tests {
         let stats = shared.update_stats();
         assert_eq!(stats.applied, (WRITERS * PER_WRITER) as u64);
         assert_eq!(stats.failed, 0);
-        assert!(stats.groups >= 1 && stats.groups <= stats.applied);
+        assert_eq!(stats.groups, stats.applied);
         assert_eq!(stats.batch_sizes.iter().sum::<u64>(), stats.groups);
     }
 
-    /// Run `updates` on one thread each while the writer mutex is held, and
-    /// release it only once all of them are queued: whichever caller takes
-    /// the mutex first leads one group of all of them. The outcomes come
+    /// Run `updates` on one thread each, all at once. The outcomes come
     /// back in `updates` order.
-    fn one_group(shared: &SharedStore, updates: &[String]) -> Vec<Result<UpdateOutcome>> {
-        let guard = shared.write();
+    fn concurrently(shared: &SharedStore, updates: &[String]) -> Vec<Result<UpdateOutcome>> {
         std::thread::scope(|s| {
             let callers: Vec<_> =
                 updates.iter().map(|u| s.spawn(|| shared.update(u))).collect();
-            while shared.inner.queue.lock().unwrap().len() < updates.len() {
-                std::thread::yield_now();
-            }
-            drop(guard);
             callers.into_iter().map(|c| c.join().unwrap()).collect()
         })
     }
@@ -473,9 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn queued_requests_commit_as_one_group() {
+    fn concurrent_requests_each_get_their_own_outcome() {
         let shared = loaded_shared(4);
-        let outcomes = one_group(
+        let outcomes = concurrently(
             &shared,
             &[
                 insert_data(100),
@@ -495,18 +387,18 @@ mod tests {
             ]
         );
         let stats = shared.update_stats();
-        assert_eq!((stats.groups, stats.applied, stats.failed), (1, 3, 0));
-        assert_eq!(stats.batch_sizes, [0, 0, 1, 0, 0, 0, 0], "one group of three");
+        assert_eq!((stats.groups, stats.applied, stats.failed), (3, 3, 0), "one commit each");
+        assert_eq!(stats.batch_sizes, [3]);
         assert_eq!(shared.query("SELECT ?s WHERE { ?s <http://p> ?o }").unwrap().len(), 6);
     }
 
     #[test]
-    fn a_failing_request_does_not_poison_its_group() {
+    fn a_failing_request_fails_alone() {
         let shared = loaded_shared(50);
         // Enough rows for an INSERT DATA, too few for a DELETE WHERE that
         // matches all 50 triples.
         shared.write().set_row_budget(Some(20));
-        let outcomes = one_group(
+        let outcomes = concurrently(
             &shared,
             &[insert_data(100), "DELETE WHERE { ?s <http://p> ?o }".into(), insert_data(101)],
         );
@@ -514,8 +406,7 @@ mod tests {
         assert_eq!(outcomes[1], Err(StoreError::Sql(relstore::Error::LimitExceeded)));
         assert_eq!(outcomes[2], Ok(UpdateOutcome { inserted: 1, deleted: 0 }));
         let stats = shared.update_stats();
-        assert_eq!((stats.groups, stats.applied, stats.failed), (1, 2, 1));
-        assert_eq!(stats.batch_sizes, [0, 0, 1, 0, 0, 0, 0], "one group of three");
+        assert_eq!((stats.groups, stats.applied, stats.failed), (2, 2, 1));
         shared.write().set_row_budget(None);
         assert_eq!(shared.query("SELECT ?s WHERE { ?s <http://p> ?o }").unwrap().len(), 52);
     }

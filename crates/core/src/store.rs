@@ -6,9 +6,9 @@
 //! layout-specific per-triple bodies run, flushes `sys_dict`/`sys_meta`
 //! once, compares the plan fingerprint once, commits one frame, and rolls
 //! memory back to the checkpoint on any error. [`RdfStore::insert`] and
-//! [`RdfStore::delete`] are one-op requests that fsync their frame; a
-//! SPARQL Update request ([`crate::update`]) is the same skeleton with an
-//! append-only commit, fsynced per group by [`crate::shared`].
+//! [`RdfStore::delete`] are one-op requests; a SPARQL Update request
+//! ([`crate::update`]) is the same skeleton with many ops. Every request
+//! commits alone: one frame, one fsync.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -175,7 +175,7 @@ struct Meta {
 /// interned-but-unreferenced entries are harmless; a plan that folded such
 /// a term as unknown goes stale on the growth); the epoch is bumped on
 /// rollback so no plan made against the abandoned layout survives.
-pub(crate) struct MutationCheckpoint {
+struct MutationCheckpoint {
     tables: std::collections::HashMap<String, Arc<relstore::Table>>,
     meta: Meta,
 }
@@ -553,7 +553,7 @@ impl RdfStore {
         if self.cfg.layout == Layout::Entity {
             self.bulk_load_triples(triples, &BulkLoadOptions::default())?;
         } else {
-            self.request(true, |req| {
+            self.request(|req| {
                 let store = &mut *req.store;
                 let schema = if store.cfg.layout == Layout::TripleStore {
                     load_triple_store(&mut store.db, &triples)?;
@@ -600,7 +600,7 @@ impl RdfStore {
     /// generated SQL is data-independent, so stale statistics can at worst
     /// pick a slower join order, never a wrong answer.
     pub fn insert(&mut self, triple: &Triple) -> Result<bool> {
-        self.request(true, |req| req.insert(triple))
+        self.request(|req| req.insert(triple))
     }
 
     /// Delete one triple from any layout: a one-op request with the same
@@ -612,19 +612,17 @@ impl RdfStore {
     /// — a stale plan replayed after a delete returns exactly the surviving
     /// rows. Each successful call counts as an avoided invalidation.
     pub fn delete(&mut self, triple: &Triple) -> Result<bool> {
-        self.request(true, |req| req.delete(triple))
+        self.request(|req| req.delete(triple))
     }
 
     /// The one skeleton every mutation runs through. `ops` adds and removes
     /// triples through the [`Request`] it is handed (and may read the store
     /// in between); everything around that is owned here: the checkpoint,
     /// the WAL batch, one `sys_dict`/`sys_meta` flush, one plan-fingerprint
-    /// comparison, the commit — an fsynced frame when `sync`, an appended
-    /// one otherwise (the group-commit leader syncs) — and, on *any* error,
-    /// logical, append or fsync, the rollback to the checkpoint.
+    /// comparison, the commit of one fsynced frame, and, on *any* error —
+    /// logical, write or fsync — the rollback to the checkpoint.
     pub(crate) fn request<T>(
         &mut self,
-        sync: bool,
         ops: impl FnOnce(&mut Request<'_>) -> Result<T>,
     ) -> Result<T> {
         let checkpoint = self.mutation_checkpoint();
@@ -638,7 +636,7 @@ impl RdfStore {
                 let dict = self.dict.clone();
                 self.persist_meta(&dict.read())?;
             }
-            self.db.finish_batch(sync)?;
+            self.db.commit_batch()?;
             Ok(out)
         });
         match res {
@@ -1074,17 +1072,9 @@ impl RdfStore {
 
     // -- request plumbing (crate-internal) ----------------------------------
 
-    /// The group-commit barrier: fsync every frame appended since the last
-    /// sync. On failure the store degrades to read-only and the unsynced
-    /// frames are discarded.
-    pub(crate) fn db_sync_wal(&mut self) -> Result<()> {
-        self.db.sync_wal()?;
-        Ok(())
-    }
-
     /// Take a copy-on-write backup of everything a mutation can touch; see
     /// [`MutationCheckpoint`].
-    pub(crate) fn mutation_checkpoint(&self) -> MutationCheckpoint {
+    fn mutation_checkpoint(&self) -> MutationCheckpoint {
         MutationCheckpoint { tables: self.db.save_tables(), meta: self.meta.clone() }
     }
 
@@ -1093,7 +1083,7 @@ impl RdfStore {
     /// keeps entries interned since the checkpoint — they are append-only
     /// and unreferenced after the table restore — so the epoch is bumped to
     /// keep any plan computed against the transient state from surviving.
-    pub(crate) fn rollback_mutation(&mut self, cp: MutationCheckpoint) {
+    fn rollback_mutation(&mut self, cp: MutationCheckpoint) {
         self.db.abort_batch();
         self.db.restore_tables(cp.tables);
         self.meta = cp.meta;

@@ -7,8 +7,7 @@
 //! every operation's row mutations and the request's single
 //! `sys_dict`/`sys_meta` flush batch into a frame that crash recovery
 //! replays all-or-nothing — a half-applied `DELETE/INSERT` can never become
-//! visible. The frame is *appended*, not fsynced: the group-commit leader
-//! in [`crate::shared`] syncs once per group of concurrent requests.
+//! visible. The frame is fsynced before the request returns.
 //!
 //! Request semantics follow the W3C Update spec for the supported subset:
 //!
@@ -26,10 +25,10 @@
 //!   existing triple or deleting an absent one moves nothing).
 //!
 //! A request that fails midway (an unsupported WHERE shape, a budget
-//! error, a failed append) is rolled back wholesale by the skeleton: the
-//! store's tables, side metadata, and the open batch are restored, so the
-//! failed request mutates nothing — in memory or on disk. This module only
-//! says *which* triples a request adds and removes.
+//! error, a failed write or fsync) is rolled back wholesale by the
+//! skeleton: the store's tables, side metadata, and the open batch are
+//! restored, so the failed request mutates nothing — in memory or on disk.
+//! This module only says *which* triples a request adds and removes.
 
 use std::collections::HashMap;
 
@@ -48,11 +47,10 @@ pub struct UpdateOutcome {
     pub deleted: u64,
 }
 
-/// Apply one parsed update request as a single WAL frame (appended, not
-/// synced — the caller owns the group-commit barrier). On error the store
-/// is rolled back to its state before the request.
+/// Apply one parsed update request as a single fsynced WAL frame. On error
+/// the store is rolled back to its state before the request.
 pub fn apply_update(store: &mut RdfStore, update: &Update) -> Result<UpdateOutcome> {
-    store.request(false, |req| {
+    store.request(|req| {
         let mut out = UpdateOutcome::default();
         for op in &update.ops {
             match op {

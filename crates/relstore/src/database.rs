@@ -291,20 +291,11 @@ impl Database {
     }
 
     /// Commit the current batch level; at the outermost level the buffered
-    /// ops are written and fsynced as one WAL frame. A write failure
-    /// degrades the database to read-only and surfaces as an error.
+    /// ops are written and fsynced as one WAL frame. A write or fsync
+    /// failure degrades the database to read-only and surfaces as an error;
+    /// the writer truncates the failed frame away, so it can never be
+    /// replayed.
     pub fn commit_batch(&mut self) -> Result<()> {
-        self.finish_batch(true)
-    }
-
-    /// Close a batch level and, at the outermost one, write the buffered
-    /// ops as a single frame — fsynced when `sync`; otherwise only
-    /// *appended*, durable at the next [`Database::sync_wal`]. The
-    /// group-commit path appends one frame per update request, then pays a
-    /// single fsync for the whole group. A write failure degrades to
-    /// read-only (and the writer discards an unsynced tail, so nothing
-    /// half-appended can be replayed).
-    pub fn finish_batch(&mut self, sync: bool) -> Result<()> {
         let Some(d) = &mut self.durability else {
             return Ok(());
         };
@@ -320,19 +311,7 @@ impl Database {
             return Ok(());
         }
         let payload = wal::frame_payload(nops, &ops);
-        d.wal_io(|w| if sync { w.commit(&payload) } else { w.append(&payload) })
-    }
-
-    /// Fsync every frame appended by [`Database::finish_batch`] without
-    /// `sync` since the last sync — the group-commit barrier. On failure the
-    /// unsynced frames are discarded and the database degrades to
-    /// read-only: the group's updates were never acknowledged and must not
-    /// survive a restart. No-op for in-memory databases.
-    pub fn sync_wal(&mut self) -> Result<()> {
-        match &mut self.durability {
-            Some(d) => d.wal_io(WalWriter::sync),
-            None => Ok(()),
-        }
+        d.wal_io(|w| w.commit(&payload))
     }
 
     /// Copy-on-write backup of the current table set (`Arc` bumps only).

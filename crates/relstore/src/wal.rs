@@ -212,12 +212,10 @@ pub fn recover(path: &Path, faults: &FaultHandle) -> Result<WalRecovery> {
 // ---------------------------------------------------------------------------
 
 /// Appends committed frames to a WAL file through the fault-injection layer.
+/// Every frame is fsynced before [`WalWriter::commit`] returns, so the
+/// file's logical length is always the last committed frame boundary.
 pub struct WalWriter {
     file: FaultFile,
-    /// File offset up to which frames are known durable (fsynced). Frames
-    /// appended but not yet synced — the group-commit window — sit between
-    /// `synced` and `file.offset()`.
-    synced: u64,
 }
 
 impl WalWriter {
@@ -230,51 +228,30 @@ impl WalWriter {
             file.append(WAL_MAGIC)?;
             file.sync()?;
         }
-        let synced = file.offset();
-        Ok(WalWriter { file, synced })
+        Ok(WalWriter { file })
     }
 
-    /// Append one transaction frame *without* syncing it: the frame becomes
-    /// durable only at the next [`WalWriter::sync`]. Group commit appends
-    /// one frame per request, then pays one fsync for the whole group. On
-    /// failure the whole unsynced tail — this frame *and* any earlier
-    /// unsynced frames of the group — is truncated away, so an aborted
-    /// group can never be resurrected by recovery.
-    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
+    /// Durably append one transaction: frame header + payload, then fsync.
+    /// On a failed write or fsync the file is truncated back to the previous
+    /// frame boundary (best effort), so a crash-free restart cannot
+    /// resurrect a transaction reported as failed; the caller must degrade
+    /// to read-only.
+    pub fn commit(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        let committed = self.file.offset();
         let mut frame = Vec::with_capacity(8 + payload.len());
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, crc32(payload));
         frame.extend_from_slice(payload);
-        if let Err(e) = self.file.append(&frame) {
-            self.file.truncate_to(self.synced);
-            return Err(e);
+        let res = self.file.append(&frame).and_then(|()| self.file.sync());
+        if res.is_err() {
+            self.file.truncate_to(committed);
         }
-        Ok(())
-    }
-
-    /// Fsync every appended frame. On failure the unsynced tail is
-    /// discarded (truncated back to the last synced boundary) so a
-    /// crash-free restart cannot resurrect transactions reported as failed.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        if let Err(e) = self.file.sync() {
-            self.file.truncate_to(self.synced);
-            return Err(e);
-        }
-        self.synced = self.file.offset();
-        Ok(())
-    }
-
-    /// Durably append one transaction: frame header + payload, then fsync.
-    /// On failure the file is rolled back to the previous frame boundary
-    /// (best effort) and the caller must degrade to read-only.
-    pub fn commit(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        self.append(payload)?;
-        self.sync()
+        res
     }
 
     /// Bytes durably committed so far (including the magic).
     pub fn len(&self) -> u64 {
-        self.synced
+        self.file.offset()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -383,43 +360,24 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_appends_then_one_sync() {
-        let path = tmp_wal("group");
-        let mut w = WalWriter::open(&path, 0, no_faults()).unwrap();
-        let before = w.len();
-        w.append(&frame_payload(2, &sample_ops())).unwrap();
-        let mut op2 = Vec::new();
-        encode_update_cell(&mut op2, "t", 0, 0, &Value::Int(9));
-        w.append(&frame_payload(1, &op2)).unwrap();
-        // Unsynced frames are not yet counted as committed.
-        assert_eq!(w.len(), before);
-        w.sync().unwrap();
-        assert!(w.len() > before);
-        drop(w);
-        let rec = recover(&path, &no_faults()).unwrap();
-        assert_eq!(rec.txns.len(), 2);
-    }
-
-    #[test]
-    fn failed_group_sync_discards_every_unsynced_frame() {
+    fn failed_commit_sync_leaves_the_previous_frame_boundary() {
         use crate::io::ScriptedFaults;
-        let path = tmp_wal("group-sync-fault");
+        let path = tmp_wal("commit-sync-fault");
         {
             let mut w = WalWriter::open(&path, 0, no_faults()).unwrap();
             w.commit(&frame_payload(2, &sample_ops())).unwrap();
         }
         let committed = std::fs::metadata(&path).unwrap().len();
-        // Reopen with the next sync scripted to fail; both appended frames
-        // of the doomed group must vanish.
+        // Reopen with the next fsync scripted to fail: the frame was
+        // written whole, but its commit failed, so it must not stay.
         let faults = ScriptedFaults::new().fail_sync(0).into_handle();
         let mut w = WalWriter::open(&path, committed, faults).unwrap();
-        w.append(&frame_payload(2, &sample_ops())).unwrap();
-        w.append(&frame_payload(2, &sample_ops())).unwrap();
-        assert!(w.sync().is_err());
+        assert!(w.commit(&frame_payload(2, &sample_ops())).is_err());
+        assert_eq!(w.len(), committed);
         drop(w);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
         let rec = recover(&path, &no_faults()).unwrap();
-        assert_eq!(rec.txns.len(), 1, "the aborted group must not resurrect");
+        assert_eq!(rec.txns.len(), 1, "the failed commit must not resurrect");
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!   SPARQL 1.1 JSON or TSV by content negotiation (`Accept` header or
 //!   `format=json|tsv` parameter);
 //! * `POST /update` (form-encoded or `application/sparql-update` bodies) —
-//!   SPARQL 1.1 Update requests, group-committed with whatever concurrent
-//!   updates are in flight (one fsync per group; see DESIGN.md §4.12). A
-//!   store degraded to read-only refuses them with 503 + `Retry-After`;
+//!   SPARQL 1.1 Update requests, each committed alone (one WAL frame, one
+//!   fsync; see DESIGN.md §4.12). A store degraded to read-only refuses
+//!   them with 503 + `Retry-After`;
 //! * `POST /insert` — an N-Triples body, parsed as it streams in; every 512
-//!   triples go through the same queue as one `INSERT DATA` request;
+//!   triples go the same way as one `INSERT DATA` request;
 //! * `GET /healthz` — liveness probe;
-//! * `GET /stats` — load report plus per-endpoint counters, update/group-
-//!   commit counters, and latency quantiles from the in-repo histogram.
+//! * `GET /stats` — load report plus per-endpoint counters, update
+//!   counters, and latency quantiles from the in-repo histogram.
 //!
 //! Admission control is layered (DESIGN.md §4.8): a global in-flight cap
 //! sheds excess requests — queries, updates and inserts alike — with 503 +
@@ -641,9 +641,9 @@ fn handle_sparql(inner: &Inner, req: &Request) -> Response {
     }
 }
 
-/// Handle `POST /update`: a SPARQL 1.1 Update request, applied through the
-/// store's group-commit queue — the response is sent only after the
-/// request's group fsynced, so a 200 means durable. Shares the global
+/// Handle `POST /update`: a SPARQL 1.1 Update request, applied through
+/// `SharedStore::update` — the response is sent only after the request's
+/// frame fsynced, so a 200 means durable. Shares the global
 /// in-flight admission cap with `/sparql` (an update occupies a worker just
 /// the same); a degraded store refuses before parsing with 503 +
 /// `Retry-After`.
@@ -676,14 +676,14 @@ fn handle_update(inner: &Inner, req: &Request) -> Response {
 /// socket (`rdf::NtStream`), so an upload near the size cap costs
 /// chunk-sized memory, not the body; the cap itself was enforced from
 /// `Content-Length` before any body byte was read. Every `INSERT_CHUNK`
-/// triples go to the store as one `INSERT DATA` request through the same
-/// group-commit queue as `/update`: one WAL frame, one group fsync,
-/// all-or-nothing per chunk, counted in `/stats`' update counters. The
+/// triples go to the store as one `INSERT DATA` request the same way as
+/// `/update`: one WAL frame, one fsync, all-or-nothing per chunk, counted
+/// in `/stats`' update counters. The
 /// whole upload holds one admission slot and runs behind the panic
 /// boundary, like every other store-touching handler. A store that
 /// degraded to read-only refuses with 503 + `Retry-After` — checked up
-/// front so a doomed upload is rejected before parsing, and again by the
-/// queue per chunk in case degradation races the check. Chunks committed
+/// front so a doomed upload is rejected before parsing, and again by
+/// `SharedStore::update` per chunk in case degradation races the check. Chunks committed
 /// before a later line (or chunk) fails stay committed.
 fn handle_insert(inner: &Inner, req: &Request, body: &mut http::BodyReader<'_>) -> Response {
     match req.media_type().as_deref() {
@@ -807,17 +807,9 @@ fn stats_json(inner: &Inner) -> String {
         None => "null".into(),
     };
     let u = inner.store.update_stats();
-    let batches: Vec<String> = db2rdf::BATCH_BUCKET_LABELS
-        .iter()
-        .zip(u.batch_sizes)
-        .map(|(label, n)| format!("\"{label}\":{n}"))
-        .collect();
     let updates = format!(
-        "{{\"groups\":{},\"applied\":{},\"failed\":{},\"batch_sizes\":{{{}}}}}",
-        u.groups,
-        u.applied,
-        u.failed,
-        batches.join(","),
+        "{{\"groups\":{},\"applied\":{},\"failed\":{}}}",
+        u.groups, u.applied, u.failed,
     );
     let dict = inner.store.dict_stats();
     let rss = match resident_bytes() {

@@ -524,7 +524,7 @@ fn update_protocol_errors() {
 }
 
 #[test]
-fn stats_expose_update_and_group_commit_counters() {
+fn stats_expose_update_counters() {
     let server = boot(ServerConfig::default());
     let addr = server.local_addr();
     for i in 0..3 {
@@ -554,8 +554,7 @@ fn stats_expose_update_and_group_commit_counters() {
     let r = client::request(addr, "GET", "/stats", &[], b"").unwrap();
     assert_eq!(r.status, 200);
     let body = r.text();
-    assert!(body.contains("\"updates\":{\"groups\":4,\"applied\":4,"), "{body}");
-    assert!(body.contains("\"batch_sizes\":{\"1\":"), "{body}");
+    assert!(body.contains("\"updates\":{\"groups\":4,\"applied\":4,\"failed\":0}"), "{body}");
     assert!(body.contains("\"invalidations_avoided\":"), "{body}");
     assert!(body.contains("\"update\":{"), "{body}");
     server.shutdown();

@@ -27,7 +27,7 @@
 #                                workloads over HTTP, traced and untraced;
 #                                every reply checksummed, a warm mix never
 #                                misses the plan cache, every update acks
-#                                and the group-commit histogram balances
+#                                and the update counters balance
 #
 # Flags combine: `scripts/verify.sh --all --clippy --smoke` is what CI runs.
 set -euo pipefail

@@ -1,12 +1,12 @@
-//! Chaos coverage for group-committed SPARQL updates (DESIGN.md §4.12).
+//! Chaos coverage for SPARQL updates on a shared store (DESIGN.md §4.12).
 //!
 //! Every `SharedStore::update` request is one WAL batch frame, made durable
-//! by its group's single fsync. These tests drive that path through crashes
-//! and injected faults and hold it to the durability contract:
+//! by its own fsync. These tests drive that path through crashes and
+//! injected faults and hold it to the durability contract:
 //!
 //! - **truncation sweep** — run a workload of update requests on a durable
 //!   store, recording `(wal_len, expected state)` after every ack; then cut
-//!   the WAL at every group boundary and at byte offsets in between, reopen,
+//!   the WAL at every frame boundary and at byte offsets in between, reopen,
 //!   and assert recovery lands on *exactly* the longest acked prefix — acked
 //!   updates survive, unacked (torn) frames vanish whole, never partially;
 //! - **write/sync fault sweeps** — replay the workload with an injected
@@ -16,11 +16,17 @@
 //!   snapshot, and a clean reopen must recover the acked state (a
 //!   fsync-refused frame that still fully replays is also acceptable — the
 //!   request applies whole or not at all, never split);
-//! - **concurrent storm** — many writers group-committing at once, then a
-//!   crash: every acked request must be present after recovery.
+//! - **concurrent storm** — many writers committing at once, then a crash:
+//!   every acked request must be present after recovery;
+//! - **concurrent sync fault** — many writers meet one failed fsync: only
+//!   the faulted request fails on I/O, nothing is acked after the store
+//!   degrades, and a reopen holds every acked request and no refused one.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use std::sync::atomic::AtomicBool;
+use std::sync::Mutex;
 
 use db2rdf::{oracle, RdfStore, SharedStore, StoreConfig, StoreError};
 use rdf::Triple;
@@ -283,4 +289,90 @@ fn concurrent_update_storm_survives_crash() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_writers_meet_a_sync_fault_and_keep_every_ack() {
+    const WRITERS: usize = 4;
+    const PER_WRITER: usize = 12;
+    let request = |w: usize, i: usize| {
+        format!(
+            "INSERT DATA {{ <http://t/{w}-{i}> <http://p/{w}> {i} . \
+             <http://t/{w}-{i}> <http://q/0> <http://t/{w}> }}"
+        )
+    };
+    let seed = "INSERT DATA { <http://seed/0> <http://p/0> <http://seed/0> }";
+    for fail_at in [8usize, 20, 40] {
+        let name = format!("fail_sync({fail_at})");
+        let dir = fresh_dir("conc-sync-fault");
+        let faults = ScriptedFaults::new().fail_sync(fail_at).into_handle();
+        let store = RdfStore::open_with_faults(&dir, StoreConfig::default(), faults).unwrap();
+        let shared = SharedStore::new(store);
+        shared.update(seed).unwrap();
+
+        // Set once a writer has seen a failure: the store degraded before
+        // that failure returned, so a request started after it must fail.
+        let failure_seen = AtomicBool::new(false);
+        let acked: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+        let faulted: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (shared, failure_seen, acked, faulted) =
+                    (&shared, &failure_seen, &acked, &faulted);
+                let (request, name) = (&request, &name);
+                scope.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        let after_failure = failure_seen.load(Ordering::SeqCst);
+                        match shared.update(&request(w, i)) {
+                            Ok(_) => {
+                                assert!(!after_failure, "[{name}] <{w}-{i}> acked after degrade");
+                                acked.lock().unwrap().push((w, i));
+                            }
+                            Err(e) => {
+                                failure_seen.store(true, Ordering::SeqCst);
+                                if !e.is_read_only() {
+                                    faulted.lock().unwrap().push((w, i));
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let acked = acked.into_inner().unwrap();
+        let faulted = faulted.into_inner().unwrap();
+        assert_eq!(faulted.len(), 1, "[{name}] exactly the faulted request fails on I/O");
+        assert!(shared.is_read_only(), "[{name}] the fault must degrade the store");
+
+        let mut state: Vec<Triple> = Vec::new();
+        apply_reference(&mut state, seed);
+        for &(w, i) in &acked {
+            apply_reference(&mut state, &request(w, i));
+        }
+        assert_eq!(
+            dump(&shared.snapshot()),
+            canon_triples(&state),
+            "[{name}] degraded snapshot must serve exactly the acked state"
+        );
+        drop(shared);
+
+        // A reopen lands on the acked state, or (the frame was written
+        // whole, only its fsync failed) on it plus the whole faulted
+        // request; a request refused as read-only never lands.
+        let mut acceptable = vec![canon_triples(&state)];
+        let (w, i) = faulted[0];
+        apply_reference(&mut state, &request(w, i));
+        acceptable.push(canon_triples(&state));
+        let recovered = RdfStore::open(&dir, StoreConfig::default())
+            .unwrap_or_else(|e| panic!("[{name}] clean reopen failed: {e}"));
+        let got = dump(&recovered);
+        assert!(
+            acceptable.contains(&got),
+            "[{name}] recovered {} triples — neither the {} acked requests nor them plus \
+             the faulted one",
+            got.len(),
+            acked.len()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
