@@ -16,8 +16,8 @@ fn triple(s: &str, p: &str, o: &str) -> Triple {
 
 /// ~15k triples: a `knows` ring with stride 7 (so 2-hop joins fan out), a
 /// 13-way `member` partition, and one literal per subject. Big enough that
-/// scans, partitioned hash-join builds and dedupe all split into multiple
-/// morsels in every layout.
+/// scans, hash-join builds and probes, and dedupe all span multiple morsels
+/// in every layout.
 fn dataset() -> Vec<Triple> {
     let mut out = Vec::with_capacity(3 * SUBJECTS);
     for i in 0..SUBJECTS {
@@ -43,11 +43,12 @@ fn loaded_store(layout: Layout) -> RdfStore {
 }
 
 /// Queries chosen to drive every parallel code path: multi-morsel scans,
-/// partitioned hash-join builds (> 4096 build rows), DISTINCT dedupe,
-/// OPTIONAL null-extension, UNION dedupe, and ORDER BY + LIMIT.
+/// hash joins whose build side spans more than one morsel (> 4096 build
+/// rows), DISTINCT dedupe, OPTIONAL null-extension, UNION dedupe, and
+/// ORDER BY + LIMIT.
 const HEAVY: &[&str] = &[
     // 2-hop join: both factors are the full 5000-row knows table, so the
-    // build side crosses the partitioned-build threshold.
+    // build side spans more than one morsel.
     "SELECT ?a ?c WHERE { ?a <http://p/knows> ?b . ?b <http://p/knows> ?c } LIMIT 400",
     // 3-hop with ORDER BY: join output order feeds a stable sort.
     "SELECT ?a ?d WHERE { ?a <http://p/knows> ?b . ?b <http://p/knows> ?c . \

@@ -5,17 +5,20 @@
 //! compile pass (`plan`); nothing here looks one up.
 //!
 //! Hot operators run morsel-parallel on scoped threads, one
-//! `std::thread::scope` per parallel region (see [`parallel_units`]), and
-//! concatenate their outputs in morsel order, so a result, row order
-//! included, is the same at every thread count.
+//! `std::thread::scope` per parallel region (see
+//! [`parallel_morsels_with`], the one driver), and concatenate their
+//! outputs in morsel order. Hash-join builds and `DISTINCT` run
+//! sequentially in row order. So a result, row order included, is the same
+//! at every thread count.
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::database::{Database, ScalarFn};
 use crate::error::{exec_err, Error, Result};
-use crate::hash::{fx_hash_one, FxHashMap, FxHashSet};
+use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::plan::{
     AggFunc, AggPlan, BodyPlan, HashJoin, IndexJoin, JoinPlan, Output, Prepared, QueryPlan,
     SelectPlan, Source,
@@ -229,16 +232,65 @@ where
 
 /// [`parallel_morsels`] with one `S::default()` per participating thread,
 /// kept across every morsel that thread runs — how a scan worker keeps one
-/// row buffer for its whole region instead of one per morsel.
+/// row buffer for its whole region instead of one per morsel. This is the
+/// one parallel driver.
+///
+/// `threads − 1` scoped workers plus the calling thread pull morsel indices
+/// from a shared atomic counter (morsel-driven scheduling: fast threads take
+/// more morsels). No more threads run than there are morsels, and a width
+/// of one runs inline, spawning nothing. On error the unclaimed morsels are
+/// abandoned and the first error in morsel order is returned — every morsel
+/// before it was claimed earlier and ran to completion, so which error wins
+/// never depends on scheduling. A panic in any thread re-raises here once
+/// every thread has joined (the `std::thread::scope` contract), so no
+/// borrow outlives the call.
 fn parallel_morsels_with<R, S, F>(ctx: &ExecCtx<'_>, n: usize, work: F) -> Result<Vec<R>>
 where
     R: Send,
     S: Default,
     F: Fn(std::ops::Range<usize>, &mut S) -> Result<Vec<R>> + Sync,
 {
-    let mut outs = parallel_units(ctx.threads, n.div_ceil(MORSEL_ROWS), |m, local: &mut S| {
+    let morsels = n.div_ceil(MORSEL_ROWS);
+    let morsel = |m: usize, local: &mut S| {
         work(m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n), local)
-    })?;
+    };
+    let width = ctx.threads.min(morsels);
+    let mut outs: Vec<Vec<R>> = if width <= 1 {
+        let mut local = S::default();
+        (0..morsels).map(|m| morsel(m, &mut local)).collect::<Result<_>>()?
+    } else {
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let run = || {
+            let mut local = S::default();
+            let mut done = Vec::new();
+            while !failed.load(Ordering::Relaxed) {
+                let m = next.fetch_add(1, Ordering::Relaxed);
+                if m >= morsels {
+                    break;
+                }
+                let res = morsel(m, &mut local);
+                if res.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                done.push((m, res));
+            }
+            done
+        };
+        let mut slots: Vec<Option<Result<Vec<R>>>> = (0..morsels).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (1..width).map(|_| s.spawn(run)).collect();
+            let mine = run();
+            for done in workers.into_iter().map(|w| w.join()).chain([Ok(mine)]) {
+                let done = done.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (m, res) in done {
+                    slots[m] = Some(res);
+                }
+            }
+        });
+        // Unclaimed morsels (`None`) all come after the first error.
+        slots.into_iter().flatten().collect::<Result<_>>()?
+    };
     if outs.len() == 1 {
         return Ok(outs.pop().expect("one morsel"));
     }
@@ -247,63 +299,6 @@ where
         out.extend(part);
     }
     Ok(out)
-}
-
-/// The one parallel driver: run `work(i, local)` for every unit `i` in
-/// `0..units` (a unit is a morsel or a hash partition) and return the
-/// outputs **in unit order**.
-///
-/// `threads − 1` scoped workers plus the calling thread pull unit indices
-/// from a shared atomic counter (morsel-driven scheduling: fast threads take
-/// more units), each with its own `S::default()` scratch. No more threads
-/// run than there are units, and a width of one runs inline, spawning
-/// nothing. On error the unclaimed units are abandoned and the first error
-/// in unit order is returned — every unit before it was claimed earlier and
-/// ran to completion, so which error wins never depends on scheduling. A
-/// panic in any thread re-raises here once every thread has joined (the
-/// `std::thread::scope` contract), so no borrow outlives the call.
-fn parallel_units<R, S, F>(threads: usize, units: usize, work: F) -> Result<Vec<R>>
-where
-    R: Send,
-    S: Default,
-    F: Fn(usize, &mut S) -> Result<R> + Sync,
-{
-    let width = threads.min(units);
-    if width <= 1 {
-        let mut local = S::default();
-        return (0..units).map(|i| work(i, &mut local)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let run = || {
-        let mut local = S::default();
-        let mut done = Vec::new();
-        while !failed.load(Ordering::Relaxed) {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= units {
-                break;
-            }
-            let res = work(i, &mut local);
-            if res.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            done.push((i, res));
-        }
-        done
-    };
-    let mut slots: Vec<Option<Result<R>>> = (0..units).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (1..width).map(|_| s.spawn(run)).collect();
-        let mine = run();
-        for done in workers.into_iter().map(|w| w.join()).chain([Ok(mine)]) {
-            let done = done.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, res) in done {
-                slots[i] = Some(res);
-            }
-        }
-    });
-    // Unclaimed units (`None`) all come after the first error.
-    slots.into_iter().flatten().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -552,72 +547,13 @@ fn retain_mask(rows: &mut Rows, keep: &[bool]) {
     });
 }
 
-/// Remove duplicate rows, keeping first occurrences, without cloning any
-/// row: rows are pre-hashed (in parallel morsels), bucketed by hash, and
-/// compared against earlier bucket members only; survivors are kept by an
-/// in-place `retain`.
-///
-/// Large inputs resolve duplicates in parallel by hash partition: equal rows
-/// hash equal, so no duplicate pair ever straddles partitions, and each
-/// partition's row-id list stays ascending, so "first occurrence wins" is
-/// preserved exactly. The keep-mask is a pure function of the rows — the
-/// same at every thread count.
-fn dedupe(rows: &mut Rows, ctx: &ExecCtx<'_>) {
-    use std::hash::{Hash, Hasher};
-    let n = rows.len();
-    if n <= 1 {
-        return;
-    }
-    let all = &*rows;
-    let hashes: Vec<u64> = parallel_morsels(ctx, n, |range| {
-        Ok(range
-            .map(|i| {
-                let mut h = crate::hash::FxHasher::default();
-                all[i].hash(&mut h);
-                h.finish()
-            })
-            .collect())
-    })
-    .expect("hashing is infallible");
-
-    let mut keep = vec![true; n];
-    if n >= PARALLEL_BUILD_MIN && ctx.threads > 1 {
-        // Scatter row ids into hash partitions (a cheap sequential integer
-        // pass), then threads claim whole partitions and resolve duplicates
-        // within each independently.
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); BUILD_PARTITIONS];
-        for (i, h) in hashes.iter().enumerate() {
-            parts[(h >> PARTITION_SHIFT) as usize].push(i as u32);
-        }
-        let dead = parallel_units(ctx.threads, BUILD_PARTITIONS, |p, _: &mut ()| {
-            let mut dead: Vec<u32> = Vec::new();
-            let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for &i in &parts[p] {
-                let bucket = buckets.entry(hashes[i as usize]).or_default();
-                if bucket.iter().any(|&j| all[j as usize] == all[i as usize]) {
-                    dead.push(i);
-                } else {
-                    bucket.push(i);
-                }
-            }
-            Ok(dead)
-        })
-        .expect("deduplication is infallible");
-        for i in dead.into_iter().flatten() {
-            keep[i as usize] = false;
-        }
-    } else {
-        let mut buckets: FxHashMap<u64, Vec<usize>> =
-            FxHashMap::with_capacity_and_hasher(n, crate::hash::FxBuildHasher::default());
-        for i in 0..n {
-            let bucket = buckets.entry(hashes[i]).or_default();
-            if bucket.iter().any(|&j| all[j] == all[i]) {
-                keep[i] = false;
-            } else {
-                bucket.push(i);
-            }
-        }
-    }
+/// Remove duplicate rows, keeping first occurrences in order: one pass in
+/// row order over a set of borrowed rows, then an in-place `retain`, so no
+/// row is cloned.
+fn dedupe(rows: &mut Rows) {
+    let mut seen: FxHashSet<&[Value]> =
+        FxHashSet::with_capacity_and_hasher(rows.len(), FxBuildHasher::default());
+    let keep: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
     retain_mask(rows, &keep);
 }
 
@@ -693,7 +629,7 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
         Output::Project(exprs) => project(exprs, rows, ctx)?,
     };
     if sel.distinct {
-        dedupe(&mut rows, ctx);
+        dedupe(&mut rows);
     }
     Ok(rows)
 }
@@ -850,146 +786,76 @@ fn unnest(cur: Rows, tuples: &[Vec<CExpr>], ctx: &ExecCtx<'_>) -> Result<Rows> {
 /// late-materialization pair list.
 const NULL_EXTENDED: usize = usize::MAX;
 
-// ---------------------------------------------------------------------------
-// Partitioned parallel hash-table build
-// ---------------------------------------------------------------------------
+/// Ends a build chain: `next[rid] == CHAIN_END` means `rid` is the last
+/// build row with its key.
+const CHAIN_END: u32 = u32::MAX;
 
-/// Number of radix partitions for the parallel hash-join build and the
-/// partitioned dedupe pass. A fixed power of two, deliberately independent
-/// of the thread count: partition contents — and therefore every
-/// order-sensitive merge — are identical at every width. 32 keeps
-/// partitions plentiful enough to load-balance 8 threads while per-morsel
-/// scatter buckets stay cache-resident.
-const BUILD_PARTITIONS: usize = 32;
-
-/// Partition id = the TOP bits of the key's [`fx_hash_one`] hash. The hash
-/// map derives its bucket index from the LOW bits, so the two levels stay
-/// independent — a partition's keys still spread over its whole map.
-const PARTITION_SHIFT: u32 = u64::BITS - BUILD_PARTITIONS.trailing_zeros();
-
-/// Inputs below this size build a single map on the calling thread: they fit
-/// in one morsel, so there is no work to share and the scatter pass would be
-/// pure overhead. The cutoff depends only on input size, never thread count.
-const PARALLEL_BUILD_MIN: usize = MORSEL_ROWS;
-
-/// A `key → row-ids` multimap split into hash-disjoint partitions so many
-/// workers can build it without sharing a map. `parts.len()` is either 1
-/// (small-input sequential build) or [`BUILD_PARTITIONS`]; `lookup`
-/// recomputes the key's partition from its hash.
-/// One partition's `key → ascending row-ids` multimap.
-type KeyMap<K> = FxHashMap<K, Vec<u32>>;
-
-struct PartitionedTable<K> {
-    parts: Vec<KeyMap<K>>,
-}
-
-impl<K: std::hash::Hash + Eq> PartitionedTable<K> {
-    #[inline]
-    fn lookup(&self, key: &K) -> &[u32] {
-        let part = if self.parts.len() == 1 {
-            0
-        } else {
-            (fx_hash_one(key) >> PARTITION_SHIFT) as usize
-        };
-        self.parts[part].get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
-/// Build a `key → row-ids` multimap over `rows`. Rows whose key evaluates to
-/// `None` (NULL join keys) are skipped, matching SQL equality semantics.
-///
-/// Large inputs build in two parallel phases: phase 1 evaluates keys
-/// morsel-parallel, scattering `(key, row-id)` pairs into per-morsel
-/// partition buckets; phase 2 hands each worker whole partitions to build
-/// into maps independently — no shared-map contention, no serial build.
-/// Phase 1 buckets come back in morsel order and phase 2 inserts each
-/// partition's entries in that order, so every per-key row-id list is
-/// ascending — exactly what a sequential one-pass build produces — and probe
-/// output stays byte-identical at every thread count.
-fn partitioned_build<K>(
-    ctx: &ExecCtx<'_>,
+/// Build a `key → row ids` multimap over `rows` in one pass in row order:
+/// the map holds each key's first and last row, and `next[rid]` the next
+/// row with the same key. Appending in row order keeps every chain
+/// ascending in row id. Rows whose key evaluates to `None` (a NULL in the
+/// key) join no chain, matching SQL equality semantics.
+fn build_chains<K: std::hash::Hash + Eq>(
     rows: &[Vec<Value>],
-    eval_key: &(dyn Fn(&[Value]) -> Result<Option<K>> + Sync),
-) -> Result<PartitionedTable<K>>
-where
-    K: std::hash::Hash + Eq + Clone + Send + Sync,
-{
-    if rows.len() < PARALLEL_BUILD_MIN || ctx.threads <= 1 {
-        let mut map: FxHashMap<K, Vec<u32>> = FxHashMap::with_capacity_and_hasher(
-            rows.len(),
-            crate::hash::FxBuildHasher::default(),
-        );
-        for (i, r) in rows.iter().enumerate() {
-            if let Some(k) = eval_key(r)? {
-                map.entry(k).or_default().push(i as u32);
+    next: &mut [u32],
+    eval_key: impl Fn(&[Value]) -> Result<Option<K>>,
+) -> Result<FxHashMap<K, (u32, u32)>> {
+    let mut heads = FxHashMap::with_capacity_and_hasher(rows.len(), FxBuildHasher::default());
+    for (rid, row) in rows.iter().enumerate() {
+        let Some(key) = eval_key(row)? else { continue };
+        let rid = rid as u32;
+        match heads.entry(key) {
+            Entry::Occupied(mut e) => {
+                let (_, last) = e.get_mut();
+                next[*last as usize] = rid;
+                *last = rid;
+            }
+            Entry::Vacant(e) => {
+                e.insert((rid, rid));
             }
         }
-        return Ok(PartitionedTable { parts: vec![map] });
     }
-
-    // Phase 1: morsel-parallel key evaluation + scatter. One bucket set per
-    // morsel; `parallel_morsels` returns them in morsel order.
-    let scattered: Vec<Vec<Vec<(K, u32)>>> = parallel_morsels(ctx, rows.len(), |range| {
-        let mut buckets: Vec<Vec<(K, u32)>> =
-            (0..BUILD_PARTITIONS).map(|_| Vec::new()).collect();
-        for i in range {
-            if let Some(k) = eval_key(&rows[i])? {
-                let part = (fx_hash_one(&k) >> PARTITION_SHIFT) as usize;
-                buckets[part].push((k, i as u32));
-            }
-        }
-        Ok(vec![buckets])
-    })?;
-
-    // Phase 2: threads claim whole partitions; no two ever touch the same
-    // map.
-    let parts = parallel_units(ctx.threads, BUILD_PARTITIONS, |part, _: &mut ()| {
-        let len: usize = scattered.iter().map(|m| m[part].len()).sum();
-        let mut map: KeyMap<K> =
-            FxHashMap::with_capacity_and_hasher(len, crate::hash::FxBuildHasher::default());
-        for morsel in &scattered {
-            for (k, rid) in &morsel[part] {
-                map.entry(k.clone()).or_default().push(*rid);
-            }
-        }
-        Ok(map)
-    })?;
-    Ok(PartitionedTable { parts })
+    Ok(heads)
 }
 
 /// Hash join with late materialization. The hash table over the right side
-/// is built once; left rows are probed morsel-parallel. Residual ON and
-/// stream predicates are evaluated on a zero-copy [`SplitRow`] view of each
-/// candidate pair, and surviving matches are carried as
-/// `(left_row, right_row)` index pairs. Combined rows are materialized (also
-/// morsel-parallel) only for pairs that passed every predicate — candidate
-/// rows rejected by a predicate are never copied at all.
+/// is built once, sequentially, in row order; left rows are probed
+/// morsel-parallel. Residual ON and stream predicates are evaluated on a
+/// zero-copy [`SplitRow`] view of each candidate pair, and surviving matches
+/// are carried as `(left_row, right_row)` index pairs. Combined rows are
+/// materialized (also morsel-parallel) only for pairs that passed every
+/// predicate — candidate rows rejected by a predicate are never copied at
+/// all.
 fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result<Rows> {
     let null_row: Vec<Value> = vec![Value::Null; j.right_width];
 
-    // Build phase: hash right rows on their key into a partitioned table
-    // (parallel radix build above the size cutoff — see `partitioned_build`).
-    // Empty `lkeys` means no equi-condition was found — every right row is a
-    // candidate (cross product guarded by an upfront budget charge).
-    // Single-column keys — the common case, and after dictionary encoding a
-    // bare i64 — are stored as `Value` directly so neither build nor probe
-    // heap-allocates a composite key per row.
+    // Build phase: chain right rows by key (see `build_chains`). Empty
+    // `lkeys` means no equi-condition was found — every right row is a
+    // candidate, one chain through them all (a cross product guarded by an
+    // upfront budget charge). Single-column keys — the common case, and
+    // after dictionary encoding a bare i64 — are stored as `Value` directly
+    // so neither build nor probe heap-allocates a composite key per row.
     enum KeyTable {
-        Single(PartitionedTable<Value>),
-        Multi(PartitionedTable<Vec<Value>>),
+        Cross,
+        Single(FxHashMap<Value, (u32, u32)>),
+        Multi(FxHashMap<Vec<Value>, (u32, u32)>),
     }
     let cross = j.lkeys.is_empty();
     let build_t0 = ctx.phase_start();
+    let mut next = vec![CHAIN_END; right.len()];
     let table = if cross {
         ctx.charge(left.len().saturating_mul(right.len().max(1)))?;
-        KeyTable::Single(PartitionedTable { parts: vec![FxHashMap::default()] })
+        for rid in 1..right.len() {
+            next[rid - 1] = rid as u32;
+        }
+        KeyTable::Cross
     } else if let [rk] = j.rkeys.as_slice() {
-        KeyTable::Single(partitioned_build(ctx, &right, &|r| {
+        KeyTable::Single(build_chains(&right, &mut next, |r| {
             let v = rk.eval(r)?;
             Ok(if v.is_null() { None } else { Some(v) })
         })?)
     } else {
-        KeyTable::Multi(partitioned_build(ctx, &right, &|r| {
+        KeyTable::Multi(build_chains(&right, &mut next, |r| {
             let mut key = Vec::with_capacity(j.rkeys.len());
             for k in &j.rkeys {
                 let v = k.eval(r)?;
@@ -1004,51 +870,51 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
     ctx.phase_add(Phase::Build, build_t0);
 
     // Probe phase: morsel-parallel over left rows; output is `(l, r)` index
-    // pairs in left-row order, so the final row order matches a sequential
-    // left-to-right probe exactly.
+    // pairs in left-row order, each row's matches in ascending right-row
+    // order, so the final row order matches a sequential left-to-right
+    // probe exactly.
     let probe_t0 = ctx.phase_start();
-    let all_right: Vec<u32> = if cross { (0..right.len() as u32).collect() } else { Vec::new() };
     let (left_rows, right_rows) = (&left, &right);
-    let (table_ref, null_ref, all_right_ref) = (&table, &null_row, &all_right);
+    let (table_ref, next_ref, null_ref) = (&table, &next, &null_row);
     let pairs: Vec<(usize, usize)> = parallel_morsels(ctx, left_rows.len(), |range| {
         let mut out = Vec::new();
         let mut key = Vec::with_capacity(j.lkeys.len());
         for li in range {
             let l = &left_rows[li];
-            let matches: &[u32] = if cross {
-                all_right_ref
-            } else {
-                match table_ref {
-                    KeyTable::Single(t) => {
-                        let v = j.lkeys[0].eval(l)?;
-                        if v.is_null() {
-                            &[]
-                        } else {
-                            t.lookup(&v)
-                        }
+            let mut rid = match table_ref {
+                KeyTable::Cross if right_rows.is_empty() => CHAIN_END,
+                KeyTable::Cross => 0,
+                KeyTable::Single(heads) => {
+                    let v = j.lkeys[0].eval(l)?;
+                    if v.is_null() {
+                        CHAIN_END
+                    } else {
+                        heads.get(&v).map_or(CHAIN_END, |&(first, _)| first)
                     }
-                    KeyTable::Multi(t) => {
-                        key.clear();
-                        let mut null_key = false;
-                        for k in &j.lkeys {
-                            let v = k.eval(l)?;
-                            if v.is_null() {
-                                null_key = true;
-                                break;
-                            }
-                            key.push(v);
+                }
+                KeyTable::Multi(heads) => {
+                    key.clear();
+                    let mut null_key = false;
+                    for k in &j.lkeys {
+                        let v = k.eval(l)?;
+                        if v.is_null() {
+                            null_key = true;
+                            break;
                         }
-                        if null_key {
-                            &[]
-                        } else {
-                            t.lookup(&key)
-                        }
+                        key.push(v);
+                    }
+                    if null_key {
+                        CHAIN_END
+                    } else {
+                        heads.get(&key).map_or(CHAIN_END, |&(first, _)| first)
                     }
                 }
             };
-            let mut matched = false;
-            for &ri in matches {
-                let ri = ri as usize;
+            let (mut matches, mut matched) = (0usize, false);
+            while rid != CHAIN_END {
+                let ri = rid as usize;
+                rid = next_ref[ri];
+                matches += 1;
                 let pair = SplitRow { left: l, right: &right_rows[ri] };
                 if !eval_all(&j.residual, &pair)? {
                     continue;
@@ -1065,13 +931,21 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
                 }
             }
             if !cross {
-                ctx.charge(matches.len().max(1))?;
+                ctx.charge(matches.max(1))?;
             }
         }
         Ok(out)
     })?;
+    ctx.phase_add(Phase::Probe, probe_t0);
+
+    // Freeing the key table is build work, timed as such: dropped at
+    // function exit it would fall outside every phase.
+    let free_t0 = ctx.phase_start();
+    drop((table, next));
+    ctx.phase_add(Phase::Build, free_t0);
 
     // Materialization phase: copy out only the surviving pairs.
+    let materialize_t0 = ctx.phase_start();
     let pairs_ref = &pairs;
     let rows: Rows = parallel_morsels(ctx, pairs.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
@@ -1084,7 +958,7 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
         }
         Ok(out)
     })?;
-    ctx.phase_add(Phase::Probe, probe_t0);
+    ctx.phase_add(Phase::Probe, materialize_t0);
     Ok(rows)
 }
 

@@ -80,9 +80,8 @@ impl Hasher for FxHasher {
 }
 
 /// Hash one value through [`FxHasher`] — the exact hash an [`FxHashMap`]
-/// would compute for it. The executor's partitioned operators use this to
-/// radix-partition rows by key hash so every partition's table can be built
-/// by a different worker without contention.
+/// would compute for it. An [`Index`](crate::Index) uses it to pick the
+/// shard that holds a key.
 pub fn fx_hash_one<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
     use std::hash::Hasher;
     let mut h = FxHasher::default();

@@ -23,14 +23,15 @@
 //! as DB2 keeps the access plan of repeated dynamic SQL.
 //!
 //! Hot operators (base-table scans, WHERE filtering, projection, hash-join
-//! probing, sort-key extraction and duplicate pre-hashing) execute
-//! morsel-parallel: each parallel region runs its threads inside one
-//! `std::thread::scope`, pulling morsels off a shared counter, and results
-//! are concatenated in morsel order, so row order is identical at every
-//! thread count. The width comes from [`Database::set_threads`], the
-//! `RELSTORE_THREADS` environment variable, or
-//! [`std::thread::available_parallelism`], in that order, resolved once per
-//! query; a width of 1 runs every region inline and spawns nothing.
+//! probing, sort-key extraction and aggregation) execute morsel-parallel:
+//! each parallel region runs its threads inside one `std::thread::scope`,
+//! pulling morsels off a shared counter, and results are concatenated in
+//! morsel order; hash-join builds and `DISTINCT` run sequentially in row
+//! order. So row order is identical at every thread count. The width comes
+//! from [`Database::set_threads`], the `RELSTORE_THREADS` environment
+//! variable, or [`std::thread::available_parallelism`], in that order,
+//! resolved once per query; a width of 1 runs every region inline and
+//! spawns nothing.
 //!
 //! [`Database::new`] is purely in-memory; [`Database::open`] binds the
 //! database to a directory for crash-safe durability — a CRC32-framed

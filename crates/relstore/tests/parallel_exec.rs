@@ -164,7 +164,7 @@ fn float_aggregates_identical_at_every_thread_count() {
 #[test]
 fn distinct_first_occurrence_order_is_thread_count_invariant() {
     // No ORDER BY: DISTINCT output order is the first-occurrence order of
-    // the (multi-morsel) scan, which the partitioned dedupe must preserve.
+    // the (multi-morsel) scan, which dedupe must preserve.
     let q = "SELECT DISTINCT k, tag FROM fact";
     let expected = big_db(Some(1)).query(q).unwrap();
     // gcd(97, 3) = 1, so every k sees both tags: 97 * 2 distinct pairs.
@@ -178,7 +178,7 @@ fn distinct_first_occurrence_order_is_thread_count_invariant() {
 #[test]
 fn multi_column_join_keys_identical_at_every_thread_count() {
     // Composite (k, tag) keys take the Vec<Value> build path; the unfiltered
-    // right side (~24k rows) crosses the parallel partitioned-build cutoff.
+    // right side (~24k rows) spans several morsels, probed in parallel.
     let q = "SELECT f.v AS fv, g.v AS gv FROM fact AS f, fact AS g \
              WHERE f.k = g.k AND f.tag = g.tag AND f.v < 50 \
              ORDER BY fv, gv LIMIT 500";
@@ -243,5 +243,92 @@ fn worker_panic_reaches_the_caller_and_the_database_stays_usable() {
         let ok = db.query("SELECT v FROM fact WHERE v < 100 ORDER BY v").unwrap();
         let want: Vec<Vec<Value>> = (0..100).map(|v| vec![Value::Int(v)]).collect();
         assert_eq!(ok.rows, want, "threads={threads}");
+    }
+}
+
+/// `lhs` (six probe rows) and `rhs`, whose rows span three morsels and
+/// carry duplicate join keys in all three. `rhs.id` is the build row id:
+/// key `k = 1` sits at rows 5, 4100 and 8200, `k = 2` at 7, 4101 and 8201,
+/// rows 9 and 4200 have a NULL `k`, row 8201 a NULL `g`, and every other
+/// row a `k` no probe row has.
+fn match_order_db(threads: usize) -> Database {
+    let mut db = Database::new();
+    db.set_threads(Some(threads));
+    db.create_table(table_schema("lhs", &[("k", Int), ("g", Int), ("tag", Text)])).unwrap();
+    db.create_table(table_schema("rhs", &[("k", Int), ("g", Int), ("id", Int)])).unwrap();
+    let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let probe = [
+        (Some(2), Some(0), "a"),
+        (None, Some(0), "b"),
+        (Some(1), Some(0), "c"),
+        (Some(3), Some(0), "d"),
+        (Some(2), None, "e"),
+        (Some(1), Some(1), "f"),
+    ];
+    db.insert_rows("lhs", probe.map(|(k, g, tag)| vec![int(k), int(g), Value::str(tag)]))
+        .unwrap();
+    let n = 2 * relstore::MORSEL_ROWS as i64 + 10;
+    db.insert_rows(
+        "rhs",
+        (0..n).map(|id| {
+            let (k, g) = match id {
+                5 | 8200 => (Some(1), Some(0)),
+                4100 => (Some(1), Some(1)),
+                7 | 4101 => (Some(2), Some(0)),
+                8201 => (Some(2), None),
+                9 | 4200 => (None, Some(0)),
+                _ => (Some(1_000_000 + id), Some(0)),
+            };
+            vec![int(k), int(g), Value::Int(id)]
+        }),
+    )
+    .unwrap();
+    db
+}
+
+fn tag_id_rows(pairs: &[(&str, i64)]) -> Vec<Vec<Value>> {
+    pairs.iter().map(|&(tag, id)| vec![Value::str(tag), Value::Int(id)]).collect()
+}
+
+#[test]
+fn hash_join_matches_come_left_major_in_ascending_build_row_and_null_keys_never_match() {
+    let single = tag_id_rows(&[
+        ("a", 7),
+        ("a", 4101),
+        ("a", 8201),
+        ("c", 5),
+        ("c", 4100),
+        ("c", 8200),
+        ("e", 7),
+        ("e", 4101),
+        ("e", 8201),
+        ("f", 5),
+        ("f", 4100),
+        ("f", 8200),
+    ]);
+    let composite = tag_id_rows(&[("a", 7), ("a", 4101), ("c", 5), ("c", 8200), ("f", 4100)]);
+    for threads in [1, 2, 4] {
+        let db = match_order_db(threads);
+        let got = db.query("SELECT l.tag, r.id FROM lhs AS l, rhs AS r WHERE l.k = r.k").unwrap();
+        assert_eq!(got.rows, single, "threads={threads}: single-column key");
+        let got = db
+            .query("SELECT l.tag, r.id FROM lhs AS l, rhs AS r WHERE l.k = r.k AND l.g = r.g")
+            .unwrap();
+        assert_eq!(got.rows, composite, "threads={threads}: composite key");
+    }
+}
+
+#[test]
+fn distinct_keeps_first_occurrences_across_morsels() {
+    let ints = |vals: &[Option<i64>]| -> Vec<Vec<Value>> {
+        vals.iter().map(|v| vec![v.map_or(Value::Null, Value::Int)]).collect()
+    };
+    for threads in [1, 2, 4] {
+        let db = match_order_db(threads);
+        // First occurrences at rows 0, 4100 and 8201: one per morsel.
+        let got = db.query("SELECT DISTINCT g FROM rhs").unwrap();
+        assert_eq!(got.rows, ints(&[Some(0), Some(1), None]), "threads={threads}");
+        let got = db.query("SELECT DISTINCT k FROM lhs").unwrap();
+        assert_eq!(got.rows, ints(&[Some(2), None, Some(1), Some(3)]), "threads={threads}");
     }
 }

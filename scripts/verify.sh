@@ -6,7 +6,8 @@
 #   scripts/verify.sh            # tier-1: release build + root-package tests
 #   scripts/verify.sh --all      # additionally test every workspace crate
 #                                # and the e2e harness's own unit tests
-#   scripts/verify.sh --clippy   # additionally lint (warnings are errors)
+#   scripts/verify.sh --clippy   # additionally lint the workspace and the
+#                                # e2e harness (warnings are errors)
 #   scripts/verify.sh --smoke    # additionally run the five bounded smoke
 #                                # profiles; each asserts its own invariants,
 #                                # exits non-zero on a violation and writes
@@ -62,6 +63,9 @@ fi
 if $run_clippy; then
     echo "== cargo clippy --workspace --all-targets --offline -- -D warnings"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    # The benchmark harness is a package of its own, outside the workspace.
+    echo "== cargo clippy --offline --manifest-path e2e/Cargo.toml --all-targets -- -D warnings"
+    cargo clippy --offline --manifest-path e2e/Cargo.toml --all-targets -- -D warnings
 fi
 
 if $run_smoke; then
