@@ -12,7 +12,8 @@
 //! set-semantic reference (`check_update_case`): effect counts and final
 //! store contents must both match. Divergences shrink to `.ucase` repros.
 //!
-//! Phase 2 — crash points, three sweeps per workload seed:
+//! Phase 2 — crash points, three sweeps per workload seed, the layout
+//! rotating triple-store → vertical → entity by seed:
 //!   * truncation: run a randomized load/insert/delete workload on a durable
 //!     store, recording `(wal_len, shadow state)` after every acked op; then
 //!     for many byte offsets, physically truncate the WAL there, reopen, and
@@ -299,20 +300,24 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn entity() -> StoreConfig {
-    StoreConfig::with_layout(Layout::Entity)
-}
+/// Every layout loads through the one bulk pipeline and its crash
+/// contract, so the crash seeds rotate through all three — the baselines
+/// first, so the two seeds of the smoke profile sweep both of them (the
+/// entity layout's contract is swept by the tier-1 tests as well).
+const LAYOUTS: [Layout; 3] = [Layout::TripleStore, Layout::Vertical, Layout::Entity];
 
 fn crash_phase(profile: &Profile) -> usize {
     println!("\nphase 2: crash-point recovery fuzzing ({} seeds)", profile.crash_seeds);
     let mut failures = 0;
     for i in 0..profile.crash_seeds {
         let seed = profile.seed.wrapping_add(0x5EED_0000).wrapping_add(i);
+        let cfg = StoreConfig::with_layout(LAYOUTS[(i % 3) as usize]);
+        println!("  crash seed {seed}: {:?} layout", cfg.layout);
         let ops = gen_workload(seed, profile.workload_ops);
         let queries = gen_oracle_queries(seed);
-        failures += truncation_sweep(profile, seed, &ops, &queries);
-        failures += write_fault_sweep(profile, seed, &ops, &queries);
-        failures += read_fault_sweep(profile, seed, &ops, &queries);
+        failures += truncation_sweep(profile, &cfg, seed, &ops, &queries);
+        failures += write_fault_sweep(profile, &cfg, seed, &ops, &queries);
+        failures += read_fault_sweep(profile, &cfg, seed, &ops, &queries);
     }
     failures
 }
@@ -341,9 +346,13 @@ fn boundary(store: &RdfStore, shadow: &Shadow) -> Result<Boundary, String> {
 /// Run the workload, recording a [`Boundary`] after every acked op (the
 /// caller removes the directory). The initial `Load` ends in a checkpoint,
 /// so everything after it lives in a later WAL generation than the load.
-fn record_history(dir: &Path, ops: &[Op], checkpoints: usize) -> Result<Vec<Boundary>, String> {
-    let mut store =
-        RdfStore::open(dir, entity()).map_err(|e| format!("open: {e}"))?;
+fn record_history(
+    dir: &Path,
+    cfg: &StoreConfig,
+    ops: &[Op],
+    checkpoints: usize,
+) -> Result<Vec<Boundary>, String> {
+    let mut store = RdfStore::open(dir, cfg.clone()).map_err(|e| format!("open: {e}"))?;
     let mut shadow = Shadow::default();
     let mut boundaries = vec![boundary(&store, &shadow)?];
     let ckpt_every = if checkpoints > 0 { ops.len() / (checkpoints + 1) } else { usize::MAX };
@@ -386,12 +395,13 @@ fn cut_points(total: u64, max_cuts: usize, extra: impl Iterator<Item = u64>) -> 
 /// reopen empty, refuse explicitly, or hold the complete load.
 fn truncation_sweep(
     profile: &Profile,
+    cfg: &StoreConfig,
     seed: u64,
     ops: &[Op],
     queries: &[String],
 ) -> usize {
     let dir = fresh_dir(&format!("trunc-{seed}"));
-    let boundaries = match record_history(&dir, ops, 0) {
+    let boundaries = match record_history(&dir, cfg, ops, 0) {
         Ok(b) => b,
         Err(e) => {
             println!("  FAIL [truncation seed {seed}]: workload: {e}");
@@ -426,7 +436,7 @@ fn truncation_sweep(
             std::fs::write(work.join(name), content).expect("write store file");
         }
         let expected = live.iter().rev().find(|b| b.wal_len <= cut).map_or(loaded, |b| &b.state);
-        match RdfStore::open(&work, entity()) {
+        match RdfStore::open(&work, cfg.clone()) {
             Err(e) => {
                 // Truncation must look like a torn tail, which recovery heals.
                 println!("  FAIL [truncation seed {seed} cut {cut}/{total}]: open errored: {e}");
@@ -477,7 +487,7 @@ fn truncation_sweep(
         let _ = std::fs::remove_dir_all(&work);
         std::fs::create_dir_all(&work).expect("mkdir");
         std::fs::write(work.join(&load_wal), &load_bytes[..cut as usize]).expect("write WAL");
-        let verdict = match RdfStore::open(&work, entity()) {
+        let verdict = match RdfStore::open(&work, cfg.clone()) {
             Err(e) if e.to_string().contains("bulk load interrupted") => Ok(()),
             Err(e) => Err(format!("open errored: {e}")),
             Ok(store) => match dump(&store) {
@@ -513,6 +523,7 @@ fn truncation_sweep(
 /// durability, an explicit degrade, and clean recovery.
 fn write_fault_sweep(
     profile: &Profile,
+    cfg: &StoreConfig,
     seed: u64,
     ops: &[Op],
     queries: &[String],
@@ -537,7 +548,7 @@ fn write_fault_sweep(
         let fail = |msg: String| {
             println!("  FAIL [{tag}]: {msg}");
         };
-        let mut store = match RdfStore::open_with_faults(&dir, entity(), faults.into_handle()) {
+        let mut store = match RdfStore::open_with_faults(&dir, cfg.clone(), faults.into_handle()) {
             Ok(s) => s,
             Err(e) => {
                 // Opening a fresh durable store writes the WAL header; a
@@ -616,7 +627,7 @@ fn write_fault_sweep(
         drop(store);
 
         // Clean reopen: acked-ops durability.
-        match RdfStore::open(&dir, entity()) {
+        match RdfStore::open(&dir, cfg.clone()) {
             Err(e) if faulted_in_load && e.to_string().contains("bulk load interrupted") => {}
             Err(e) => {
                 fail(format!("clean reopen failed: {e}"));
@@ -666,6 +677,7 @@ fn write_fault_sweep(
 /// a previously observed state or refuse explicitly — never silently wrong.
 fn read_fault_sweep(
     profile: &Profile,
+    cfg: &StoreConfig,
     seed: u64,
     ops: &[Op],
     queries: &[String],
@@ -673,7 +685,7 @@ fn read_fault_sweep(
     let dir = fresh_dir(&format!("rfault-{seed}"));
     // Two mid-workload checkpoints so read faults also exercise the
     // snapshot fallback path, not just WAL replay.
-    let boundaries = match record_history(&dir, ops, 2) {
+    let boundaries = match record_history(&dir, cfg, ops, 2) {
         Ok(b) => b,
         Err(e) => {
             println!("  FAIL [read-fault seed {seed}]: workload: {e}");
@@ -705,7 +717,7 @@ fn read_fault_sweep(
                 ScriptedFaults::new().short_read(read_idx, keep),
             )
         };
-        match RdfStore::open_with_faults(&work, entity(), faults.into_handle()) {
+        match RdfStore::open_with_faults(&work, cfg.clone(), faults.into_handle()) {
             Err(_) => {} // explicit refusal is a valid outcome
             Ok(store) => match dump(&store) {
                 Err(e) => {

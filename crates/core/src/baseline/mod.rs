@@ -2,54 +2,67 @@
 //! the predicate-oriented (vertically partitioned) schema, each with its own
 //! SPARQL→SQL star generation. Both share the hybrid optimizer and the
 //! generic CTE-chain translator — only the per-triple access SQL differs.
+//! Like the entity layout, both store `BIGINT` dictionary ids, so the three
+//! layouts differ in schema alone.
 
 use std::collections::BTreeMap;
 
 use rdf::Triple;
-use relstore::{quote_str, Database, SqlType, TableSchema, Value};
+use relstore::{Database, SqlType, TableSchema, Value};
 use sparql::TermPattern;
 
+use crate::dict::Dict;
 use crate::error::{Result, StoreError};
 use crate::optimizer::{PTree, StarNode, StarSem};
-use crate::translate::{GenState, StarGen};
+use crate::translate::{GenState, PlanDict, StarGen};
+
+/// The dictionary ids of a triple's terms, interning any new term.
+fn intern_all(dict: &mut Dict, t: &Triple) -> [Value; 3] {
+    [&t.subject, &t.predicate, &t.object].map(|term| Value::Int(dict.intern(&term.encode())))
+}
+
+/// The dictionary ids of a triple's terms, or `None` when the dictionary
+/// lacks one of them — then no stored row can hold the triple.
+fn lookup_all(dict: &Dict, t: &Triple) -> Option<[Value; 3]> {
+    let [s, p, o] =
+        [&t.subject, &t.predicate, &t.object].map(|term| dict.lookup(&term.encode()));
+    Some([s?, p?, o?].map(Value::Int))
+}
+
+/// Create a table of `BIGINT` id columns with an index on each of
+/// `indexed`.
+fn create_id_table(
+    db: &mut Database,
+    name: &str,
+    cols: &[&str],
+    indexed: &[&str],
+) -> relstore::Result<()> {
+    db.create_table(TableSchema::new(
+        name,
+        cols.iter().map(|c| (c.to_string(), SqlType::Int)).collect(),
+    ))?;
+    indexed.iter().try_for_each(|c| db.create_index(name, c))
+}
 
 // ---------------------------------------------------------------------------
 // Triple-store layout
 // ---------------------------------------------------------------------------
 
-/// Load the single three-column TRIPLES relation (indexes on subject and
+/// Create the single three-column TRIPLES relation (indexes on subject and
 /// object; no predicate index, matching the paper's setup).
-pub fn load_triple_store(db: &mut Database, triples: &[&Triple]) -> relstore::Result<()> {
-    db.create_table(TableSchema::new(
-        "triples",
-        vec![
-            ("subj".into(), SqlType::Text),
-            ("pred".into(), SqlType::Text),
-            ("obj".into(), SqlType::Text),
-        ],
-    ))?;
-    db.insert_rows(
-        "triples",
-        triples.iter().map(|t| {
-            vec![
-                Value::str(t.subject.encode()),
-                Value::str(t.predicate.encode()),
-                Value::str(t.object.encode()),
-            ]
-        }),
-    )?;
-    db.create_index("triples", "subj")?;
-    db.create_index("triples", "obj")?;
-    Ok(())
+pub(crate) fn create_triples_table(db: &mut Database) -> relstore::Result<()> {
+    create_id_table(db, "triples", &["subj", "pred", "obj"], &["subj", "obj"])
 }
 
 /// Insert one triple unless already present (RDF graphs are sets); returns
 /// whether a row was actually added. Presence is checked through the subject
 /// hash index, so the probe is O(rows-per-subject), not a table scan.
-pub fn insert_triple_store(db: &mut Database, t: &Triple) -> relstore::Result<bool> {
-    let s = Value::str(t.subject.encode());
-    let p = Value::str(t.predicate.encode());
-    let o = Value::str(t.object.encode());
+pub fn insert_triple_store(
+    db: &mut Database,
+    dict: &mut Dict,
+    t: &Triple,
+) -> relstore::Result<bool> {
+    let [s, p, o] = intern_all(dict, t);
     if find_triple_row(db, &s, &p, &o).is_some() {
         return Ok(false);
     }
@@ -70,10 +83,10 @@ fn find_triple_row(db: &Database, s: &Value, p: &Value, o: &Value) -> Option<u32
 /// Delete every row matching `t`; returns whether anything was removed.
 /// `delete_row` is swap-remove, so the index is re-probed after each delete
 /// rather than trusting previously collected row ids.
-pub fn delete_triple_store(db: &mut Database, t: &Triple) -> relstore::Result<bool> {
-    let s = Value::str(t.subject.encode());
-    let p = Value::str(t.predicate.encode());
-    let o = Value::str(t.object.encode());
+pub fn delete_triple_store(db: &mut Database, dict: &Dict, t: &Triple) -> relstore::Result<bool> {
+    let Some([s, p, o]) = lookup_all(dict, t) else {
+        return Ok(false);
+    };
     let mut removed = false;
     while let Some(rid) = find_triple_row(db, &s, &p, &o) {
         db.delete_row("triples", rid)?;
@@ -84,70 +97,87 @@ pub fn delete_triple_store(db: &mut Database, t: &Triple) -> relstore::Result<bo
 
 pub struct TripleGen<'a> {
     pub tree: &'a PTree,
-}
-
-impl TripleGen<'_> {
-    fn gen_one(&self, ti: usize, state: &mut GenState) -> Result<()> {
-        let tp = &self.tree.triples[ti];
-        let name = state.fresh();
-        let prior = state.last.clone();
-        let mut from: Vec<String> = Vec::new();
-        if let Some(p) = &prior {
-            from.push(format!("{p} AS P"));
-        }
-        from.push("triples AS T".to_string());
-        let mut select: Vec<String> =
-            if prior.is_some() { state.prior_projection("P") } else { Vec::new() };
-        let mut wheres: Vec<String> = Vec::new();
-        let mut new_bound = state.bound.clone();
-        let mut local: BTreeMap<String, String> = BTreeMap::new();
-        for (tpat, col) in
-            [(&tp.subject, "T.subj"), (&tp.predicate, "T.pred"), (&tp.object, "T.obj")]
-        {
-            match tpat {
-                TermPattern::Term(t) => wheres.push(format!("{col} = {}", quote_str(&t.encode()))),
-                TermPattern::Var(v) => {
-                    if let Some(expr) = local.get(v) {
-                        wheres.push(format!("{col} = {expr}"));
-                    } else if state.bound.contains_key(v) {
-                        let cond = state.join_bound(v, col, &mut select);
-                        wheres.push(cond);
-                        local.insert(v.clone(), col.to_string());
-                    } else {
-                        let out = state.col(v);
-                        select.push(format!("{col} AS {out}"));
-                        new_bound.insert(v.clone(), out);
-                        local.insert(v.clone(), col.to_string());
-                    }
-                }
-            }
-        }
-        if select.is_empty() {
-            select.push("1 AS one".to_string());
-        }
-        let mut body = format!("SELECT {} FROM {}", select.join(", "), from.join(", "));
-        if !wheres.is_empty() {
-            body.push_str(" WHERE ");
-            body.push_str(&wheres.join(" AND "));
-        }
-        state.bound = new_bound;
-        state.push_cte(name, body);
-        Ok(())
-    }
+    /// Constants become dictionary ids, as in the entity layout.
+    pub dict: &'a PlanDict<'a>,
 }
 
 impl StarGen for TripleGen<'_> {
     fn gen_star(&self, star: &StarNode, state: &mut GenState) -> Result<()> {
-        if star.sem != StarSem::And {
-            return Err(StoreError::Unsupported(
-                "merged stars are an entity-layout feature".into(),
-            ));
-        }
-        for &ti in &star.triples {
-            self.gen_one(ti, state)?;
-        }
-        Ok(())
+        and_star(star, state, |ti, state| {
+            let tp = &self.tree.triples[ti];
+            let positions =
+                [(&tp.subject, "T.subj"), (&tp.predicate, "T.pred"), (&tp.object, "T.obj")];
+            access_cte(state, self.dict, "triples", &positions);
+            Ok(())
+        })
     }
+}
+
+/// A baseline star is its triples' accesses in turn; merged stars are an
+/// entity-layout feature.
+fn and_star(
+    star: &StarNode,
+    state: &mut GenState,
+    mut gen_one: impl FnMut(usize, &mut GenState) -> Result<()>,
+) -> Result<()> {
+    if star.sem != StarSem::And {
+        return Err(StoreError::Unsupported("merged stars are an entity-layout feature".into()));
+    }
+    star.triples.iter().try_for_each(|&ti| gen_one(ti, state))
+}
+
+/// One CTE that joins `rel AS T` to the chain head. Each position — a
+/// pattern term and the `T` column holding it — becomes a condition (a
+/// constant's dictionary ID, a join on a bound variable, or on an earlier
+/// position holding the same variable) or a new binding.
+fn access_cte(
+    state: &mut GenState,
+    dict: &PlanDict<'_>,
+    rel: &str,
+    positions: &[(&TermPattern, &str)],
+) {
+    let name = state.fresh();
+    let prior = state.last.clone();
+    let mut from: Vec<String> = Vec::new();
+    if let Some(p) = &prior {
+        from.push(format!("{p} AS P"));
+    }
+    from.push(format!("{rel} AS T"));
+    let mut select: Vec<String> =
+        if prior.is_some() { state.prior_projection("P") } else { Vec::new() };
+    let mut wheres: Vec<String> = Vec::new();
+    let mut new_bound = state.bound.clone();
+    let mut local: BTreeMap<String, String> = BTreeMap::new();
+    for &(tpat, col) in positions {
+        match tpat {
+            TermPattern::Term(t) => wheres.push(format!("{col} = {}", dict.const_sql(&t.encode()))),
+            TermPattern::Var(v) => {
+                if let Some(expr) = local.get(v) {
+                    wheres.push(format!("{col} = {expr}"));
+                    continue;
+                }
+                if state.bound.contains_key(v) {
+                    let cond = state.join_bound(v, col, &mut select);
+                    wheres.push(cond);
+                } else {
+                    let out = state.col(v);
+                    select.push(format!("{col} AS {out}"));
+                    new_bound.insert(v.clone(), out);
+                }
+                local.insert(v.clone(), col.to_string());
+            }
+        }
+    }
+    if select.is_empty() {
+        select.push("1 AS one".to_string());
+    }
+    let mut body = format!("SELECT {} FROM {}", select.join(", "), from.join(", "));
+    if !wheres.is_empty() {
+        body.push_str(" WHERE ");
+        body.push_str(&wheres.join(" AND "));
+    }
+    state.bound = new_bound;
+    state.push_cte(name, body);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,32 +190,11 @@ pub struct VerticalLayout {
     pub tables: BTreeMap<String, String>,
 }
 
-/// One two-column table per predicate, both columns indexed (the classic
-/// column-store emulation of Abadi et al. that the paper compares against).
-pub fn load_vertical(
-    db: &mut Database,
-    triples: &[&Triple],
-) -> relstore::Result<VerticalLayout> {
-    let mut layout = VerticalLayout::default();
-    let mut grouped: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
-    for t in triples {
-        grouped
-            .entry(t.predicate.encode())
-            .or_default()
-            .push((t.subject.encode(), t.object.encode()));
-    }
-    for (i, (pred, rows)) in grouped.into_iter().enumerate() {
-        let table = format!("vp{i}");
-        db.create_table(TableSchema::new(
-            &table,
-            vec![("entry".into(), SqlType::Text), ("val".into(), SqlType::Text)],
-        ))?;
-        db.insert_rows(&table, rows.into_iter().map(|(s, o)| vec![Value::str(s), Value::str(o)]))?;
-        db.create_index(&table, "entry")?;
-        db.create_index(&table, "val")?;
-        layout.tables.insert(pred, table);
-    }
-    Ok(layout)
+/// Create one predicate's two-column table, both columns indexed (the
+/// classic column-store emulation of Abadi et al. that the paper compares
+/// against).
+pub(crate) fn create_vp_table(db: &mut Database, name: &str) -> relstore::Result<()> {
+    create_id_table(db, name, &["entry", "val"], &["entry", "val"])
 }
 
 /// Insert one triple unless already present; returns whether a row was
@@ -194,25 +203,20 @@ pub fn load_vertical(
 pub fn insert_vertical(
     db: &mut Database,
     layout: &mut VerticalLayout,
+    dict: &mut Dict,
     t: &Triple,
 ) -> relstore::Result<bool> {
+    let [s, _, o] = intern_all(dict, t);
     let pred = t.predicate.encode();
     let table = match layout.tables.get(&pred) {
         Some(t) => t.clone(),
         None => {
             let table = format!("vp{}", layout.tables.len());
-            db.create_table(TableSchema::new(
-                &table,
-                vec![("entry".into(), SqlType::Text), ("val".into(), SqlType::Text)],
-            ))?;
-            db.create_index(&table, "entry")?;
-            db.create_index(&table, "val")?;
-            layout.tables.insert(pred.clone(), table.clone());
+            create_vp_table(db, &table)?;
+            layout.tables.insert(pred, table.clone());
             table
         }
     };
-    let s = Value::str(t.subject.encode());
-    let o = Value::str(t.object.encode());
     if find_vertical_row(db, &table, &s, &o).is_some() {
         return Ok(false);
     }
@@ -233,13 +237,15 @@ fn find_vertical_row(db: &Database, table: &str, s: &Value, o: &Value) -> Option
 pub fn delete_vertical(
     db: &mut Database,
     layout: &VerticalLayout,
+    dict: &Dict,
     t: &Triple,
 ) -> relstore::Result<bool> {
     let Some(table) = layout.tables.get(&t.predicate.encode()) else {
         return Ok(false);
     };
-    let s = Value::str(t.subject.encode());
-    let o = Value::str(t.object.encode());
+    let Some([s, _, o]) = lookup_all(dict, t) else {
+        return Ok(false);
+    };
     let mut removed = false;
     while let Some(rid) = find_vertical_row(db, table, &s, &o) {
         db.delete_row(table, rid)?;
@@ -251,6 +257,8 @@ pub fn delete_vertical(
 pub struct VerticalGen<'a> {
     pub tree: &'a PTree,
     pub layout: &'a VerticalLayout,
+    /// Constants become dictionary ids, as in the entity layout.
+    pub dict: &'a PlanDict<'a>,
     /// Refuse variable-predicate queries when the union would span more
     /// tables than this (documented vertical-partitioning weakness).
     pub max_union_tables: usize,
@@ -261,11 +269,11 @@ impl VerticalGen<'_> {
         let tp = &self.tree.triples[ti];
         // Resolve the relation: a predicate table, or a UNION view for
         // variable predicates.
-        let (rel_sql, pred_var): (String, Option<&str>) = match &tp.predicate {
+        let rel_sql = match &tp.predicate {
             TermPattern::Term(p) => {
                 let pe = p.encode();
                 match self.layout.tables.get(&pe) {
-                    Some(t) => (t.clone(), None),
+                    Some(t) => t.clone(),
                     None => {
                         // Unknown predicate: provably empty.
                         let name = state.fresh();
@@ -295,7 +303,7 @@ impl VerticalGen<'_> {
                     }
                 }
             }
-            TermPattern::Var(v) => {
+            TermPattern::Var(_) => {
                 if self.layout.tables.len() > self.max_union_tables {
                     return Err(StoreError::Unsupported(format!(
                         "variable predicate over {} vertical tables",
@@ -309,85 +317,26 @@ impl VerticalGen<'_> {
                     .tables
                     .iter()
                     .map(|(p, t)| {
-                        format!("SELECT entry, val, {} AS pred FROM {t}", quote_str(p))
+                        format!("SELECT entry, val, {} AS pred FROM {t}", self.dict.const_sql(p))
                     })
                     .collect();
                 state.ctes.push((name.clone(), selects.join(" UNION ALL ")));
-                (name, Some(v.as_str()))
+                name
             }
         };
 
-        let name = state.fresh();
-        let prior = state.last.clone();
-        let mut from: Vec<String> = Vec::new();
-        if let Some(p) = &prior {
-            from.push(format!("{p} AS P"));
-        }
-        from.push(format!("{rel_sql} AS T"));
-        let mut select: Vec<String> =
-            if prior.is_some() { state.prior_projection("P") } else { Vec::new() };
-        let mut wheres: Vec<String> = Vec::new();
-        let mut new_bound = state.bound.clone();
-        let mut local: BTreeMap<String, String> = BTreeMap::new();
-        let positions: Vec<(&TermPattern, &str)> =
-            vec![(&tp.subject, "T.entry"), (&tp.object, "T.val")];
-        if let Some(pv) = pred_var {
-            if state.bound.contains_key(pv) {
-                let cond = state.join_bound(pv, "T.pred", &mut select);
-                wheres.push(cond);
-            } else {
-                let out = state.col(pv);
-                select.push(format!("T.pred AS {out}"));
-                new_bound.insert(pv.to_string(), out);
-                // The same variable may reappear in subject/object position
-                // (`?s ?p ?p`): record it so those join on T.pred instead of
-                // re-projecting the alias (ambiguous column).
-                local.insert(pv.to_string(), "T.pred".to_string());
-            }
-        }
-        for (tpat, col) in positions {
-            match tpat {
-                TermPattern::Term(t) => wheres.push(format!("{col} = {}", quote_str(&t.encode()))),
-                TermPattern::Var(v) => {
-                    if let Some(expr) = local.get(v) {
-                        wheres.push(format!("{col} = {expr}"));
-                    } else if state.bound.contains_key(v) {
-                        let cond = state.join_bound(v, col, &mut select);
-                        wheres.push(cond);
-                        local.insert(v.clone(), col.to_string());
-                    } else {
-                        let out = state.col(v);
-                        select.push(format!("{col} AS {out}"));
-                        new_bound.insert(v.clone(), out);
-                        local.insert(v.clone(), col.to_string());
-                    }
-                }
-            }
-        }
-        if select.is_empty() {
-            select.push("1 AS one".to_string());
-        }
-        let mut body = format!("SELECT {} FROM {}", select.join(", "), from.join(", "));
-        if !wheres.is_empty() {
-            body.push_str(" WHERE ");
-            body.push_str(&wheres.join(" AND "));
-        }
-        state.bound = new_bound;
-        state.push_cte(name, body);
+        // Only the union has a `pred` column; a constant predicate picked
+        // the table.
+        let positions =
+            [(&tp.predicate, "T.pred"), (&tp.subject, "T.entry"), (&tp.object, "T.val")];
+        let skip = usize::from(matches!(tp.predicate, TermPattern::Term(_)));
+        access_cte(state, self.dict, &rel_sql, &positions[skip..]);
         Ok(())
     }
 }
 
 impl StarGen for VerticalGen<'_> {
     fn gen_star(&self, star: &StarNode, state: &mut GenState) -> Result<()> {
-        if star.sem != StarSem::And {
-            return Err(StoreError::Unsupported(
-                "merged stars are an entity-layout feature".into(),
-            ));
-        }
-        for &ti in &star.triples {
-            self.gen_one(ti, state)?;
-        }
-        Ok(())
+        and_star(star, state, |ti, state| self.gen_one(ti, state))
     }
 }

@@ -142,7 +142,7 @@ mod tests {
                 Term::iri(format!("o{i}")),
             ));
         }
-        let stats = Stats::collect(&triples, 5);
+        let stats = crate::stats::stats_of(&triples, 5);
         assert_eq!(stats.total_triples, 26);
         let t4 = tp(v("y"), c("industry"), TermPattern::Term(soft));
         assert_eq!(tmc(&t4, Method::Aco, &stats), 2.0);

@@ -11,9 +11,10 @@ use crate::dict::Dict;
 
 /// How a projected column's values map back to RDF terms.
 ///
-/// Most columns live in the *term domain*: dictionary IDs (entity layout)
-/// or canonical term strings (baselines), resolved through the dictionary.
-/// Columns computed by aggregates or BIND arithmetic live in the *value
+/// Most columns live in the *term domain*: dictionary IDs, on every layout,
+/// resolved through the dictionary (or, for a VALUES constant the
+/// dictionary lacks, its canonical term string). Columns computed by
+/// aggregates or BIND arithmetic live in the *value
 /// domain* (`RDF_VAL` output): an `Int` there is an actual integer, not a
 /// dictionary ID, and must never be resolved — a `COUNT` of 17 decoding as
 /// whatever term interned at ID 17 would be silently wrong.
@@ -35,40 +36,19 @@ pub struct Solutions {
 }
 
 impl Solutions {
-    pub fn from_select(vars: Vec<String>, rel: &Rel) -> Solutions {
-        Solutions::from_select_dict(vars, rel, None)
-    }
-
-    /// Decode a relation, resolving integer dictionary IDs through `dict`.
-    /// Without a dictionary (baseline layouts), integers decode as plain
-    /// integer literals.
-    pub fn from_select_dict(vars: Vec<String>, rel: &Rel, dict: Option<&Dict>) -> Solutions {
-        Solutions::from_select_modes(vars, None, rel, dict)
-    }
-
-    /// Like [`Solutions::from_select_dict`] but with a per-column
-    /// [`DecodeMode`] (`None` = all term-domain). `modes` is positional and
-    /// must match `vars` when present.
+    /// Decode a relation's first `vars.len()` columns, each by its
+    /// [`DecodeMode`] (positional, one per variable): term-domain integers
+    /// are dictionary IDs, resolved through `dict`.
     pub fn from_select_modes(
         vars: Vec<String>,
-        modes: Option<&[DecodeMode]>,
+        modes: &[DecodeMode],
         rel: &Rel,
-        dict: Option<&Dict>,
+        dict: &Dict,
     ) -> Solutions {
-        let n = vars.len();
-        let mode_of = |i: usize| {
-            modes.and_then(|m| m.get(i)).copied().unwrap_or(DecodeMode::Term)
-        };
         let rows = rel
             .rows
             .iter()
-            .map(|r| {
-                r.iter()
-                    .take(n)
-                    .enumerate()
-                    .map(|(i, v)| decode_value(v, dict, mode_of(i)))
-                    .collect()
-            })
+            .map(|r| r.iter().zip(modes).map(|(v, &mode)| decode_value(v, dict, mode)).collect())
             .collect();
         Solutions { vars, rows, boolean: None }
     }
@@ -259,7 +239,7 @@ impl Solutions {
     }
 }
 
-fn decode_value(v: &Value, dict: Option<&Dict>, mode: DecodeMode) -> Option<Term> {
+fn decode_value(v: &Value, dict: &Dict, mode: DecodeMode) -> Option<Term> {
     match v {
         Value::Null => None,
         Value::Str(s) => decode_term(s).or_else(|| Some(Term::lit(s.to_string()))),
@@ -267,7 +247,7 @@ fn decode_value(v: &Value, dict: Option<&Dict>, mode: DecodeMode) -> Option<Term
             // Value-domain integers (aggregate/BIND outputs) are actual
             // numbers, never dictionary IDs.
             DecodeMode::Plain => Some(Term::int_lit(*i)),
-            DecodeMode::Term => match dict.and_then(|d| d.resolve(*i)) {
+            DecodeMode::Term => match dict.resolve(*i) {
                 Some(enc) => decode_term(&enc).or_else(move || Some(Term::lit(enc))),
                 None => Some(Term::int_lit(*i)),
             },
@@ -291,7 +271,12 @@ mod tests {
             ],
             rows: vec![vec![Value::str("<http://a>"), Value::Null]],
         };
-        let s = Solutions::from_select(vec!["x".into(), "y".into()], &rel);
+        let s = Solutions::from_select_modes(
+            vec!["x".into(), "y".into()],
+            &[DecodeMode::Term; 2],
+            &rel,
+            &Dict::new(),
+        );
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(0, "x"), Some(&Term::iri("http://a")));
         assert_eq!(s.get(0, "y"), None);
@@ -306,7 +291,8 @@ mod tests {
             ],
             rows: vec![vec![Value::str("\"v\""), Value::str("junk")]],
         };
-        let s = Solutions::from_select(vec!["x".into()], &rel);
+        let s =
+            Solutions::from_select_modes(vec!["x".into()], &[DecodeMode::Term], &rel, &Dict::new());
         assert_eq!(s.rows[0].len(), 1);
         assert_eq!(s.get(0, "x"), Some(&Term::lit("v")));
     }
@@ -322,7 +308,12 @@ mod tests {
             ],
             rows: vec![vec![Value::Int(id), Value::Int(999)]],
         };
-        let s = Solutions::from_select_dict(vec!["x".into(), "y".into()], &rel, Some(&dict));
+        let s = Solutions::from_select_modes(
+            vec!["x".into(), "y".into()],
+            &[DecodeMode::Term; 2],
+            &rel,
+            &dict,
+        );
         assert_eq!(s.get(0, "x"), Some(&Term::iri("http://a")));
         // Unresolvable integers fall back to plain integer literals.
         assert_eq!(s.get(0, "y"), Some(&Term::int_lit(999)));
@@ -341,9 +332,9 @@ mod tests {
         };
         let s = Solutions::from_select_modes(
             vec!["x".into(), "n".into()],
-            Some(&[DecodeMode::Term, DecodeMode::Plain]),
+            &[DecodeMode::Term, DecodeMode::Plain],
             &rel,
-            Some(&dict),
+            &dict,
         );
         assert_eq!(s.get(0, "x"), Some(&Term::iri("http://a")));
         // Same Int, but a COUNT-style column stays a plain integer.

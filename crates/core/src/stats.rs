@@ -6,14 +6,13 @@
 
 use std::collections::HashMap;
 
-use rdf::Triple;
-
 use crate::dict::Dict;
 
 /// Statistics over the loaded dataset. Top-k constants are keyed by their
 /// dictionary ID so the optimizer's `S` input speaks the same integer
-/// vocabulary as the encoded DPH/DS tables; lexical forms are retained in
-/// [`Stats::top_forms`] for reports and string-keyed estimate lookups.
+/// vocabulary as the encoded tables of every layout; lexical forms are
+/// retained in [`Stats::top_forms`] for reports and string-keyed estimate
+/// lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     pub total_triples: u64,
@@ -68,69 +67,6 @@ impl PredStat {
 }
 
 impl Stats {
-    /// Collect statistics with the `top_k` most frequent subject/object
-    /// constants kept exactly, keyed by a throwaway dictionary. Baseline
-    /// layouts (and tests) use this; the entity layout's bulk loader derives
-    /// the same quantities from its sorted passes, keyed by the store's
-    /// dictionary IDs.
-    pub fn collect<'a>(triples: impl IntoIterator<Item = &'a Triple>, top_k: usize) -> Stats {
-        let mut dict = Dict::new();
-        let mut subj: HashMap<String, u64> = HashMap::new();
-        let mut obj: HashMap<String, u64> = HashMap::new();
-        let mut pred: HashMap<String, u64> = HashMap::new();
-        let mut per_pred: HashMap<String, (std::collections::HashSet<String>, std::collections::HashSet<String>, u64)> =
-            HashMap::new();
-        let mut total = 0u64;
-        for t in triples {
-            let (s, p, o) = (t.subject.encode(), t.predicate.encode(), t.object.encode());
-            *subj.entry(s.clone()).or_default() += 1;
-            *obj.entry(o.clone()).or_default() += 1;
-            *pred.entry(p.clone()).or_default() += 1;
-            let e = per_pred.entry(p).or_default();
-            e.0.insert(s);
-            e.1.insert(o);
-            e.2 += 1;
-            total += 1;
-        }
-        let predicate_stats = per_pred
-            .into_iter()
-            .map(|(p, (ss, os, n))| {
-                (
-                    p,
-                    PredStat {
-                        count: n,
-                        distinct_subjects: ss.len() as u64,
-                        distinct_objects: os.len() as u64,
-                    },
-                )
-            })
-            .collect();
-        let distinct_subjects = subj.len() as u64;
-        let distinct_objects = obj.len() as u64;
-        let avg = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-        let mut stats = Stats {
-            total_triples: total,
-            distinct_subjects,
-            distinct_objects,
-            avg_per_subject: avg(total, distinct_subjects),
-            avg_per_object: avg(total, distinct_objects),
-            predicate_counts: pred,
-            predicate_stats,
-            ..Stats::default()
-        };
-        // Intern in deterministic (count-desc, then lexical) order so ID
-        // assignment is reproducible run to run.
-        for (term, n) in take_top(subj, top_k) {
-            let id = dict.intern(&term);
-            stats.register_top_subject(id, &term, n);
-        }
-        for (term, n) in take_top(obj, top_k) {
-            let id = dict.intern(&term);
-            stats.register_top_object(id, &term, n);
-        }
-        stats
-    }
-
     /// Record a top-k subject constant (ID, lexical form, exact count).
     pub fn register_top_subject(&mut self, id: i64, canonical: &str, count: u64) {
         self.top_subjects.insert(id, count);
@@ -185,17 +121,146 @@ impl Stats {
     }
 }
 
-fn take_top(counts: HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = counts.into_iter().collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
+/// The one statistics builder: every layout's bulk load feeds it the same
+/// dictionary-encoded triples, sorted twice. No per-term hash maps:
+/// distinct counts fall out of run boundaries in the sorted data.
+#[derive(Default)]
+pub(crate) struct StatsBuilder {
+    total: u64,
+    distinct_subjects: u64,
+    distinct_objects: u64,
+    /// (count, id) per distinct subject/object, for top-k selection.
+    subj_counts: Vec<(u64, i64)>,
+    obj_counts: Vec<(u64, i64)>,
+    /// Per-predicate: (count, distinct subjects, distinct objects).
+    pub(crate) pred: HashMap<i64, (u64, u64, u64)>,
+}
+
+impl StatsBuilder {
+    /// Over triples sorted by (subject, pred, object).
+    pub(crate) fn direct_pass(&mut self, enc: &[[i64; 3]]) {
+        self.total = enc.len() as u64;
+        let mut i = 0;
+        while i < enc.len() {
+            let s = enc[i][0];
+            let mut j = i;
+            while j < enc.len() && enc[j][0] == s {
+                j += 1;
+            }
+            self.distinct_subjects += 1;
+            self.subj_counts.push(((j - i) as u64, s));
+            let mut k = i;
+            while k < j {
+                let p = enc[k][1];
+                let mut m = k;
+                while m < j && enc[m][1] == p {
+                    m += 1;
+                }
+                let e = self.pred.entry(p).or_default();
+                e.0 += (m - k) as u64;
+                e.1 += 1;
+                k = m;
+            }
+            i = j;
+        }
+    }
+
+    /// Over the same triples re-sorted by (object, pred, subject).
+    pub(crate) fn reverse_pass(&mut self, enc: &[[i64; 3]]) {
+        let mut i = 0;
+        while i < enc.len() {
+            let o = enc[i][0];
+            let mut j = i;
+            while j < enc.len() && enc[j][0] == o {
+                j += 1;
+            }
+            self.distinct_objects += 1;
+            self.obj_counts.push(((j - i) as u64, o));
+            let mut k = i;
+            while k < j {
+                let p = enc[k][1];
+                let mut m = k;
+                while m < j && enc[m][1] == p {
+                    m += 1;
+                }
+                if let Some(e) = self.pred.get_mut(&p) {
+                    e.2 += 1;
+                }
+                k = m;
+            }
+            i = j;
+        }
+    }
+
+    pub(crate) fn finish(
+        mut self,
+        top_k: usize,
+        dict: &Dict,
+        pred_forms: &HashMap<i64, String>,
+    ) -> Stats {
+        let avg = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
+        let mut stats = Stats {
+            total_triples: self.total,
+            distinct_subjects: self.distinct_subjects,
+            distinct_objects: self.distinct_objects,
+            avg_per_subject: avg(self.total, self.distinct_subjects),
+            avg_per_object: avg(self.total, self.distinct_objects),
+            ..Stats::default()
+        };
+        for (&p, &(count, ds, dobj)) in &self.pred {
+            let form = pred_forms[&p].clone();
+            stats.predicate_counts.insert(form.clone(), count);
+            stats.predicate_stats.insert(
+                form,
+                PredStat { count, distinct_subjects: ds, distinct_objects: dobj },
+            );
+        }
+        // Top-k selection: count-descending, ID-ascending — a deterministic
+        // tie-break that needs no lexical resolution of every candidate.
+        let take_top = |v: &mut Vec<(u64, i64)>| {
+            v.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            v.truncate(top_k);
+        };
+        take_top(&mut self.subj_counts);
+        take_top(&mut self.obj_counts);
+        for &(count, id) in &self.subj_counts {
+            let form = dict.resolve(id).expect("top subject resolves");
+            stats.register_top_subject(id, &form, count);
+        }
+        for &(count, id) in &self.obj_counts {
+            let form = dict.resolve(id).expect("top object resolves");
+            stats.register_top_object(id, &form, count);
+        }
+        stats
+    }
+}
+
+/// The statistics a load of `triples` computes, on every layout (they
+/// share the one builder, so they must agree).
+#[cfg(test)]
+pub(crate) fn stats_of(triples: &[rdf::Triple], top_k: usize) -> Stats {
+    use crate::store::{Layout, RdfStore, StoreConfig};
+    let mut all = [Layout::Entity, Layout::TripleStore, Layout::Vertical].map(|layout| {
+        let mut store = RdfStore::new(StoreConfig { layout, top_k, ..StoreConfig::default() });
+        store.load(triples).unwrap();
+        store.statistics().clone()
+    });
+    for other in &all[1..] {
+        assert_eq!(other.total_triples, all[0].total_triples);
+        assert_eq!(other.distinct_subjects, all[0].distinct_subjects);
+        assert_eq!(other.distinct_objects, all[0].distinct_objects);
+        assert_eq!(other.top_subjects, all[0].top_subjects);
+        assert_eq!(other.top_objects, all[0].top_objects);
+        assert_eq!(other.top_ids, all[0].top_ids);
+        assert_eq!(other.predicate_counts, all[0].predicate_counts);
+    }
+    std::mem::take(&mut all[0])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf::Term;
+    use rdf::{Term, Triple};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -204,7 +269,7 @@ mod tests {
     #[test]
     fn averages_and_totals() {
         let triples = vec![t("a", "p", "x"), t("a", "q", "y"), t("b", "p", "x")];
-        let s = Stats::collect(&triples, 10);
+        let s = stats_of(&triples, 10);
         assert_eq!(s.total_triples, 3);
         assert_eq!(s.distinct_subjects, 2);
         assert!((s.avg_per_subject - 1.5).abs() < 1e-12);
@@ -219,7 +284,7 @@ mod tests {
             triples.push(t("hub", "p", &format!("o{i}")));
         }
         triples.push(t("solo", "p", "o0"));
-        let s = Stats::collect(&triples, 1);
+        let s = stats_of(&triples, 1);
         assert_eq!(s.top_subjects.len(), 1);
         assert_eq!(s.subject_count("<hub>"), 20.0);
         // non-top subject falls back to the average
@@ -228,19 +293,17 @@ mod tests {
 
     #[test]
     fn object_count_fallback_is_at_least_one() {
-        let s = Stats::collect(&[], 5);
+        let s = Stats::default();
         assert_eq!(s.object_count("<missing>"), 1.0);
     }
 
     #[test]
-    fn entity_load_keys_top_constants_by_dictionary_id() {
-        let mut store = crate::store::RdfStore::entity();
-        store.load(&[t("a", "p", "x"), t("a", "q", "x")]).unwrap();
-        let s = store.statistics();
-        let id = store.dictionary().read().lookup("<a>").expect("top subject interned");
-        assert_eq!(s.top_subjects.get(&id), Some(&2));
-        assert_eq!(s.top_forms.get(&id).map(String::as_str), Some("<a>"));
-        assert_eq!(s.top_ids.get("<a>"), Some(&id));
+    fn load_keys_top_constants_by_dictionary_id() {
+        let s = stats_of(&[t("a", "p", "x"), t("a", "q", "x")], 10);
+        // Interned in input order: <a> is id 1 on every layout.
+        assert_eq!(s.top_subjects.get(&1), Some(&2));
+        assert_eq!(s.top_forms.get(&1).map(String::as_str), Some("<a>"));
+        assert_eq!(s.top_ids.get("<a>"), Some(&1));
         assert_eq!(s.subject_count("<a>"), 2.0);
     }
 }

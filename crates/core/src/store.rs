@@ -18,8 +18,8 @@ use relstore::{quote_str, Database};
 use sparql::{parse_sparql, Pattern, Query, QueryForm};
 
 use crate::baseline::{
-    delete_triple_store, delete_vertical, insert_triple_store, insert_vertical,
-    load_triple_store, load_vertical, TripleGen, VerticalGen, VerticalLayout,
+    delete_triple_store, delete_vertical, insert_triple_store, insert_vertical, TripleGen,
+    VerticalGen, VerticalLayout,
 };
 use crate::dict::{Dict, SharedDict};
 use crate::error::{Result, StoreError};
@@ -115,8 +115,8 @@ pub struct RdfStore {
     cfg: StoreConfig,
     db: Database,
     /// Term dictionary shared with the registered `RDF_*` scalar functions.
-    /// Populated by entity-layout loads/inserts; empty for the baseline
-    /// layouts (whose tables keep canonical term strings).
+    /// Every layout's tables hold its ids; loads and inserts intern into
+    /// it, and it only grows.
     dict: SharedDict,
     meta: Meta,
     /// Mutation epoch: bumped whenever a mutation may have changed the
@@ -526,50 +526,42 @@ impl RdfStore {
                 None => Schema::Empty,
             },
         };
+        // A baseline store written before every layout stored dictionary
+        // ids keeps term strings in its tables, which no plan reads.
+        let tables: Vec<&str> = match &schema {
+            Schema::TripleStore => vec!["triples"],
+            Schema::Vertical(v) => v.tables.values().map(String::as_str).collect(),
+            Schema::Empty | Schema::Entity { .. } => Vec::new(),
+        };
+        for name in tables {
+            let text = self.db.table(name).is_some_and(|t| {
+                t.schema.columns.iter().any(|c| c.ty == relstore::SqlType::Text)
+            });
+            if text {
+                return Err(StoreError::Unsupported(format!(
+                    "store holds the text-column {layout} format (table {name} stores term \
+                     strings, not dictionary ids), which this version cannot read; reload \
+                     the data into a new directory"
+                )));
+            }
+        }
         self.meta = Meta { schema, stats: Arc::new(stats), report };
         Ok(())
     }
 
     /// Bulk load a dataset (must be called exactly once, before queries).
-    /// Exact duplicate triples are dropped first — a graph is a set, as
-    /// `insert` and the bulk loaders already have it — so every layout
-    /// reports and stores the same triples.
+    /// Exact duplicate triples are dropped — a graph is a set, as `insert`
+    /// already has it — so every layout reports and stores the same
+    /// triples.
     ///
-    /// The entity layout is built by the one bulk pipeline (`store::bulk`,
+    /// Every layout is built by the one bulk pipeline (`store::bulk`,
     /// default [`BulkLoadOptions`]). On a durable store that makes its
     /// crash contract the bulk one: after a crash mid-load, reopening finds
     /// the store empty, or refuses explicitly ("bulk load interrupted"), or
     /// finds the complete dataset — never part of it — and a completed
-    /// load ends in a checkpoint. The baseline layouts commit their load as
-    /// one WAL transaction (crash ⇒ empty or complete).
+    /// load ends in a checkpoint.
     pub fn load(&mut self, triples: &[Triple]) -> Result<&LoadReport> {
-        if self.is_loaded() {
-            return Err(StoreError::Unsupported(
-                "load() may only be called once; use insert() afterwards".into(),
-            ));
-        }
-        let mut seen = HashSet::with_capacity(triples.len());
-        let triples: Vec<&Triple> = triples.iter().filter(|t| seen.insert(*t)).collect();
-        if self.cfg.layout == Layout::Entity {
-            self.bulk_load_triples(triples, &BulkLoadOptions::default())?;
-        } else {
-            self.request(|req| {
-                let store = &mut *req.store;
-                let schema = if store.cfg.layout == Layout::TripleStore {
-                    load_triple_store(&mut store.db, &triples)?;
-                    Schema::TripleStore
-                } else {
-                    Schema::Vertical(load_vertical(&mut store.db, &triples)?)
-                };
-                store.meta = Meta {
-                    schema,
-                    stats: Arc::new(Stats::collect(triples.iter().copied(), store.cfg.top_k)),
-                    report: LoadReport { triples: triples.len() as u64, ..Default::default() },
-                };
-                req.changed = true;
-                Ok(())
-            })?;
-        }
+        self.bulk_load_triples(triples, &BulkLoadOptions::default())?;
         Ok(&self.meta.report)
     }
 
@@ -737,9 +729,9 @@ impl RdfStore {
                 let dict = self.dict.read();
                 Ok(Solutions::from_select_modes(
                     plan.projected.clone(),
-                    Some(&plan.projected_modes),
+                    &plan.projected_modes,
                     &rel,
-                    Some(&dict),
+                    &dict,
                 ))
             }
         }
@@ -895,12 +887,13 @@ impl RdfStore {
                     exec
                 }
                 Schema::TripleStore => {
-                    let backend = TripleGen { tree: &tree };
+                    let backend = TripleGen { tree: &tree, dict };
                     gen_pattern(&backend, &exec, state)?;
                     exec
                 }
                 Schema::Vertical(layout) => {
-                    let backend = VerticalGen { tree: &tree, layout, max_union_tables: 500 };
+                    let backend =
+                        VerticalGen { tree: &tree, layout, dict, max_union_tables: 500 };
                     gen_pattern(&backend, &exec, state)?;
                     exec
                 }
@@ -922,18 +915,16 @@ impl RdfStore {
                     seen.insert(var.clone());
                 }
                 Pattern::Values(vb) => {
+                    // Stored columns hold dictionary IDs; a term missing
+                    // from the dictionary can never match a stored one, so
+                    // it is encoded as its (non-NULL — NULL means UNDEF)
+                    // canonical string, which RDF_SAMETERM rejects against
+                    // any ID.
                     let enc = |t: &rdf::Term| -> String {
-                        match self.cfg.layout {
-                            // Entity columns hold dictionary IDs; a term
-                            // missing from the dictionary can never match a
-                            // stored one, so encode it as its (non-NULL —
-                            // NULL means UNDEF) canonical string, which
-                            // RDF_SAMETERM rejects against any ID.
-                            Layout::Entity => match dict.lookup(&t.encode()) {
-                                Some(id) => id.to_string(),
-                                None => quote_str(&t.encode()),
-                            },
-                            _ => quote_str(&t.encode()),
+                        let term = t.encode();
+                        match dict.lookup(&term) {
+                            Some(id) => id.to_string(),
+                            None => quote_str(&term),
                         }
                     };
                     gen_values(vb, &enc, state)?;
@@ -981,7 +972,8 @@ impl RdfStore {
         &self.db
     }
 
-    /// The shared term dictionary (empty for baseline layouts).
+    /// The shared term dictionary, which every layout's tables encode
+    /// through.
     pub fn dictionary(&self) -> &SharedDict {
         &self.dict
     }
@@ -1132,8 +1124,8 @@ impl Request<'_> {
             Schema::Entity { direct, reverse } => {
                 insert_entity(db, direct, reverse, triple, &mut meta.report, &mut dict.write())?
             }
-            Schema::TripleStore => insert_triple_store(db, triple)?,
-            Schema::Vertical(v) => insert_vertical(db, v, triple)?,
+            Schema::TripleStore => insert_triple_store(db, &mut dict.write(), triple)?,
+            Schema::Vertical(v) => insert_vertical(db, v, &mut dict.write(), triple)?,
         };
         if added {
             meta.report.triples += 1;
@@ -1151,8 +1143,8 @@ impl Request<'_> {
             Schema::Entity { direct, reverse } => {
                 delete_entity(db, direct, reverse, triple, &dict.read())?
             }
-            Schema::TripleStore => delete_triple_store(db, triple)?,
-            Schema::Vertical(v) => delete_vertical(db, v, triple)?,
+            Schema::TripleStore => delete_triple_store(db, &dict.read(), triple)?,
+            Schema::Vertical(v) => delete_vertical(db, v, &dict.read(), triple)?,
         };
         if removed {
             meta.report.triples = meta.report.triples.saturating_sub(1);

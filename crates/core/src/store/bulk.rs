@@ -1,8 +1,13 @@
-//! The one builder of the entity layout (DPH/DS/RPH/RS, §2.1–2.2): a
-//! streaming, parallel bulk load. [`RdfStore::load`], `load_ntriples`, the
-//! first `insert` into an empty store, `db2rdf-serve --load` and the
-//! benchmarks all end in `bulk_load_encoded` below; no other code creates
-//! the four tables.
+//! The one builder of every layout: a streaming, parallel bulk load.
+//! [`RdfStore::load`], `load_ntriples`, the first `insert` into an empty
+//! store, `db2rdf-serve --load` and the benchmarks all end in
+//! `bulk_load_encoded` below, whichever layout the store has. Steps 1–3
+//! and the statistics are the same for all three; only the tables written
+//! in step 4 differ: the entity layout's DPH/DS/RPH/RS (§2.1–2.2), the
+//! triple-store's one `triples(subj, pred, obj)` relation, or the vertical
+//! layout's `(entry, val)` table per predicate — all `BIGINT` dictionary
+//! ids. No other code creates these tables, bar the vertical layout's
+//! table for a predicate an `insert` brings in.
 //!
 //! 1. **Chunked read** — the input is consumed as line-aligned chunks
 //!    ([`rdf::ChunkReader`]); the document is never resident.
@@ -18,14 +23,18 @@
 //!    in `tests/bulk_load.rs`). After this stage triples are three `i64`s;
 //!    all strings are gone. (`bulk_load_triples`, which `load()` uses,
 //!    interns an in-memory triple iterator sequentially instead of 1–3.)
-//! 4. **Sorted append** — encoded triples are sorted by (entity, pred,
-//!    value) per side, exact duplicates dropped (a graph is a set, as
-//!    `insert` already has it), and packed entity-run by entity-run into
-//!    DPH/DS rows, inserted in bounded **segments**, each its own WAL
-//!    batch. When the WAL grows past a threshold the store checkpoints
-//!    between segments, so the WAL never holds the full dataset. Within an
-//!    entity, predicates are placed in ascending dictionary-ID order;
-//!    top-k statistics tie-break by ID.
+//! 4. **Sorted append** — encoded triples are sorted by (subject, pred,
+//!    object), exact duplicates dropped (a graph is a set, as `insert`
+//!    already has it), and counted by [`StatsBuilder`]; a second sort by
+//!    (object, pred, subject) feeds its reverse pass. The entity layout
+//!    packs each sort entity-run by entity-run into one side's hash-table
+//!    rows; the baselines append the first sort as is, the triple-store
+//!    every triple, the vertical layout each triple to its predicate's
+//!    table. Rows go in bounded **segments**, each its own WAL batch.
+//!    When the WAL grows past a threshold the store checkpoints between
+//!    segments, so the WAL never holds the full dataset. Within an entity,
+//!    predicates are placed in ascending dictionary-ID order; top-k
+//!    statistics tie-break by ID.
 //!
 //! ## Crash protocol
 //!
@@ -44,18 +53,19 @@
 //! the whole load commits or vanishes with the request's frame.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::Read;
 use std::time::Instant;
 
 use rdf::Triple;
 use relstore::{Database, SqlType, TableSchema, Value};
 
+use crate::baseline::{create_triples_table, create_vp_table, VerticalLayout};
 use crate::dict::{Dict, DictMemStats};
 use crate::error::{Result, StoreError};
 use crate::layout::{InterferenceGraph, PredMapping, SideLayout};
 use crate::loader::{self, EntityConfig, LoadReport};
-use crate::stats::{PredStat, Stats};
+use crate::stats::StatsBuilder;
 
 use super::{Layout, Meta, RdfStore, Schema, BULK_MARKER};
 
@@ -106,9 +116,8 @@ pub struct BulkLoadStats {
 
 impl RdfStore {
     /// Stream-load an N-Triples/N-Quads document through the parallel bulk
-    /// pipeline (see the module docs). Entity layout only; the store must
-    /// be empty. Named graphs are accepted and ignored, like
-    /// [`RdfStore::load_ntriples`].
+    /// pipeline (see the module docs). The store must be empty. Named
+    /// graphs are accepted and ignored, like [`RdfStore::load_ntriples`].
     pub fn bulk_load_ntriples(
         &mut self,
         reader: impl Read,
@@ -167,21 +176,18 @@ impl RdfStore {
     }
 
     fn bulk_check(&self) -> Result<()> {
-        if self.cfg.layout != Layout::Entity {
-            return Err(StoreError::Unsupported(
-                "bulk load supports the entity layout only".into(),
-            ));
-        }
         if self.is_loaded() {
             return Err(StoreError::Unsupported(
-                "bulk load requires an empty store; it has already been loaded".into(),
+                "bulk load requires an empty store; it has already been loaded (use insert())"
+                    .into(),
             ));
         }
         Ok(())
     }
 
-    /// The shared tail of both bulk entry points: sort, stats, layout,
-    /// segmented insert, finalize. `enc` holds dictionary-encoded triples.
+    /// The shared tail of both bulk entry points: sort, stats, the
+    /// layout's tables, segmented insert, finalize. `enc` holds
+    /// dictionary-encoded triples.
     fn bulk_load_encoded(
         &mut self,
         mut enc: Vec<[i64; 3]>,
@@ -213,17 +219,34 @@ impl RdfStore {
                 (p, form)
             })
             .collect();
-        let (dmap, dncols) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
+        let layout = self.cfg.layout;
+        let direct_map = (layout == Layout::Entity)
+            .then(|| side_mapping(&enc, &pred_forms, &self.cfg.entity));
+        // The vertical layout's tables, one per predicate, named in ID order.
+        let vp_tables: BTreeMap<i64, String> = match layout {
+            Layout::Vertical => {
+                let ids: BTreeSet<i64> = pred_forms.keys().copied().collect();
+                ids.into_iter().enumerate().map(|(i, p)| (p, format!("vp{i}"))).collect()
+            }
+            _ => BTreeMap::new(),
+        };
         bstats.sort_secs += t_sort.elapsed().as_secs_f64();
 
-        // Setup batch: schema + indexes for the direct side, the complete
-        // dictionary, and the in-progress marker — one atomic commit, so
-        // every ID later segments reference is durable no later than its
-        // referents, and any crash past this point is detected on reopen.
+        // Setup batch: the layout's tables and indexes (for the entity
+        // layout, the direct side's), the complete dictionary, and the
+        // in-progress marker — one atomic commit, so every ID later
+        // segments reference is durable no later than its referents, and
+        // any crash past this point is detected on reopen.
         let t_insert = Instant::now();
         self.db.begin_batch();
         let res = (|| -> Result<()> {
-            create_side_tables(&mut self.db, "dph", "ds", dncols)?;
+            match (&direct_map, layout) {
+                (Some((_, ncols)), _) => create_side_tables(&mut self.db, "dph", "ds", *ncols)?,
+                (None, Layout::TripleStore) => create_triples_table(&mut self.db)?,
+                (None, _) => {
+                    vp_tables.values().try_for_each(|t| create_vp_table(&mut self.db, t))?
+                }
+            }
             if durable {
                 self.persist_dict(dict)?;
                 self.ensure_meta_table()?;
@@ -235,82 +258,88 @@ impl RdfStore {
         res?;
         committed?;
 
+        // The rows the (subject, pred, object) sort gives: the entity
+        // layout's direct side, or every baseline row.
         let mut next_lid = -1i64;
-        let dside = insert_side_encoded(
-            &mut self.db,
-            &enc,
-            dmap,
-            dncols,
-            &pred_forms,
-            "dph",
-            "ds",
-            &mut next_lid,
-            opts,
-            checkpoints,
-            bstats,
-        )?;
+        let dside = match direct_map {
+            Some((dmap, dncols)) => Some(insert_side_encoded(
+                &mut self.db,
+                &enc,
+                dmap,
+                dncols,
+                &pred_forms,
+                "dph",
+                "ds",
+                &mut next_lid,
+                opts,
+                checkpoints,
+                bstats,
+            )?),
+            None => {
+                append_rows(&mut self.db, &enc, opts, checkpoints, bstats, |t| {
+                    match vp_tables.get(&t[1]) {
+                        Some(table) => (table.as_str(), vec![Value::Int(t[0]), Value::Int(t[2])]),
+                        None => ("triples", t.map(Value::Int).to_vec()),
+                    }
+                })?;
+                None
+            }
+        };
         bstats.insert_secs += t_insert.elapsed().as_secs_f64();
 
-        // Reverse side: re-sort the same buffer by (object, pred, subject).
+        // Reverse pass: re-sort the same buffer by (object, pred, subject).
         let t_sort = Instant::now();
         for t in enc.iter_mut() {
             t.swap(0, 2);
         }
         enc.sort_unstable();
         sb.reverse_pass(&enc);
-        let (rmap, rncols) = side_mapping(&enc, &pred_forms, &self.cfg.entity);
+        let reverse_map =
+            dside.is_some().then(|| side_mapping(&enc, &pred_forms, &self.cfg.entity));
         bstats.sort_secs += t_sort.elapsed().as_secs_f64();
 
-        let t_insert = Instant::now();
-        self.db.begin_batch();
-        let res = create_side_tables(&mut self.db, "rph", "rs", rncols);
-        let committed = self.db.commit_batch();
-        res?;
-        committed?;
-
-        let rside = insert_side_encoded(
-            &mut self.db,
-            &enc,
-            rmap,
-            rncols,
-            &pred_forms,
-            "rph",
-            "rs",
-            &mut next_lid,
-            opts,
-            checkpoints,
-            bstats,
-        )?;
-        bstats.insert_secs += t_insert.elapsed().as_secs_f64();
+        let (schema, tables, report) = match (dside, reverse_map) {
+            (Some(dside), Some((rmap, rncols))) => {
+                let t_insert = Instant::now();
+                let (schema, report) = self.write_reverse_side(
+                    &enc,
+                    dside,
+                    (rmap, rncols),
+                    &pred_forms,
+                    &mut next_lid,
+                    opts,
+                    checkpoints,
+                    bstats,
+                )?;
+                bstats.insert_secs += t_insert.elapsed().as_secs_f64();
+                (schema, ["dph", "ds", "rph", "rs"].map(String::from).to_vec(), report)
+            }
+            _ if layout == Layout::TripleStore => {
+                (Schema::TripleStore, vec!["triples".to_string()], LoadReport::default())
+            }
+            _ => {
+                let tables = vp_tables.values().cloned().collect();
+                let by_form = vp_tables.into_iter().map(|(p, t)| (pred_forms[&p].clone(), t));
+                let vertical = VerticalLayout { tables: by_form.collect() };
+                (Schema::Vertical(vertical), tables, LoadReport::default())
+            }
+        };
         drop(enc);
 
         // Finalize: stats, report, layouts, and the completion marker — one
         // atomic commit, then a checkpoint so reopen needs no WAL replay.
         let stats = sb.finish(self.cfg.top_k, dict, &pred_forms);
-        let storage: usize = ["dph", "ds", "rph", "rs"]
-            .iter()
-            .map(|t| self.db.table(t).map(|t| t.storage_bytes()).unwrap_or(0))
-            .sum();
-        let nulls = |db: &Database, t: &str| db.table(t).map(|t| t.null_fraction()).unwrap_or(0.0);
-        let report = LoadReport {
-            triples: bstats.triples,
-            dph_rows: dside.rows,
-            rph_rows: rside.rows,
-            dph_spill_rows: dside.spill_rows,
-            rph_spill_rows: rside.spill_rows,
-            dph_cols: dside.layout.ncols,
-            rph_cols: rside.layout.ncols,
-            predicates: pred_forms.len(),
-            dph_coverage: loader::ratio(dside.covered, dside.total),
-            rph_coverage: loader::ratio(rside.covered, rside.total),
-            dph_null_fraction: nulls(&self.db, "dph"),
-            rph_null_fraction: nulls(&self.db, "rph"),
-            storage_bytes: storage as u64,
-        };
+        let storage: usize =
+            tables.iter().map(|t| self.db.table(t).map(|t| t.storage_bytes()).unwrap_or(0)).sum();
         self.meta = Meta {
-            schema: Schema::Entity { direct: dside.layout, reverse: rside.layout },
+            schema,
             stats: std::sync::Arc::new(stats),
-            report,
+            report: LoadReport {
+                triples: bstats.triples,
+                predicates: pred_forms.len(),
+                storage_bytes: storage as u64,
+                ..report
+            },
         };
         self.db.begin_batch();
         let res = (|| -> Result<()> {
@@ -335,6 +364,57 @@ impl RdfStore {
             bstats.checkpoints += 1;
         }
         Ok(())
+    }
+
+    /// The entity layout's reverse side from the (object, pred,
+    /// subject)-sorted triples, its tables created in their own batch; the
+    /// report carries both sides' own counts.
+    #[allow(clippy::too_many_arguments)]
+    fn write_reverse_side(
+        &mut self,
+        enc: &[[i64; 3]],
+        dside: SideResult,
+        (rmap, rncols): (PredMapping, usize),
+        pred_forms: &HashMap<i64, String>,
+        next_lid: &mut i64,
+        opts: &BulkLoadOptions,
+        checkpoints: bool,
+        bstats: &mut BulkLoadStats,
+    ) -> Result<(Schema, LoadReport)> {
+        self.db.begin_batch();
+        let res = create_side_tables(&mut self.db, "rph", "rs", rncols);
+        let committed = self.db.commit_batch();
+        res?;
+        committed?;
+
+        let rside = insert_side_encoded(
+            &mut self.db,
+            enc,
+            rmap,
+            rncols,
+            pred_forms,
+            "rph",
+            "rs",
+            next_lid,
+            opts,
+            checkpoints,
+            bstats,
+        )?;
+        let nulls = |db: &Database, t: &str| db.table(t).map(|t| t.null_fraction()).unwrap_or(0.0);
+        let report = LoadReport {
+            dph_rows: dside.rows,
+            rph_rows: rside.rows,
+            dph_spill_rows: dside.spill_rows,
+            rph_spill_rows: rside.spill_rows,
+            dph_cols: dside.layout.ncols,
+            rph_cols: rside.layout.ncols,
+            dph_coverage: loader::ratio(dside.covered, dside.total),
+            rph_coverage: loader::ratio(rside.covered, rside.total),
+            dph_null_fraction: nulls(&self.db, "dph"),
+            rph_null_fraction: nulls(&self.db, "rph"),
+            ..LoadReport::default()
+        };
+        Ok((Schema::Entity { direct: dside.layout, reverse: rside.layout }, report))
     }
 }
 
@@ -531,8 +611,8 @@ fn insert_side_encoded(
         PredMapping::Hashed(_) => None,
     };
 
-    let mut prim_rows: Vec<Vec<Value>> = Vec::new();
-    let mut sec_rows: Vec<Vec<Value>> = Vec::new();
+    // The segment's pending rows: primary first, as each batch writes them.
+    let mut parts: [(&str, Vec<Vec<Value>>); 2] = [(primary, Vec::new()), (secondary, Vec::new())];
     let mut seg_triples = 0usize;
     let mut groups: Vec<(i64, usize, usize)> = Vec::new();
 
@@ -570,7 +650,7 @@ fn insert_side_encoded(
                 let lid = *next_lid;
                 *next_lid -= 1;
                 for t in &enc[lo..hi] {
-                    sec_rows.push(vec![Value::Int(lid), Value::Int(t[2])]);
+                    parts[1].1.push(vec![Value::Int(lid), Value::Int(t[2])]);
                 }
                 Value::Int(lid)
             };
@@ -605,18 +685,18 @@ fn insert_side_encoded(
         for mut row in entity_rows {
             row[0] = Value::Int(entity);
             row[1] = Value::Int(spilled as i64);
-            prim_rows.push(row);
+            parts[0].1.push(row);
             result.rows += 1;
         }
 
         seg_triples += j - i;
         if seg_triples >= opts.segment_triples {
-            flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, checkpoints, opts, bstats)?;
+            flush_segment(db, &mut parts, checkpoints, opts, bstats)?;
             seg_triples = 0;
         }
         i = j;
     }
-    flush_segment(db, primary, secondary, &mut prim_rows, &mut sec_rows, checkpoints, opts, bstats)?;
+    flush_segment(db, &mut parts, checkpoints, opts, bstats)?;
     // Lids were handed out in decreasing order, so this is what a scan of
     // the secondary table would seed: one below its smallest lid, or -1.
     if *next_lid != first_lid {
@@ -625,32 +705,51 @@ fn insert_side_encoded(
     Ok(result)
 }
 
-/// Commit one segment as its own WAL batch, checkpointing afterwards if the
-/// WAL has outgrown the configured bound.
-#[allow(clippy::too_many_arguments)]
+/// The baseline layouts' rows: one per triple, `row` naming its table.
+/// Every `segment_triples` triples commit as one segment, with one insert
+/// per table (tables in first-appearance order, rows in `enc`'s order).
+fn append_rows<'t>(
+    db: &mut Database,
+    enc: &[[i64; 3]],
+    opts: &BulkLoadOptions,
+    checkpoints: bool,
+    bstats: &mut BulkLoadStats,
+    row: impl Fn(&[i64; 3]) -> (&'t str, Vec<Value>),
+) -> Result<()> {
+    for segment in enc.chunks(opts.segment_triples.max(1)) {
+        let mut parts: Vec<(&str, Vec<Vec<Value>>)> = Vec::new();
+        let mut part_of: HashMap<&str, usize> = HashMap::new();
+        for t in segment {
+            let (table, values) = row(t);
+            let i = *part_of.entry(table).or_insert_with(|| {
+                parts.push((table, Vec::new()));
+                parts.len() - 1
+            });
+            parts[i].1.push(values);
+        }
+        flush_segment(db, &mut parts, checkpoints, opts, bstats)?;
+    }
+    Ok(())
+}
+
+/// Commit one segment — each table's pending rows, in order — as its own
+/// WAL batch, checkpointing afterwards if the WAL has outgrown the
+/// configured bound.
 fn flush_segment(
     db: &mut Database,
-    primary: &str,
-    secondary: &str,
-    prim_rows: &mut Vec<Vec<Value>>,
-    sec_rows: &mut Vec<Vec<Value>>,
+    parts: &mut [(&str, Vec<Vec<Value>>)],
     checkpoints: bool,
     opts: &BulkLoadOptions,
     bstats: &mut BulkLoadStats,
 ) -> Result<()> {
-    if prim_rows.is_empty() && sec_rows.is_empty() {
+    if parts.iter().all(|(_, rows)| rows.is_empty()) {
         return Ok(());
     }
     db.begin_batch();
-    let res = (|| -> Result<()> {
-        if !prim_rows.is_empty() {
-            db.insert_rows(primary, std::mem::take(prim_rows))?;
-        }
-        if !sec_rows.is_empty() {
-            db.insert_rows(secondary, std::mem::take(sec_rows))?;
-        }
-        Ok(())
-    })();
+    let res = parts
+        .iter_mut()
+        .filter(|(_, rows)| !rows.is_empty())
+        .try_for_each(|(table, rows)| db.insert_rows(table, std::mem::take(rows)).map(|_| ()));
     let committed = db.commit_batch();
     res?;
     committed?;
@@ -664,112 +763,4 @@ fn flush_segment(
         }
     }
     Ok(())
-}
-
-/// Statistics accumulated from the two sorted passes — no per-term hash
-/// maps: distinct counts fall out of run boundaries in the sorted data.
-#[derive(Default)]
-struct StatsBuilder {
-    total: u64,
-    distinct_subjects: u64,
-    distinct_objects: u64,
-    /// (count, id) per distinct subject/object, for top-k selection.
-    subj_counts: Vec<(u64, i64)>,
-    obj_counts: Vec<(u64, i64)>,
-    /// Per-predicate: (count, distinct subjects, distinct objects).
-    pred: HashMap<i64, (u64, u64, u64)>,
-}
-
-impl StatsBuilder {
-    /// Over triples sorted by (subject, pred, object).
-    fn direct_pass(&mut self, enc: &[[i64; 3]]) {
-        self.total = enc.len() as u64;
-        let mut i = 0;
-        while i < enc.len() {
-            let s = enc[i][0];
-            let mut j = i;
-            while j < enc.len() && enc[j][0] == s {
-                j += 1;
-            }
-            self.distinct_subjects += 1;
-            self.subj_counts.push(((j - i) as u64, s));
-            let mut k = i;
-            while k < j {
-                let p = enc[k][1];
-                let mut m = k;
-                while m < j && enc[m][1] == p {
-                    m += 1;
-                }
-                let e = self.pred.entry(p).or_default();
-                e.0 += (m - k) as u64;
-                e.1 += 1;
-                k = m;
-            }
-            i = j;
-        }
-    }
-
-    /// Over the same triples re-sorted by (object, pred, subject).
-    fn reverse_pass(&mut self, enc: &[[i64; 3]]) {
-        let mut i = 0;
-        while i < enc.len() {
-            let o = enc[i][0];
-            let mut j = i;
-            while j < enc.len() && enc[j][0] == o {
-                j += 1;
-            }
-            self.distinct_objects += 1;
-            self.obj_counts.push(((j - i) as u64, o));
-            let mut k = i;
-            while k < j {
-                let p = enc[k][1];
-                let mut m = k;
-                while m < j && enc[m][1] == p {
-                    m += 1;
-                }
-                if let Some(e) = self.pred.get_mut(&p) {
-                    e.2 += 1;
-                }
-                k = m;
-            }
-            i = j;
-        }
-    }
-
-    fn finish(mut self, top_k: usize, dict: &Dict, pred_forms: &HashMap<i64, String>) -> Stats {
-        let avg = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
-        let mut stats = Stats {
-            total_triples: self.total,
-            distinct_subjects: self.distinct_subjects,
-            distinct_objects: self.distinct_objects,
-            avg_per_subject: avg(self.total, self.distinct_subjects),
-            avg_per_object: avg(self.total, self.distinct_objects),
-            ..Stats::default()
-        };
-        for (&p, &(count, ds, dobj)) in &self.pred {
-            let form = pred_forms[&p].clone();
-            stats.predicate_counts.insert(form.clone(), count);
-            stats.predicate_stats.insert(
-                form,
-                PredStat { count, distinct_subjects: ds, distinct_objects: dobj },
-            );
-        }
-        // Top-k selection: count-descending, ID-ascending — a deterministic
-        // tie-break that needs no lexical resolution of every candidate.
-        let take_top = |v: &mut Vec<(u64, i64)>| {
-            v.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            v.truncate(top_k);
-        };
-        take_top(&mut self.subj_counts);
-        take_top(&mut self.obj_counts);
-        for &(count, id) in &self.subj_counts {
-            let form = dict.resolve(id).expect("top subject resolves");
-            stats.register_top_subject(id, &form, count);
-        }
-        for &(count, id) in &self.obj_counts {
-            let form = dict.resolve(id).expect("top object resolves");
-            stats.register_top_object(id, &form, count);
-        }
-        stats
-    }
 }

@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use rdf::Term;
 use sparql::TermPattern;
 
 use crate::error::{Result, StoreError};
@@ -22,18 +21,6 @@ pub struct EntityGen<'a> {
     /// term absent from the dictionary is absent from the data, so its
     /// equality condition degenerates to `FALSE` (and the miss is recorded).
     pub dict: &'a PlanDict<'a>,
-}
-
-impl EntityGen<'_> {
-    /// SQL literal for a constant term: its dictionary ID, or `NULL` when
-    /// the term was never loaded (`x = NULL` is never true, so the
-    /// comparison correctly matches nothing).
-    fn const_sql(&self, t: &Term) -> String {
-        match self.dict.lookup(&t.encode()) {
-            Some(id) => id.to_string(),
-            None => "NULL".to_string(),
-        }
-    }
 }
 
 impl StarGen for EntityGen<'_> {
@@ -65,7 +52,7 @@ impl StarGen for EntityGen<'_> {
 
         match entity_tp {
             TermPattern::Term(t) => {
-                wheres.push(format!("T.entry = {}", self.const_sql(t)));
+                wheres.push(format!("T.entry = {}", self.dict.const_sql(&t.encode())));
             }
             TermPattern::Var(v) => {
                 local.insert(v.clone(), "T.entry".to_string());
@@ -106,7 +93,7 @@ impl StarGen for EntityGen<'_> {
                         }
                         continue;
                     }
-                    let pid = self.const_sql(p);
+                    let pid = self.dict.const_sql(&p.encode());
                     let presence = cands
                         .iter()
                         .map(|c| format!("T.pred{c} = {pid}"))
@@ -148,7 +135,7 @@ impl StarGen for EntityGen<'_> {
                             let (extra_cond, flip_val): (Option<String>, String) = match other_tp
                             {
                                 TermPattern::Term(o) => (
-                                    Some(format!("{val} = {}", self.const_sql(o))),
+                                    Some(format!("{val} = {}", self.dict.const_sql(&o.encode()))),
                                     "'1'".to_string(),
                                 ),
                                 TermPattern::Var(v) => {
@@ -177,7 +164,8 @@ impl StarGen for EntityGen<'_> {
                             match other_tp {
                                 TermPattern::Term(o) => {
                                     if required {
-                                        wheres.push(format!("{val} = {}", self.const_sql(o)));
+                                        let id = self.dict.const_sql(&o.encode());
+                                        wheres.push(format!("{val} = {id}"));
                                     }
                                     // Optional triple with constant object
                                     // binds nothing: a semantic no-op.
@@ -243,7 +231,7 @@ impl StarGen for EntityGen<'_> {
                     };
                     match other_tp {
                         TermPattern::Term(o) => {
-                            wheres.push(format!("{val} = {}", self.const_sql(o)));
+                            wheres.push(format!("{val} = {}", self.dict.const_sql(&o.encode())));
                         }
                         TermPattern::Var(v) => {
                             if let Some(expr) = local.get(v).cloned() {

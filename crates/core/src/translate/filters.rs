@@ -261,9 +261,14 @@ fn term_sql(
         Expression::Datatype(inner) => {
             Ok(format!("RDF_DATATYPE({})", term_sql(inner, bound, plain)?))
         }
-        // Numeric expressions used in term position surface as doubles;
-        // RDF_* functions treat numeric SQL values numerically.
-        other => num_sql(other, bound, plain),
+        // A number in term position is a number, never a dictionary id: an
+        // integer would resolve as the term interned under it, so it is
+        // handed over as a double, which no RDF_* function resolves.
+        Expression::Arith { .. } | Expression::Neg(_) => {
+            Ok(format!("(1.0 * {})", num_sql(e, bound, plain)?))
+        }
+        // A boolean is no term either: the SQL boolean passes as is.
+        other => bool_sql(other, bound, plain),
     }
 }
 
@@ -511,6 +516,15 @@ mod tests {
                 "pattern {pat} must be rejected, got {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn term_position_never_gets_an_sql_integer() {
+        let sql = |q: &str| filter_to_sql(&filter_of(q), &bound(), &no_plain());
+        let q = "SELECT * WHERE { ?a <http://p> ?n . FILTER(isIRI(1 + 1)) }";
+        assert_eq!(sql(q).unwrap(), "RDF_ISIRI((1.0 * (1 + 1)))");
+        let q = "SELECT * WHERE { ?a <http://p> ?n . FILTER(REGEX(?a = ?n, 'true')) }";
+        assert_eq!(sql(q).unwrap(), "RDF_REGEX(RDF_EQ(c_a, c_n), 'true', 0)");
     }
 
     #[test]

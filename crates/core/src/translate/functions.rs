@@ -1,14 +1,16 @@
 //! RDF-aware scalar SQL functions registered on the relational back-end.
 //!
-//! The entity tables hold dictionary IDs (`BIGINT`), while FILTER constants
-//! and the baseline layouts still use canonical term strings (`<iri>`,
-//! `"lit"@en`, `"5"^^<…integer>`); FILTER evaluation needs SPARQL value
-//! semantics on top of both. These functions are the dialect bridge: the
-//! translator emits calls like `RDF_GT(T.val3, '"30"^^<…integer>')` and the
-//! engine evaluates them here, resolving integer arguments through the
-//! shared dictionary. An integer that the dictionary cannot resolve (a
-//! baseline layout, or an empty dictionary) is treated as a plain number —
-//! the pre-dictionary behavior.
+//! Every layout's tables hold dictionary IDs (`BIGINT`), while FILTER
+//! constants are canonical term strings (`<iri>`, `"lit"@en`,
+//! `"5"^^<…integer>`); FILTER evaluation needs SPARQL value semantics on
+//! top of both. These functions are the dialect bridge: the translator
+//! emits calls like `RDF_GT(T.val3, '"30"^^<…integer>')` and the engine
+//! evaluates them here, resolving integer arguments through the shared
+//! dictionary. An integer argument is always an ID: the translator never
+//! hands a number to a term position as an SQL integer (it passes a
+//! double), so an ID the dictionary cannot resolve is no term and no
+//! number. A string argument is a canonical term, or else a plain string
+//! (the output of `RDF_STR`, `RDF_LANG`, `RDF_DATATYPE`).
 
 use rdf::{decode_term, Term};
 use relstore::{Database, Value};
@@ -25,12 +27,14 @@ fn term_of(dict: &Dict, v: &Value) -> Option<Term> {
 
 fn numeric(dict: &Dict, v: &Value) -> Option<f64> {
     match v {
-        Value::Int(i) => match dict.resolve(*i) {
-            Some(enc) => decode_term(&enc).and_then(|t| t.numeric_value()),
-            None => Some(*i as f64),
-        },
+        Value::Int(_) => term_of(dict, v).and_then(|t| t.numeric_value()),
         Value::Double(d) => Some(*d),
-        Value::Str(_) => term_of(dict, v).and_then(|t| t.numeric_value()),
+        // A canonical term, or a plain string (an `RDF_STR` output), which
+        // is numeric when it spells a number.
+        Value::Str(s) => match term_of(dict, v) {
+            Some(t) => t.numeric_value(),
+            None => s.trim().parse().ok(),
+        },
         _ => None,
     }
 }
@@ -41,12 +45,10 @@ fn lexical(dict: &Dict, v: &Value) -> Option<String> {
             // Already a plain string (e.g. output of RDF_STR).
             v.as_str().map(str::to_string)
         }),
-        Value::Int(i) => match dict.resolve(*i) {
-            Some(enc) => lexical_of_encoded(&enc),
-            None => Some(i.to_string()),
-        },
+        Value::Int(i) => dict.resolve(*i).and_then(|enc| lexical_of_encoded(&enc)),
         Value::Double(d) => Some(d.to_string()),
-        _ => None,
+        Value::Bool(b) => Some(b.to_string()),
+        Value::Null => None,
     }
 }
 
@@ -143,23 +145,15 @@ fn val_of_term(t: &Term) -> Value {
     Value::str(t.encode())
 }
 
-/// `RDF_VAL(x)`: term → value domain. Dictionary IDs are resolved first; an
-/// unresolvable Int (baseline layouts) or undecodable Str passes through
-/// unchanged, and Double/Bool are already plain values.
+/// `RDF_VAL(x)`: term → value domain. Dictionary IDs and canonical strings
+/// are decoded first; an ID that resolves to no term is NULL, while a
+/// string that is no term (a plain string) passes through unchanged, and
+/// Double/Bool are already plain values.
 fn rdf_val(dict: &Dict, v: &Value) -> Value {
-    match v {
-        Value::Int(i) => match dict.resolve(*i) {
-            Some(enc) => match decode_term(&enc) {
-                Some(t) => val_of_term(&t),
-                None => v.clone(),
-            },
-            None => v.clone(),
-        },
-        Value::Str(s) => match decode_term(s) {
-            Some(t) => val_of_term(&t),
-            None => v.clone(),
-        },
-        _ => v.clone(),
+    match term_of(dict, v) {
+        Some(t) => val_of_term(&t),
+        None if matches!(v, Value::Int(_)) => Value::Null,
+        None => v.clone(),
     }
 }
 
@@ -451,7 +445,7 @@ mod tests {
                 "SELECT RDF_VAL('\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>') AS a, \
                  RDF_VAL('\"2.5\"^^<http://www.w3.org/2001/XMLSchema#double>') AS b, \
                  RDF_VAL('<http://x>') AS c, RDF_VAL('\"plain\"') AS d, \
-                 RDF_VAL(NULL) AS e, RDF_VAL(7) AS f",
+                 RDF_VAL(NULL) AS e, RDF_VAL(7) AS f, RDF_VAL('plain') AS g",
             )
             .unwrap();
         assert_eq!(r.rows[0][0], Value::Int(42));
@@ -459,8 +453,10 @@ mod tests {
         assert_eq!(r.rows[0][2], Value::str("<http://x>"));
         assert_eq!(r.rows[0][3], Value::str("\"plain\""));
         assert_eq!(r.rows[0][4], Value::Null);
-        // Unresolvable dictionary ID (empty dict) passes through as Int.
-        assert_eq!(r.rows[0][5], Value::Int(7));
+        // An ID the (empty) dictionary cannot resolve is no value; a plain
+        // string is one already.
+        assert_eq!(r.rows[0][5], Value::Null);
+        assert_eq!(r.rows[0][6], Value::str("plain"));
     }
 
     #[test]
@@ -489,15 +485,5 @@ mod tests {
         assert_eq!(validate_regex_pattern("a+"), Err('+'));
         assert_eq!(validate_regex_pattern("^a^b$"), Err('^'));
         assert_eq!(validate_regex_pattern("a\\d"), Err('\\'));
-    }
-
-    #[test]
-    fn unresolvable_integers_stay_plain_numbers() {
-        // Empty dictionary (baseline layouts): ints behave as raw numbers.
-        let db = db();
-        let r = db.query("SELECT RDF_NUM(7) AS a, RDF_LT(7, 10) AS b, RDF_STR(7) AS c").unwrap();
-        assert_eq!(r.rows[0][0], Value::Double(7.0));
-        assert_eq!(r.rows[0][1], Value::Bool(true));
-        assert_eq!(r.rows[0][2], Value::str("7"));
     }
 }

@@ -44,6 +44,18 @@ impl<'a> PlanDict<'a> {
         id
     }
 
+    /// SQL literal for a constant term (canonical encoding) in a stored
+    /// column: its dictionary ID, or `NULL` when the term was never loaded
+    /// (`x = NULL` is never true, so the comparison correctly matches
+    /// nothing, and the miss makes the plan stale once the dictionary
+    /// grows).
+    pub fn const_sql(&self, term: &str) -> String {
+        match self.lookup(term) {
+            Some(id) => id.to_string(),
+            None => "NULL".to_string(),
+        }
+    }
+
     /// Whether any lookup so far missed.
     pub fn missed(&self) -> bool {
         self.missed.get()

@@ -1,7 +1,8 @@
-//! The streaming parallel bulk loader (`store::bulk`): differential
-//! equivalence against the triple-store layout and the naive evaluator,
-//! byte-identical determinism across thread counts, reopen durability, and
-//! the crash protocol under PR 2 fault injection.
+//! The streaming parallel bulk loader (`store::bulk`), which builds every
+//! layout: differential equivalence against the triple-store layout and
+//! the naive evaluator, byte-identical determinism across thread counts,
+//! reopen durability, and the crash protocol under fault injection on all
+//! three layouts.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,9 +95,10 @@ fn canon(sols: &Solutions) -> Vec<String> {
     rows
 }
 
-/// The entity layout has one builder, so its reference must not share it:
-/// a `Layout::TripleStore` store (own loader, own translation) and the
-/// naive in-memory evaluator answer the same queries over the same data.
+/// A `Layout::TripleStore` store (same loader, own translation) and the
+/// naive in-memory evaluator answer the same queries over the same data
+/// as the entity layout. The loader is shared, so its statistics are
+/// checked against counts taken from the data itself.
 #[test]
 fn bulk_matches_triple_store_and_naive() {
     let data = dataset(200);
@@ -121,18 +123,23 @@ fn bulk_matches_triple_store_and_naive() {
             assert_eq!(got, canon(&expected), "diverged from naive: {q}");
         }
     }
-    // Statistics agree on the aggregate counters the optimizer keys on.
-    let (bs, rs) = (bulk.statistics(), reference.statistics());
-    assert_eq!(bs.total_triples, rs.total_triples);
-    assert_eq!(bs.distinct_subjects, rs.distinct_subjects);
-    assert_eq!(bs.distinct_objects, rs.distinct_objects);
-    assert_eq!(
-        bs.predicate_count("<http://x.test/industry>"),
-        rs.predicate_count("<http://x.test/industry>")
-    );
-    assert_eq!(bulk.load_report().triples, reference.load_report().triples);
-    let predicates: std::collections::HashSet<_> = data.iter().map(|t| &t.predicate).collect();
-    assert_eq!(bulk.load_report().predicates, predicates.len());
+    // Statistics hold the aggregate counters the optimizer keys on, as
+    // counted from the data, on both layouts.
+    let distinct = |f: fn(&Triple) -> &Term| {
+        data.iter().map(f).collect::<std::collections::HashSet<_>>().len() as u64
+    };
+    let industry = Term::iri("http://x.test/industry");
+    let industry_count = data.iter().filter(|t| t.predicate == industry).count() as f64;
+    let predicates = distinct(|t| &t.predicate) as usize;
+    for store in [&bulk, &reference] {
+        let stats = store.statistics();
+        assert_eq!(stats.total_triples, data.len() as u64);
+        assert_eq!(stats.distinct_subjects, distinct(|t| &t.subject));
+        assert_eq!(stats.distinct_objects, distinct(|t| &t.object));
+        assert_eq!(stats.predicate_count("<http://x.test/industry>"), industry_count);
+        assert_eq!(store.load_report().triples, data.len() as u64);
+        assert_eq!(store.load_report().predicates, predicates);
+    }
 }
 
 #[test]
@@ -151,13 +158,20 @@ fn bulk_load_triples_matches_ntriples_path() {
 
 /// The determinism contract: the same bytes produce a byte-identical store —
 /// same dictionary, same rows in every table, same stats — at any worker
-/// width. Small chunks force many morsels per round so interleaving would
-/// show if merge order ever depended on scheduling.
+/// width, on every layout. Small chunks force many morsels per round so
+/// interleaving would show if merge order ever depended on scheduling.
 #[test]
 fn bulk_load_is_byte_identical_across_thread_counts() {
+    for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
+        identical_across_thread_counts(StoreConfig::with_layout(layout));
+    }
+}
+
+fn identical_across_thread_counts(cfg: StoreConfig) {
+    let layout = cfg.layout;
     let nt = to_ntriples(&dataset(150));
     let fingerprint = |threads: usize| -> Vec<String> {
-        let mut store = RdfStore::entity();
+        let mut store = RdfStore::new(cfg.clone());
         let opts = BulkLoadOptions {
             chunk_bytes: 512,
             segment_triples: 64,
@@ -171,7 +185,9 @@ fn bulk_load_is_byte_identical_across_thread_counts() {
             fp.push(format!("dict {id} {term}"));
         }
         drop(dict);
-        for table in ["dph", "ds", "rph", "rs"] {
+        let mut tables = store.database().table_names();
+        tables.sort_unstable();
+        for table in tables {
             let t = store.database().table(table).unwrap();
             for r in 0..t.row_count() as u32 {
                 fp.push(format!("{table} {:?}", t.row_values(r)));
@@ -181,8 +197,8 @@ fn bulk_load_is_byte_identical_across_thread_counts() {
         fp
     };
     let one = fingerprint(1);
-    assert_eq!(fingerprint(2), one, "threads=2 diverged from threads=1");
-    assert_eq!(fingerprint(4), one, "threads=4 diverged from threads=1");
+    assert_eq!(fingerprint(2), one, "{layout:?}: threads=2 diverged from threads=1");
+    assert_eq!(fingerprint(4), one, "{layout:?}: threads=4 diverged from threads=1");
 }
 
 #[test]
@@ -216,18 +232,26 @@ fn bulk_load_survives_reopen() {
         .unwrap());
 }
 
-/// Crash protocol under PR 2 fault injection: fail the Nth durable write
-/// mid-load for every N until loads stop failing. Whatever prefix the WAL
-/// keeps, reopening must land in exactly one of three states — empty
-/// (marker never committed), an explicit "bulk load interrupted" refusal,
-/// or the complete dataset. Partial data must never be served.
+/// Crash protocol under fault injection, on every layout: fail the Nth
+/// durable write mid-load for every N until loads stop failing. Whatever
+/// prefix the WAL keeps, reopening must land in exactly one of three
+/// states — empty (marker never committed), an explicit "bulk load
+/// interrupted" refusal, or the complete dataset. Partial data must never
+/// be served.
 #[test]
 fn interrupted_bulk_load_refuses_or_recovers_cleanly() {
+    for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
+        fault_sweep(StoreConfig::with_layout(layout));
+    }
+}
+
+fn fault_sweep(cfg: StoreConfig) {
+    let layout = cfg.layout;
     let data = dataset(60);
     let nt = to_ntriples(&data);
     let opts = BulkLoadOptions { segment_triples: 24, ..BulkLoadOptions::default() };
     let full = {
-        let mut store = RdfStore::entity();
+        let mut store = RdfStore::new(cfg.clone());
         store.bulk_load_ntriples(nt.as_bytes(), &opts).unwrap();
         answers(&store, QUERIES[1])
     };
@@ -237,20 +261,19 @@ fn interrupted_bulk_load_refuses_or_recovers_cleanly() {
     let mut complete = 0;
     let mut n = 0;
     loop {
-        let dir = fresh_dir(&format!("fault-{n}"));
+        let dir = fresh_dir(&format!("fault-{layout:?}-{n}"));
         let faults = relstore::ScriptedFaults::new().fail_write(n).into_handle();
-        let mut store =
-            RdfStore::open_with_faults(&dir, StoreConfig::default(), faults).unwrap();
+        let mut store = RdfStore::open_with_faults(&dir, cfg.clone(), faults).unwrap();
         let load = store.bulk_load_ntriples(nt.as_bytes(), &opts);
         let failed = load.is_err();
         drop(store);
 
-        match RdfStore::open(&dir, StoreConfig::default()) {
+        match RdfStore::open(&dir, cfg.clone()) {
             Err(e) => {
                 let msg = e.to_string();
                 assert!(
                     msg.contains("bulk load interrupted"),
-                    "write-fault {n}: unexpected reopen error: {msg}"
+                    "{layout:?} write-fault {n}: unexpected reopen error: {msg}"
                 );
                 refused += 1;
             }
@@ -259,7 +282,7 @@ fn interrupted_bulk_load_refuses_or_recovers_cleanly() {
                     assert_eq!(
                         answers(&store, QUERIES[1]),
                         full,
-                        "write-fault {n}: reopened with partial data"
+                        "{layout:?} write-fault {n}: reopened with partial data"
                     );
                     complete += 1;
                 } else {
@@ -275,19 +298,13 @@ fn interrupted_bulk_load_refuses_or_recovers_cleanly() {
         n += 1;
         assert!(n < 10_000, "fault sweep did not converge");
     }
-    assert!(refused > 0, "no fault point exercised the in-progress refusal");
-    assert!(empty > 0, "no fault point recovered to the empty store");
-    assert!(complete >= 1, "the past-the-end fault point must load fully");
+    assert!(refused > 0, "{layout:?}: no fault point exercised the in-progress refusal");
+    assert!(empty > 0, "{layout:?}: no fault point recovered to the empty store");
+    assert!(complete >= 1, "{layout:?}: the past-the-end fault point must load fully");
 }
 
 #[test]
-fn bulk_load_rejects_wrong_layout_and_double_load() {
-    let mut store = RdfStore::new(StoreConfig::with_layout(Layout::Vertical));
-    let err = store
-        .bulk_load_ntriples(&b"<a> <b> <c> .\n"[..], &BulkLoadOptions::default())
-        .unwrap_err();
-    assert!(err.to_string().contains("entity layout"), "got: {err}");
-
+fn bulk_load_rejects_double_load() {
     let mut store = RdfStore::entity();
     store.load(&dataset(5)).unwrap();
     let err = store

@@ -267,16 +267,47 @@ fn layout_mismatch_is_rejected() {
     assert!(err.to_string().contains("layout"), "got: {err}");
 }
 
-/// Every positive ID in the entity tables resolves through the restored
-/// dictionary to the string it meant before the crash.
+/// A triple-store directory in the format that kept term strings in TEXT
+/// columns (before every layout stored dictionary ids), built here through
+/// the relational API alone, is refused on open with an error naming that
+/// format — never read as ids.
+#[test]
+fn text_column_triple_store_is_refused_by_name() {
+    use relstore::{Database, SqlType, TableSchema, Value};
+    let dir = fresh_dir("text-triples");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        let text = |cols: &[&str]| cols.iter().map(|c| (c.to_string(), SqlType::Text)).collect();
+        db.create_table(TableSchema::new("triples", text(&["subj", "pred", "obj"]))).unwrap();
+        db.insert_rows("triples", [["<Flint>", "<born>", "\"1850\""].map(Value::str).to_vec()])
+            .unwrap();
+        db.create_index("triples", "subj").unwrap();
+        db.create_index("triples", "obj").unwrap();
+        db.create_table(TableSchema::new("sys_meta", text(&["k", "v"]))).unwrap();
+        db.insert_rows("sys_meta", [["layout", "triple-store"].map(Value::str).to_vec()])
+            .unwrap();
+        db.close().unwrap();
+    }
+    let err = match RdfStore::open(&dir, StoreConfig::with_layout(Layout::TripleStore)) {
+        Ok(_) => panic!("a text-column triple store must be refused"),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains("text-column triple-store format"), "got: {err}");
+}
+
+/// Every positive ID in the layout's tables — the entity layout's four, the
+/// triple-store's `triples`, the vertical layout's `vp*` — resolves through
+/// the restored dictionary to the string it meant before the crash.
 fn assert_ids_resolve(
     store: &RdfStore,
     reference: &std::collections::HashMap<i64, String>,
     cut: usize,
 ) {
     let dict = store.dictionary().read();
-    for table in ["dph", "ds", "rph", "rs"] {
-        let Some(tbl) = store.database().table(table) else { continue };
+    let db = store.database();
+    let vp = db.table_names().into_iter().filter(|t| t.starts_with("vp"));
+    for table in ["dph", "ds", "rph", "rs", "triples"].into_iter().chain(vp) {
+        let Some(tbl) = db.table(table) else { continue };
         for rid in 0..tbl.row_count() as u32 {
             for v in tbl.row_values(rid) {
                 if let relstore::Value::Int(id) = v {
@@ -301,21 +332,29 @@ fn assert_ids_resolve(
 /// carries the insert. Truncate that WAL at *every* byte offset and reopen.
 /// Whatever prefix survives, the store must recover to exactly one
 /// committed state (loaded, or loaded+insert), and every positive integer
-/// ID stored in the entity tables must resolve through the restored
+/// ID stored in the layout's tables must resolve through the restored
 /// dictionary to the same string it meant before the crash. This is the
 /// recovery invariant of the dictionary encoding: because `sys_dict` rows
 /// commit in the same WAL batch as the data that references them, no
 /// truncation point can yield an ID that is unresolvable or remapped.
-/// (Truncation inside the load's own WAL is swept by the next test.)
+/// (Truncation inside the load's own WAL is swept by the next test.) Every
+/// layout encodes through the dictionary, so every layout is swept.
 #[test]
 fn dictionary_and_data_commit_atomically_under_wal_truncation() {
-    let dir = fresh_dir("dict-torn");
+    for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
+        dictionary_truncation_sweep(StoreConfig::with_layout(layout));
+    }
+}
+
+fn dictionary_truncation_sweep(cfg: StoreConfig) {
+    let layout = cfg.layout;
+    let dir = fresh_dir(&format!("dict-torn-{layout:?}"));
     let after_load;
     let after_insert;
     let gen;
     let reference: std::collections::HashMap<i64, String>;
     {
-        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut store = RdfStore::open(&dir, cfg.clone()).unwrap();
         store.load(&sample()).unwrap();
         after_load = answers(&store, Q_FOUNDER);
         // The insert interns a brand-new entity, predicate target and value
@@ -333,43 +372,51 @@ fn dictionary_and_data_commit_atomically_under_wal_truncation() {
     let wal = std::fs::read(dir.join(format!("wal.{gen}"))).unwrap();
     assert!(wal.len() > 100, "WAL unexpectedly small: {} bytes", wal.len());
 
-    let scratch = fresh_dir("dict-torn-scratch");
+    let scratch = fresh_dir(&format!("dict-torn-scratch-{layout:?}"));
     for cut in 0..=wal.len() {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
         std::fs::write(scratch.join(format!("snapshot.{gen}")), &snapshot).unwrap();
         std::fs::write(scratch.join(format!("wal.{gen}")), &wal[..cut]).unwrap();
-        let store = RdfStore::open(&scratch, StoreConfig::default())
-            .unwrap_or_else(|e| panic!("open failed at cut {cut}/{}: {e}", wal.len()));
+        let store = RdfStore::open(&scratch, cfg.clone()).unwrap_or_else(|e| {
+            panic!("{layout:?}: open failed at cut {cut}/{}: {e}", wal.len())
+        });
 
         // 1. The store is in exactly one committed prefix state.
         let got = answers(&store, Q_FOUNDER);
         assert!(
             got == after_load || got == after_insert,
-            "cut {cut}: recovered to an uncommitted state {got:?}"
+            "{layout:?} cut {cut}: recovered to an uncommitted state {got:?}"
         );
 
-        // 2. Every positive ID in the entity tables resolves through the
+        // 2. Every positive ID in the layout's tables resolves through the
         //    restored dictionary to its pre-crash string.
         assert_ids_resolve(&store, &reference, cut);
     }
 }
 
-/// `load()` builds the entity layout through the bulk pipeline, so its
-/// crash contract is the bulk one. The generation the load wrote its WAL
-/// into survives the final checkpoint; cut that WAL at *every* byte offset
-/// and reopen from it alone. Each prefix must land in exactly one of three
+/// `load()` builds every layout through the bulk pipeline, so its crash
+/// contract is the bulk one. The generation the load wrote its WAL into
+/// survives the final checkpoint; cut that WAL at *every* byte offset and
+/// reopen from it alone. Each prefix must land in exactly one of three
 /// states — empty (the marker never committed), an explicit "bulk load
 /// interrupted" refusal, or the complete dataset — and must never serve
 /// part of it. Whenever the store opens, its IDs resolve.
 #[test]
 fn crash_mid_load_is_empty_refused_or_complete() {
-    let dir = fresh_dir("torn-load");
+    for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
+        load_truncation_sweep(StoreConfig::with_layout(layout));
+    }
+}
+
+fn load_truncation_sweep(cfg: StoreConfig) {
+    let layout = cfg.layout;
+    let dir = fresh_dir(&format!("torn-load-{layout:?}"));
     let full;
     let load_gen;
     let reference: std::collections::HashMap<i64, String>;
     {
-        let mut store = RdfStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut store = RdfStore::open(&dir, cfg.clone()).unwrap();
         load_gen = store.database().generation().unwrap();
         store.load(&sample()).unwrap();
         full = answers(&store, Q_FOUNDER);
@@ -378,25 +425,26 @@ fn crash_mid_load_is_empty_refused_or_complete() {
     }
     let wal = std::fs::read(dir.join(format!("wal.{load_gen}"))).unwrap();
 
-    let scratch = fresh_dir("torn-load-scratch");
+    let scratch = fresh_dir(&format!("torn-load-scratch-{layout:?}"));
     let (mut empty, mut refused, mut complete) = (0, 0, 0);
     for cut in 0..=wal.len() {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
         std::fs::write(scratch.join(format!("wal.{load_gen}")), &wal[..cut]).unwrap();
-        match RdfStore::open(&scratch, StoreConfig::default()) {
+        match RdfStore::open(&scratch, cfg.clone()) {
             Err(e) => {
                 let msg = e.to_string();
                 assert!(
                     msg.contains("bulk load interrupted"),
-                    "cut {cut}: unexpected reopen error: {msg}"
+                    "{layout:?} cut {cut}: unexpected reopen error: {msg}"
                 );
                 refused += 1;
             }
             Ok(store) => {
                 assert_ids_resolve(&store, &reference, cut);
                 if store.query(Q_FOUNDER).is_ok() {
-                    assert_eq!(answers(&store, Q_FOUNDER), full, "cut {cut}: partial data");
+                    let got = answers(&store, Q_FOUNDER);
+                    assert_eq!(got, full, "{layout:?} cut {cut}: partial data");
                     complete += 1;
                 } else {
                     empty += 1;
@@ -404,7 +452,7 @@ fn crash_mid_load_is_empty_refused_or_complete() {
             }
         }
     }
-    assert!(empty > 0, "no cut recovered to the empty store");
-    assert!(refused > 0, "no cut exercised the in-progress refusal");
-    assert_eq!(complete, 1, "only the untruncated WAL holds the completion marker");
+    assert!(empty > 0, "{layout:?}: no cut recovered to the empty store");
+    assert!(refused > 0, "{layout:?}: no cut exercised the in-progress refusal");
+    assert_eq!(complete, 1, "{layout:?}: only the untruncated WAL holds the completion marker");
 }

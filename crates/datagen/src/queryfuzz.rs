@@ -612,7 +612,7 @@ fn gen_filter_leaf(rng: &mut SplitMix64, vars: &[String], opt_vars: &[String]) -
         pool[rng.gen_range(0..pool.len())].clone()
     };
     let v = pick(rng, vars, opt_vars);
-    match rng.gen_range(0..12u32) {
+    match rng.gen_range(0..14u32) {
         0 => {
             // Numeric comparison (numeric-shaped on the constant side).
             let op = ["<", "<=", ">", ">=", "=", "!="][rng.gen_range(0..6usize)];
@@ -669,6 +669,17 @@ fn gen_filter_leaf(rng: &mut SplitMix64, vars: &[String], opt_vars: &[String]) -
             let pat = ["val", "^val", "2$", "^http", "al"][rng.gen_range(0..5usize)];
             let flags = if rng.gen_ratio(1, 3) { ", \"i\"" } else { "" };
             format!("REGEX(STR(?{v}), \"{pat}\"{flags})")
+        }
+        11 => {
+            // A plain string against a numeric-shaped constant: compared
+            // numerically, so the string must read as the number it spells.
+            format!("STR(?{v}) = \"{}\"", rng.gen_range(0..INT_VALS))
+        }
+        12 => {
+            // A term test over arithmetic: the sum is a number, never the
+            // term a dictionary id of the same value names.
+            let f = if rng.gen_ratio(1, 2) { "isIRI" } else { "isLITERAL" };
+            format!("{f}(?{v} + 1)")
         }
         _ => {
             let lang = if rng.gen_ratio(1, 2) { "en" } else { "fr" };
