@@ -26,7 +26,7 @@ use datagen::BenchQuery;
 use db2rdf::{naive, oracle, ColoringMode, LoadReport, RdfStore, Solutions, StoreConfig};
 use rdf::{Term, Triple};
 use relstore::SqlType::Text;
-use relstore::{quote_str, table_schema, Database, PhaseTimings, Rel, Value};
+use relstore::{quote_str, table_schema, Database, Profile, Rel, Value};
 use System::{Db2Rdf, Db2RdfNoOpt, TripleStore, Vertical};
 
 /// A dataset of the evaluation: its generator at each profile's scale
@@ -550,8 +550,8 @@ const SCALING_UNIVERSITIES: (usize, usize) = (384, 2);
 
 /// The executor's thread scaling over one unindexed `spo(s, p, o)` string
 /// relation: every FROM item is a full parallel scan and every join a hash
-/// join. Each query is timed at every width; its rows, in order, must be
-/// the same at each.
+/// join. Each query is timed at every width; its rows, in order, and each
+/// plan node's row counts must be the same at each.
 fn scaling(run: &mut Run) {
     let smoke = run.checks.smoke;
     let (universities, widths, runs): (_, &[usize], _) = match smoke {
@@ -571,33 +571,50 @@ fn scaling(run: &mut Run) {
     );
     drop(triples);
     let (mut rows, mut speedups, mut same_rows) = (Vec::new(), Vec::new(), Vec::new());
+    // The widths at which every query's per-node counts match its first width's.
+    let mut same_counts = widths.to_vec();
     for (name, sql) in scaling_queries() {
-        let mut base: Option<(f64, Rel)> = None;
+        let mut base = None;
         let mut same = Vec::new();
         for &threads in widths {
             db.set_threads(Some(threads));
-            let (secs, ph, rel) = traced_median(&db, &sql, runs);
-            let (base_secs, first) = base.get_or_insert_with(|| (secs, rel.clone()));
+            let (secs, profile, rel) = profiled_median(&db, &sql, runs);
+            let counts: Vec<_> =
+                profile.nodes.iter().map(|n| (n.kind, n.rows_in, n.gathered, n.rows_out)).collect();
+            let (base_secs, first, first_counts) =
+                base.get_or_insert_with(|| (secs, rel.clone(), counts.clone()));
             if first.rows == rel.rows {
                 same.push(threads);
+            }
+            if *first_counts != counts {
+                same_counts.retain(|&w| w != threads);
             }
             let speedup = *base_secs / secs;
             if threads == 4 {
                 speedups.push(speedup);
             }
-            let phases = [ph.scan_secs, ph.build_secs, ph.probe_secs, ph.agg_secs];
+            let ph = profile.phases();
+            let nodes = profile.secs(|_| true);
+            let other = nodes - ph.scan_secs - ph.build_secs - ph.probe_secs - ph.agg_secs;
+            let phases = [ph.scan_secs, ph.build_secs, ph.probe_secs, ph.agg_secs, other];
             let mut row = vec![name.into(), threads.to_string(), rel.rows.len().to_string()];
             row.extend([format!("{secs:.4}"), format!("{speedup:.2}×")]);
             row.extend(phases.map(|p| format!("{p:.4}")));
+            row.push(format!("{:.1} %", 100.0 * nodes / secs));
             rows.push(row);
         }
         same_rows.push((name, same));
     }
-    print_table("query | threads | rows | secs | speedup | scan | build | probe | agg", &rows);
+    print_table(
+        "query | threads | rows | secs | speedup | scan | build | probe | agg | other | nodes/secs",
+        &rows,
+    );
     for (name, same) in same_rows {
         let claim = format!("scaling: {name}'s rows and their order are identical at every width");
         run.checks.exact(&claim, same, widths.to_vec());
     }
+    let claim = "scaling: per-node row counts are identical at every width";
+    run.checks.exact(claim, same_counts, widths.to_vec());
     let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
     let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
     let (pass, gate) = match smoke {
@@ -664,19 +681,20 @@ fn scaling_queries() -> [(&'static str, String); 3] {
     ]
 }
 
-/// Median wall-clock seconds of `runs` traced runs after a warm-up, the
-/// median run's phase breakdown, and the warm-up's rows. Tracing reads the
-/// clock twice per operator region, so the traced time is the measurement.
-fn traced_median(db: &Database, sql: &str, runs: usize) -> (f64, PhaseTimings, Rel) {
-    let (warm, _) = db.query_traced(sql).expect("query");
-    let mut samples: Vec<(f64, PhaseTimings)> = (0..runs)
+/// Median wall-clock seconds of `runs` runs of `sql`, prepared once, after
+/// a warm-up; the median run's [`Profile`]; and the warm-up's rows. Every
+/// run is profiled, so the timed run is the one the store serves.
+fn profiled_median(db: &Database, sql: &str, runs: usize) -> (f64, Profile, Rel) {
+    let prepared = db.prepare(sql).expect("query");
+    let (warm, _) = prepared.run_profiled(db).expect("query");
+    let mut samples: Vec<(f64, Profile)> = (0..runs)
         .map(|_| {
             let t0 = Instant::now();
-            let (_, phases) = db.query_traced(sql).expect("query");
-            (t0.elapsed().as_secs_f64(), phases)
+            let (_, profile) = prepared.run_profiled(db).expect("query");
+            (t0.elapsed().as_secs_f64(), profile)
         })
         .collect();
     samples.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
-    let (secs, phases) = samples[samples.len() / 2];
-    (secs, phases, warm)
+    let (secs, profile) = samples.swap_remove(samples.len() / 2);
+    (secs, profile, warm)
 }

@@ -1,12 +1,14 @@
 //! Property test for the executor's determinism contract: every query —
 //! randomized over the fixture vocabulary plus handcrafted heavy shapes —
-//! produces byte-identical `Solutions` at threads ∈ {1, 2, 4, 8} on all
-//! three layouts, and a row-budget abort mid-query is equally deterministic
-//! (the budget trips iff total charged rows exceed it, which is a sum and
-//! therefore independent of morsel interleaving).
+//! produces byte-identical `Solutions` and the same per-node row counts at
+//! threads ∈ {1, 2, 4, 8} on all three layouts, and a row-budget abort
+//! mid-query is equally deterministic (the budget trips iff total charged
+//! rows exceed it, which is a sum and therefore independent of morsel
+//! interleaving).
 
 use db2rdf::{Layout, RdfStore, StoreConfig};
 use rdf::{Term, Triple};
+use relstore::NodeKind;
 
 const SUBJECTS: usize = 5000; // > MORSEL_ROWS (4096) rows per table, even entity-layout
 
@@ -131,6 +133,18 @@ fn random_query(rng: &mut Rng) -> String {
     }
 }
 
+/// Each node's `(kind, rows_in, gathered, rows_out)` on one run of the SQL
+/// the store serves for `q`.
+fn node_counts(store: &RdfStore, q: &str) -> Vec<(NodeKind, usize, usize, usize)> {
+    let sql = store.translate(q).unwrap_or_else(|e| panic!("translate {q}: {e}"));
+    let db = store.database();
+    let (_, profile) = db.prepare(&sql).unwrap().run_profiled(db).unwrap();
+    profile.nodes.iter().map(|n| (n.kind, n.rows_in, n.gathered, n.rows_out)).collect()
+}
+
+/// Every query's solutions, and each plan node's counts on its SQL, are
+/// the same at every width; so is the number of nodes, since node order
+/// depends only on the plan.
 #[test]
 fn solutions_are_byte_identical_at_every_thread_count() {
     for layout in [Layout::Entity, Layout::TripleStore, Layout::Vertical] {
@@ -147,10 +161,11 @@ fn solutions_are_byte_identical_at_every_thread_count() {
             .iter()
             .map(|q| store.query(q).unwrap_or_else(|e| panic!("{layout:?} baseline {q}: {e}")))
             .collect();
+        let baseline_nodes: Vec<_> = corpus.iter().map(|q| node_counts(&store, q)).collect();
 
         for threads in [2usize, 4, 8] {
             store.set_threads(Some(threads));
-            for (q, expected) in corpus.iter().zip(&baseline) {
+            for ((q, expected), nodes) in corpus.iter().zip(&baseline).zip(&baseline_nodes) {
                 let got = store
                     .query(q)
                     .unwrap_or_else(|e| panic!("{layout:?} threads={threads} {q}: {e}"));
@@ -160,6 +175,9 @@ fn solutions_are_byte_identical_at_every_thread_count() {
                     expected.to_json(),
                     "{layout:?} threads={threads}: serialized bytes drifted for {q}"
                 );
+                let got = node_counts(&store, q);
+                assert_eq!(got.len(), nodes.len(), "{layout:?} threads={threads}: nodes of {q}");
+                assert_eq!(&got, nodes, "{layout:?} threads={threads}: node counts of {q}");
             }
         }
     }

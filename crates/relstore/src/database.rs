@@ -502,10 +502,6 @@ impl Database {
         self.functions.insert(name.to_ascii_lowercase(), Arc::new(f));
     }
 
-    pub fn scalar_function(&self, name: &str) -> Option<ScalarFn> {
-        self.function(&name.to_ascii_lowercase()).cloned()
-    }
-
     /// The function registered as `lower`, which is already lowercase.
     pub(crate) fn function(&self, lower: &str) -> Option<&ScalarFn> {
         self.functions.get(lower)
@@ -708,12 +704,11 @@ impl Database {
         self.prepare(sql)?.run(self)
     }
 
-    /// Execute a read-only query, additionally reporting per-phase
-    /// wall-clock timings (scan / join build / probe / aggregation) so
-    /// benchmark regressions are attributable to a specific operator phase.
+    /// [`Database::query`] with its run's node times summed into four
+    /// phases ([`Profile::phases`](crate::Profile::phases)).
     pub fn query_traced(&self, sql: &str) -> Result<(Rel, PhaseTimings)> {
-        let (rel, timings) = self.prepare(sql)?.run_traced(self, true)?;
-        Ok((rel, timings.expect("tracing was enabled")))
+        let (rel, profile) = self.prepare(sql)?.run_profiled(self)?;
+        Ok((rel, profile.phases()))
     }
 }
 

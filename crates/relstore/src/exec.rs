@@ -10,11 +10,15 @@
 //! outputs in morsel order. Hash-join builds and `DISTINCT` run
 //! sequentially in row order. So a result, row order included, is the same
 //! at every thread count.
+//!
+//! Every run is profiled: each operator appends one [`NodeStat`] for its
+//! plan node, on the orchestrating thread, when it returns (see
+//! [`Profile`]). There is no untimed path.
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::database::{Database, ScalarFn};
 use crate::error::{exec_err, Error, Result};
@@ -43,16 +47,6 @@ pub struct Rel {
 }
 
 impl Rel {
-    pub fn empty() -> Rel {
-        Rel { cols: Vec::new(), rows: Vec::new() }
-    }
-
-    /// Index of the column named `name` (unqualified match).
-    pub fn col_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.cols.iter().position(|c| *c.name == *lower)
-    }
-
     pub fn column_names(&self) -> Vec<&str> {
         self.cols.iter().map(|c| &*c.name).collect()
     }
@@ -61,12 +55,8 @@ impl Rel {
 /// The rows of an intermediate relation; its columns are known to the plan.
 type Rows = Vec<Vec<Value>>;
 
-/// Wall-clock time attributed to each heavy executor phase, for
-/// `Database::query_traced`. Phases are measured on the orchestrating thread
-/// around whole parallel regions, so a phase's time is elapsed time, not a
-/// sum over workers; nested scopes (CTEs) accumulate into the
-/// same counters. Time outside these four phases (sorting, projection,
-/// UNNEST, plumbing) is the remainder against total query time.
+/// The four-phase view of a run, summed from its [`Profile`] by node kind
+/// (see [`Profile::phases`]): what `Database::query_traced` reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     pub scan_secs: f64,
@@ -75,40 +65,67 @@ pub struct PhaseTimings {
     pub agg_secs: f64,
 }
 
-#[derive(Clone, Copy)]
-enum Phase {
-    Scan,
-    Build,
-    Probe,
-    Agg,
+/// What a plan node does; see [`NodeStat`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind {
+    /// A base table read in full or through an index probe.
+    TableScan,
+    /// A stored CTE's rows (a copy for all but the last reader), filtered.
+    CteRead,
+    IndexJoin,
+    /// A hash join's key table over its right side, freeing it included.
+    HashBuild,
+    /// A hash join's probe and materialization, freeing both inputs included.
+    HashProbe,
+    Unnest,
+    /// The WHERE residue, applied after the joins.
+    Filter,
+    /// Hash aggregation and HAVING.
+    Aggregate,
+    Project,
+    Distinct,
+    Sort,
+    UnionAll,
+    /// A CTE's rows stored in `slot` for its `readers` scans.
+    Cte { slot: usize, readers: u32 },
 }
 
-#[derive(Default)]
-struct PhaseStats {
-    scan_ns: AtomicU64,
-    build_ns: AtomicU64,
-    probe_ns: AtomicU64,
-    agg_ns: AtomicU64,
+/// What one plan node did on one run: the rows it took in, the base-table
+/// rows it passed to `gather_into`, the rows it produced, and its own time
+/// (freeing what it consumed included). Each count is a length the
+/// operator holds on the orchestrating thread, the same at every width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeStat {
+    pub kind: NodeKind,
+    pub rows_in: usize,
+    pub gathered: usize,
+    pub rows_out: usize,
+    pub ns: u64,
 }
 
-impl PhaseStats {
-    fn add(&self, phase: Phase, elapsed: std::time::Duration) {
-        let counter = match phase {
-            Phase::Scan => &self.scan_ns,
-            Phase::Build => &self.build_ns,
-            Phase::Probe => &self.probe_ns,
-            Phase::Agg => &self.agg_ns,
-        };
-        counter.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+/// One [`NodeStat`] per plan node, appended as each node returns. The
+/// executor visits a plan's nodes in the same order on every run, so a
+/// record's position is its node id.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Profile {
+    pub nodes: Vec<NodeStat>,
+}
+
+impl Profile {
+    /// Seconds spent in the nodes whose kind `pred` accepts.
+    pub fn secs(&self, pred: impl Fn(NodeKind) -> bool) -> f64 {
+        self.nodes.iter().filter(|n| pred(n.kind)).map(|n| n.ns).sum::<u64>() as f64 / 1e9
     }
 
-    fn timings(&self) -> PhaseTimings {
-        let secs = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 / 1e9;
+    /// Scan is table scans and CTE reads, build the hash builds, probe
+    /// the index joins and hash probes, agg the aggregates.
+    pub fn phases(&self) -> PhaseTimings {
+        use NodeKind::*;
         PhaseTimings {
-            scan_secs: secs(&self.scan_ns),
-            build_secs: secs(&self.build_ns),
-            probe_secs: secs(&self.probe_ns),
-            agg_secs: secs(&self.agg_ns),
+            scan_secs: self.secs(|k| matches!(k, TableScan | CteRead)),
+            build_secs: self.secs(|k| k == HashBuild),
+            probe_secs: self.secs(|k| matches!(k, IndexJoin | HashProbe)),
+            agg_secs: self.secs(|k| k == Aggregate),
         }
     }
 }
@@ -122,9 +139,8 @@ struct CteSlot {
 /// Everything one execution of a plan shares across its operators: the
 /// snapshot's tables by plan slot, the CTE results by plan slot, the row
 /// budget that stands in for a query timeout, the parallel width resolved
-/// once for the query, and the optional phase-timing counters. The budget
-/// is atomic so morsel workers can charge it concurrently through a shared
-/// `&ExecCtx`.
+/// once for the query, and the node records. The budget is atomic so
+/// morsel workers can charge it concurrently through a shared `&ExecCtx`.
 struct ExecCtx<'a> {
     tables: Vec<&'a Table>,
     ctes: Mutex<Vec<CteSlot>>,
@@ -135,28 +151,26 @@ struct ExecCtx<'a> {
     /// Threads a parallel region may use, the caller included; 1 runs
     /// every region inline.
     threads: usize,
-    phases: Option<PhaseStats>,
+    /// The [`Profile`]'s records, appended on the orchestrating thread only.
+    nodes: Mutex<Vec<NodeStat>>,
 }
 
 impl ExecCtx<'_> {
-    #[inline]
-    fn phase_start(&self) -> Option<Instant> {
-        self.phases.as_ref().map(|_| Instant::now())
+    /// Append the record of a node that returned `t` after it started. An
+    /// operator frees what it consumed before it records.
+    fn record(&self, kind: NodeKind, rows_in: usize, gathered: usize, rows_out: usize, t: Duration) {
+        let stat = NodeStat { kind, rows_in, gathered, rows_out, ns: t.as_nanos() as u64 };
+        self.nodes.lock().expect("no operator panics holding the records").push(stat);
     }
 
-    #[inline]
-    fn phase_add(&self, phase: Phase, start: Option<Instant>) {
-        if let (Some(stats), Some(t0)) = (&self.phases, start) {
-            stats.add(phase, t0.elapsed());
-        }
-    }
-
-    /// Keep a CTE's rows for its readers (none: drop them now).
-    fn store_cte(&self, slot: usize, rows: Rows) {
+    /// Keep a CTE's rows for its readers (none: drop them now); returns
+    /// how many readers it has.
+    fn store_cte(&self, slot: usize, rows: Rows) -> u32 {
         let mut ctes = self.ctes.lock().expect("no operator panics holding the CTE slots");
         if ctes[slot].readers > 0 {
             ctes[slot].rows = rows;
         }
+        ctes[slot].readers
     }
 
     /// A CTE's rows for one of its readers: a copy, except that the last
@@ -190,24 +204,19 @@ impl ExecCtx<'_> {
 
 /// Run a prepared plan on `db`, whose copies of the plan's tables are
 /// `tables` (bound and shape-checked by the caller).
-pub(crate) fn execute(
-    prepared: &Prepared,
-    db: &Database,
-    tables: Vec<&Table>,
-    traced: bool,
-) -> Result<(Rel, Option<PhaseTimings>)> {
-    let ctes = prepared.cte_readers.iter().map(|&readers| CteSlot { rows: Vec::new(), readers });
+pub(crate) fn execute(p: &Prepared, db: &Database, tables: Vec<&Table>) -> Result<(Rel, Profile)> {
+    let ctes = p.cte_readers.iter().map(|&readers| CteSlot { rows: Vec::new(), readers });
     let ctx = ExecCtx {
         tables,
         ctes: Mutex::new(ctes.collect()),
         budget: AtomicU64::new(db.row_budget().unwrap_or(u64::MAX)),
         deadline: db.deadline().map(|d| Instant::now() + d),
         threads: db.threads(),
-        phases: traced.then(PhaseStats::default),
+        nodes: Mutex::new(Vec::new()),
     };
-    let rows = exec_query(&prepared.root, &ctx)?;
-    let rel = Rel { cols: prepared.cols.clone(), rows };
-    Ok((rel, ctx.phases.as_ref().map(PhaseStats::timings)))
+    let rows = exec_query(&p.root, &ctx)?;
+    let nodes = ctx.nodes.into_inner().expect("no operator panics holding the records");
+    Ok((Rel { cols: p.cols.clone(), rows }, Profile { nodes }))
 }
 
 // ---------------------------------------------------------------------------
@@ -514,11 +523,15 @@ fn arith(op: BinaryOp, l: &Value, r: &Value) -> Value {
 fn exec_query(q: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
     for (slot, cte) in &q.ctes {
         let rows = exec_query(cte, ctx)?;
-        ctx.store_cte(*slot, rows);
+        let (t0, n) = (Instant::now(), rows.len());
+        let readers = ctx.store_cte(*slot, rows);
+        ctx.record(NodeKind::Cte { slot: *slot, readers }, n, 0, n, t0.elapsed());
     }
     let mut rows = exec_body(&q.body, ctx)?;
     if !q.order_by.is_empty() {
+        let t0 = Instant::now();
         sort_rows(&mut rows, &q.order_by, ctx)?;
+        ctx.record(NodeKind::Sort, rows.len(), 0, rows.len(), t0.elapsed());
     }
     apply_limit(&mut rows, q.limit, q.offset);
     Ok(rows)
@@ -530,8 +543,10 @@ fn exec_body(body: &BodyPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
         BodyPlan::UnionAll { left, right } => {
             let mut l = exec_body(left, ctx)?;
             let r = exec_body(right, ctx)?;
+            let (t0, n) = (Instant::now(), l.len() + r.len());
             ctx.charge(r.len())?;
             l.extend(r);
+            ctx.record(NodeKind::UnionAll, n, 0, n, t0.elapsed());
             Ok(l)
         }
     }
@@ -617,11 +632,13 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // `SelectPlan::filter`). It is evaluated morsel-parallel into a
     // keep-mask; the in-order retain keeps the survivors in their order.
     if let Some(cond) = &sel.filter {
+        let (t0, rows_in) = (Instant::now(), rows.len());
         let all = &rows;
         let keep: Vec<bool> = parallel_morsels(ctx, all.len(), |range| {
             range.map(|i| cond.eval_truthy(&all[i])).collect()
         })?;
         retain_mask(&mut rows, &keep);
+        ctx.record(NodeKind::Filter, rows_in, 0, rows.len(), t0.elapsed());
     }
 
     rows = match &sel.output {
@@ -629,7 +646,9 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
         Output::Project(exprs) => project(exprs, rows, ctx)?,
     };
     if sel.distinct {
+        let (t0, rows_in) = (Instant::now(), rows.len());
         dedupe(&mut rows);
+        ctx.record(NodeKind::Distinct, rows_in, 0, rows.len(), t0.elapsed());
     }
     Ok(rows)
 }
@@ -638,24 +657,31 @@ fn exec_select(sel: &SelectPlan, ctx: &ExecCtx<'_>) -> Result<Rows> {
 /// with a probe reads only the rows its index names, and of each row only
 /// the cells the plan kept.
 fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
+    let t0 = Instant::now();
     let (table, cols, probe, conds) = match source {
         Source::Table { table, cols, probe, conds } => (ctx.tables[*table], cols, probe, conds),
-        Source::Cte { slot, conds } => return filter_rows(ctx.read_cte(*slot), conds, ctx),
+        Source::Cte { slot, conds } => {
+            let cte = ctx.read_cte(*slot);
+            let rows_in = cte.len();
+            let rows = filter_rows(cte, conds, ctx)?;
+            ctx.record(NodeKind::CteRead, rows_in, 0, rows.len(), t0.elapsed());
+            return Ok(rows);
+        }
     };
-    let scan_t0 = ctx.phase_start();
-    let rows = match probe {
+    let (rows, gathered) = match probe {
         Some((ci, key)) => {
             // Index probes touch few rows; stay sequential.
             let index = table.index_at(*ci).expect("the shape check keeps the probed index");
+            let rids = index.lookup(key);
             let (mut rows, mut buf) = (Vec::new(), Vec::new());
-            for &rid in index.lookup(key) {
+            for &rid in rids {
                 table.row(rid).gather_into(cols, &mut buf);
                 if eval_all(conds, &buf)? {
                     rows.push(std::mem::take(&mut buf));
                 }
             }
             ctx.charge(rows.len())?;
-            rows
+            (rows, rids.len())
         }
         None => {
             // Morsel-parallel full scan: each thread gathers and filters
@@ -665,7 +691,7 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
             // (the common case on a filtered scan) never pay a heap
             // allocation. A morsel is a run of whole row chunks, each
             // walked as one contiguous slice.
-            parallel_morsels_with(ctx, table.row_count(), |range, buf: &mut Vec<Value>| {
+            let rows = parallel_morsels_with(ctx, table.row_count(), |range, buf: &mut Vec<Value>| {
                 let mut out = Vec::new();
                 for rows in table.row_slices(range) {
                     for r in rows {
@@ -677,10 +703,11 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
                 }
                 ctx.charge(out.len())?;
                 Ok(out)
-            })?
+            })?;
+            (rows, table.row_count())
         }
     };
-    ctx.phase_add(Phase::Scan, scan_t0);
+    ctx.record(NodeKind::TableScan, gathered, gathered, rows.len(), t0.elapsed());
     Ok(rows)
 }
 
@@ -696,10 +723,10 @@ fn scan(source: &Source, ctx: &ExecCtx<'_>) -> Result<Rows> {
 fn index_nested_loop(left: Rows, j: &IndexJoin, ctx: &ExecCtx<'_>) -> Result<Rows> {
     let table = ctx.tables[j.table];
     let index = table.index_at(j.key_col).expect("the shape check keeps the probed index");
-    let probe_t0 = ctx.phase_start();
+    let t0 = Instant::now();
     let nulls = vec![Value::Null; j.cols.len()];
     let mut buf = Vec::with_capacity(j.cols.len());
-    let mut rows = Vec::new();
+    let (mut rows, mut gathered) = (Vec::new(), 0);
     let emit = |rows: &mut Rows, pair: SplitRow<'_>| -> Result<()> {
         if eval_all(&j.stream, &pair)? {
             let mut combined = Vec::with_capacity(pair.left.len() + pair.right.len());
@@ -713,6 +740,7 @@ fn index_nested_loop(left: Rows, j: &IndexJoin, ctx: &ExecCtx<'_>) -> Result<Row
         let key = j.left_key.eval(l)?;
         let rids: &[u32] = if key.is_null() { &[] } else { index.lookup(&key) };
         ctx.charge(rids.len().max(1))?;
+        gathered += rids.len();
         let mut matched = false;
         for &rid in rids {
             table.row(rid).gather_into(&j.cols, &mut buf);
@@ -730,7 +758,9 @@ fn index_nested_loop(left: Rows, j: &IndexJoin, ctx: &ExecCtx<'_>) -> Result<Row
             emit(&mut rows, SplitRow { left: l, right: &nulls })?;
         }
     }
-    ctx.phase_add(Phase::Probe, probe_t0);
+    let rows_in = left.len();
+    drop(left);
+    ctx.record(NodeKind::IndexJoin, rows_in, gathered, rows.len(), t0.elapsed());
     Ok(rows)
 }
 
@@ -744,7 +774,6 @@ fn eval_all<R: RowAccess + ?Sized>(conds: &[CExpr], row: &R) -> Result<bool> {
 }
 
 fn filter_rows(mut rows: Rows, conds: &[CExpr], ctx: &ExecCtx<'_>) -> Result<Rows> {
-    let scan_t0 = ctx.phase_start();
     let all = &rows;
     let keep: Vec<bool> = parallel_morsels(ctx, all.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
@@ -758,11 +787,11 @@ fn filter_rows(mut rows: Rows, conds: &[CExpr], ctx: &ExecCtx<'_>) -> Result<Row
         Ok(out)
     })?;
     retain_mask(&mut rows, &keep);
-    ctx.phase_add(Phase::Scan, scan_t0);
     Ok(rows)
 }
 
 fn unnest(cur: Rows, tuples: &[Vec<CExpr>], ctx: &ExecCtx<'_>) -> Result<Rows> {
+    let t0 = Instant::now();
     let mut rows = Vec::new();
     for row in &cur {
         for tuple in tuples {
@@ -779,6 +808,9 @@ fn unnest(cur: Rows, tuples: &[Vec<CExpr>], ctx: &ExecCtx<'_>) -> Result<Rows> {
         }
     }
     ctx.charge(rows.len())?;
+    let rows_in = cur.len();
+    drop(cur);
+    ctx.record(NodeKind::Unnest, rows_in, 0, rows.len(), t0.elapsed());
     Ok(rows)
 }
 
@@ -818,6 +850,20 @@ fn build_chains<K: std::hash::Hash + Eq>(
     Ok(heads)
 }
 
+/// Evaluate a composite join key on `row` into `key`; false when a part
+/// is NULL, which matches nothing.
+fn eval_key(keys: &[CExpr], row: &[Value], key: &mut Vec<Value>) -> Result<bool> {
+    key.clear();
+    for k in keys {
+        let v = k.eval(row)?;
+        if v.is_null() {
+            return Ok(false);
+        }
+        key.push(v);
+    }
+    Ok(true)
+}
+
 /// Hash join with late materialization. The hash table over the right side
 /// is built once, sequentially, in row order; left rows are probed
 /// morsel-parallel. Residual ON and stream predicates are evaluated on a
@@ -841,7 +887,7 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
         Multi(FxHashMap<Vec<Value>, (u32, u32)>),
     }
     let cross = j.lkeys.is_empty();
-    let build_t0 = ctx.phase_start();
+    let t0 = Instant::now();
     let mut next = vec![CHAIN_END; right.len()];
     let table = if cross {
         ctx.charge(left.len().saturating_mul(right.len().max(1)))?;
@@ -857,23 +903,21 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
     } else {
         KeyTable::Multi(build_chains(&right, &mut next, |r| {
             let mut key = Vec::with_capacity(j.rkeys.len());
-            for k in &j.rkeys {
-                let v = k.eval(r)?;
-                if v.is_null() {
-                    return Ok(None);
-                }
-                key.push(v);
-            }
-            Ok(Some(key))
+            Ok(eval_key(&j.rkeys, r, &mut key)?.then_some(key))
         })?)
     };
-    ctx.phase_add(Phase::Build, build_t0);
+    let chains = match &table {
+        KeyTable::Cross => usize::from(!right.is_empty()),
+        KeyTable::Single(heads) => heads.len(),
+        KeyTable::Multi(heads) => heads.len(),
+    };
+    let mut build = t0.elapsed();
 
     // Probe phase: morsel-parallel over left rows; output is `(l, r)` index
     // pairs in left-row order, each row's matches in ascending right-row
     // order, so the final row order matches a sequential left-to-right
     // probe exactly.
-    let probe_t0 = ctx.phase_start();
+    let t0 = Instant::now();
     let (left_rows, right_rows) = (&left, &right);
     let (table_ref, next_ref, null_ref) = (&table, &next, &null_row);
     let pairs: Vec<(usize, usize)> = parallel_morsels(ctx, left_rows.len(), |range| {
@@ -892,23 +936,10 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
                         heads.get(&v).map_or(CHAIN_END, |&(first, _)| first)
                     }
                 }
-                KeyTable::Multi(heads) => {
-                    key.clear();
-                    let mut null_key = false;
-                    for k in &j.lkeys {
-                        let v = k.eval(l)?;
-                        if v.is_null() {
-                            null_key = true;
-                            break;
-                        }
-                        key.push(v);
-                    }
-                    if null_key {
-                        CHAIN_END
-                    } else {
-                        heads.get(&key).map_or(CHAIN_END, |&(first, _)| first)
-                    }
-                }
+                KeyTable::Multi(heads) => match eval_key(&j.lkeys, l, &mut key)? {
+                    true => heads.get(&key).map_or(CHAIN_END, |&(first, _)| first),
+                    false => CHAIN_END,
+                },
             };
             let (mut matches, mut matched) = (0usize, false);
             while rid != CHAIN_END {
@@ -936,16 +967,16 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
         }
         Ok(out)
     })?;
-    ctx.phase_add(Phase::Probe, probe_t0);
+    let mut probe = t0.elapsed();
 
-    // Freeing the key table is build work, timed as such: dropped at
-    // function exit it would fall outside every phase.
-    let free_t0 = ctx.phase_start();
+    // Freeing the key table is build work.
+    let t0 = Instant::now();
     drop((table, next));
-    ctx.phase_add(Phase::Build, free_t0);
+    build += t0.elapsed();
+    ctx.record(NodeKind::HashBuild, right.len(), 0, chains, build);
 
-    // Materialization phase: copy out only the surviving pairs.
-    let materialize_t0 = ctx.phase_start();
+    // Materialization: copy out only the surviving pairs.
+    let t0 = Instant::now();
     let pairs_ref = &pairs;
     let rows: Rows = parallel_morsels(ctx, pairs.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
@@ -958,14 +989,18 @@ fn hash_join(left: Rows, right: Rows, j: &HashJoin, ctx: &ExecCtx<'_>) -> Result
         }
         Ok(out)
     })?;
-    ctx.phase_add(Phase::Probe, materialize_t0);
+    let rows_in = left.len();
+    drop((left, right));
+    probe += t0.elapsed();
+    ctx.record(NodeKind::HashProbe, rows_in, 0, rows.len(), probe);
     Ok(rows)
 }
 
 fn project(exprs: &[CExpr], in_rows: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // Morsel-parallel expression projection; morsel-order concatenation
     // keeps output rows aligned with input order.
-    parallel_morsels(ctx, in_rows.len(), |range| {
+    let t0 = Instant::now();
+    let rows = parallel_morsels(ctx, in_rows.len(), |range| {
         let mut out = Vec::with_capacity(range.len());
         for row in &in_rows[range] {
             let mut vals = Vec::with_capacity(exprs.len());
@@ -975,7 +1010,11 @@ fn project(exprs: &[CExpr], in_rows: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
             out.push(vals);
         }
         Ok(out)
-    })
+    })?;
+    let rows_in = in_rows.len();
+    drop(in_rows);
+    ctx.record(NodeKind::Project, rows_in, 0, rows.len(), t0.elapsed());
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1122,7 +1161,7 @@ fn aggregate(agg: &AggPlan, input: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
     // MORSEL_ROWS alone, both the float summation order and the
     // first-occurrence group order are pure functions of the input — results
     // are byte-identical at every thread count.
-    let agg_t0 = ctx.phase_start();
+    let t0 = Instant::now();
     type Partial = Vec<(Vec<Value>, Vec<AggState>)>;
     let fresh_states = || agg.calls.iter().map(|c| AggState::new(c.distinct)).collect::<Vec<_>>();
     let partials: Vec<Partial> = parallel_morsels(ctx, input.len(), |range| {
@@ -1149,6 +1188,8 @@ fn aggregate(agg: &AggPlan, input: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
         }
         Ok(vec![local])
     })?;
+    let rows_in = input.len();
+    drop(input);
 
     // Merge partials in morsel order; group order is first occurrence.
     let mut groups: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
@@ -1183,14 +1224,9 @@ fn aggregate(agg: &AggPlan, input: Rows, ctx: &ExecCtx<'_>) -> Result<Rows> {
     ctx.charge(rows.len())?;
 
     if let Some(cond) = &agg.having {
-        let mut kept = Vec::new();
-        for row in rows {
-            if cond.eval_truthy(&row)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
+        let keep = rows.iter().map(|r| cond.eval_truthy(r)).collect::<Result<Vec<_>>>()?;
+        retain_mask(&mut rows, &keep);
     }
-    ctx.phase_add(Phase::Agg, agg_t0);
+    ctx.record(NodeKind::Aggregate, rows_in, 0, rows.len(), t0.elapsed());
     project(&agg.project, rows, ctx)
 }

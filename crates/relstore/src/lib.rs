@@ -73,13 +73,15 @@ pub mod wal;
 
 pub use database::{resolve_threads, table_schema, Database, ScalarFn};
 pub use error::{Error, Result};
-pub use exec::{OutCol, PhaseTimings, Rel, RowAccess, SplitRow, MORSEL_ROWS};
+pub use exec::{
+    NodeKind, NodeStat, OutCol, PhaseTimings, Profile, Rel, RowAccess, SplitRow, MORSEL_ROWS,
+};
 pub use hash::{fx_hash_one, FxBuildHasher, FxHashMap, FxHasher};
 pub use plan::Prepared;
 pub use io::{no_faults, FaultHandle, IoFault, NoFaults, ReadOutcome, ScriptedFaults, WriteOutcome};
 pub use row::CompressedRow;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotTable};
-pub use sql::lexer::{quote_str, value_to_sql};
+pub use sql::lexer::quote_str;
 pub use table::{ColumnDef, Index, Table, TableSchema, CHUNK_ROWS};
 pub use value::{SqlType, Value};
 pub use wal::{WalOp, WalWriter};

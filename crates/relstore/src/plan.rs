@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::database::Database;
 use crate::error::{plan_err, Error, Result};
-use crate::exec::{self, CExpr, OutCol, PhaseTimings, Rel};
+use crate::exec::{self, CExpr, OutCol, Profile, Rel};
 use crate::sql::ast::{
     BinaryOp, Expr, Join, OrderItem, Query, QueryBody, Relation, Select, SelectItem, TableFactor,
 };
@@ -67,17 +67,12 @@ impl Prepared {
     /// row, if a referenced table has changed shape (columns or indexes)
     /// since the statement was prepared; prepare it again then.
     pub fn run(&self, db: &Database) -> Result<Rel> {
-        Ok(self.run_traced(db, false)?.0)
+        Ok(self.run_profiled(db)?.0)
     }
 
-    /// [`Prepared::run`], with per-phase timings when `traced`.
-    pub(crate) fn run_traced(
-        &self,
-        db: &Database,
-        traced: bool,
-    ) -> Result<(Rel, Option<PhaseTimings>)> {
-        let tables = self.bind(db)?;
-        exec::execute(self, db, tables, traced)
+    /// [`Prepared::run`], also returning what each plan node did.
+    pub fn run_profiled(&self, db: &Database) -> Result<(Rel, Profile)> {
+        exec::execute(self, db, self.bind(db)?)
     }
 
     /// `db`'s copies of the referenced tables, by slot, once each is

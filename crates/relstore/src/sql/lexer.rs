@@ -1,7 +1,6 @@
 //! SQL tokenizer.
 
 use crate::error::{Error, Result};
-use crate::value::Value;
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
@@ -205,23 +204,6 @@ pub fn quote_str(s: &str) -> String {
     out
 }
 
-/// Literal SQL text for a [`Value`].
-pub fn value_to_sql(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Double(d) => {
-            if d.fract() == 0.0 && d.is_finite() {
-                format!("{d:.1}")
-            } else {
-                d.to_string()
-            }
-        }
-        Value::Str(s) => quote_str(s),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,8 +268,6 @@ mod tests {
     #[test]
     fn quote_str_escapes() {
         assert_eq!(quote_str("it's"), "'it''s'");
-        assert_eq!(value_to_sql(&Value::str("a'b")), "'a''b'");
-        assert_eq!(value_to_sql(&Value::Null), "NULL");
-        assert_eq!(value_to_sql(&Value::Double(2.0)), "2.0");
+        assert_eq!(quote_str("a'b"), "'a''b'");
     }
 }

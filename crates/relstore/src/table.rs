@@ -243,14 +243,6 @@ impl Table {
         Ok(())
     }
 
-    /// Bulk insert without per-row arity error formatting overhead.
-    pub fn insert_many<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) -> Result<()> {
-        for r in rows {
-            self.insert(&r)?;
-        }
-        Ok(())
-    }
-
     /// Create (or rebuild) the equality index on `column`.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let Some(ci) = self.schema.column_index(column) else {

@@ -74,13 +74,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Approximate heap footprint in bytes, used by the NULL-compression
     /// storage experiment (§2.3 of the paper).
     pub fn heap_bytes(&self) -> usize {

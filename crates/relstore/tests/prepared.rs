@@ -1,10 +1,14 @@
 //! Prepared statements: one compiled plan runs on every snapshot of the
 //! database it was prepared on and answers exactly as a fresh
-//! `Database::query` there, and refuses — rather than misreads — a snapshot
-//! whose tables changed shape.
+//! `Database::query` there, with the exact per-node counts the snapshot
+//! implies, and refuses — rather than misreads — a snapshot whose tables
+//! changed shape.
 
+use relstore::NodeKind::{self, *};
 use relstore::SqlType::{Int, Text};
-use relstore::{table_schema, Database, Error, Rel, SqlType, Value};
+use relstore::{
+    table_schema, Database, Error, NodeStat, PhaseTimings, Prepared, Rel, SqlType, Value,
+};
 
 /// The statements every snapshot runs: index probe, index nested-loop join
 /// (inner and left outer), hash join, a CTE read twice, UNION ALL under
@@ -66,6 +70,74 @@ fn expected_pairs(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
     out.into_iter().map(|(a, b)| vec![Value::Int(a), Value::Int(b)]).collect()
 }
 
+/// The profile of one run of `p` on `db`, checked to sum into its phases.
+fn profile(p: &Prepared, db: &Database) -> Vec<NodeStat> {
+    let (_, profile) = p.run_profiled(db).unwrap();
+    let secs = |kinds: &[NodeKind]| {
+        let ns: u64 = profile.nodes.iter().filter(|n| kinds.contains(&n.kind)).map(|n| n.ns).sum();
+        ns as f64 / 1e9
+    };
+    let phases = PhaseTimings {
+        scan_secs: secs(&[TableScan, CteRead]),
+        build_secs: secs(&[HashBuild]),
+        probe_secs: secs(&[IndexJoin, HashProbe]),
+        agg_secs: secs(&[Aggregate]),
+    };
+    assert_eq!(profile.phases(), phases);
+    profile.nodes
+}
+
+/// The one record of `kind` in `nodes`.
+fn only(nodes: &[NodeStat], kind: NodeKind) -> NodeStat {
+    let mut of_kind = nodes.iter().filter(|n| n.kind == kind);
+    let node = *of_kind.next().unwrap_or_else(|| panic!("no {kind:?} in {nodes:?}"));
+    assert!(of_kind.next().is_none(), "two {kind:?} in {nodes:?}");
+    node
+}
+
+/// The counts [`QUERIES`]' profiles must report on `db`, whose `fact`
+/// rows `mirror` holds: scans gather every row or exactly the index hits,
+/// an index join looks up once per left row, a hash join builds once and
+/// probes once, and the CTE read twice is stored once for two readers.
+fn check_counts(db: &Database, mirror: &[(i64, i64)], prepared: &[Prepared], at: &str) {
+    let count = |keep: &dyn Fn(i64, i64) -> bool| {
+        mirror.iter().filter(|&&(k, v)| keep(k, v)).count()
+    };
+    let hits = |table: &str, k: i64| {
+        let index = db.table(table).unwrap().index_on("k").unwrap();
+        index.lookup(&Value::Int(k)).len()
+    };
+    let nodes: Vec<_> = prepared.iter().map(|p| profile(p, db)).collect();
+
+    let probe = only(&nodes[0], TableScan);
+    let want = (hits("fact", 13), count(&|k, _| k == 13));
+    assert_eq!((probe.gathered, probe.rows_out), want, "{at}");
+    assert_eq!(only(&nodes[9], TableScan).gathered, hits("dim", 5), "{at}");
+
+    // dim has 97 rows, 5 of them under w = 5000 (k < 5).
+    assert_eq!(nodes[1][0].kind, TableScan, "{at}");
+    assert_eq!(nodes[1][0].gathered, db.table("dim").unwrap().row_count(), "{at}");
+    let inner = only(&nodes[1], IndexJoin);
+    assert_eq!((inner.rows_in, inner.gathered), (5, count(&|k, _| k < 5)), "{at}");
+    let outer = only(&nodes[2], IndexJoin);
+    let lookups = mirror.iter().filter(|&&(_, v)| v < 300);
+    let dim_hits = lookups.clone().map(|&(k, _)| hits("dim", k)).sum();
+    assert_eq!((outer.rows_in, outer.gathered), (lookups.count(), dim_hits), "{at}");
+
+    assert_eq!(nodes[3][0].kind, TableScan, "{at}");
+    assert_eq!(nodes[3][0].gathered, mirror.len(), "{at}");
+    let tagmap = db.table("tagmap").unwrap().row_count();
+    assert_eq!(only(&nodes[3], HashBuild).rows_in, tagmap, "{at}");
+    assert_eq!(only(&nodes[3], HashProbe).rows_in, count(&|_, v| v < 500), "{at}");
+
+    let stored = count(&|_, v| v < 2000);
+    let ctes: Vec<_> = nodes[4].iter().filter(|n| matches!(n.kind, Cte { .. })).collect();
+    assert!(matches!(ctes[..], [n] if n.kind == Cte { slot: 0, readers: 2 }), "{at}: {ctes:?}");
+    assert_eq!(ctes[0].rows_out, stored, "{at}");
+    let reads: Vec<_> = nodes[4].iter().filter(|n| n.kind == CteRead).map(|n| n.rows_in).collect();
+    assert_eq!(reads, [stored, stored], "{at}");
+}
+
 #[test]
 fn one_prepared_statement_serves_every_snapshot() {
     let (mut db, mut rows) = fixture();
@@ -109,6 +181,7 @@ fn one_prepared_statement_serves_every_snapshot() {
                 pairs,
                 "snapshot {i}, threads {threads}"
             );
+            check_counts(snapshot, mirror, &prepared, &format!("snapshot {i}, threads {threads}"));
         }
     }
 }
